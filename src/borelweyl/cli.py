@@ -681,7 +681,12 @@ def main(argv=None) -> int:
     except (MatrixParseError, CartanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report, status = run(job)
+    try:
+        report, status = run(job)
+    except CartanError as exc:
+        # run() derives the quasi-inverse first; a matrix it rejects is bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if job.fmt == "structured":
         print(emit_report(report))
     else:

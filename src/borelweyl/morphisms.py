@@ -14,19 +14,26 @@ coefficient generators) inside the localized image.  Every inversion is
 logged by the model context, and `birational_witness` factors the log
 into the expected multiplicative set: shifted b's, the h generators, and
 torus units.  Anything else is flagged.
+
+A shift sigma^v moves h by A·v, so it fixes the top-degree part of b and
+moves the next degree down linearly in v.  The witness reads those linear
+equations off the denominator, walks the window of shifts in lexicographic
+order while pruning every prefix that the equations already rule out, and
+lets exact equality decide each remaining candidate.  Recovery checks raise
+RecoveryError, not assert, so they also run under python -O.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
-from math import comb
+from math import comb, lcm
 
-from .cartan import CartanMatrix, _fraction_inverse, symmetrize, validate_gcm
+from .cartan import CartanMatrix, _bareiss_rank, _fraction_inverse, symmetrize, validate_gcm
 from .datum import ClassicalDatum, QuantumDatum
 from .exact import MLaurent, QQ_ONE, q_binom, q_power
 from .skew import ModelContext, SkewElem
 
 __all__ = [
+    "RecoveryError",
     "Relation",
     "Presentation",
     "GeneratorAssignment",
@@ -604,6 +611,18 @@ def verify(assignment: GeneratorAssignment) -> VerificationReport:
     return VerificationReport(assignment, tuple(entries), denominators, recovered, assignment.conventions)
 
 
+class RecoveryError(ValueError):
+    """An image failed to give back the model generator it should recover.
+
+    A ValueError, so `verify` reports it as a failed recovery entry."""
+
+
+def _require(holds: bool, message: str):
+    # a real check, not an assert: it must still run under python -O
+    if not holds:
+        raise RecoveryError(message)
+
+
 def _recover_classical_upper(assignment):
     ctx = assignment.context
     datum = assignment.datum
@@ -613,10 +632,10 @@ def _recover_classical_upper(assignment):
         e_hat = assignment.images[f"E{i + 1}"]
         e_inv = e_hat.invert()  # logs (b_i, -e_i)
         t_i = SkewElem.from_coeff(ctx, ctx.lift(ctx.apply(i, datum.b[i]))) * e_inv
-        assert t_i == SkewElem.torus(ctx, _unit_vec(n, i)), "torus recovery failed"
+        _require(t_i == SkewElem.torus(ctx, _unit_vec(n, i)), "torus recovery failed")
         t_inv = t_i.invert()  # logs a plain torus unit
         b_hat = e_hat * t_i
-        assert b_hat == SkewElem.from_coeff(ctx, ctx.lift(datum.b[i])), "coefficient recovery failed"
+        _require(b_hat == SkewElem.from_coeff(ctx, ctx.lift(datum.b[i])), "coefficient recovery failed")
         h_inv = assignment.images[f"H{i + 1}"].invert()  # logs h_i
         out[f"t{i + 1}"] = t_i
         out[f"t{i + 1}^-1"] = t_inv
@@ -635,10 +654,10 @@ def _recover_classical_lower(assignment):
         f_inv = f_hat.invert()  # logs (reflected b_i, +e_i)
         bbar = ctx.lift(reflect(datum.b[i]))
         t_inv = f_inv * SkewElem.from_coeff(ctx, bbar)
-        assert t_inv == SkewElem.torus(ctx, _unit_vec(n, i, -1)), "torus recovery failed"
+        _require(t_inv == SkewElem.torus(ctx, _unit_vec(n, i, -1)), "torus recovery failed")
         t_i = t_inv.invert()  # logs a plain torus unit
         b_hat = f_hat * t_inv
-        assert b_hat == SkewElem.from_coeff(ctx, bbar), "coefficient recovery failed"
+        _require(b_hat == SkewElem.from_coeff(ctx, bbar), "coefficient recovery failed")
         h_inv = assignment.images[f"H{i + 1}"].invert()
         out[f"t{i + 1}"] = t_i
         out[f"t{i + 1}^-1"] = t_inv
@@ -658,7 +677,7 @@ def _recover_weyl(assignment):
     for k in range(n):
         raiser = assignment.images[f"x{k + 1}"] if k < r else assignment.images[f"z{k - r + 1}"]
         coord = -(raiser * assignment.images[f"y{k + 1}"])
-        assert coord == SkewElem.from_coeff(ctx, ctx.lift(datum.alpha[k])), "coordinate recovery failed"
+        _require(coord == SkewElem.from_coeff(ctx, ctx.lift(datum.alpha[k])), "coordinate recovery failed")
         coord_hats.append(coord)
         t_neg = assignment.images[f"y{k + 1}"].scale(-1).invert()  # logs a torus unit
         out[f"t^{tuple(aux.dual_pairs[k][1]) if k < r else tuple(aux.torus_complement[k - r])}inv"] = t_neg
@@ -667,7 +686,7 @@ def _recover_weyl(assignment):
         h_hat = SkewElem.zero(ctx)
         for k in range(n):
             h_hat = h_hat + coord_hats[k].scale(hcoords[i][k])
-        assert h_hat == SkewElem.from_coeff(ctx, ctx.coeff_var(i)), "h recovery failed"
+        _require(h_hat == SkewElem.from_coeff(ctx, ctx.coeff_var(i)), "h recovery failed")
         out[f"h{i + 1}"] = h_hat
         out[f"h{i + 1}^-1"] = h_hat.invert()  # logs h_i
     return out
@@ -683,7 +702,7 @@ def _recover_quantum_borel(letter):
             x_inv = x_hat.invert()  # logs (K_i^{-1}, s e_i): a torus/K unit
             t_s = assignment.images[f"K{i + 1}"] * x_hat
             (m, f), = t_s.terms.items()
-            assert f == ctx.coeff_one(), "torus recovery failed"
+            _require(f == ctx.coeff_one(), "torus recovery failed")
             t_back = t_s.invert()  # logs a plain torus unit
             out[f"t^{m}"] = t_s
             out[f"t^{m}inv"] = t_back
@@ -702,7 +721,7 @@ def _recover_quantum_weyl(assignment):
     for k in range(n):
         raiser = assignment.images[f"x{k + 1}"] if k < r else assignment.images[f"z{k - r + 1}"]
         omega_hat = raiser * assignment.images[f"y{k + 1}"]
-        assert omega_hat == SkewElem.from_coeff(ctx, qdatum.omega[k]), "omega recovery failed"
+        _require(omega_hat == SkewElem.from_coeff(ctx, qdatum.omega[k]), "omega recovery failed")
         out[f"omega{k + 1}"] = omega_hat
         out[f"omega{k + 1}^-1"] = omega_hat.invert()  # logs a K-monomial unit
         out[f"t^{tuple(qdatum.directions[k])}inv"] = assignment.images[f"y{k + 1}"].invert()
@@ -744,19 +763,98 @@ class OreWitness:
         return tuple(e for e in self.entries if e.kind == "unrecognized")
 
 
-def _classify_classical(ctx, datum, f, shift_bound=2):
+def _integer_rank(rows) -> int:
+    """Rank of rational rows: each row is scaled to integers for _bareiss_rank."""
+    scaled = []
+    for row in rows:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        scaled.append([int(x * scale) for x in row])
+    return _bareiss_rank(scaled) if scaled and scaled[0] else 0
+
+
+class _ShiftTable:
+    """What a shift sigma^v does to the top two degrees of one b.
+
+    sigma^v sends h to h + A·v, so sigma^v(b) keeps the top-degree part of b,
+    and one degree down it adds the derivative of that part along A·v.  This
+    is linear in v: `matrix` has one column per v_i and one row per monomial,
+    numbered by `index`.  `tail_rank[k]` is the rank of its columns k, k+1, ...
+    """
+
+    def __init__(self, ctx, b: MLaurent):
+        self.ctx = ctx
+        self.b = b
+        self.degree = b.total_degree()
+        top = MLaurent(b.n, {e: c for e, c in b.terms.items() if sum(e) == self.degree})
+        columns = []
+        for spec in ctx.sigma:
+            column = MLaurent.zero(b.n)
+            for k, amount in enumerate(spec.data):
+                if amount:
+                    column = column + top.derivative(k) * amount
+            columns.append(column)
+        rows = sorted({e for column in columns for e in column.terms})
+        self.index = {e: r for r, e in enumerate(rows)}
+        self.matrix = [[column.terms.get(e, 0) for column in columns] for e in rows]
+        self.tail_rank = [_integer_rank(row[k:] for row in self.matrix) for k in range(ctx.n + 1)]
+
+    def first_shift(self, f, window):
+        """The lexicographically first v in window^n with sigma^v(b) == f, or None.
+
+        f must be a polynomial.  It has to agree with b in the top degree, and
+        one degree down f - b has to be the derivative of the top part along
+        A·v.  The walk over v drops every prefix that no rational completion
+        satisfies, and confirms each complete candidate by exact equality.
+        """
+        if self.degree is None:
+            return None
+        diff = f.as_laurent() - self.b
+        if diff and diff.total_degree() >= self.degree:
+            return None
+        target = [0] * len(self.matrix)
+        for e, c in diff.terms.items():
+            if sum(e) == self.degree - 1:
+                if e not in self.index:
+                    return None
+                target[self.index[e]] = c
+        return self._walk(f, window, (), target)
+
+    def _walk(self, f, window, prefix, target):
+        ctx = self.ctx
+        k = len(prefix)
+        if _integer_rank(row[k:] + [t] for row, t in zip(self.matrix, target)) != self.tail_rank[k]:
+            return None
+        if k == ctx.n:
+            return prefix if f == ctx.lift(ctx.apply_vec(prefix, self.b)) else None
+        for x in window:
+            rest = [t - row[k] * x for row, t in zip(self.matrix, target)]
+            found = self._walk(f, window, prefix + (x,), rest)
+            if found is not None:
+                return found
+        return None
+
+
+def _shift_tables(ctx, datum) -> tuple:
+    if ctx.kind != "classical" or not isinstance(datum, ClassicalDatum):
+        return ()
+    return tuple(_ShiftTable(ctx, b) for b in datum.b)
+
+
+def _classify_classical(ctx, tables, f, shift_bound=2):
+    """Torus unit, h generator, or the first sigma^v(b_j) that equals f:
+    j ascending, then v lexicographic over {-shift_bound..shift_bound}^n."""
     if f.is_polynomial() and f.as_laurent().is_const():
         return "torus-unit", "torus unit"
     for i in range(ctx.n):
         if f == ctx.coeff_var(i):
             return "h-generator", f"h{i + 1}"
-    if datum is not None:
+    if f.is_polynomial():
         window = range(-shift_bound, shift_bound + 1)
-        for j, b in enumerate(datum.b):
-            for v in iproduct(window, repeat=ctx.n):
-                if f == ctx.lift(ctx.apply_vec(v, b)):
-                    detail = f"b{j + 1}" if not any(v) else f"sigma^{v}(b{j + 1})"
-                    return "shifted-b", detail
+        for j, table in enumerate(tables):
+            v = table.first_shift(f, window)
+            if v is not None:
+                detail = f"b{j + 1}" if not any(v) else f"sigma^{v}(b{j + 1})"
+                return "shifted-b", detail
     return "unrecognized", "unrecognized"
 
 
@@ -770,12 +868,12 @@ def birational_witness(report: VerificationReport) -> OreWitness:
     """Factor every inverted denominator into the multiplicative set generated
     by shifted b's, the h generators, and torus units; flag anything else."""
     ctx = report.assignment.context
-    datum = report.assignment.datum
     names = _coeff_names(ctx)
+    tables = _shift_tables(ctx, report.assignment.datum)
     entries = []
     for coeff, m in report.denominators:
         if ctx.kind == "classical":
-            kind, detail = _classify_classical(ctx, datum if isinstance(datum, ClassicalDatum) else None, coeff)
+            kind, detail = _classify_classical(ctx, tables, coeff)
         else:
             kind, detail = _classify_quantum(coeff)
         entries.append(WitnessEntry(coeff.to_str(names), tuple(m), kind, detail))

@@ -314,6 +314,15 @@ def test_main_rejects_bad_input_on_stderr(capsys):
     assert "zero-symmetry violated" in captured.err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_main_rejects_a_non_symmetrizable_matrix(command, capsys):
+    # the entries pass the axioms; the symmetrizer inside run() rejects the matrix
+    assert main([command, "--matrix", "2 -1 -1; -2 2 -1; -1 -1 2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not symmetrizable: inconsistent ratio cycle through (3,2)\n"
+
+
 def test_main_straightens_a_word(capsys):
     assert main(["rewrite", "--catalog", "A1", "F1", "E1"]) == 0
     assert "normal form: E1*F1 - H1" in capsys.readouterr().out

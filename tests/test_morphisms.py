@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
-from borelweyl.cartan import catalog_matrix, quasi_inverse
+import borelweyl
+from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
+from borelweyl.cli import _corrupted, _witness_block
 from borelweyl.datum import QuantumDatum, build_quantum_datum, solve_beta
 from borelweyl.exact import MLaurent, QQ_ONE, q_power
 from borelweyl.skew import quantum_context
@@ -10,6 +17,9 @@ from borelweyl.morphisms import (
     GeneratorAssignment,
     Relation,
     Presentation,
+    VerificationReport,
+    _classify_classical,
+    _shift_tables,
     birational_witness,
     borel_lower,
     borel_upper,
@@ -369,3 +379,160 @@ def test_affine_quantum_weyl_has_central_invariant():
     report = verify(asg)
     assert report.passed
     assert "omega2" in report.recovered
+
+
+# -- the witness's shift solve against the brute force ---------------------------
+
+
+def brute_force_classify(ctx, datum, f, shift_bound=2):
+    """The original classifier: try every v in the window for every b_j."""
+    if f.is_polynomial() and f.as_laurent().is_const():
+        return "torus-unit", "torus unit"
+    for i in range(ctx.n):
+        if f == ctx.coeff_var(i):
+            return "h-generator", f"h{i + 1}"
+    if datum is not None:
+        window = range(-shift_bound, shift_bound + 1)
+        for j, b in enumerate(datum.b):
+            for v in iproduct(window, repeat=ctx.n):
+                if f == ctx.lift(ctx.apply_vec(v, b)):
+                    detail = f"b{j + 1}" if not any(v) else f"sigma^{v}(b{j + 1})"
+                    return "shifted-b", detail
+    return "unrecognized", "unrecognized"
+
+
+def solved_classify(datum, f):
+    ctx = datum.context
+    return _classify_classical(ctx, _shift_tables(ctx, datum), f)
+
+
+def logged_denominators(datum):
+    reports = [verify(classical_borel_assignment(datum, side)) for side in ("upper", "lower")]
+    reports.append(verify(weyl_assignment(datum)))
+    return [coeff for report in reports for coeff, _ in report.denominators]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_solved_shift_matches_the_brute_force_on_the_catalog(name):
+    datum = solve_beta(catalog_matrix(name))
+    for f in logged_denominators(datum):
+        assert solved_classify(datum, f) == brute_force_classify(datum.context, datum, f)
+
+
+def test_solved_shift_matches_the_brute_force_on_a_corrupted_datum():
+    datum = _corrupted(solve_beta(catalog_matrix("A2")))
+    kinds = set()
+    for f in logged_denominators(datum):
+        expected = brute_force_classify(datum.context, datum, f)
+        assert solved_classify(datum, f) == expected
+        kinds.add(expected[0])
+    assert "shifted-b" in kinds
+
+
+def synthetic_denominators(datum):
+    ctx = datum.context
+    b1, b2 = datum.b
+    h1 = MLaurent.var(2, 0)
+    out = {
+        "corner (-2,-2)": ctx.apply_vec((-2, -2), b1),
+        "corner (2,2)": ctx.apply_vec((2, 2), b2),
+        "corner (2,-2)": ctx.apply_vec((2, -2), b1),
+        "just outside": ctx.apply_vec((3, -3), b1),
+        # on B2 and G2 some b has a period that folds these back into the window
+        "outside, b1": ctx.apply_vec((3, 0), b1),
+        "outside, b2": ctx.apply_vec((3, 0), b2),
+        "b1 + 1": b1 + 1,
+        "b2 squared": b2 * b2,
+    }
+    out = {label: ctx.lift(f) for label, f in out.items()}
+    out["fraction"] = ctx.lift(b1) / ctx.lift(h1 + 1)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_solved_shift_matches_the_brute_force_on_synthetic_denominators(name):
+    datum = solve_beta(catalog_matrix(name))
+    for label, f in synthetic_denominators(datum).items():
+        expected = brute_force_classify(datum.context, datum, f)
+        assert solved_classify(datum, f) == expected, label
+        if label.startswith("corner"):
+            assert expected[0] == "shifted-b", label
+        if label in ("just outside", "b1 + 1", "b2 squared", "fraction"):
+            assert expected == ("unrecognized", "unrecognized"), label
+
+
+@pytest.mark.parametrize(
+    "name, index, detail",
+    [("A1xA1", 0, "sigma^(0, -2)(b1)"), ("A1affine", 1, "sigma^(-2, -2)(b2)")],
+)
+def test_a_periodic_b_prints_its_first_shift_in_the_window(name, index, detail):
+    # sigma^v fixes b_j along a period, so the plain b_j is first met at v != 0
+    datum = solve_beta(catalog_matrix(name))
+    f = datum.context.lift(datum.b[index])
+    assert brute_force_classify(datum.context, datum, f) == ("shifted-b", detail)
+    assert solved_classify(datum, f) == ("shifted-b", detail)
+
+
+def test_rank_four_b1_keeps_its_lexicographic_name():
+    rows = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    datum = solve_beta(validate_gcm(rows))
+    f = datum.context.lift(datum.b[0])
+    assert solved_classify(datum, f) == ("shifted-b", "sigma^(0, 0, -2, -2)(b1)")
+
+
+def test_an_unrecognized_denominator_fails_the_witness():
+    datum = solve_beta(catalog_matrix("A2"))
+    report = verify(classical_borel_assignment(datum))
+    ctx = report.assignment.context
+    stray = ctx.lift(datum.b[0] + 1)
+    tampered = VerificationReport(
+        report.assignment,
+        report.entries,
+        report.denominators + ((stray, (0, 0)),),
+        report.recovered,
+        report.conventions,
+    )
+    witness = birational_witness(tampered)
+    assert witness.entries[-1].kind == "unrecognized"
+    assert not witness.passed
+    assert witness.flagged() == (witness.entries[-1],)
+    _, block = _witness_block(tampered)
+    assert block["passed"] is False
+    assert block["flagged"] == [f"{stray.to_str(['h1', 'h2'])} (torus exponent [0, 0])"]
+
+
+# -- recovery checks survive python -O ---------------------------------------------
+
+
+def tampered_upper_assignment():
+    datum = solve_beta(catalog_matrix("A2"))
+    asg = classical_borel_assignment(datum)
+    images = dict(asg.images)
+    images["E1"] = images["E1"].scale(2)
+    return GeneratorAssignment(asg.presentation, asg.context, images, asg.kind, datum)
+
+
+def test_a_tampered_image_aborts_the_recovery():
+    report = verify(tampered_upper_assignment())
+    (entry,) = [e for e in report.entries if e.family == "recovery"]
+    assert entry.name == "recovery of the inverse map"
+    assert entry.residual_str == "aborted: torus recovery failed"
+    assert not report.passed
+
+
+def test_recovery_checks_still_run_under_python_O():
+    script = (
+        "import sys, test_morphisms as t\n"
+        "report = t.verify(t.tampered_upper_assignment())\n"
+        "print(sys.flags.optimize)\n"
+        "print([(e.name, e.residual_str) for e in report.entries if e.family == 'recovery'])\n"
+    )
+    src = Path(borelweyl.__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    optimize, entries = done.stdout.splitlines()
+    assert optimize == "1"
+    assert entries == "[('recovery of the inverse map', 'aborted: torus recovery failed')]"

@@ -10,8 +10,11 @@ In positive corank the coordinate-aligned identity Σ_u c_ju a_ui = δ_ij is
 unattainable (it would put standard basis vectors in the row space of C),
 so the dual pairs generalize it: m_i come from a unimodular column reduction
 of C, which simultaneously yields a saturated integer kernel basis whose
-vectors complete {m_i} to ℤⁿ.  All elimination is fraction-free with a
-first-maximal-absolute-value pivot rule, so results are reproducible.
+vectors complete {m_i} to ℤⁿ.  That column reduction works over ℤ; every
+elimination over ℚ (rank, inverses, the pairing rows, determinants) is one
+Gauss–Jordan routine with a first-maximal-absolute-value pivot rule, so
+results are reproducible.  Every check raises CartanError, so they all run
+under python -O as well.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ class CartanMatrix:
 
     def column(self, j):
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "CartanMatrix":
-        return CartanMatrix(self.n, tuple(zip(*self.entries)))
 
 
 @dataclass(frozen=True)
@@ -138,35 +138,57 @@ def symmetrize(C: CartanMatrix) -> tuple:
     return d
 
 
-def _bareiss_rank(rows) -> int:
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nr and col < nc:
-        piv = None
-        best = 0
-        for r in range(rank, nr):
-            if abs(m[r][col]) > best:
-                best = abs(m[r][col])
-                piv = r
-        if piv is None or best == 0:
-            col += 1
+def _eliminate(rows):
+    """Gauss–Jordan elimination over ℚ: the one exact elimination in the package.
+
+    Column by column, the pivot is the first entry of largest absolute value
+    among the rows not yet used, swapped into place.  That rule decides which
+    rows become pivots, so every result built on it is reproducible.  Returns
+    the reduced rows, the pivots as (original row index, column), and the
+    determinant of the square block of the first len(rows) columns (0 when
+    that block is singular or there are fewer columns than rows).
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    order = list(range(len(m)))
+    pivots = []
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        if k == len(m):
+            break
+        piv = max(range(k, len(m)), key=lambda t: abs(m[t][col]))
+        if not m[piv][col]:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, nr):
-            for c in range(col + 1, nc):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        col += 1
-    return rank
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            order[k], order[piv] = order[piv], order[k]
+            det = -det
+        pivot = m[k][col]
+        det *= pivot
+        # an unused row is zero left of col, so only columns from col on change
+        m[k][col:] = [x / pivot for x in m[k][col:]]
+        for t, row in enumerate(m):
+            if t != k and row[col]:
+                f = row[col]
+                row[col:] = [a - f * b for a, b in zip(row[col:], m[k][col:])]
+        pivots.append((order[k], col))
+    if [c for _, c in pivots] != list(range(len(m))):
+        det = Fraction(0)
+    return m, pivots, det
+
+
+def _inverse(M):
+    """Exact inverse of a square matrix, read off the elimination of [M | I]."""
+    k = len(M)
+    aug = [list(row) + [1 if j == i else 0 for j in range(k)] for i, row in enumerate(M)]
+    reduced, _, det = _eliminate(aug)
+    if not det:
+        raise CartanError("singular matrix")
+    return [row[k:] for row in reduced]
 
 
 def rank_corank(C: CartanMatrix) -> tuple:
-    r = _bareiss_rank(C.entries)
+    r = len(_eliminate(C.entries)[1])
     return r, C.n - r
 
 
@@ -227,28 +249,12 @@ def _solve_pairing(C: CartanMatrix, ms):
     """Rational q_i with q_iᵀ·C·m_j = δ_ij, supported on pivot rows of C·M."""
     n, r = C.n, len(ms)
     B = [[sum(C[i, k] * m[k] for k in range(n)) for m in ms] for i in range(n)]  # n×r
-    # choose r independent rows of B, first-maximal pivots for reproducibility
-    work = [[Fraction(x) for x in row] + [idx] for idx, row in enumerate(B)]
-    sel = []
-    rank = 0
-    for col in range(r):
-        piv, best = None, Fraction(0)
-        for t in range(rank, len(work)):
-            if abs(work[t][col]) > best:
-                best, piv = abs(work[t][col]), t
-        assert piv is not None and best, "pairing system lost rank"
-        work[rank], work[piv] = work[piv], work[rank]
-        sel.append(work[rank][-1])
-        inv = 1 / work[rank][col]
-        work[rank][:r] = [x * inv for x in work[rank][:r]]
-        for t in range(len(work)):
-            if t != rank and work[t][col]:
-                f = work[t][col]
-                work[t][:r] = [a - f * b for a, b in zip(work[t][:r], work[rank][:r])]
-        rank += 1
-    sel.sort()
-    R = [[Fraction(B[i][j]) for j in range(r)] for i in sel]  # r×r invertible
-    Rinv = _fraction_inverse(R)
+    # the pivot rows of B are r independent rows, chosen reproducibly
+    _, pivots, _ = _eliminate(B)
+    if len(pivots) != r:
+        raise CartanError("pairing system lost rank")
+    sel = sorted(i for i, _ in pivots)
+    Rinv = _inverse([B[i] for i in sel])  # r×r invertible
     qs = []
     for i in range(r):
         q = [Fraction(0)] * n
@@ -256,25 +262,6 @@ def _solve_pairing(C: CartanMatrix, ms):
             q[row_idx] = Rinv[i][t]
         qs.append(tuple(q))
     return qs
-
-
-def _fraction_inverse(M):
-    k = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(k)] + [Fraction(1 if j == i else 0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv, best = None, Fraction(0)
-        for r in range(col, k):
-            if abs(aug[r][col]) > best:
-                best, piv = abs(aug[r][col]), r
-        assert piv is not None and best, "singular matrix"
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
 
 
 def lattice_scaling(Q) -> tuple:
@@ -288,8 +275,7 @@ def quasi_inverse(C: CartanMatrix) -> CartanAux:
     r, corank = rank_corank(C)
     n = C.n
     if corank == 0:
-        Qrows = _fraction_inverse([[Fraction(x) for x in row] for row in C.entries])
-        Q = tuple(tuple(row) for row in Qrows)
+        Q = tuple(tuple(row) for row in _inverse(C.entries))
         pairs = tuple(
             (Q[i], tuple(1 if k == i else 0 for k in range(n))) for i in range(r)
         )
@@ -319,26 +305,18 @@ def _check_aux(aux: CartanAux):
     for i, (q, _) in enumerate(aux.dual_pairs):
         for j, (_, m) in enumerate(aux.dual_pairs):
             pair = sum(q[u] * sum(C[u, v] * m[v] for v in range(n)) for u in range(n))
-            assert pair == (1 if i == j else 0), "dual pairing identity failed"
+            if pair != (1 if i == j else 0):
+                raise CartanError("dual pairing identity failed")
     for w in aux.left_kernel:
-        assert all(sum(w[i] * C[i, j] for i in range(n)) == 0 for j in range(n))
+        if any(sum(w[i] * C[i, j] for i in range(n)) for j in range(n)):
+            raise CartanError("left kernel row does not annihilate the matrix")
     basis = [list(m) for _, m in aux.dual_pairs] + [list(v) for v in aux.torus_complement]
-    assert abs(_int_det(basis)) == 1, "m-vectors plus complement are not unimodular"
+    if abs(_eliminate(basis)[2]) != 1:
+        raise CartanError("m-vectors plus complement are not unimodular")
     if aux.corank == 0:
         ident = [[sum(aux.Q[i][k] * C[k, j] for k in range(n)) for j in range(n)] for i in range(n)]
-        assert all(ident[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-
-
-def _int_det(m):
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    total = 0
-    for j in range(k):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _int_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+        if any(ident[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
+            raise CartanError("quasi-inverse times matrix is not the identity")
 
 
 CATALOG = {

@@ -263,16 +263,22 @@ def _corrupted(datum: ClassicalDatum) -> ClassicalDatum:
     return ClassicalDatum(datum.context, datum.aux, datum.alpha, (zero,) * n, tuple(bs))
 
 
+def _aux(job, cache):
+    return _shared(cache, "quasi-inverse", lambda: quasi_inverse(job.matrix))
+
+
 def _classical_datum(job, cache):
     def build():
-        datum = solve_beta(job.matrix)
+        datum = solve_beta(job.matrix, _aux(job, cache))
         return _corrupted(datum) if job.corrupt_beta else datum
 
     return _shared(cache, "classical-datum", build)
 
 
 def _quantum_datum(job, cache):
-    return _shared(cache, "quantum-datum", lambda: build_quantum_datum(job.matrix, job.d))
+    return _shared(
+        cache, "quantum-datum", lambda: build_quantum_datum(job.matrix, job.d, _aux(job, cache))
+    )
 
 
 # -- sections ----------------------------------------------------------------
@@ -469,7 +475,9 @@ def _derived_block(matrix, aux, d_override):
 def run(job: JobSpec):
     """Execute a job and return (report dict, exit status)."""
     started = time.perf_counter()
-    aux = quasi_inverse(job.matrix)
+    # the sections draw the quasi-inverse from the cache: one build per job
+    cache = {}
+    aux = _aux(job, cache)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": job.command,
@@ -500,7 +508,6 @@ def run(job: JobSpec):
         return report, 0 if passed else 1
 
     modes = ("classical", "quantum") if job.mode == "both" else (job.mode,)
-    cache = {}
     sections = []
     for check in job.checks:
         for mode in modes:

@@ -18,7 +18,7 @@ from .cartan import (
     CartanAux,
     CartanMatrix,
     _column_reduce,
-    _fraction_inverse,
+    _inverse,
     quasi_inverse,
     symmetrize,
     validate_gcm,
@@ -119,7 +119,7 @@ def build_alpha(C, aux: CartanAux = None) -> tuple:
 def _coordinate_change(aux: CartanAux):
     """(to alpha-coords, from alpha-coords) substitution tables."""
     n = len(aux.Q)
-    Qinv = _fraction_inverse([[Fraction(x) for x in row] for row in aux.Q])
+    Qinv = _inverse(aux.Q)
     h_in_alpha = [_linear_form(n, row) for row in Qinv]
     alpha_in_h = [_linear_form(n, row) for row in aux.Q]
     return h_in_alpha, alpha_in_h
@@ -261,10 +261,10 @@ def check_full_rank(system) -> FullRankReport:
 # -- quantum side ----------------------------------------------------------
 
 
-def build_quantum_datum(C, d=None) -> QuantumDatum:
+def build_quantum_datum(C, d=None, aux: CartanAux = None) -> QuantumDatum:
     C = _as_matrix(C)
     d = tuple(d) if d is not None else symmetrize(C)
-    aux = quasi_inverse(C)
+    aux = aux or quasi_inverse(C)
     ctx = quantum_context(C, d)
     n = C.n
     b = tuple(MLaurent.var(n, i, -1, one=QQ_ONE) for i in range(n))
@@ -298,13 +298,12 @@ def build_omega(C, d=None, aux: CartanAux = None, ctx: ModelContext = None):
     if len(reduced) != r:
         raise DatumError("paired directions collapsed under the symmetrized form")
 
+    # the echelon basis is lower triangular, L·u = -e_i (target -g·e_i at
+    # g = 1), so u is minus column i of L⁻¹
+    lower_inv = _inverse([[reduced[c][row] for c in range(r)] for row in range(r)])
     exponents, gs = [], []
     for i in range(r):
-        # forward substitution in the echelon basis, target -g·e_i at g = 1
-        u = [Fraction(0)] * r
-        for row in range(r):
-            acc = sum(Fraction(reduced[c][row]) * u[c] for c in range(row))
-            u[row] = (Fraction(-1 if row == i else 0) - acc) / reduced[row][row]
+        u = [-lower_inv[c][i] for c in range(r)]
         g_i = lcm(*(x.denominator for x in u))
         scaled = [x * g_i for x in u]
         if any(x.denominator != 1 for x in scaled):

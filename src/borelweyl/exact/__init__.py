@@ -15,7 +15,6 @@ from .laurent import (
     poly_div_exact,
     jacobian,
     det_poly,
-    rank_over_fractions,
 )
 from .endo import EndoSpec, apply_endo
 
@@ -33,7 +32,6 @@ __all__ = [
     "poly_div_exact",
     "jacobian",
     "det_poly",
-    "rank_over_fractions",
     "EndoSpec",
     "apply_endo",
 ]

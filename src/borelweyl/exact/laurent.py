@@ -29,7 +29,6 @@ __all__ = [
     "poly_div_exact",
     "jacobian",
     "det_poly",
-    "rank_over_fractions",
 ]
 
 _SCALARS = (int, Fraction, QScalar)
@@ -102,9 +101,6 @@ class MLaurent:
 
     def is_laurent(self) -> bool:
         return any(x < 0 for e in self.terms for x in e)
-
-    def vars_present(self):
-        return sorted({i for e in self.terms for i in range(self.n) if e[i]})
 
     def leading_lex(self):
         """(exponent, coefficient) of the lex-largest term; None for zero."""
@@ -538,9 +534,6 @@ class PolyFrac:
     def is_polynomial(self) -> bool:
         return self.den.is_const()
 
-    def is_monomial_unit(self) -> bool:
-        return self.num.is_monomial() and self.den.is_monomial()
-
     def as_laurent(self) -> MLaurent:
         """Convert back to a Laurent polynomial; denominator must be a monomial."""
         assert self.den.is_monomial(), "denominator is not a unit monomial"
@@ -589,26 +582,3 @@ def det_poly(matrix) -> MLaurent:
         term = matrix[0][j] * det_poly(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
-
-
-def rank_over_fractions(matrix) -> int:
-    """Rank of a matrix of PolyFrac entries by Gaussian elimination."""
-    rows = [list(r) for r in matrix]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank

@@ -25,9 +25,9 @@ RecoveryError, not assert, so they also run under python -O.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
-from .cartan import CartanMatrix, _bareiss_rank, _fraction_inverse, symmetrize, validate_gcm
+from .cartan import CartanMatrix, _eliminate, _inverse, symmetrize, validate_gcm
 from .datum import ClassicalDatum, QuantumDatum
 from .exact import MLaurent, QQ_ONE, q_binom, q_power
 from .skew import ModelContext, SkewElem
@@ -117,12 +117,12 @@ def _serre_terms(gi, gj, window, coeff_of):
     return tuple(terms)
 
 
-def borel_upper(C) -> Presentation:
-    """H_i and E_i with the weight relations and the E-side Serre relations."""
+def _borel(C, letter: str, weight_sign: int) -> Presentation:
+    """H_i and the letter's generators: [H_i, X_j] = weight_sign·a_ij·X_j plus Serre."""
     C = C if isinstance(C, CartanMatrix) else validate_gcm(C)
     n = C.n
     H = [f"H{i + 1}" for i in range(n)]
-    E = [f"E{i + 1}" for i in range(n)]
+    X = [f"{letter}{i + 1}" for i in range(n)]
     one = Fraction(1)
     rels = []
     for i in range(n):
@@ -130,12 +130,12 @@ def borel_upper(C) -> Presentation:
             rels.append(Relation(f"[{H[i]},{H[j]}] = 0", "commute", _commutator_terms(H[i], H[j], one)))
     for i in range(n):
         for j in range(n):
-            a = C[i, j]
+            a = weight_sign * C[i, j]
             rels.append(
                 Relation(
-                    f"[{H[i]},{E[j]}] = {a}*{E[j]}",
+                    f"[{H[i]},{X[j]}] = {a}*{X[j]}",
                     "weight",
-                    _commutator_terms(H[i], E[j], one) + ((Fraction(-a), (E[j],)),),
+                    _commutator_terms(H[i], X[j], one) + ((Fraction(-a), (X[j],)),),
                 )
             )
     for i in range(n):
@@ -145,52 +145,25 @@ def borel_upper(C) -> Presentation:
             m = 1 - C[i, j]
             rels.append(
                 Relation(
-                    f"ad({E[i]})^{m}({E[j]}) = 0",
+                    f"ad({X[i]})^{m}({X[j]}) = 0",
                     "serre",
-                    _serre_terms(E[i], E[j], m, lambda k, m=m: Fraction(comb(m, k))),
+                    _serre_terms(X[i], X[j], m, lambda k, m=m: Fraction(comb(m, k))),
                 )
             )
+    side = "upper" if letter == "E" else "lower"
     return Presentation(
-        f"upper Borel, rank {n}", tuple(H + E), (), tuple(rels), {"matrix": C}
+        f"{side} Borel, rank {n}", tuple(H + X), (), tuple(rels), {"matrix": C}
     )
+
+
+def borel_upper(C) -> Presentation:
+    """H_i and E_i with the weight relations and the E-side Serre relations."""
+    return _borel(C, "E", +1)
 
 
 def borel_lower(C) -> Presentation:
     """H_i and F_i; the weight relations carry the opposite sign."""
-    C = C if isinstance(C, CartanMatrix) else validate_gcm(C)
-    n = C.n
-    H = [f"H{i + 1}" for i in range(n)]
-    F = [f"F{i + 1}" for i in range(n)]
-    one = Fraction(1)
-    rels = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rels.append(Relation(f"[{H[i]},{H[j]}] = 0", "commute", _commutator_terms(H[i], H[j], one)))
-    for i in range(n):
-        for j in range(n):
-            a = C[i, j]
-            rels.append(
-                Relation(
-                    f"[{H[i]},{F[j]}] = {-a}*{F[j]}",
-                    "weight",
-                    _commutator_terms(H[i], F[j], one) + ((Fraction(a), (F[j],)),),
-                )
-            )
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = 1 - C[i, j]
-            rels.append(
-                Relation(
-                    f"ad({F[i]})^{m}({F[j]}) = 0",
-                    "serre",
-                    _serre_terms(F[i], F[j], m, lambda k, m=m: Fraction(comb(m, k))),
-                )
-            )
-    return Presentation(
-        f"lower Borel, rank {n}", tuple(H + F), (), tuple(rels), {"matrix": C}
-    )
+    return _borel(C, "F", -1)
 
 
 def weyl(m: int, n: int, central: int = 0) -> Presentation:
@@ -681,7 +654,7 @@ def _recover_weyl(assignment):
         coord_hats.append(coord)
         t_neg = assignment.images[f"y{k + 1}"].scale(-1).invert()  # logs a torus unit
         out[f"t^{tuple(aux.dual_pairs[k][1]) if k < r else tuple(aux.torus_complement[k - r])}inv"] = t_neg
-    hcoords = _fraction_inverse([list(row) for row in aux.Q])
+    hcoords = _inverse(aux.Q)
     for i in range(n):
         h_hat = SkewElem.zero(ctx)
         for k in range(n):
@@ -763,15 +736,6 @@ class OreWitness:
         return tuple(e for e in self.entries if e.kind == "unrecognized")
 
 
-def _integer_rank(rows) -> int:
-    """Rank of rational rows: each row is scaled to integers for _bareiss_rank."""
-    scaled = []
-    for row in rows:
-        scale = lcm(*(Fraction(x).denominator for x in row))
-        scaled.append([int(x * scale) for x in row])
-    return _bareiss_rank(scaled) if scaled and scaled[0] else 0
-
-
 class _ShiftTable:
     """What a shift sigma^v does to the top two degrees of one b.
 
@@ -796,7 +760,7 @@ class _ShiftTable:
         rows = sorted({e for column in columns for e in column.terms})
         self.index = {e: r for r, e in enumerate(rows)}
         self.matrix = [[column.terms.get(e, 0) for column in columns] for e in rows]
-        self.tail_rank = [_integer_rank(row[k:] for row in self.matrix) for k in range(ctx.n + 1)]
+        self.tail_rank = [len(_eliminate([row[k:] for row in self.matrix])[1]) for k in range(ctx.n + 1)]
 
     def first_shift(self, f, window):
         """The lexicographically first v in window^n with sigma^v(b) == f, or None.
@@ -822,7 +786,8 @@ class _ShiftTable:
     def _walk(self, f, window, prefix, target):
         ctx = self.ctx
         k = len(prefix)
-        if _integer_rank(row[k:] + [t] for row, t in zip(self.matrix, target)) != self.tail_rank[k]:
+        extended = [row[k:] + [t] for row, t in zip(self.matrix, target)]
+        if len(_eliminate(extended)[1]) != self.tail_rank[k]:
             return None
         if k == ctx.n:
             return prefix if f == ctx.lift(ctx.apply_vec(prefix, self.b)) else None

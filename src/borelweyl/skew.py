@@ -15,8 +15,8 @@ Two context flavours cover both model families:
   σ_i scales K_j by q^{-d_i·a_ij}.  Arithmetic stays in Laurent form; only
   unit monomials are invertible here, which is all the maps require.
 
-The denominator log is append-only and mergeable; everything else is
-immutable after construction.
+The denominator log is append-only; everything else is immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class DenominatorLog:
     def record(self, coeff, torus_exp):
         self.entries.append((coeff, tuple(torus_exp)))
 
-    def merge(self, other: "DenominatorLog") -> "DenominatorLog":
-        return DenominatorLog(self.entries + other.entries)
-
     def __len__(self):
         return len(self.entries)
 
@@ -93,11 +90,6 @@ class ModelContext:
                     assert ij == ji, f"automorphisms {i} and {j} do not commute"
 
     # -- coefficient ring --------------------------------------------------
-
-    def coeff_zero(self):
-        if self.kind == "classical":
-            return PolyFrac.from_poly(MLaurent.zero(self.n))
-        return MLaurent.zero(self.n)
 
     def coeff_one(self):
         if self.kind == "classical":
@@ -226,14 +218,6 @@ class SkewElem:
             return NotImplemented
         assert other.ctx is self.ctx, "context mismatch"
         return self.terms == other.terms
-
-    def is_unit_monomial(self) -> bool:
-        if len(self.terms) != 1:
-            return False
-        f = next(iter(self.terms.values()))
-        if self.ctx.kind == "quantum":
-            return f.is_monomial()
-        return True  # any nonzero fraction-field coefficient is invertible
 
     # -- arithmetic --------------------------------------------------------
 

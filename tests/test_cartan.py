@@ -1,14 +1,23 @@
 """Cartan matrix validation and derived linear algebra."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import borelweyl
 from borelweyl.cartan import (
     CATALOG,
     CartanError,
+    _check_aux,
+    _eliminate,
+    _inverse,
     catalog_matrix,
     lattice_scaling,
     quasi_inverse,
@@ -16,6 +25,12 @@ from borelweyl.cartan import (
     symmetrize,
     validate_gcm,
 )
+from borelweyl.cli import JobSpec, run
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 
 def test_validate_accepts_standard():
@@ -170,3 +185,190 @@ def test_catalog_lookup():
     assert catalog_matrix("A1~").entries == catalog_matrix("A1affine").entries
     with pytest.raises(KeyError):
         catalog_matrix("E8")
+
+
+# -- the one elimination over ℚ ------------------------------------------------
+#
+# The three routines below are the earlier, separate eliminations, kept as
+# oracles: a fraction-free Bareiss rank, a cofactor determinant and a
+# Gauss–Jordan inverse.
+
+
+def _oracle_bareiss_rank(rows) -> int:
+    m = [list(r) for r in rows]
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < nr and col < nc:
+        piv = None
+        best = 0
+        for r in range(rank, nr):
+            if abs(m[r][col]) > best:
+                best = abs(m[r][col])
+                piv = r
+        if piv is None or best == 0:
+            col += 1
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, nr):
+            for c in range(col + 1, nc):
+                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = m[rank][col]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _oracle_int_det(m):
+    k = len(m)
+    if k == 1:
+        return m[0][0]
+    total = 0
+    for j in range(k):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = m[0][j] * _oracle_int_det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def _oracle_fraction_inverse(M):
+    k = len(M)
+    aug = [[Fraction(M[i][j]) for j in range(k)] + [Fraction(1 if j == i else 0) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv, best = None, Fraction(0)
+        for r in range(col, k):
+            if abs(aug[r][col]) > best:
+                best, piv = abs(aug[r][col]), r
+        assert piv is not None and best, "singular matrix"
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[k:] for row in aug]
+
+
+small_int = st.integers(min_value=-3, max_value=3)
+square_int_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+int_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(small_int, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]
+    )
+)
+
+
+@given(int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_elimination_rank_matches_bareiss(rows):
+    _, pivots, _ = _eliminate(rows)
+    assert len(pivots) == _oracle_bareiss_rank(rows)
+    # pivots name distinct original rows in strictly increasing columns
+    assert len({i for i, _ in pivots}) == len(pivots)
+    assert [c for _, c in pivots] == sorted({c for _, c in pivots})
+
+
+@given(square_int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_elimination_det_and_inverse_match_the_oracles(rows):
+    det = _oracle_int_det(rows)
+    assert _eliminate(rows)[2] == det
+    if det:
+        assert _inverse(rows) == _oracle_fraction_inverse(rows)
+    else:
+        with pytest.raises(CartanError, match="singular matrix"):
+            _inverse(rows)
+
+
+def _as_sympy(rows):
+    return [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@given(int_matrices)
+@settings(max_examples=60, deadline=None)
+def test_elimination_matches_sympy(rows):
+    M = sympy.Matrix(rows)
+    reduced, pivots, det = _eliminate(rows)
+    assert len(pivots) == M.rank()
+    assert _as_sympy(reduced) == M.rref()[0].tolist()
+    if M.rows == M.cols:
+        assert _as_sympy([[det]]) == [[M.det()]]
+        if det:
+            assert _as_sympy(_inverse(rows)) == M.inv().tolist()
+
+
+def test_singular_pivot_column_is_skipped_and_det_is_zero():
+    reduced, pivots, det = _eliminate([[0, 2, 4], [0, 1, 3]])
+    assert pivots == [(0, 1), (1, 2)] and det == 0
+    assert reduced == [[0, 1, 0], [0, 0, 1]]
+
+
+def test_affine_g2_quasi_inverse_follows_the_pivot_rule():
+    # the pairing rows come from the first entry of largest absolute value;
+    # first-nonzero pivoting would give the row (2, 1, 0) instead
+    aux = quasi_inverse(validate_gcm([[2, -1, 0], [-1, 2, -1], [0, -3, 2]]))
+    F = Fraction
+    assert aux.Q == (
+        (F(1), F(0), F(0)),
+        (F(3, 2), F(0), F(-1, 2)),
+        (F(1), F(2), F(1)),
+    )
+    assert [m for _, m in aux.dual_pairs] == [(0, -1, 0), (0, 0, -1)]
+    assert aux.left_kernel == ((1, 2, 1),) and aux.torus_complement == ((1, 2, 3),)
+    assert aux.g == (2, 1, 2)
+
+
+def _affine_a(n):
+    k = n + 1
+    return [[2 if i == j else (-1 if (i - j) % k in (1, k - 1) else 0) for j in range(k)] for i in range(k)]
+
+
+def test_analyze_affine_a11_satisfies_the_pairing_identities():
+    C = validate_gcm(_affine_a(11))
+    report, status = run(JobSpec(command="analyze", matrix=C, matrix_name="A11~"))
+    assert status == 0 and report["passed"]
+    derived = report["derived"]
+    assert derived["rank"] == 11 and derived["corank"] == 1
+    Q = [[Fraction(x) for x in row] for row in derived["quasi_inverse_rows"]]
+    ms = derived["dual_directions"]
+    for i in range(11):
+        for j in range(11):
+            pair = sum(Q[i][u] * sum(C[u, v] * ms[j][v] for v in range(12)) for u in range(12))
+            assert pair == (1 if i == j else 0)
+    (w,) = derived["left_kernel"]
+    assert all(sum(w[i] * C[i, j] for i in range(12)) == 0 for j in range(12))
+
+
+def _tampered_aux():
+    aux = quasi_inverse(catalog_matrix("A2"))
+    (q0, _), rest = aux.dual_pairs[0], aux.dual_pairs[1:]
+    return dataclasses.replace(aux, dual_pairs=((q0, (2, 0)),) + rest)
+
+
+def test_a_tampered_m_vector_is_rejected():
+    with pytest.raises(CartanError, match="dual pairing identity failed"):
+        _check_aux(_tampered_aux())
+
+
+def test_cartan_checks_still_run_under_python_O():
+    script = (
+        "import sys, test_cartan as t\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    t._check_aux(t._tampered_aux())\n"
+        "except t.CartanError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(borelweyl.__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines() == ["1", "dual pairing identity failed"]

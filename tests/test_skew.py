@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from borelweyl.cartan import CATALOG, catalog_matrix, symmetrize
 from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
 from borelweyl.skew import (
-    DenominatorLog,
     SkewElem,
     ad_power,
     ad_q,
@@ -171,13 +170,6 @@ def test_context_construction_catalog(name):
     C = catalog_matrix(name)
     classical_context(C)
     quantum_context(C, symmetrize(C))
-
-
-def test_log_merge_associative():
-    a = DenominatorLog([1])
-    b = DenominatorLog([2])
-    c = DenominatorLog([3])
-    assert a.merge(b).merge(c).entries == a.merge(b.merge(c)).entries == [1, 2, 3]
 
 
 # -- randomized structure checks -----------------------------------------------

@@ -15,8 +15,10 @@ of q in quantum mode; nothing here ever touches floating point.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import comb
 
@@ -255,8 +257,8 @@ class RewriteSystem:
         )
         self.order = "graded, F > " + ("H" if mode == "classical" else "K") + " > E, index tiebreak"
         self.rules = tuple(rules)
-        by_first = {}
-        for rule in self.rules:
+        by_lead = {}
+        for index, rule in enumerate(self.rules):
             if not rule.lead:
                 raise ValueError("empty lead word")
             for letter in rule.lead:
@@ -266,20 +268,35 @@ class RewriteSystem:
             for w in rule.rhs.terms:
                 if self.order_key(w) >= lead_key:
                     raise ValueError(f"rule {rule} does not decrease the term order")
-            by_first.setdefault(rule.lead[0], []).append(rule)
-        self._by_first = by_first
+            by_lead.setdefault(rule.lead, []).append((index, rule))
+        self._by_lead = by_lead
+        self._lead_lengths = sorted({len(lead) for lead in by_lead})
+        # order_key negated for normal_form's heap: each letter's rank becomes
+        # minus its place among the ranks, which compares the same way reversed
+        self._neg_place = {
+            letter: -place for place, letter in enumerate(sorted(ranks, key=ranks.get))
+        }
 
     def order_key(self, word):
         return (len(word), tuple(self._ranks[letter] for letter in word))
 
     def redexes(self, word):
-        """Every (position, rule) whose lead occurs at that position."""
+        """Every (position, rule) whose lead occurs at that position.
+
+        Ordered by position, then by rule construction order.
+        """
         out = []
-        for pos, letter in enumerate(word):
-            for rule in self._by_first.get(letter, ()):
-                lead = rule.lead
-                if word[pos : pos + len(lead)] == lead:
-                    out.append((pos, rule))
+        by_lead, n = self._by_lead, len(word)
+        for pos in range(n):
+            hits = None
+            for length in self._lead_lengths:
+                if pos + length > n:
+                    break
+                found = by_lead.get(word[pos : pos + length])
+                if found:
+                    hits = found if hits is None else sorted(hits + found)
+            if hits:
+                out.extend((pos, rule) for _, rule in hits)
         return out
 
     def is_normal(self, word) -> bool:
@@ -454,13 +471,22 @@ def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: in
         raise ValueError(f"unknown strategy {strategy!r}")
     if p.field != R.field:
         raise ValueError(f"{p.field} polynomial given to a {R.field} system")
+    neg_place = R._neg_place
+
+    def entry(word):
+        return (-len(word), tuple([neg_place[letter] for letter in word])), word
+
     work = dict(p.terms)
+    heap = [entry(word) for word in work]
+    heapify(heap)
     done = {}
     steps = 0
-    trace = []
-    while work:
-        word = max(work, key=R.order_key)
-        coeff = work.pop(word)
+    trace = deque(maxlen=12)
+    while heap:
+        word = heappop(heap)[1]
+        coeff = work.pop(word, None)
+        if coeff is None:
+            continue  # cancelled since it was pushed
         redexes = R.redexes(word)
         if not redexes:
             prev = done.get(word)
@@ -472,17 +498,19 @@ def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: in
             continue
         steps += 1
         pos, rule = pick(redexes)
-        trace.append(f"{word_str(word)} at {pos} via {word_str(rule.lead)}")
-        if len(trace) > 12:
-            trace.pop(0)
+        trace.append((word, pos, rule))
         if steps > step_limit:
-            raise RewriteLimitError(steps, trace)
+            raise RewriteLimitError(
+                steps, [f"{word_str(w)} at {i} via {word_str(r.lead)}" for w, i, r in trace]
+            )
         head, tail = word[:pos], word[pos + len(rule.lead) :]
         for w, c in rule.rhs.terms.items():
             nw = head + w + tail
             prev = work.get(nw)
             s = coeff * c if prev is None else prev + coeff * c
             if s:
+                if prev is None:
+                    heappush(heap, entry(nw))
                 work[nw] = s
             else:
                 work.pop(nw, None)
@@ -560,9 +588,15 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
             )
         )
 
+    by_first = {}
+    for index, rule in enumerate(R.rules):
+        by_first.setdefault(rule.lead[0], []).append(index)
     for r1 in R.rules:
         l1 = r1.lead
-        for r2 in R.rules:
+        # a lead that overlaps l1 or sits inside it starts with a letter of l1
+        partners = sorted({index for letter in set(l1) for index in by_first.get(letter, ())})
+        for index in partners:
+            r2 = R.rules[index]
             l2 = r2.lead
             for k in range(1, min(len(l1), len(l2))):
                 if l1[len(l1) - k :] == l2[:k]:

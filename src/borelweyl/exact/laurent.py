@@ -571,13 +571,19 @@ def jacobian(fs) -> list:
 
 
 def det_poly(matrix) -> MLaurent:
-    """Exact determinant by cofactor expansion; fine at the ranks we meet."""
+    """Exact determinant by cofactor expansion along the first row.
+
+    Zero entries are skipped, so the identity Jacobian of a finite-type datum
+    costs n minors, not n!.
+    """
     m = len(matrix)
     if m == 1:
         return matrix[0][0]
     n = matrix[0][0].n
     total = MLaurent.zero(n)
     for j in range(m):
+        if not matrix[0][j]:
+            continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         term = matrix[0][j] * det_poly(minor)
         total = total + (term if j % 2 == 0 else -term)

@@ -7,6 +7,18 @@ and denominator share no polynomial factor (including integer content)
 and the denominator's leading coefficient is positive.  Equality is
 therefore plain structural comparison; q is never specialized implicitly.
 
+The canonical form divides num and den by their gcd in Z[q], computed in
+integers only.  The common power of q and the integer content come off
+first; past those, a single term shares no factor with anything.  Two
+longer q-free primitive parts go to the heuristic gcd of Char, Geddes and
+Gonnet: evaluate both at an integer ξ ≥ 2·min(‖a‖∞, ‖b‖∞) + 2, take the
+integer gcd, and read a candidate off its ξ-adic digits.  The candidate is
+accepted only if it divides both parts exactly, and under that bound exact
+division proves it is the gcd, so the answer is never a guess.  If a few
+evaluation points all fail, a Euclid over Q decides.  Every exact division
+checks its remainder and raises InexactDivisionError otherwise, also under
+``python -O``.
+
 Negative powers of q are ordinary fractions here: q⁻¹ == QScalar((1,), (0, 1)).
 """
 
@@ -15,16 +27,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-__all__ = ["QScalar", "q_power", "q_int", "q_binom", "QQ_ZERO", "QQ_ONE"]
+__all__ = ["QScalar", "InexactDivisionError", "q_power", "q_int", "q_binom", "QQ_ZERO", "QQ_ONE"]
 
 ZPoly = tuple  # dense int coefficients, no trailing zeros; () is the zero poly
 
 
+class InexactDivisionError(ArithmeticError):
+    """A polynomial division that had to be exact left a remainder."""
+
+
 def _trim(cs) -> ZPoly:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    cs = tuple(cs)
+    end = len(cs)
+    while end and not cs[end - 1]:
+        end -= 1
+    return cs[:end]
 
 
 def _padd(a: ZPoly, b: ZPoly) -> ZPoly:
@@ -55,62 +72,141 @@ def _pmul(a: ZPoly, b: ZPoly) -> ZPoly:
 def _pcontent(a: ZPoly) -> int:
     g = 0
     for c in a:
-        g = _int_gcd(g, abs(c))
+        g = _int_gcd(g, c)
     return g
+
+
+def _qorder(a: ZPoly) -> int:
+    """The exponent of the largest power of q dividing a nonzero a."""
+    k = 0
+    while not a[k]:
+        k += 1
+    return k
 
 
 def _pdiv_exact(a: ZPoly, b: ZPoly) -> ZPoly:
-    # long division over Q; the caller guarantees b | a in Z[q]
-    assert b, "division by zero polynomial"
-    rem = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lb = Fraction(b[-1])
-    for k in range(len(rem) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] / lb
-        quo[k] = c
+    """a / b in Z[q]; raises InexactDivisionError unless b divides a there."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return ()
+    k = _qorder(b)
+    if k:
+        if any(a[:k]):
+            raise InexactDivisionError("inexact polynomial division")
+        a, b = a[k:], b[k:]
+    lb, nb = b[-1], len(b)
+    if nb == 1:
+        if lb == 1:
+            return a
+        quo = []
+        for c in a:
+            c, r = divmod(c, lb)
+            if r:
+                raise InexactDivisionError("inexact polynomial division")
+            quo.append(c)
+        return tuple(quo)
+    rem = list(a)
+    quo = [0] * max(len(a) - nb + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + nb - 1], lb)
+        if r:
+            raise InexactDivisionError("inexact polynomial division")
         if c:
-            for j, cb in enumerate(b):
-                rem[k + j] -= c * cb
-    assert all(c == 0 for c in rem), "inexact polynomial division"
-    out = []
-    for c in quo:
-        assert c.denominator == 1, "inexact polynomial division"
-        out.append(int(c))
-    return _trim(out)
+            quo[i] = c
+            for j in range(nb - 1):
+                rem[i + j] -= c * b[j]
+    if any(rem[: nb - 1]):
+        raise InexactDivisionError("inexact polynomial division")
+    return tuple(quo)
 
 
 def _pgcd(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Gcd in Z[q], content included, normalized to positive leading coeff."""
-    if not a:
-        g = b
-    elif not b:
-        g = a
+    """Gcd in Z[q], content included, normalized to positive leading coeff.
+
+    The common power of q and the integer content come off first; a single
+    term c·q^k shares nothing else with any polynomial, and two q-free
+    primitive parts go to the heuristic gcd.
+    """
+    if not a or not b:
+        g = a or b
+        return _pneg(g) if g and g[-1] < 0 else g
+    ka, kb = _qorder(a), _qorder(b)
+    a, b = a[ka:], b[kb:]
+    ca, cb = _pcontent(a), _pcontent(b)
+    c = _int_gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        core = (c,)
     else:
-        ca, cb = _pcontent(a), _pcontent(b)
-        # monic Euclid over Q on the primitive parts, then re-primitivize
-        fa = [Fraction(c, ca) for c in a]
-        fb = [Fraction(c, cb) for c in b]
-        while fb and any(fb):
-            # fa mod fb
-            lb = fb[-1]
-            for k in range(len(fa) - len(fb), -1, -1):
-                c = fa[k + len(fb) - 1] / lb
-                if c:
-                    for j, cb2 in enumerate(fb):
-                        fa[k + j] -= c * cb2
-            while fa and fa[-1] == 0:
-                fa.pop()
-            fa, fb = fb, fa
-        den_lcm = 1
-        for c in fa:
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in fa]
-        cont = _pcontent(_trim(ints))
-        g = _trim(c // cont for c in ints)
-        g = _pmul((_int_gcd(ca, cb),), g)
-    if g and g[-1] < 0:
-        g = _pneg(g)
-    return g
+        core = tuple(c * x for x in _pgcd_heuristic(_pdiv_exact(a, (ca,)), _pdiv_exact(b, (cb,))))
+    return (0,) * min(ka, kb) + core
+
+
+_HEURISTIC_POINTS = 6
+
+
+def _pgcd_heuristic(a: ZPoly, b: ZPoly) -> ZPoly:
+    """Gcd of primitive, q-free a and b of degree ≥ 1 (Char–Geddes–Gonnet GCDHEU).
+
+    Evaluates at an integer ξ, takes the integer gcd γ and reads a candidate
+    off the symmetric ξ-adic digits of γ.  With ξ ≥ 2·min(‖a‖∞, ‖b‖∞) + 2, a
+    candidate whose primitive part divides both a and b exactly is the gcd
+    (Geddes–Czapor–Labahn, Thm 7.7), so every answer is proved by exact
+    division.  After a fixed number of points, Euclid decides.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    most = min(len(a), len(b))
+    for _ in range(_HEURISTIC_POINTS):
+        gamma = _int_gcd(_peval(a, xi), _peval(b, xi))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        if len(digits) <= most:
+            g = _pdiv_exact(tuple(digits), (_pcontent(digits),))
+            if g[-1] < 0:
+                g = _pneg(g)
+            try:
+                _pdiv_exact(a, g)
+                _pdiv_exact(b, g)
+                return g
+            except InexactDivisionError:
+                pass
+        xi = xi * 73794 // 27011
+    return _pgcd_euclid(a, b)
+
+
+def _peval(a: ZPoly, x: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _pgcd_euclid(a: ZPoly, b: ZPoly) -> ZPoly:
+    """Gcd of primitive a and b by monic Euclid over Q; positive leading coeff."""
+    fa = [Fraction(c) for c in a]
+    fb = [Fraction(c) for c in b]
+    while fb:
+        # fa mod fb
+        lb = fb[-1]
+        for k in range(len(fa) - len(fb), -1, -1):
+            c = fa[k + len(fb) - 1] / lb
+            if c:
+                for j, cb in enumerate(fb):
+                    fa[k + j] -= c * cb
+        while fa and fa[-1] == 0:
+            fa.pop()
+        fa, fb = fb, fa
+    den_lcm = 1
+    for c in fa:
+        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
+    ints = _trim(int(c * den_lcm) for c in fa)
+    g = _pdiv_exact(ints, (_pcontent(ints),))
+    return _pneg(g) if g[-1] < 0 else g
 
 
 def _pstr(a: ZPoly) -> str:

@@ -173,6 +173,113 @@ def test_step_limit_error_carries_a_trace():
         normal_form(R.poly(("F1", "E1")), R, step_limit=0)
     assert err.value.steps == 1
     assert any("F1*E1" in line for line in err.value.trace)
+    # past twelve steps only the last twelve reductions are kept
+    with pytest.raises(RewriteLimitError) as err:
+        normal_form(R.poly(("F1",) * 3 + ("E1",) * 3), R, step_limit=20)
+    tail = (
+        "F1*F1*H1*E1*E1 at 1 via F1*H1",
+        "F1*H1*F1*E1*E1 at 0 via F1*H1",
+        "H1*F1*F1*E1*E1 at 2 via F1*E1",
+        "H1*F1*E1*F1*E1 at 1 via F1*E1",
+        "H1*E1*F1*F1*E1 at 0 via H1*E1",
+        "E1*F1*F1*H1*E1 at 2 via F1*H1",
+        "E1*F1*H1*F1*E1 at 1 via F1*H1",
+        "E1*H1*F1*F1*E1 at 3 via F1*E1",
+        "E1*H1*F1*E1*F1 at 2 via F1*E1",
+        "E1*H1*E1*F1*F1 at 1 via H1*E1",
+        "E1*E1*F1*F1*H1 at 3 via F1*H1",
+        "E1*E1*F1*H1*F1 at 2 via F1*H1",
+    )
+    assert err.value.steps == 21
+    assert err.value.trace == tail
+    assert str(err.value) == "no normal form after 21 steps; last reductions:\n  " + "\n  ".join(tail)
+
+
+def test_redexes_at_one_position_keep_construction_order():
+    R = build_rules(catalog_matrix("A1"))
+    extra = Rule(("F1", "E1", "E1"), R.poly(("E1", "E1", "F1")), "extra")
+    pairing = rule_for(R, ("F1", "E1"))
+    word = ("F1", "E1", "E1")
+    first = RewriteSystem(R.mode, R.matrix, R.d, (extra,) + R.rules)
+    assert first.redexes(word) == [(0, extra), (0, pairing)]
+    last = RewriteSystem(R.mode, R.matrix, R.d, R.rules + (extra,))
+    assert last.redexes(word) == [(0, pairing), (0, extra)]
+
+
+def _reference_normal_form(p, R, strategy, step_limit):
+    """The max-scan loop with per-first-letter redex lookup that the heap and
+    the lead index replace; they must reduce in exactly this order."""
+    by_first = {}
+    for rule in R.rules:
+        by_first.setdefault(rule.lead[0], []).append(rule)
+
+    def redexes(word):
+        return [
+            (pos, rule)
+            for pos, letter in enumerate(word)
+            for rule in by_first.get(letter, ())
+            if word[pos : pos + len(rule.lead)] == rule.lead
+        ]
+
+    pick = {"leftmost": lambda rs: rs[0], "rightmost": lambda rs: rs[-1]}.get(strategy, strategy)
+    work, done, steps, trace = dict(p.terms), {}, 0, []
+    while work:
+        word = max(work, key=R.order_key)
+        coeff = work.pop(word)
+        found = redexes(word)
+        assert found == R.redexes(word)
+        if not found:
+            s = coeff + done[word] if word in done else coeff
+            if s:
+                done[word] = s
+            else:
+                done.pop(word, None)
+            continue
+        steps += 1
+        pos, rule = pick(found)
+        trace.append(f"{word_str(word)} at {pos} via {word_str(rule.lead)}")
+        if len(trace) > 12:
+            trace.pop(0)
+        if steps > step_limit:
+            raise RewriteLimitError(steps, trace)
+        head, tail = word[:pos], word[pos + len(rule.lead) :]
+        for w, c in rule.rhs.terms.items():
+            nw = head + w + tail
+            s = coeff * c + work[nw] if nw in work else coeff * c
+            if s:
+                work[nw] = s
+            else:
+                work.pop(nw, None)
+    return NCPoly(R.field, done)
+
+
+def _outcome(reduce, *args):
+    try:
+        return reduce(*args)
+    except RewriteLimitError as err:
+        return err.steps, str(err)
+
+
+def _middle(redexes):
+    return redexes[len(redexes) // 2]
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("name", ["B2", "G2", "A3"])
+def test_reduction_order_matches_the_max_scan(name, mode):
+    R = build_rules(catalog_matrix(name), mode=mode)
+    rng = random.Random(f"{name}-{mode}")
+    e_and_f = [letter for letter in R.alphabet if letter[0] in "EF"]
+    for _ in range(20):
+        p = R.zero()
+        letters = rng.choice([R.alphabet, e_and_f])
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+            p = p + R.poly(word, rng.choice([1, -1, 2]))
+        limit = rng.choice([rng.randint(0, 40), 200_000])
+        for strategy in ("leftmost", "rightmost", _middle):
+            expected = _outcome(_reference_normal_form, p, R, strategy, limit)
+            assert _outcome(normal_form, p, R, strategy, limit) == expected
 
 
 @given(st.lists(st.sampled_from(["E1", "H1", "F1"]), max_size=5))
@@ -253,6 +360,27 @@ def test_a3_degree_four_finds_the_missing_composite_root(mode):
         ("E3", "E2", "E2", "E1"),
         ("F3", "F2", "F2", "F1"),
     ]
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("name", ["B2", "A3"])
+def test_ambiguities_come_in_rule_pair_order(name, mode):
+    # every ordered pair of rules, overlaps before containments, as the report lists them
+    R = build_rules(catalog_matrix(name), mode=mode)
+    expected = []
+    for r1 in R.rules:
+        l1 = r1.lead
+        for r2 in R.rules:
+            l2 = r2.lead
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[len(l1) - k :] == l2[:k] and len(l1) + len(l2) - k <= 4:
+                    expected.append((l1 + l2[k:], word_str(l2), len(l1) - k))
+            if len(l2) < len(l1) <= 4:
+                for pos in range(len(l1) - len(l2) + 1):
+                    if l1[pos : pos + len(l2)] == l2:
+                        expected.append((l1, word_str(l2), pos))
+    found = check_local_confluence(R, 4).ambiguities
+    assert [(a.word, a.right) for a in found] == [(w, f"{lead} at {pos}") for w, lead, pos in expected]
 
 
 def test_confluence_bound_must_cover_a_rule():

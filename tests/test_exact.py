@@ -1,10 +1,15 @@
 """Exact arithmetic kernel: canonical forms, ring axioms, endomorphisms."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import borelweyl
 from borelweyl.exact import (
     EndoSpec,
     MLaurent,
@@ -20,6 +25,12 @@ from borelweyl.exact import (
     q_int,
     q_power,
 )
+from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact, _pgcd, _pgcd_euclid
+
+try:
+    import sympy
+except ImportError:  # the oracle tests skip; pip install -e ".[test]" brings sympy
+    sympy = None
 
 
 def test_rational_arithmetic():
@@ -96,6 +107,132 @@ def test_qscalar_evaluation_homomorphism(a, b):
     if b:
         assume(b.evaluate(at) != 0)
         assert (a / b).evaluate(at) == a.evaluate(at) / b.evaluate(at)
+
+
+def test_exact_division_raises_on_a_remainder():
+    assert _pdiv_exact((-1, 0, 1), (1, 1)) == (-1, 1)
+    assert _pdiv_exact((0, 0, 6, 4), (0, 2)) == (0, 3, 2)
+    assert issubclass(InexactDivisionError, ArithmeticError)
+    for a, b in [
+        ((1, 0, 1), (1, 1)),  # q² + 1 by q + 1
+        ((1, 1), (0, 1)),  # q + 1 by q
+        ((1, 3), (2,)),  # odd content by 2
+        ((1, 1), (1, 0, 1)),  # lower degree than the divisor
+        ((1, 0, 1), (2, 2)),  # the leading coefficient does not divide
+    ]:
+        with pytest.raises(InexactDivisionError):
+            _pdiv_exact(a, b)
+    with pytest.raises(ZeroDivisionError):
+        _pdiv_exact((1,), ())
+
+
+def test_exact_division_raises_under_python_O():
+    script = (
+        "import sys\n"
+        "from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    _pdiv_exact((1, 0, 1), (1, 1))\n"
+        "except InexactDivisionError as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    src = Path(borelweyl.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines() == ["1", "InexactDivisionError"]
+
+
+def test_pgcd_heuristic_needs_both_divisions_and_the_xi_bound():
+    # at ξ = 4, gcd((q + 1)(4), (q − 9)(4)) = 5 reads back as q + 1, which
+    # divides only the first input; the next point finds the true gcd 1
+    assert _pgcd((1, 1), (-9, 1)) == (1,)
+    # the gcd of q² − 4 and q² − q − 2 is q − 2, which the bound's ξ = 6 reads
+    # off 4 = gcd(32, 28); at ξ = 3 the values 5 and 4 give the candidate 1,
+    # which divides both, so below the bound exact division proves nothing
+    assert _pgcd((-4, 0, 1), (-2, -1, 1)) == (-2, 1)
+
+
+# sympy oracle for the canonical form: inputs of degree up to about 40 that
+# share a planted factor c·q^k·Φ_{n1}·Φ_{n2}·Φ_{n3} (cyclotomics Φ_2 … Φ_12)
+
+_Q = sympy.Symbol("q") if sympy else None
+
+
+def _to_sympy(a):
+    return sympy.Poly(list(reversed(a)) or [0], _Q, domain="ZZ")
+
+
+def _from_sympy(p):
+    cs = [int(c) for c in reversed(p.all_coeffs())]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _planted_pair(data):
+    content, shift, indices, u, v, su, sv = data
+    h = sympy.Poly(content * _Q**shift, _Q, domain="ZZ")
+    for n in indices:
+        h = h * sympy.Poly(sympy.cyclotomic_poly(n, _Q), _Q, domain="ZZ")
+    a = h * _to_sympy(u) * sympy.Poly(_Q**su, _Q, domain="ZZ")
+    b = h * _to_sympy(v) * sympy.Poly(_Q**sv, _Q, domain="ZZ")
+    return a, b
+
+
+def _primitive_q_free(p):
+    a = _from_sympy(p.primitive()[1])
+    k = next(i for i, c in enumerate(a) if c)
+    return a[k:]
+
+
+def _positive(p):
+    return -p if p.LC() < 0 else p
+
+
+_cofactors = st.lists(st.integers(-9, 9), min_size=1, max_size=13).filter(any).map(tuple)
+_planted = st.tuples(
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.lists(st.integers(2, 12), max_size=3),
+    _cofactors,
+    _cofactors,
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+_needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+
+
+@_needs_sympy
+@given(_planted)
+@settings(max_examples=80, deadline=None)
+def test_pgcd_matches_sympy(data):
+    a, b = _planted_pair(data)
+    assert _pgcd(_from_sympy(a), _from_sympy(b)) == _from_sympy(_positive(sympy.gcd(a, b)))
+
+
+@_needs_sympy
+@given(_planted)
+@settings(max_examples=80, deadline=None)
+def test_qscalar_canonical_form_matches_sympy_cancel(data):
+    a, b = _planted_pair(data)
+    c, num, den = sympy.cancel((a, b))
+    num, den = num * sympy.Rational(c).p, den * sympy.Rational(c).q
+    if den.LC() < 0:
+        num, den = -num, -den
+    x = QScalar(_from_sympy(a), _from_sympy(b))
+    assert (x.num, x.den) == (_from_sympy(num), _from_sympy(den))
+
+
+@_needs_sympy
+@given(_planted)
+@settings(max_examples=40, deadline=None)
+def test_euclid_fallback_matches_sympy(data):
+    # the heuristic falls back to this when its evaluation points run out
+    a, b = (_primitive_q_free(p) for p in _planted_pair(data))
+    expected = _positive(sympy.gcd(_to_sympy(a), _to_sympy(b)))
+    assert _pgcd_euclid(a, b) == _from_sympy(expected)
 
 
 # -- MLaurent ----------------------------------------------------------------
@@ -277,3 +414,16 @@ def test_jacobian_examples():
 
     degenerate = jacobian([h1 + h2, h1 + h2])
     assert not det_poly(degenerate)
+
+
+def test_det_poly_skips_zero_entries():
+    # upper triangular, so the determinant is the diagonal product; expanding
+    # into the minors behind zero entries would cost 11! of them
+    n = 11
+    h = [MLaurent.var(n, i) for i in range(n)]
+    J = jacobian([h[i] * h[i + 1] + h[i] for i in range(n - 1)] + [h[n - 1]])
+    assert all(not J[i][j] for i in range(n) for j in range(i))
+    diagonal = MLaurent.const(n, Fraction(1))
+    for i in range(n):
+        diagonal = diagonal * J[i][i]
+    assert det_poly(J) == diagonal

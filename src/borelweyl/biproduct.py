@@ -4,8 +4,10 @@ Words over the letters E_i, H_i (or K_i^{±1}), F_i are reduced by oriented
 rules until every E sits left of every Cartan letter and every Cartan letter
 left of every F.  The rule set encodes the cross relations that merge the
 halves into one algebra, so the irreducible words are exactly the ordered
-monomials of a PBW basis.  Confluence of the rules is not assumed: it is
-checked on all overlap ambiguities up to a degree bound, which is the finite,
+monomials of a PBW basis.  The Serre rules are oriented Serre windows: the
+window of the presentations in `morphisms`, with its order-maximal word as
+the lead.  Confluence of the rules is not assumed: it is checked on all
+overlap ambiguities up to a degree bound, which is the finite,
 machine-checkable shadow of the PBW claim.
 
 Scalars are plain rationals in classical mode and exact rational functions
@@ -19,11 +21,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
-from math import comb
 
 from .cartan import CartanMatrix, symmetrize, validate_gcm
-from .exact import QQ_ONE, QScalar, q_binom, q_power
+from .exact import QQ_ONE, QScalar, q_power
+from .morphisms import _serre_windows
 
 __all__ = [
     "NCPoly",
@@ -312,20 +313,25 @@ class RewriteSystem:
 # -- rule construction --------------------------------------------------------
 
 
-def _serre_rules(letter: str, i: int, j: int, m: int, coeffs, field) -> Rule:
-    """The order-maximal word of the window rewrites to the rest.
+def _serre_rule(window, first_leads: bool, field) -> Rule:
+    """The order-maximal word of a Serre window rewrites to the rest.
 
-    coeffs[k] is the signed coefficient on letter_i^{m-k} letter_j letter_i^k;
-    both end coefficients are ±1, so normalizing stays division-free in q.
+    The window runs from x_i^m·x_j to x_j·x_i^m, so its first word is the
+    largest when i > j and its last word otherwise.  Both end coefficients
+    are ±1, so dividing by the lead's stays division-free in q.
     """
-    li, lj = f"{letter}{i + 1}", f"{letter}{j + 1}"
-    words = [(li,) * (m - k) + (lj,) + (li,) * k for k in range(m + 1)]
-    if i > j:
-        lead, lead_c = words[0], coeffs[0]
-    else:
-        lead, lead_c = words[m], coeffs[m]
-    rhs = {w: -(c / lead_c) for w, c in zip(words, coeffs) if w != lead}
+    lead_c, lead = window[0] if first_leads else window[-1]
+    rhs = {w: -(c / lead_c) for c, w in window if w != lead}
     return Rule(lead, NCPoly(field, rhs), "serre")
+
+
+def _bracket(mode, d, i) -> dict:
+    """[E_i, F_i] as {word: coefficient}: H_i, or the balanced
+    (K_i - K_i^-1)/(q^{d_i} - q^{-d_i}) in quantum mode."""
+    if mode == "classical":
+        return {(f"H{i + 1}",): Fraction(1)}
+    c = (q_power(d[i]) - q_power(-d[i])).inverse()
+    return {(f"K{i + 1}",): c, (f"K{i + 1}^-1",): -c}
 
 
 def build_rules(C, d=None, mode: str = "classical") -> RewriteSystem:
@@ -338,109 +344,52 @@ def build_rules(C, d=None, mode: str = "classical") -> RewriteSystem:
     """
     C = _as_matrix(C)
     n = C.n
-    rules = []
     if mode == "classical":
-        field = "rational"
-        one = Fraction(1)
-        for j in range(n):
-            for i in range(n):
-                rhs = {(f"E{i + 1}", f"F{j + 1}"): one}
-                if i == j:
-                    rhs[(f"H{i + 1}",)] = -one
-                rules.append(Rule((f"F{j + 1}", f"E{i + 1}"), NCPoly(field, rhs), "pairing"))
-        for i in range(n):
-            for j in range(n):
-                a = Fraction(C[i, j])
-                rhs = {(f"E{j + 1}", f"H{i + 1}"): one}
-                if a:
-                    rhs[(f"E{j + 1}",)] = a
-                rules.append(Rule((f"H{i + 1}", f"E{j + 1}"), NCPoly(field, rhs), "weight"))
-                rhs = {(f"H{i + 1}", f"F{j + 1}"): one}
-                if a:
-                    rhs[(f"F{j + 1}",)] = a
-                rules.append(Rule((f"F{j + 1}", f"H{i + 1}"), NCPoly(field, rhs), "weight"))
-        for i in range(n):
-            for j in range(i):
-                rules.append(
-                    Rule(
-                        (f"H{i + 1}", f"H{j + 1}"),
-                        NCPoly.word(field, (f"H{j + 1}", f"H{i + 1}")),
-                        "sort",
-                    )
-                )
-        _letter_sorts(rules, C, n, field, ("E", "F"))
-        for i in range(n):
-            for j in range(n):
-                if i != j and C[i, j] < 0:
-                    m = 1 - C[i, j]
-                    coeffs = [Fraction((-1) ** k * comb(m, k)) for k in range(m + 1)]
-                    for letter in ("E", "F"):
-                        rules.append(_serre_rules(letter, i, j, m, coeffs, field))
-        return RewriteSystem(mode, C, None, rules)
-
-    if mode != "quantum":
+        field, one, d = "rational", Fraction(1), None
+        cartan = [(f"H{i + 1}",) for i in range(n)]
+    elif mode == "quantum":
+        field, one = "q", QQ_ONE
+        d = tuple(d) if d is not None else symmetrize(C)
+        cartan = [(f"K{i + 1}", f"K{i + 1}^-1") for i in range(n)]
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    field = "q"
-    d = tuple(d) if d is not None else symmetrize(C)
-    for i in range(n):
-        ki, kinv = f"K{i + 1}", f"K{i + 1}^-1"
-        rules.append(Rule((ki, kinv), NCPoly.one(field), "unit"))
-        rules.append(Rule((kinv, ki), NCPoly.one(field), "unit"))
+    E = [f"E{i + 1}" for i in range(n)]
+    F = [f"F{i + 1}" for i in range(n)]
+    rules = []
+    if mode == "quantum":
+        for ki, kinv in cartan:
+            rules.append(Rule((ki, kinv), NCPoly.one(field), "unit"))
+            rules.append(Rule((kinv, ki), NCPoly.one(field), "unit"))
     for j in range(n):
         for i in range(n):
-            rhs = {(f"E{i + 1}", f"F{j + 1}"): QQ_ONE}
+            rhs = {(E[i], F[j]): one}
             if i == j:
-                c = (q_power(d[i]) - q_power(-d[i])).inverse()
-                rhs[(f"K{i + 1}",)] = -c
-                rhs[(f"K{i + 1}^-1",)] = c
-            rules.append(Rule((f"F{j + 1}", f"E{i + 1}"), NCPoly(field, rhs), "pairing"))
+                rhs.update((w, -c) for w, c in _bracket(mode, d, i).items())
+            rules.append(Rule((F[j], E[i]), NCPoly(field, rhs), "pairing"))
     for i in range(n):
         for j in range(n):
-            e = d[i] * C[i, j]
-            for ki, s in ((f"K{i + 1}", 1), (f"K{i + 1}^-1", -1)):
-                rules.append(
-                    Rule(
-                        (ki, f"E{j + 1}"),
-                        NCPoly(field, {(f"E{j + 1}", ki): q_power(s * e)}),
-                        "weight",
-                    )
-                )
-                rules.append(
-                    Rule(
-                        (f"F{j + 1}", ki),
-                        NCPoly(field, {(ki, f"F{j + 1}"): q_power(s * e)}),
-                        "weight",
-                    )
-                )
+            # classically h moves past E_j by a shift a_ij, in quantum mode K^±1 by q^{±d_i a_ij}
+            for k, s in zip(cartan[i], (1, -1)):
+                scale, shift = (one, C[i, j]) if mode == "classical" else (q_power(s * d[i] * C[i, j]), 0)
+                rules.append(Rule((k, E[j]), NCPoly(field, {(E[j], k): scale, (E[j],): shift}), "weight"))
+                rules.append(Rule((F[j], k), NCPoly(field, {(k, F[j]): scale, (F[j],): shift}), "weight"))
     for i in range(n):
         for j in range(i):
-            for hi in (f"K{i + 1}", f"K{i + 1}^-1"):
-                for lo in (f"K{j + 1}", f"K{j + 1}^-1"):
+            for hi in cartan[i]:
+                for lo in cartan[j]:
                     rules.append(Rule((hi, lo), NCPoly.word(field, (lo, hi)), "sort"))
-    _letter_sorts(rules, C, n, field, ("E", "F"))
-    for i in range(n):
-        for j in range(n):
-            if i != j and C[i, j] < 0:
-                m = 1 - C[i, j]
-                coeffs = [(-1) ** k * q_binom(m, k, d[i]) for k in range(m + 1)]
-                for letter in ("E", "F"):
-                    rules.append(_serre_rules(letter, i, j, m, coeffs, field))
-    return RewriteSystem(mode, C, d, rules)
-
-
-def _letter_sorts(rules, C, n, field, letters):
-    # disconnected pairs commute outright; connected pairs are handled by Serre
+    # disconnected E's (and F's) commute outright; connected ones reduce by Serre
     for i in range(n):
         for j in range(i):
             if C[i, j] == 0:
-                for letter in letters:
-                    rules.append(
-                        Rule(
-                            (f"{letter}{i + 1}", f"{letter}{j + 1}"),
-                            NCPoly.word(field, (f"{letter}{j + 1}", f"{letter}{i + 1}")),
-                            "sort",
-                        )
-                    )
+                for X in (E, F):
+                    rules.append(Rule((X[i], X[j]), NCPoly.word(field, (X[j], X[i])), "sort"))
+    for i in range(n):
+        for j in range(n):
+            if i != j and C[i, j] < 0:
+                for window in _serre_windows((E, F), i, j, 1 - C[i, j], None if d is None else d[i]):
+                    rules.append(_serre_rule(window, i > j, field))
+    return RewriteSystem(mode, C, d, rules)
 
 
 # -- reduction ----------------------------------------------------------------
@@ -643,11 +592,7 @@ def mixed_relation_check(R: RewriteSystem, C=None) -> MixedRelationReport:
             ei, fj = f"E{i + 1}", f"F{j + 1}"
             p = R.poly((ei, fj)) - R.poly((fj, ei))
             if i == j:
-                if R.mode == "classical":
-                    p = p - R.poly((f"H{i + 1}",))
-                else:
-                    c = (q_power(R.d[i]) - q_power(-R.d[i])).inverse()
-                    p = p - R.poly((f"K{i + 1}",), c) + R.poly((f"K{i + 1}^-1",), c)
+                p = p - NCPoly(R.field, _bracket(R.mode, R.d, i))
             nf = normal_form(p, R)
             entries.append((f"[{ei},{fj}] cross relation", nf.to_str(), not nf))
     return MixedRelationReport(R.mode, tuple(entries))

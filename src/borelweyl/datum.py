@@ -94,6 +94,11 @@ def _linear_form(n, coeffs) -> MLaurent:
     return MLaurent(n, terms)
 
 
+def _directions(aux: CartanAux) -> list:
+    """Torus directions: the paired m_j, then the complement."""
+    return [m for _, m in aux.dual_pairs] + list(aux.torus_complement)
+
+
 def build_alpha(C, aux: CartanAux = None) -> tuple:
     """Dual coordinates as h-polynomials: alpha_i paired with the torus
     direction m_i, followed by the central gamma rows for singular matrices.
@@ -103,26 +108,17 @@ def build_alpha(C, aux: CartanAux = None) -> tuple:
     every sigma.
     """
     C = _as_matrix(C)
-    aux = aux or quasi_inverse(C)
-    n = C.n
-    alphas = tuple(_linear_form(n, row) for row in aux.Q)
-    ctx = classical_context(C)
-    dirs = [m for _, m in aux.dual_pairs] + list(aux.torus_complement)
-    for j, m in enumerate(dirs):
+    return _alphas(aux or quasi_inverse(C), classical_context(C))
+
+
+def _alphas(aux: CartanAux, ctx: ModelContext) -> tuple:
+    alphas = tuple(_linear_form(ctx.n, row) for row in aux.Q)
+    for j, m in enumerate(_directions(aux)):
         for i, a in enumerate(alphas):
             want = ctx.coeff_scalar(1 if (i == j and i < aux.rank) else 0)
             if directional_diff(ctx, m, a) != want:
                 raise DatumError(f"dual pairing failed at alpha_{i+1}, direction {m}")
     return alphas
-
-
-def _coordinate_change(aux: CartanAux):
-    """(to alpha-coords, from alpha-coords) substitution tables."""
-    n = len(aux.Q)
-    Qinv = _inverse(aux.Q)
-    h_in_alpha = [_linear_form(n, row) for row in Qinv]
-    alpha_in_h = [_linear_form(n, row) for row in aux.Q]
-    return h_in_alpha, alpha_in_h
 
 
 def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
@@ -139,7 +135,7 @@ def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
     aux = aux or quasi_inverse(C)
     n = C.n
     ctx = classical_context(C)
-    h_in_alpha, _ = _coordinate_change(aux)
+    h_in_alpha = [_linear_form(n, row) for row in _inverse(aux.Q)]
     # how sigma_i translates the alpha/gamma coordinates: shift[i][k] = (Q·C e_i)_k
     shift = [
         [
@@ -150,7 +146,7 @@ def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
     ]
     active = [[k for k in range(n) if shift[i][k]] for i in range(n)]
 
-    alphas = build_alpha(C, aux)
+    alphas = _alphas(aux, ctx)
     betas, bs = [], []
     for j in range(n):
         hj = h_in_alpha[j]
@@ -214,8 +210,7 @@ def check_bound_classical(datum: ClassicalDatum) -> list:
                 cur = twisted_diff(ctx, i, cur)
             report(f"D{i+1}^{window}(b{j+1}) = 0", cur)
     if datum.aux.corank:
-        dirs = [m for _, m in datum.aux.dual_pairs] + list(datum.aux.torus_complement)
-        for jm, m in enumerate(dirs):
+        for jm, m in enumerate(_directions(datum.aux)):
             for i, a in enumerate(datum.alpha):
                 want = 1 if (i == jm and i < datum.aux.rank) else 0
                 residual = directional_diff(ctx, m, a) - ctx.coeff_scalar(want)
@@ -288,8 +283,8 @@ def build_omega(C, d=None, aux: CartanAux = None, ctx: ModelContext = None):
     ctx = ctx or quantum_context(C, d)
     n, r = C.n, aux.rank
     S = [[d[i] * C[i, j] for j in range(n)] for i in range(n)]
-    ms = [m for _, m in aux.dual_pairs]
-    dirs = ms + list(aux.torus_complement)
+    dirs = _directions(aux)
+    ms = dirs[:r]
     # columns of the lattice map w -> ((S m_j)·w)_j
     rows = [
         [sum(S[u][k] * m[k] for k in range(n)) for u in range(n)] for m in ms

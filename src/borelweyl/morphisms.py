@@ -8,6 +8,12 @@ pushes each relation through the assignment and records the residual.
 A relation is satisfied exactly when its residual is the zero element;
 there is no tolerance anywhere.
 
+Classical and quantum, upper and lower presentations share their pieces:
+`_serre_windows` writes out every Serre window (the rewriting rules of
+`biproduct` orient the same windows), one `_ClassicalSide` row per Borel
+half drives both its assignment and its recovery, and `weyl` and
+`quantum_weyl` fill one template that differs only in the pairing relation.
+
 Verification never divides.  The division happens afterwards, in a
 recovery phase that re-expresses the model's own generators (torus units,
 coefficient generators) inside the localized image.  Every inversion is
@@ -25,10 +31,11 @@ RecoveryError, not assert, so they also run under python -O.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .cartan import CartanMatrix, _eliminate, _inverse, symmetrize, validate_gcm
-from .datum import ClassicalDatum, QuantumDatum
+from .datum import ClassicalDatum, QuantumDatum, _directions
 from .exact import MLaurent, QQ_ONE, q_binom, q_power
 from .skew import ModelContext, SkewElem
 
@@ -107,14 +114,46 @@ def _commutator_terms(a, b, one):
     return ((one, (a, b)), (-one, (b, a)))
 
 
-def _serre_terms(gi, gj, window, coeff_of):
-    terms = []
-    for k in range(window + 1):
-        c = coeff_of(k)
-        if k % 2:
-            c = -c
-        terms.append((c, (gi,) * (window - k) + (gj,) + (gi,) * k))
-    return tuple(terms)
+def _commute_relations(symbols, one, skip=()) -> list:
+    """[s,t] = 0 for every pair of symbols in order, except the pairs in skip."""
+    skip = {frozenset(p) for p in skip}
+    return [
+        Relation(f"[{s},{t}] = 0", "commute", _commutator_terms(s, t, one))
+        for s, t in combinations(symbols, 2)
+        if frozenset((s, t)) not in skip
+    ]
+
+
+def _q_commutation(a, b, e, family) -> Relation:
+    """a·b = q^e·b·a."""
+    return Relation(f"{a}{b} = q^{e}*{b}{a}", family, ((QQ_ONE, (a, b)), (-q_power(e), (b, a))))
+
+
+def _serre_windows(families, i: int, j: int, m: int, d=None) -> list:
+    """For each family X of symbols, the Serre window ((c_k, X_i^{m-k}·X_j·X_i^k) for k = 0..m).
+
+    c_k is (-1)^k·binom(m, k) over the rationals, or (-1)^k times the
+    balanced q-binomial at q^d when d is given; the families share one
+    computation of them.  Every Serre word in the package, relation or
+    rewriting rule, is written out here.
+    """
+    coeffs = [Fraction(comb(m, k)) if d is None else q_binom(m, k, d) for k in range(m + 1)]
+    return [
+        tuple((-c if k % 2 else c, (X[i],) * (m - k) + (X[j],) + (X[i],) * k) for k, c in enumerate(coeffs))
+        for X in families
+    ]
+
+
+def _serre_relations(C, X, ad: str, d=None) -> list:
+    """ad(X_i)^{1-a_ij}(X_j) = 0 for every i != j, q-binomials at q^{d_i} when d is given."""
+    rels = []
+    for i in range(C.n):
+        for j in range(C.n):
+            if i != j:
+                m = 1 - C[i, j]
+                (window,) = _serre_windows([X], i, j, m, None if d is None else d[i])
+                rels.append(Relation(f"{ad}({X[i]})^{m}({X[j]}) = 0", "serre", window))
+    return rels
 
 
 def _borel(C, letter: str, weight_sign: int) -> Presentation:
@@ -124,10 +163,7 @@ def _borel(C, letter: str, weight_sign: int) -> Presentation:
     H = [f"H{i + 1}" for i in range(n)]
     X = [f"{letter}{i + 1}" for i in range(n)]
     one = Fraction(1)
-    rels = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rels.append(Relation(f"[{H[i]},{H[j]}] = 0", "commute", _commutator_terms(H[i], H[j], one)))
+    rels = _commute_relations(H, one)
     for i in range(n):
         for j in range(n):
             a = weight_sign * C[i, j]
@@ -138,18 +174,7 @@ def _borel(C, letter: str, weight_sign: int) -> Presentation:
                     _commutator_terms(H[i], X[j], one) + ((Fraction(-a), (X[j],)),),
                 )
             )
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = 1 - C[i, j]
-            rels.append(
-                Relation(
-                    f"ad({X[i]})^{m}({X[j]}) = 0",
-                    "serre",
-                    _serre_terms(X[i], X[j], m, lambda k, m=m: Fraction(comb(m, k))),
-                )
-            )
+    rels += _serre_relations(C, X, "ad")
     side = "upper" if letter == "E" else "lower"
     return Presentation(
         f"{side} Borel, rank {n}", tuple(H + X), (), tuple(rels), {"matrix": C}
@@ -166,37 +191,35 @@ def borel_lower(C) -> Presentation:
     return _borel(C, "F", -1)
 
 
+def _weyl(m, n, central, one, pairing, stem, params) -> Presentation:
+    """Commuting x's and commuting y's, pairing(i, j, x_i, y_j) for every pair,
+    and `central` generators z_c commuting with everything."""
+    xs = [f"x{i + 1}" for i in range(m)]
+    ys = [f"y{j + 1}" for j in range(n)]
+    zs = [f"z{c + 1}" for c in range(central)]
+    rels = _commute_relations(xs, one) + _commute_relations(ys, one)
+    for i in range(m):
+        for j in range(n):
+            rels.append(pairing(i, j, xs[i], ys[j]))
+    for c in range(central):
+        for other in xs + ys + zs[c + 1 :]:
+            rels.append(Relation(f"[{zs[c]},{other}] = 0", "central", _commutator_terms(zs[c], other, one)))
+    name = f"{stem}({m},{n})" + (f" + {central} central" if central else "")
+    return Presentation(name, tuple(xs + ys + zs), (), tuple(rels), params)
+
+
 def weyl(m: int, n: int, central: int = 0) -> Presentation:
     """A_{m,n}: m raising and n lowering generators, [x_i, y_j] = delta_ij,
     optionally tensored with `central` commuting polynomial generators."""
     if m < 0 or n < m or central < 0:
         raise ValueError(f"need 0 <= m <= n and central >= 0, got ({m},{n},{central})")
-    xs = [f"x{i + 1}" for i in range(m)]
-    ys = [f"y{j + 1}" for j in range(n)]
-    zs = [f"z{c + 1}" for c in range(central)]
     one = Fraction(1)
-    rels = []
-    for i in range(m):
-        for k in range(i + 1, m):
-            rels.append(Relation(f"[{xs[i]},{xs[k]}] = 0", "commute", _commutator_terms(xs[i], xs[k], one)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            rels.append(Relation(f"[{ys[j]},{ys[k]}] = 0", "commute", _commutator_terms(ys[j], ys[k], one)))
-    for i in range(m):
-        for j in range(n):
-            delta = Fraction(1 if i == j else 0)
-            rels.append(
-                Relation(
-                    f"[{xs[i]},{ys[j]}] = {delta}",
-                    "pairing",
-                    _commutator_terms(xs[i], ys[j], one) + ((-delta, ()),),
-                )
-            )
-    for c in range(central):
-        for other in xs + ys + zs[c + 1 :]:
-            rels.append(Relation(f"[{zs[c]},{other}] = 0", "central", _commutator_terms(zs[c], other, one)))
-    name = f"Weyl({m},{n})" + (f" + {central} central" if central else "")
-    return Presentation(name, tuple(xs + ys + zs), (), tuple(rels), {"m": m, "n": n, "central": central})
+
+    def pairing(i, j, x, y):
+        delta = Fraction(1 if i == j else 0)
+        return Relation(f"[{x},{y}] = {delta}", "pairing", _commutator_terms(x, y, one) + ((-delta, ()),))
+
+    return _weyl(m, n, central, one, pairing, "Weyl", {"m": m, "n": n, "central": central})
 
 
 def quantum_weyl(m: int, n: int, g, central: int = 0) -> Presentation:
@@ -207,46 +230,11 @@ def quantum_weyl(m: int, n: int, g, central: int = 0) -> Presentation:
         raise ValueError(f"need 0 <= m <= n, len(g) == m, central >= 0")
     if any(x <= 0 for x in g):
         raise ValueError(f"scaling exponents must be positive, got {g}")
-    xs = [f"x{i + 1}" for i in range(m)]
-    ys = [f"y{j + 1}" for j in range(n)]
-    zs = [f"z{c + 1}" for c in range(central)]
-    one = QQ_ONE
-    rels = []
-    for i in range(m):
-        for k in range(i + 1, m):
-            rels.append(Relation(f"[{xs[i]},{xs[k]}] = 0", "commute", _commutator_terms(xs[i], xs[k], one)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            rels.append(Relation(f"[{ys[j]},{ys[k]}] = 0", "commute", _commutator_terms(ys[j], ys[k], one)))
-    for i in range(m):
-        for j in range(n):
-            e = g[i] if i == j else 0
-            rels.append(
-                Relation(
-                    f"{ys[j]}{xs[i]} = q^{e}*{xs[i]}{ys[j]}",
-                    "pairing",
-                    ((one, (ys[j], xs[i])), (-q_power(e), (xs[i], ys[j]))),
-                )
-            )
-    for c in range(central):
-        for other in xs + ys + zs[c + 1 :]:
-            rels.append(Relation(f"[{zs[c]},{other}] = 0", "central", _commutator_terms(zs[c], other, one)))
-    name = f"qWeyl({m},{n})" + (f" + {central} central" if central else "")
-    return Presentation(
-        name, tuple(xs + ys + zs), (), tuple(rels), {"m": m, "n": n, "g": g, "central": central}
-    )
 
+    def pairing(i, j, x, y):
+        return _q_commutation(y, x, g[i] if i == j else 0, "pairing")
 
-def _torus_commutes(symbols, inverse_pairs, one):
-    paired = {frozenset(p) for p in inverse_pairs}
-    rels = []
-    for a in range(len(symbols)):
-        for b in range(a + 1, len(symbols)):
-            s, t = symbols[a], symbols[b]
-            if frozenset((s, t)) in paired:
-                continue
-            rels.append(Relation(f"[{s},{t}] = 0", "commute", _commutator_terms(s, t, one)))
-    return rels
+    return _weyl(m, n, central, QQ_ONE, pairing, "qWeyl", {"m": m, "n": n, "g": g, "central": central})
 
 
 def _quantum_borel(C, d, letter: str, weight_sign: int) -> Presentation:
@@ -258,39 +246,15 @@ def _quantum_borel(C, d, letter: str, weight_sign: int) -> Presentation:
     K = [f"K{i + 1}" for i in range(n)]
     Kinv = [f"K{i + 1}^-1" for i in range(n)]
     X = [f"{letter}{i + 1}" for i in range(n)]
-    one = QQ_ONE
     pairs = tuple(zip(K, Kinv))
-    torus = [s for p in zip(K, Kinv) for s in p]
-    rels = _torus_commutes(torus, pairs, one) + _unit_relations(pairs, one)
+    torus = [s for p in pairs for s in p]
+    rels = _commute_relations(torus, QQ_ONE, skip=pairs) + _unit_relations(pairs, QQ_ONE)
     for i in range(n):
         for j in range(n):
             e = weight_sign * d[i] * C[i, j]
-            rels.append(
-                Relation(
-                    f"{X[j]}{K[i]} = q^{e}*{K[i]}{X[j]}",
-                    "weight",
-                    ((one, (X[j], K[i])), (-q_power(e), (K[i], X[j]))),
-                )
-            )
-            rels.append(
-                Relation(
-                    f"{X[j]}{Kinv[i]} = q^{-e}*{Kinv[i]}{X[j]}",
-                    "weight",
-                    ((one, (X[j], Kinv[i])), (-q_power(-e), (Kinv[i], X[j]))),
-                )
-            )
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = 1 - C[i, j]
-            rels.append(
-                Relation(
-                    f"ad_q({X[i]})^{m}({X[j]}) = 0",
-                    "serre",
-                    _serre_terms(X[i], X[j], m, lambda k, m=m, di=d[i]: q_binom(m, k, di)),
-                )
-            )
+            rels.append(_q_commutation(X[j], K[i], e, "weight"))
+            rels.append(_q_commutation(X[j], Kinv[i], -e, "weight"))
+    rels += _serre_relations(C, X, "ad_q", d)
     side = "upper" if letter == "E" else "lower"
     return Presentation(
         f"quantum {side} Borel, rank {n}",
@@ -342,27 +306,58 @@ def _unit_vec(n, i, sign=1):
     return tuple(sign if k == i else 0 for k in range(n))
 
 
+@dataclass(frozen=True)
+class _ClassicalSide:
+    """One Borel half in the classical model: X_i -> c_i·t_i^sign."""
+
+    letter: str
+    sign: int  # torus sign s; the weight relations carry -s
+    reflected: bool  # c_i is reflect(b_i) rather than b_i
+    kind: str
+    stem: str  # recovered coefficients are named stem1, stem2, ...
+    convention: str
+
+    def coeff(self, b: MLaurent) -> MLaurent:
+        return reflect(b) if self.reflected else b
+
+
+_CLASSICAL_SIDES = {
+    "upper": _ClassicalSide(
+        "E", -1, False, "classical-upper", "b",
+        "upper coefficients are the datum b_i, paired with t_i^-1",
+    ),
+    "lower": _ClassicalSide(
+        "F", 1, True, "classical-lower", "bbar",
+        "lower coefficients are the variable-negation of b_i, paired with t_i",
+    ),
+}
+
+
 def classical_borel_assignment(datum: ClassicalDatum, side: str = "upper") -> GeneratorAssignment:
     """H_i -> h_i and E_i -> b_i t_i^{-1} (upper), or F_i -> reflected-b_i t_i (lower)."""
+    if side not in _CLASSICAL_SIDES:
+        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+    spec = _CLASSICAL_SIDES[side]
     ctx = datum.context
     n = ctx.n
-    C = datum.aux.matrix
     images = {f"H{i + 1}": SkewElem.from_coeff(ctx, ctx.coeff_var(i)) for i in range(n)}
-    if side == "upper":
-        pres = borel_upper(C)
-        for i in range(n):
-            images[f"E{i + 1}"] = SkewElem.monomial(ctx, ctx.lift(datum.b[i]), _unit_vec(n, i, -1))
-        conv = ("upper coefficients are the datum b_i, paired with t_i^-1",)
-        kind = "classical-upper"
-    elif side == "lower":
-        pres = borel_lower(C)
-        for i in range(n):
-            images[f"F{i + 1}"] = SkewElem.monomial(ctx, ctx.lift(reflect(datum.b[i])), _unit_vec(n, i))
-        conv = ("lower coefficients are the variable-negation of b_i, paired with t_i",)
-        kind = "classical-lower"
-    else:
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    return GeneratorAssignment(pres, ctx, images, kind, datum, conv)
+    for i in range(n):
+        c = spec.coeff(datum.b[i])
+        images[f"{spec.letter}{i + 1}"] = SkewElem.monomial(ctx, c, _unit_vec(n, i, spec.sign))
+    pres = _borel(datum.aux.matrix, spec.letter, -spec.sign)
+    return GeneratorAssignment(pres, ctx, images, spec.kind, datum, (spec.convention,))
+
+
+def _weyl_images(ctx, aux, coeffs, sign) -> dict:
+    """x_i -> c_i t^{-m_i} and y_i -> sign·t^{m_i} along the directions m of
+    the dual pairs; past the rank the raisers are the central z's."""
+    r = aux.rank
+    images = {}
+    for k, m in enumerate(_directions(aux)):
+        raiser = f"x{k + 1}" if k < r else f"z{k - r + 1}"
+        images[raiser] = SkewElem.monomial(ctx, coeffs[k], tuple(-v for v in m))
+        images[f"y{k + 1}"] = SkewElem.monomial(ctx, ctx.coeff_scalar(sign), m)
+    return images
 
 
 def weyl_assignment(datum: ClassicalDatum) -> GeneratorAssignment:
@@ -370,29 +365,42 @@ def weyl_assignment(datum: ClassicalDatum) -> GeneratorAssignment:
     the directions m are the dual-pairing ones, completed by the torus complement."""
     ctx = datum.context
     aux = datum.aux
-    n = ctx.n
-    r = aux.rank
-    dirs = [m for (_, m) in aux.dual_pairs] + list(aux.torus_complement)
-    pres = weyl(r, n, central=aux.corank)
-    images = {}
-    for i in range(r):
-        images[f"x{i + 1}"] = SkewElem.monomial(
-            ctx, ctx.lift(datum.alpha[i]), tuple(-v for v in dirs[i])
-        )
-    for j in range(n):
-        images[f"y{j + 1}"] = SkewElem.monomial(ctx, ctx.coeff_scalar(-1), dirs[j])
-    for c in range(aux.corank):
-        images[f"z{c + 1}"] = SkewElem.monomial(
-            ctx, ctx.lift(datum.alpha[r + c]), tuple(-v for v in dirs[r + c])
-        )
+    pres = weyl(aux.rank, ctx.n, central=aux.corank)
+    images = _weyl_images(ctx, aux, datum.alpha, -1)
     conv = ("lowering generators map to negated torus monomials",)
     if aux.corank:
         conv = conv + (
             "NOTE: beyond the first %d oscillators the pairing runs along combined "
             "torus directions, not single coordinates; the central images are the "
-            "invariant coefficients on those directions" % r,
+            "invariant coefficients on those directions" % aux.rank,
         )
     return GeneratorAssignment(pres, ctx, images, "weyl", datum, conv)
+
+
+def _quantum_side(qdatum: QuantumDatum, side: str):
+    """The side's letter and presentation, and the images of K_i and K_i^-1."""
+    ctx = qdatum.context
+    letter = "E" if side == "upper" else "F"
+    pres = _quantum_borel(qdatum.aux.matrix, qdatum.d, letter, -1 if side == "upper" else 1)
+    torus = {}
+    for i in range(ctx.n):
+        torus[f"K{i + 1}"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i))
+        torus[f"K{i + 1}^-1"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i, -1))
+    return letter, pres, torus
+
+
+def _oriented_image(qdatum: QuantumDatum, i: int, sign: int) -> SkewElem:
+    ctx = qdatum.context
+    return SkewElem.monomial(ctx, qdatum.b[i], _unit_vec(ctx.n, i, sign))
+
+
+def _oriented_assignment(qdatum, signs, letter, pres, torus) -> GeneratorAssignment:
+    images = dict(torus)
+    for i, s in enumerate(signs):
+        images[f"{letter}{i + 1}"] = _oriented_image(qdatum, i, s)
+    conv = tuple(f"orientation {letter}{i + 1}: t^{s:+d}" for i, s in enumerate(signs))
+    kind = "quantum-upper" if letter == "E" else "quantum-lower"
+    return GeneratorAssignment(pres, qdatum.context, images, kind, qdatum, conv)
 
 
 def quantum_borel_assignment(
@@ -404,24 +412,13 @@ def quantum_borel_assignment(
     `fix_orientation` to search for the signs that satisfy the weight
     relations instead of postulating them.
     """
-    ctx = qdatum.context
-    n = ctx.n
-    C = qdatum.aux.matrix
+    n = qdatum.context.n
     if orientation is None:
         raise ValueError("no orientation given; call fix_orientation to choose one")
     signs = tuple(orientation) if not isinstance(orientation, int) else (orientation,) * n
     if len(signs) != n or any(s not in (-1, 1) for s in signs):
         raise ValueError(f"orientation must be +-1 per generator, got {orientation!r}")
-    letter = "E" if side == "upper" else "F"
-    pres = quantum_borel_upper(C, qdatum.d) if side == "upper" else quantum_borel_lower(C, qdatum.d)
-    images = {}
-    for i in range(n):
-        images[f"K{i + 1}"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i))
-        images[f"K{i + 1}^-1"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i, -1))
-        images[f"{letter}{i + 1}"] = SkewElem.monomial(ctx, qdatum.b[i], _unit_vec(n, i, signs[i]))
-    conv = tuple(f"orientation {letter}{i + 1}: t^{s:+d}" for i, s in enumerate(signs))
-    kind = "quantum-upper" if side == "upper" else "quantum-lower"
-    return GeneratorAssignment(pres, ctx, images, kind, qdatum, conv)
+    return _oriented_assignment(qdatum, signs, *_quantum_side(qdatum, side))
 
 
 @dataclass(frozen=True)
@@ -440,22 +437,17 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
     """
     ctx = qdatum.context
     n = ctx.n
-    letter = "E" if side == "upper" else "F"
-    pres = quantum_borel_upper(qdatum.aux.matrix, qdatum.d) if side == "upper" else quantum_borel_lower(
-        qdatum.aux.matrix, qdatum.d
-    )
-    base = {}
-    for i in range(n):
-        base[f"K{i + 1}"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i))
-        base[f"K{i + 1}^-1"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i, -1))
+    shared = _quantum_side(qdatum, side)
+    letter, pres, torus = shared
+    weight = pres.by_family("weight")
     signs, detail = [], []
     for j in range(n):
         sym = f"{letter}{j + 1}"
-        mine = [r for r in pres.by_family("weight") if any(sym in word for _, word in r.terms)]
+        mine = [r for r in weight if any(sym in word for _, word in r.terms)]
         outcomes = {}
         for s in (1, -1):
-            trial = dict(base)
-            trial[sym] = SkewElem.monomial(ctx, qdatum.b[j], _unit_vec(n, j, s))
+            trial = dict(torus)
+            trial[sym] = _oriented_image(qdatum, j, s)
             residuals = [_eval_terms(trial, ctx, r.terms) for r in mine]
             outcomes[s] = [res for res in residuals if res]
         good = [s for s, bad in outcomes.items() if not bad]
@@ -475,7 +467,7 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
     choice = OrientationChoice(tuple(signs), all(s is not None for s in signs), tuple(detail))
     if not choice.passed:
         return None, choice
-    return quantum_borel_assignment(qdatum, side, choice.signs), choice
+    return _oriented_assignment(qdatum, choice.signs, *shared), choice
 
 
 def quantum_weyl_assignment(qdatum: QuantumDatum) -> GeneratorAssignment:
@@ -483,17 +475,8 @@ def quantum_weyl_assignment(qdatum: QuantumDatum) -> GeneratorAssignment:
     ctx = qdatum.context
     n = ctx.n
     r = len(qdatum.g)
-    dirs = qdatum.directions
     pres = quantum_weyl(r, n, qdatum.g, central=n - r)
-    images = {}
-    for i in range(r):
-        images[f"x{i + 1}"] = SkewElem.monomial(ctx, qdatum.omega[i], tuple(-v for v in dirs[i]))
-    for j in range(n):
-        images[f"y{j + 1}"] = SkewElem.torus(ctx, dirs[j])
-    for c in range(n - r):
-        images[f"z{c + 1}"] = SkewElem.monomial(
-            ctx, qdatum.omega[r + c], tuple(-v for v in dirs[r + c])
-        )
+    images = _weyl_images(ctx, qdatum.aux, qdatum.omega, 1)
     return GeneratorAssignment(
         pres, ctx, images, "quantum-weyl", qdatum, ("lowering generators map to plain torus monomials",)
     )
@@ -576,7 +559,7 @@ def verify(assignment: GeneratorAssignment) -> VerificationReport:
     mark = len(ctx.denominator_log)
     try:
         recovered = _RECOVERIES[assignment.kind](assignment)
-    except (AssertionError, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         # corrupted images leave nothing coherent to invert; report, don't crash
         recovered = {}
         entries.append(RelationResult("recovery of the inverse map", "recovery", None, False, f"aborted: {exc}"))
@@ -596,69 +579,55 @@ def _require(holds: bool, message: str):
         raise RecoveryError(message)
 
 
-def _recover_classical_upper(assignment):
-    ctx = assignment.context
-    datum = assignment.datum
-    n = ctx.n
-    out = {}
-    for i in range(n):
-        e_hat = assignment.images[f"E{i + 1}"]
-        e_inv = e_hat.invert()  # logs (b_i, -e_i)
-        t_i = SkewElem.from_coeff(ctx, ctx.lift(ctx.apply(i, datum.b[i]))) * e_inv
-        _require(t_i == SkewElem.torus(ctx, _unit_vec(n, i)), "torus recovery failed")
-        t_inv = t_i.invert()  # logs a plain torus unit
-        b_hat = e_hat * t_i
-        _require(b_hat == SkewElem.from_coeff(ctx, ctx.lift(datum.b[i])), "coefficient recovery failed")
-        h_inv = assignment.images[f"H{i + 1}"].invert()  # logs h_i
-        out[f"t{i + 1}"] = t_i
-        out[f"t{i + 1}^-1"] = t_inv
-        out[f"b{i + 1}"] = b_hat
-        out[f"h{i + 1}^-1"] = h_inv
-    return out
+def _recover_classical_borel(spec: _ClassicalSide):
+    def recover(assignment):
+        ctx = assignment.context
+        n = ctx.n
+        out = {}
+        for i in range(n):
+            x_hat = assignment.images[f"{spec.letter}{i + 1}"]
+            c = SkewElem.from_coeff(ctx, spec.coeff(assignment.datum.b[i]))
+            x_inv = x_hat.invert()  # logs (c_i, s·e_i)
+            back = x_inv * c
+            _require(back == SkewElem.torus(ctx, _unit_vec(n, i, -spec.sign)), "torus recovery failed")
+            forth = back.invert()  # logs a plain torus unit
+            c_hat = x_hat * back
+            _require(c_hat == c, "coefficient recovery failed")
+            h_inv = assignment.images[f"H{i + 1}"].invert()  # logs h_i
+            out[f"t{i + 1}"], out[f"t{i + 1}^-1"] = (back, forth) if spec.sign < 0 else (forth, back)
+            out[f"{spec.stem}{i + 1}"] = c_hat
+            out[f"h{i + 1}^-1"] = h_inv
+        return out
+
+    return recover
 
 
-def _recover_classical_lower(assignment):
-    ctx = assignment.context
-    datum = assignment.datum
-    n = ctx.n
-    out = {}
-    for i in range(n):
-        f_hat = assignment.images[f"F{i + 1}"]
-        f_inv = f_hat.invert()  # logs (reflected b_i, +e_i)
-        bbar = ctx.lift(reflect(datum.b[i]))
-        t_inv = f_inv * SkewElem.from_coeff(ctx, bbar)
-        _require(t_inv == SkewElem.torus(ctx, _unit_vec(n, i, -1)), "torus recovery failed")
-        t_i = t_inv.invert()  # logs a plain torus unit
-        b_hat = f_hat * t_inv
-        _require(b_hat == SkewElem.from_coeff(ctx, bbar), "coefficient recovery failed")
-        h_inv = assignment.images[f"H{i + 1}"].invert()
-        out[f"t{i + 1}"] = t_i
-        out[f"t{i + 1}^-1"] = t_inv
-        out[f"bbar{i + 1}"] = b_hat
-        out[f"h{i + 1}^-1"] = h_inv
-    return out
+def _weyl_slots(assignment, sign):
+    """(k, m_k, raiser_k·t^{m_k}, t^{m_k}) for every direction m_k of the
+    dual pairs; y_k is sign·t^{m_k}, and the raiser is x_k, or z_{k-r} past
+    the rank r, so the product is the k-th coefficient of the datum."""
+    aux = assignment.datum.aux
+    images = assignment.images
+    for k, m in enumerate(_directions(aux)):
+        raiser = images[f"x{k + 1}"] if k < aux.rank else images[f"z{k - aux.rank + 1}"]
+        t_m = images[f"y{k + 1}"].scale(sign)
+        yield k, tuple(m), raiser * t_m, t_m
 
 
 def _recover_weyl(assignment):
     ctx = assignment.context
     datum = assignment.datum
-    aux = datum.aux
-    n = ctx.n
-    r = aux.rank
     out = {}
     coord_hats = []
-    for k in range(n):
-        raiser = assignment.images[f"x{k + 1}"] if k < r else assignment.images[f"z{k - r + 1}"]
-        coord = -(raiser * assignment.images[f"y{k + 1}"])
-        _require(coord == SkewElem.from_coeff(ctx, ctx.lift(datum.alpha[k])), "coordinate recovery failed")
+    for k, m, coord, t_m in _weyl_slots(assignment, -1):
+        _require(coord == SkewElem.from_coeff(ctx, datum.alpha[k]), "coordinate recovery failed")
         coord_hats.append(coord)
-        t_neg = assignment.images[f"y{k + 1}"].scale(-1).invert()  # logs a torus unit
-        out[f"t^{tuple(aux.dual_pairs[k][1]) if k < r else tuple(aux.torus_complement[k - r])}inv"] = t_neg
-    hcoords = _inverse(aux.Q)
-    for i in range(n):
+        out[f"t^{m}inv"] = t_m.invert()  # logs a torus unit
+    hcoords = _inverse(datum.aux.Q)
+    for i in range(ctx.n):
         h_hat = SkewElem.zero(ctx)
-        for k in range(n):
-            h_hat = h_hat + coord_hats[k].scale(hcoords[i][k])
+        for k, coord in enumerate(coord_hats):
+            h_hat = h_hat + coord.scale(hcoords[i][k])
         _require(h_hat == SkewElem.from_coeff(ctx, ctx.coeff_var(i)), "h recovery failed")
         out[f"h{i + 1}"] = h_hat
         out[f"h{i + 1}^-1"] = h_hat.invert()  # logs h_i
@@ -688,22 +657,18 @@ def _recover_quantum_borel(letter):
 def _recover_quantum_weyl(assignment):
     ctx = assignment.context
     qdatum = assignment.datum
-    n = ctx.n
-    r = len(qdatum.g)
     out = {}
-    for k in range(n):
-        raiser = assignment.images[f"x{k + 1}"] if k < r else assignment.images[f"z{k - r + 1}"]
-        omega_hat = raiser * assignment.images[f"y{k + 1}"]
+    for k, m, omega_hat, t_m in _weyl_slots(assignment, 1):
         _require(omega_hat == SkewElem.from_coeff(ctx, qdatum.omega[k]), "omega recovery failed")
         out[f"omega{k + 1}"] = omega_hat
         out[f"omega{k + 1}^-1"] = omega_hat.invert()  # logs a K-monomial unit
-        out[f"t^{tuple(qdatum.directions[k])}inv"] = assignment.images[f"y{k + 1}"].invert()
+        out[f"t^{m}inv"] = t_m.invert()
     return out
 
 
 _RECOVERIES = {
-    "classical-upper": _recover_classical_upper,
-    "classical-lower": _recover_classical_lower,
+    "classical-upper": _recover_classical_borel(_CLASSICAL_SIDES["upper"]),
+    "classical-lower": _recover_classical_borel(_CLASSICAL_SIDES["lower"]),
     "weyl": _recover_weyl,
     "quantum-upper": _recover_quantum_borel("E"),
     "quantum-lower": _recover_quantum_borel("F"),

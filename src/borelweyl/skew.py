@@ -67,7 +67,8 @@ class DenominatorLog:
 
 class ModelContext:
     def __init__(self, kind: str, matrix: CartanMatrix, sigma, d=None):
-        assert kind in ("classical", "quantum")
+        if kind not in ("classical", "quantum"):
+            raise ValueError(f"context kind must be 'classical' or 'quantum', got {kind!r}")
         self.kind = kind
         self.matrix = matrix
         self.n = matrix.n
@@ -76,7 +77,8 @@ class ModelContext:
         self.denominator_log = DenominatorLog()
         self._power_cache: dict = {}
         for s in self.sigma:
-            assert s.n == self.n
+            if s.n != self.n:
+                raise ValueError(f"an automorphism acts on {s.n} variables, not {self.n}")
         self._check_commuting()
 
     def _check_commuting(self):
@@ -87,7 +89,8 @@ class ModelContext:
                     g = self.coeff_var(k)
                     ij = self.apply(i, self.apply(j, g))
                     ji = self.apply(j, self.apply(i, g))
-                    assert ij == ji, f"automorphisms {i} and {j} do not commute"
+                    if ij != ji:
+                        raise ValueError(f"automorphisms {i} and {j} do not commute")
 
     # -- coefficient ring --------------------------------------------------
 
@@ -99,7 +102,8 @@ class ModelContext:
     def coeff_var(self, i: int, exp: int = 1):
         """h_i (classical) or K_i^exp (quantum)."""
         if self.kind == "classical":
-            assert exp >= 0, "h-variables are not invertible as polynomials"
+            if exp < 0:
+                raise ValueError("h-variables are not invertible as polynomials")
             return PolyFrac.from_poly(MLaurent.var(self.n, i, exp))
         return MLaurent.var(self.n, i, exp, one=QQ_ONE)
 
@@ -178,7 +182,8 @@ class SkewElem:
             for m, f in terms.items():
                 if f:
                     m = tuple(m)
-                    assert len(m) == ctx.n
+                    if len(m) != ctx.n:
+                        raise ValueError(f"torus exponent {m} has length {len(m)}, not {ctx.n}")
                     clean[m] = f
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
@@ -216,13 +221,15 @@ class SkewElem:
     def __eq__(self, other):
         if not isinstance(other, SkewElem):
             return NotImplemented
-        assert other.ctx is self.ctx, "context mismatch"
+        if other.ctx is not self.ctx:
+            raise ValueError("context mismatch")
         return self.terms == other.terms
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        assert isinstance(other, SkewElem) and other.ctx is self.ctx, "context mismatch"
+        if not isinstance(other, SkewElem) or other.ctx is not self.ctx:
+            raise ValueError("context mismatch")
         out = dict(self.terms)
         for m, f in other.terms.items():
             s = out.get(m)
@@ -249,7 +256,8 @@ class SkewElem:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QScalar)):
             return self.scale(other)
-        assert isinstance(other, SkewElem) and other.ctx is self.ctx, "context mismatch"
+        if not isinstance(other, SkewElem) or other.ctx is not self.ctx:
+            raise ValueError("context mismatch")
         ctx = self.ctx
         out = {}
         for m, f in self.terms.items():

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import borelweyl
 from borelweyl.exact import (
@@ -214,11 +215,14 @@ def test_pgcd_matches_sympy(data):
 
 @_needs_sympy
 @given(_planted)
+# constant pairs such as a = b: sympy.cancel((a, b)) returns plain integers there,
+# unreduced, so the oracle is the Poly method, which reduces them
+@example(data=(1, 0, [], (1,), (1,), 0, 0))
+@example(data=(1, 0, [], (2,), (2,), 0, 0))
 @settings(max_examples=80, deadline=None)
 def test_qscalar_canonical_form_matches_sympy_cancel(data):
     a, b = _planted_pair(data)
-    c, num, den = sympy.cancel((a, b))
-    num, den = num * sympy.Rational(c).p, den * sympy.Rational(c).q
+    num, den = a.cancel(b, include=True)
     if den.LC() < 0:
         num, den = -num, -den
     x = QScalar(_from_sympy(a), _from_sympy(b))
@@ -427,3 +431,78 @@ def test_det_poly_skips_zero_entries():
     for i in range(n):
         diagonal = diagonal * J[i][i]
     assert det_poly(J) == diagonal
+
+
+def cofactor_det(matrix):
+    # the cofactor expansion det_poly used before fraction-free elimination
+    m = len(matrix)
+    if m == 1:
+        return matrix[0][0]
+    total = MLaurent.zero(matrix[0][0].n)
+    for j in range(m):
+        if not matrix[0][j]:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = matrix[0][j] * cofactor_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+_entries = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    max_size=3,
+).map(lambda terms: MLaurent(2, terms))
+
+
+@st.composite
+def _poly_matrices(draw):
+    size = draw(st.integers(1, 5))
+    rows = [draw(st.lists(_entries, min_size=size, max_size=size)) for _ in range(size)]
+    # zero pivots, zero columns and repeated rows are the cases elimination must handle
+    for i in range(size):
+        shape = draw(st.sampled_from(["keep", "keep", "zero pivot", "zero column", "copy row 0"]))
+        if shape == "zero pivot":
+            rows[i][i] = MLaurent.zero(2)
+        elif shape == "zero column":
+            for row in rows:
+                row[i] = MLaurent.zero(2)
+        elif shape == "copy row 0":
+            rows[i] = list(rows[0])
+    return rows
+
+
+@given(_poly_matrices())
+@settings(max_examples=100, deadline=None)
+def test_det_poly_matches_the_cofactor_expansion(matrix):
+    assert det_poly(matrix) == cofactor_det(matrix)
+
+
+def test_det_poly_on_a_full_upper_triangle_is_polynomial_time():
+    # f_i = (i+1)·h_i + (h_{i+1} + … + h_n)²: every entry right of the
+    # diagonal is nonzero, so a cofactor expansion visits about 11! minors
+    n = 11
+    h = [MLaurent.var(n, i) for i in range(n)]
+    fs = []
+    for i in range(n):
+        tail = MLaurent.zero(n)
+        for k in range(i + 1, n):
+            tail = tail + h[k]
+        fs.append(h[i] * (i + 1) + tail * tail)
+    J = jacobian(fs)
+    assert all(J[i][j] for i in range(n) for j in range(i, n))
+    assert det_poly(J) == MLaurent.const(n, Fraction(39916800))  # 11!
+
+
+def test_det_poly_on_a_dense_jacobian():
+    # f_i = (i+1)·h_i + (h_1 + … + h_n)²: no zero entry at all, so only the
+    # elimination keeps this polynomial; det(D + 2S·11ᵀ) = n!·(1 + 2S·Σ 1/k)
+    n = 9
+    h = [MLaurent.var(n, i) for i in range(n)]
+    total = MLaurent.zero(n)
+    for x in h:
+        total = total + x
+    J = jacobian([h[i] * (i + 1) + total * total for i in range(n)])
+    assert all(J[i][j] for i in range(n) for j in range(n))
+    harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
+    assert det_poly(J) == MLaurent.const(n, Fraction(factorial(n))) + total * (2 * factorial(n) * harmonic)

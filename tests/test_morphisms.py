@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import borelweyl
+from borelweyl import morphisms
 from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.cli import _corrupted, _witness_block
 from borelweyl.datum import QuantumDatum, build_quantum_datum, solve_beta
@@ -536,3 +537,14 @@ def test_recovery_checks_still_run_under_python_O():
     optimize, entries = done.stdout.splitlines()
     assert optimize == "1"
     assert entries == "[('recovery of the inverse map', 'aborted: torus recovery failed')]"
+
+
+def test_an_assertion_error_inside_a_recovery_is_not_swallowed(monkeypatch):
+    # recovery checks raise RecoveryError; an AssertionError can only be a bug
+    def broken(assignment):
+        raise AssertionError("a bug in the recovery")
+
+    monkeypatch.setitem(morphisms._RECOVERIES, "classical-upper", broken)
+    asg = classical_borel_assignment(solve_beta(catalog_matrix("A1")))
+    with pytest.raises(AssertionError, match="a bug in the recovery"):
+        verify(asg)

@@ -1,13 +1,19 @@
 """Skew Laurent model arithmetic: twist rule, inversion, derived operators."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from borelweyl.cartan import CATALOG, catalog_matrix, symmetrize
-from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
+import borelweyl
+from borelweyl.cartan import CATALOG, catalog_matrix, symmetrize, validate_gcm
+from borelweyl.exact import EndoSpec, MLaurent, PolyFrac, QQ_ONE, QScalar, q_power
 from borelweyl.skew import (
+    ModelContext,
     SkewElem,
     ad_power,
     ad_q,
@@ -226,3 +232,53 @@ def test_invert_two_sided_classical(fp, m):
     inv = a.invert()
     assert a * inv == SkewElem.one(CTX_C)
     assert inv * a == SkewElem.one(CTX_C)
+
+
+# -- context checks are raises, so python -O keeps them ------------------------
+
+
+def noncommuting_context():
+    # h1 -> h1 + 1 and K1 -> 2·K1 do not commute on the first variable
+    shift = EndoSpec.shift((Fraction(1), Fraction(0)))
+    scale = EndoSpec.scale((QScalar.from_int(2), QScalar.from_int(1)))
+    return ModelContext("quantum", validate_gcm([[2, 0], [0, 2]]), [shift, scale])
+
+
+def test_noncommuting_automorphisms_are_rejected():
+    with pytest.raises(ValueError, match="automorphisms 0 and 1 do not commute"):
+        noncommuting_context()
+
+
+def test_noncommuting_automorphisms_are_rejected_under_python_O():
+    script = (
+        "import sys, test_skew as t\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    t.noncommuting_context()\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(borelweyl.__file__).resolve().parents[1]
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines() == ["1", "automorphisms 0 and 1 do not commute"]
+
+
+def test_malformed_contexts_and_elements_raise_value_errors():
+    with pytest.raises(ValueError, match="context kind"):
+        ModelContext("tropical", SL2, _sl2_classical().sigma)
+    with pytest.raises(ValueError, match="acts on 1 variables, not 3"):
+        ModelContext("classical", catalog_matrix("A3"), _sl2_classical().sigma * 3)
+    ctx = _sl2_classical()
+    with pytest.raises(ValueError, match="not invertible"):
+        ctx.coeff_var(0, -1)
+    with pytest.raises(ValueError, match="has length 2, not 1"):
+        SkewElem.torus(ctx, (1, 0))
+    other = _sl2_classical()
+    t, u = SkewElem.torus(ctx, (1,)), SkewElem.torus(other, (1,))
+    for combine in (lambda: t == u, lambda: t + u, lambda: t * u, lambda: t + 1):
+        with pytest.raises(ValueError, match="context mismatch"):
+            combine()

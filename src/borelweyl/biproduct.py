@@ -50,10 +50,6 @@ def _as_matrix(C) -> CartanMatrix:
     return C if isinstance(C, CartanMatrix) else validate_gcm(C)
 
 
-def _one(field):
-    return Fraction(1) if field == "rational" else QQ_ONE
-
-
 def _as_scalar(field, c):
     if field == "rational":
         if isinstance(c, (int, Fraction)):

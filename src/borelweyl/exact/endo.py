@@ -54,7 +54,8 @@ class EndoSpec:
         """The endomorphism doing ``other`` first, then ``self`` (same kind only)."""
         if self.kind != other.kind:
             raise ValueError("cannot compose a shift with a scaling")
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"cannot compose endomorphisms of {self.n} and {other.n} variables")
         if self.kind == "shift":
             return EndoSpec.shift(tuple(a + b for a, b in zip(self.data, other.data)))
         return EndoSpec.scale(tuple(a * b for a, b in zip(self.data, other.data)))
@@ -71,7 +72,8 @@ class EndoSpec:
 
 
 def _apply_to_laurent(f: MLaurent, spec: EndoSpec) -> MLaurent:
-    assert f.n == spec.n, "endomorphism has wrong variable count"
+    if f.n != spec.n:
+        raise ValueError("endomorphism has wrong variable count")
     if spec.is_identity():
         return f
     if spec.kind == "scale":

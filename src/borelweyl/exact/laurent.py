@@ -6,7 +6,9 @@ variables K₁,…,Kₙ over QScalar.  An MLaurent is a finite map from integer
 exponent vectors (length n tuples) to nonzero scalars; ordinary polynomials
 are the non-negative-exponent special case.
 
-PolyFrac is the fraction field.  Canonical form: common monomial units are
+PolyFrac is the fraction field.  The canonical form of one of its elements
+is an MLaurent when it is a polynomial, and a PolyFrac only when its reduced
+denominator is not constant.  For a PolyFrac, common monomial units are
 cleared so numerator and denominator are honest polynomials, their gcd is
 divided out, and the denominator is made monic with respect to lexicographic
 order.  Equality is then structural, and a/b == c/d iff a·d == c·b.
@@ -43,7 +45,8 @@ class MLaurent:
             for exp, c in terms.items():
                 if c:
                     exp = tuple(exp)
-                    assert len(exp) == n, "exponent vector has wrong length"
+                    if len(exp) != n:
+                        raise ValueError("exponent vector has wrong length")
                     clean[exp] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
@@ -80,14 +83,16 @@ class MLaurent:
         return len(self.terms) == 1
 
     def single_term(self):
-        assert len(self.terms) == 1
+        if len(self.terms) != 1:
+            raise ValueError("not a single term")
         return next(iter(self.terms.items()))
 
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 
     def const_value(self):
-        assert self.is_const()
+        if not self.is_const():
+            raise ValueError("not a constant")
         return next(iter(self.terms.values())) if self.terms else 0
 
     def deg_in(self, i: int):
@@ -113,7 +118,8 @@ class MLaurent:
 
     def _coerce(self, other):
         if isinstance(other, MLaurent):
-            assert other.n == self.n, "mixed variable counts"
+            if other.n != self.n:
+                raise ValueError("mixed variable counts")
             return other
         if isinstance(other, _SCALARS):
             return MLaurent.const(self.n, other)
@@ -178,7 +184,8 @@ class MLaurent:
 
     def __pow__(self, k: int):
         if k < 0:
-            assert self.is_monomial(), "negative power of a non-monomial"
+            if not self.is_monomial():
+                raise ArithmeticError("negative power of a non-monomial")
             e, c = self.single_term()
             inv = MLaurent.monomial(self.n, tuple(-x for x in e), _scalar_inv(c))
             return inv ** (-k)
@@ -213,9 +220,11 @@ class MLaurent:
 
     def substitute(self, values) -> "MLaurent":
         """Polynomial composition v_i ↦ values[i]; exponents must be non-negative."""
-        assert not self.is_laurent(), "substitution into Laurent exponents"
+        if self.is_laurent():
+            raise ArithmeticError("substitution into Laurent exponents")
         values = list(values)
-        assert len(values) == self.n
+        if len(values) != self.n:
+            raise ValueError(f"{len(values)} values for {self.n} variables")
         m = values[0].n if values else self.n
         out = MLaurent.zero(m)
         cache = {}
@@ -303,19 +312,10 @@ def _coeffs_in(p: MLaurent, v: int):
     return {k: MLaurent(p.n, t) for k, t in out.items()}
 
 
-def _from_coeffs(n: int, coeffs, v: int) -> MLaurent:
-    out = {}
-    for k, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            e2 = list(e)
-            e2[v] += k
-            out[tuple(e2)] = c
-    return MLaurent(n, out)
-
-
 def poly_div_exact(a: MLaurent, b: MLaurent) -> MLaurent:
     """Exact quotient a/b; raises ArithmeticError when b does not divide a."""
-    assert b, "division by the zero polynomial"
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return MLaurent.zero(a.n)
     quo = {}
@@ -366,7 +366,8 @@ def _monic_lex(p: MLaurent) -> MLaurent:
 
 def poly_gcd(a: MLaurent, b: MLaurent) -> MLaurent:
     """Gcd of ordinary polynomials over a field, monic under lex order."""
-    assert not a.is_laurent() and not b.is_laurent(), "gcd needs non-negative exponents"
+    if a.is_laurent() or b.is_laurent():
+        raise ArithmeticError("gcd needs non-negative exponents")
     if not a:
         return _monic_lex(b)
     if not b:
@@ -409,74 +410,80 @@ def poly_gcd(a: MLaurent, b: MLaurent) -> MLaurent:
 
 
 class PolyFrac:
+    """A fraction num/den whose reduced denominator is not constant.
+
+    ``PolyFrac(num, den)`` is the one normalising constructor of the fraction
+    field, and every fraction result of the arithmetic below goes through it.
+    When the reduced denominator is a constant it returns the numerator as an
+    MLaurent instead, so a polynomial never hides inside a PolyFrac.
+    """
+
     __slots__ = ("num", "den")
 
-    def __init__(self, num: MLaurent, den: MLaurent):
-        assert num.n == den.n, "mixed variable counts"
+    def __new__(cls, num: MLaurent, den: MLaurent):
+        if num.n != den.n:
+            raise ValueError("mixed variable counts")
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
-        n = num.n
+        if not num:
+            return num
         # clear monomial units so both parts are honest polynomials
-        shift = []
-        for i in range(n):
-            lows = [m for m in (num.min_deg_in(i), den.min_deg_in(i)) if m is not None]
-            shift.append(-min(min(lows), 0) if lows else 0)
+        shift = [-min(num.min_deg_in(i), den.min_deg_in(i), 0) for i in range(num.n)]
         if any(shift):
             num = num.shift_exponents(shift)
             den = den.shift_exponents(shift)
-        if num:
-            if not den.is_const():
-                g = poly_gcd(num, den)
-                if not g.is_const():
-                    num = poly_div_exact(num, g)
-                    den = poly_div_exact(den, g)
-            _, lc = den.leading_lex()
-            one = _scalar_one(lc)
-            if lc != one:
-                inv = _scalar_inv(lc)
-                num = num * inv
-                den = den * inv
-        else:
-            some = next(iter(den.terms.values()))
-            den = MLaurent.const(n, _scalar_one(some))
+        if not den.is_const():
+            g = poly_gcd(num, den)
+            if not g.is_const():
+                num = poly_div_exact(num, g)
+                den = poly_div_exact(den, g)
+        _, lc = den.leading_lex()
+        if lc != _scalar_one(lc):
+            inv = _scalar_inv(lc)
+            num = num * inv
+            den = den * inv
+        if den.is_const():
+            return num
+        self = object.__new__(cls)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("PolyFrac is immutable")
-
-    @staticmethod
-    def from_poly(p: MLaurent) -> "PolyFrac":
-        some = next(iter(p.terms.values()), Fraction(1))
-        return PolyFrac(p, MLaurent.const(p.n, _scalar_one(some)))
 
     @property
     def n(self):
         return self.num.n
 
-    def _coerce(self, other):
+    def _split(self, other):
+        """(numerator, denominator) of an operand, with None for the
+        denominator of a polynomial; None for a foreign type."""
         if isinstance(other, PolyFrac):
-            return other
-        if isinstance(other, MLaurent):
-            return PolyFrac.from_poly(other)
+            return other.num, other.den
         if isinstance(other, _SCALARS):
-            return PolyFrac.from_poly(MLaurent.const(self.n, other))
+            return MLaurent.const(self.n, other), None
+        if isinstance(other, MLaurent):
+            return other, None
         return None
 
-    def __bool__(self):
-        return bool(self.num)
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, PolyFrac):
+            return self.num == other.num and self.den == other.den
+        parts = self._split(other)
+        if parts is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        # never true for a polynomial, but a Laurent MLaurent may equal a fraction
+        return self.num == parts[0] * self.den
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._split(other)
+        if parts is None:
             return NotImplemented
-        return PolyFrac(self.num * other.den + other.num * self.den, self.den * other.den)
+        (a, b), (c, d) = (self.num, self.den), parts
+        if d is None:
+            return PolyFrac(a + c * b, b)
+        return PolyFrac(a * d + c * b, b * d)
 
     __radd__ = __add__
 
@@ -484,70 +491,48 @@ class PolyFrac:
         return PolyFrac(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._split(other)
+        if parts is None:
             return NotImplemented
-        return PolyFrac(self.num * other.num, self.den * other.den)
+        c, d = parts
+        return PolyFrac(self.num * c, self.den if d is None else self.den * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._split(other)
+        if parts is None:
             return NotImplemented
-        if not other.num:
+        c, d = parts
+        if not c:
             raise ZeroDivisionError("division by the zero fraction")
-        return PolyFrac(self.num * other.den, self.den * other.num)
+        return PolyFrac(self.num if d is None else self.num * d, self.den * c)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        parts = self._split(other)
+        if parts is None:
             return NotImplemented
-        return other / self
+        c, d = parts
+        return PolyFrac(c * self.den, self.num if d is None else d * self.num)
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = PolyFrac.from_poly(MLaurent.const(self.n, _scalar_one(next(iter(self.den.terms.values())))))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return PolyFrac(self.num**k, self.den**k)
 
-    def inverse(self) -> "PolyFrac":
-        if not self.num:
-            raise ZeroDivisionError("inverting the zero fraction")
+    def inverse(self):
         return PolyFrac(self.den, self.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_const()
-
-    def as_laurent(self) -> MLaurent:
-        """Convert back to a Laurent polynomial; denominator must be a monomial."""
-        assert self.den.is_monomial(), "denominator is not a unit monomial"
-        e, c = self.den.single_term()
-        return self.num.shift_exponents(tuple(-x for x in e)) * _scalar_inv(c)
 
     def evaluate(self, point):
         return self.num.evaluate(point) / self.den.evaluate(point)
 
     def to_str(self, names=None) -> str:
-        if self.is_polynomial():
-            c = self.den.const_value()
-            p = self.num if c == _scalar_one(c) else self.num * _scalar_inv(c)
-            return p.to_str(names)
         ns, ds = self.num.to_str(names), self.den.to_str(names)
         if len(self.num.terms) > 1:
             ns = f"({ns})"
@@ -566,7 +551,8 @@ def jacobian(fs) -> list:
     """Matrix of formal partials ∂f_i/∂v_j for a square system."""
     fs = list(fs)
     n = fs[0].n
-    assert all(f.n == n for f in fs) and len(fs) == n, "system is not square"
+    if len(fs) != n or any(f.n != n for f in fs):
+        raise ValueError("system is not square")
     return [[f.derivative(j) for j in range(n)] for f in fs]
 
 

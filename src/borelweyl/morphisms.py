@@ -737,7 +737,7 @@ class _ShiftTable:
         """
         if self.degree is None:
             return None
-        diff = f.as_laurent() - self.b
+        diff = f - self.b
         if diff and diff.total_degree() >= self.degree:
             return None
         target = [0] * len(self.matrix)
@@ -755,7 +755,7 @@ class _ShiftTable:
         if len(_eliminate(extended)[1]) != self.tail_rank[k]:
             return None
         if k == ctx.n:
-            return prefix if f == ctx.lift(ctx.apply_vec(prefix, self.b)) else None
+            return prefix if f == ctx.apply_vec(prefix, self.b) else None
         for x in window:
             rest = [t - row[k] * x for row, t in zip(self.matrix, target)]
             found = self._walk(f, window, prefix + (x,), rest)
@@ -773,12 +773,12 @@ def _shift_tables(ctx, datum) -> tuple:
 def _classify_classical(ctx, tables, f, shift_bound=2):
     """Torus unit, h generator, or the first sigma^v(b_j) that equals f:
     j ascending, then v lexicographic over {-shift_bound..shift_bound}^n."""
-    if f.is_polynomial() and f.as_laurent().is_const():
+    if isinstance(f, MLaurent) and f.is_const():
         return "torus-unit", "torus unit"
     for i in range(ctx.n):
         if f == ctx.coeff_var(i):
             return "h-generator", f"h{i + 1}"
-    if f.is_polynomial():
+    if isinstance(f, MLaurent):
         window = range(-shift_bound, shift_bound + 1)
         for j, table in enumerate(tables):
             v = table.first_shift(f, window)

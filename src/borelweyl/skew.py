@@ -6,11 +6,13 @@ coefficients f_m in a commutative base, multiplied by the twist rule
 
 Two context flavours cover both model families:
 
-* classical — coefficients are PolyFrac over h₁..hₙ with Fraction scalars;
-  σ_i shifts h_j by a_ji.  The full fraction field is the localization: every
-  nonzero coefficient is invertible because the σ_i are automorphisms, and
-  each inversion is logged so reports can exhibit the smaller Ore set a
-  statement actually needs.
+* classical — coefficients are elements of ℚ(h₁..hₙ) in canonical form: an
+  MLaurent polynomial with Fraction scalars, and a fraction only where a
+  denominator survives.  σ_i shifts h_j by a_ji.  The full fraction field is
+  the localization: every nonzero coefficient is invertible because the σ_i
+  are automorphisms.  Only `invert_coeff` makes a fraction, and each
+  inversion is logged so reports can exhibit the smaller Ore set a statement
+  actually needs.
 * quantum — coefficients are Laurent polynomials in K₁..Kₙ over QScalar;
   σ_i scales K_j by q^{-d_i·a_ij}.  Arithmetic stays in Laurent form; only
   unit monomials are invertible here, which is all the maps require.
@@ -74,6 +76,7 @@ class ModelContext:
         self.n = matrix.n
         self.sigma = tuple(sigma)
         self.d = tuple(d) if d is not None else None
+        self.one = Fraction(1) if kind == "classical" else QQ_ONE
         self.denominator_log = DenominatorLog()
         self._power_cache: dict = {}
         for s in self.sigma:
@@ -95,34 +98,20 @@ class ModelContext:
     # -- coefficient ring --------------------------------------------------
 
     def coeff_one(self):
-        if self.kind == "classical":
-            return PolyFrac.from_poly(MLaurent.const(self.n, Fraction(1)))
-        return MLaurent.const(self.n, QQ_ONE)
+        return MLaurent.const(self.n, self.one)
 
     def coeff_var(self, i: int, exp: int = 1):
         """h_i (classical) or K_i^exp (quantum)."""
-        if self.kind == "classical":
-            if exp < 0:
-                raise ValueError("h-variables are not invertible as polynomials")
-            return PolyFrac.from_poly(MLaurent.var(self.n, i, exp))
-        return MLaurent.var(self.n, i, exp, one=QQ_ONE)
+        if exp < 0 and self.kind == "classical":
+            raise ValueError("h-variables are not invertible as polynomials")
+        return MLaurent.var(self.n, i, exp, one=self.one)
 
     def coeff_scalar(self, c):
-        if self.kind == "classical":
-            return PolyFrac.from_poly(MLaurent.const(self.n, Fraction(c)))
-        return MLaurent.const(self.n, c if isinstance(c, QScalar) else QScalar.from_int(c))
-
-    def lift(self, f):
-        """Accept MLaurent into a classical context by wrapping it as a fraction."""
-        if self.kind == "classical" and isinstance(f, MLaurent):
-            return PolyFrac.from_poly(f)
-        return f
+        return MLaurent.const(self.n, self.one * c)
 
     def invert_coeff(self, f):
         if self.kind == "classical":
-            if not f:
-                raise ZeroDivisionError("inverting zero coefficient")
-            return f.inverse()
+            return PolyFrac(self.coeff_one(), f) if isinstance(f, MLaurent) else f.inverse()
         if not f.is_monomial():
             raise ValueError(
                 "inversion supported only for unit monomials; a non-monomial "
@@ -203,11 +192,11 @@ class SkewElem:
 
     @staticmethod
     def from_coeff(ctx, f) -> "SkewElem":
-        return SkewElem(ctx, {(0,) * ctx.n: ctx.lift(f)})
+        return SkewElem(ctx, {(0,) * ctx.n: f})
 
     @staticmethod
     def monomial(ctx, f, m) -> "SkewElem":
-        return SkewElem(ctx, {tuple(m): ctx.lift(f)})
+        return SkewElem(ctx, {tuple(m): f})
 
     @staticmethod
     def torus(ctx, m) -> "SkewElem":
@@ -248,10 +237,9 @@ class SkewElem:
 
     def scale(self, c) -> "SkewElem":
         """Multiply by a central scalar or base coefficient on the left."""
-        f = self.ctx.lift(c) if not isinstance(c, (int, Fraction, QScalar)) else None
-        if f is not None:
-            return SkewElem.from_coeff(self.ctx, f) * self
-        return SkewElem(self.ctx, {m: g * c for m, g in self.terms.items()})
+        if isinstance(c, (int, Fraction, QScalar)):
+            return SkewElem(self.ctx, {m: g * c for m, g in self.terms.items()})
+        return SkewElem.from_coeff(self.ctx, c) * self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QScalar)):
@@ -328,13 +316,11 @@ class SkewElem:
 
 def twisted_diff(ctx: ModelContext, i: int, f):
     """D_i(f) = σ_i(f) − f on base coefficients."""
-    f = ctx.lift(f)
     return ctx.apply(i, f) - f
 
 
 def directional_diff(ctx: ModelContext, m, f):
     """σ^m(f) − f, the difference operator along a torus direction vector."""
-    f = ctx.lift(f)
     return ctx.apply_vec(m, f) - f
 
 

@@ -119,7 +119,7 @@ def test_criterion_2_rank_zero_kernel_images_are_the_catalog_ones():
         for i in range(C.n):
             down = tuple(-1 if k == i else 0 for k in range(C.n))
             up = tuple(1 if k == i else 0 for k in range(C.n))
-            x_expected = SkewElem.monomial(ctx, ctx.lift(datum.alpha[i]), down)
+            x_expected = SkewElem.monomial(ctx, datum.alpha[i], down)
             y_expected = SkewElem.monomial(ctx, ctx.coeff_scalar(-1), up)
             assert assignment.images[f"x{i + 1}"] == x_expected, name
             assert assignment.images[f"y{i + 1}"] == y_expected, name

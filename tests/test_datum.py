@@ -247,6 +247,28 @@ def test_plain_fails_iff_negative_entry_localized_always_holds(name):
             assert rep.passed, label
 
 
+@pytest.mark.parametrize("name", ["B2", "G2"])
+def test_quantum_rows_carry_their_predicted_verdict(name):
+    C = catalog_matrix(name)
+    reports = check_bound_quantum(build_quantum_datum(C))
+    by_label = {r.label: r for r in reports}
+    expected = {r.label: True for r in reports}
+    for i in range(C.n):
+        for j in range(C.n):
+            if i != j:
+                window = 1 - C[i, j]
+                plain = f"plain window: prod(sigma{i+1} - q^2l·d{i+1}, l<{window})(b{j+1}) = 0"
+                printed = f"localized window (printed): Ad-product on E{j+1} along {i+1}"
+                expected[plain] = C[i, j] == 0
+                expected[printed] = C[i, j] % 2 == 0
+    assert {label: r.expected for label, r in by_label.items()} == expected
+    assert all(r.passed == r.expected for r in reports)
+    # B2 has the even entry -2, so one printed row is predicted to pass there
+    printed_passes = [r for r in reports if "(printed)" in r.label and r.expected]
+    assert len(printed_passes) == (1 if name == "B2" else 0)
+    assert not any(r.expected for r in reports if r.label.startswith("plain window"))
+
+
 def test_symmetrizer_shows_up_in_scaling_labels():
     # B2 has d = (1, 2); the sigma_2 scaling of b_1 carries the doubled power
     qd = build_quantum_datum(catalog_matrix("B2"))

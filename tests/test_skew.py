@@ -7,11 +7,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import borelweyl
 from borelweyl.cartan import CATALOG, catalog_matrix, symmetrize, validate_gcm
+from borelweyl.datum import solve_beta
 from borelweyl.exact import EndoSpec, MLaurent, PolyFrac, QQ_ONE, QScalar, q_power
+from borelweyl.morphisms import classical_borel_assignment, verify, weyl_assignment
 from borelweyl.skew import (
     ModelContext,
     SkewElem,
@@ -42,7 +44,7 @@ def _sl2_quantum():
 def _b_sl2(ctx):
     # ¼h(h−2)
     h = MLaurent.var(1, 0)
-    return ctx.lift(h * h * Fraction(1, 4) - h * Fraction(1, 2))
+    return h * h * Fraction(1, 4) - h * Fraction(1, 2)
 
 
 def test_twist_rule_classical():
@@ -69,7 +71,7 @@ def test_invert_classical_shifted():
     ht = SkewElem.monomial(ctx, h, (1,))
     inv = ht.invert()
     # (h·t)⁻¹ = (h−2)⁻¹·t⁻¹
-    shifted = (h - ctx.coeff_scalar(2)).inverse()
+    shifted = PolyFrac(ctx.coeff_one(), h - ctx.coeff_scalar(2))
     assert inv == SkewElem.monomial(ctx, shifted, (-1,))
     one = SkewElem.one(ctx)
     assert ht * inv == one and inv * ht == one
@@ -190,8 +192,7 @@ hpolys = st.dictionaries(
     fracs,
     max_size=3,
 ).map(lambda dd: MLaurent(2, dd))
-classical_coeffs = hpolys.map(lambda p: PolyFrac.from_poly(p))
-classical_elems = st.dictionaries(exps, classical_coeffs, max_size=3).map(
+classical_elems = st.dictionaries(exps, hpolys, max_size=3).map(
     lambda dd: SkewElem(CTX_C, dd)
 )
 
@@ -216,8 +217,7 @@ def test_mul_associative_quantum(a, b, c):
 
 @given(hpolys, hpolys, st.integers(min_value=0, max_value=1))
 @settings(max_examples=40, deadline=None)
-def test_twisted_leibniz(fp, gp, i):
-    f, g = CTX_C.lift(fp), CTX_C.lift(gp)
+def test_twisted_leibniz(f, g, i):
     lhs = twisted_diff(CTX_C, i, f * g)
     rhs = twisted_diff(CTX_C, i, f) * CTX_C.apply(i, g) + f * twisted_diff(CTX_C, i, g)
     assert lhs == rhs
@@ -228,10 +228,44 @@ def test_twisted_leibniz(fp, gp, i):
 def test_invert_two_sided_classical(fp, m):
     if not fp:
         return
-    a = SkewElem.monomial(CTX_C, PolyFrac.from_poly(fp), m)
+    a = SkewElem.monomial(CTX_C, fp, m)
     inv = a.invert()
     assert a * inv == SkewElem.one(CTX_C)
     assert inv * a == SkewElem.one(CTX_C)
+
+
+# -- canonical form: a polynomial is an MLaurent, a PolyFrac is a real fraction ---
+
+
+@given(hpolys, hpolys)
+@settings(max_examples=60, deadline=None)
+def test_a_cancelled_fraction_is_an_mlaurent(p, q):
+    assume(q)
+    back = (p * CTX_C.invert_coeff(q)) * q
+    assert isinstance(back, MLaurent) and back == p
+    assert PolyFrac(p * q, q) == p and p == PolyFrac(p * q, q)
+    inverse = CTX_C.invert_coeff(q)
+    assert isinstance(inverse, MLaurent) == q.is_const()
+
+
+def _coefficients(elem):
+    return list(elem.terms.values()) if elem is not None else []
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_classical_verify_keeps_every_coefficient_polynomial(name):
+    datum = solve_beta(catalog_matrix(name))
+    assignments = [classical_borel_assignment(datum, side) for side in ("upper", "lower")]
+    assignments.append(weyl_assignment(datum))
+    seen = 0
+    for assignment in assignments:
+        report = verify(assignment)
+        coeffs = [f for image in assignment.images.values() for f in _coefficients(image)]
+        coeffs += [f for entry in report.entries for f in _coefficients(entry.residual)]
+        coeffs += [f for f, _ in report.denominators]
+        assert all(isinstance(f, MLaurent) for f in coeffs), name
+        seen += len(coeffs)
+    assert seen
 
 
 # -- context checks are raises, so python -O keeps them ------------------------

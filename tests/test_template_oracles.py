@@ -262,11 +262,11 @@ def old_recover_classical_upper(assignment):
     for i in range(ctx.n):
         e_hat = assignment.images[f"E{i + 1}"]
         e_inv = e_hat.invert()
-        t_i = SkewElem.from_coeff(ctx, ctx.lift(ctx.apply(i, datum.b[i]))) * e_inv
+        t_i = SkewElem.from_coeff(ctx, ctx.apply(i, datum.b[i])) * e_inv
         assert t_i == SkewElem.torus(ctx, _unit_vec(ctx.n, i))
         t_inv = t_i.invert()
         b_hat = e_hat * t_i
-        assert b_hat == SkewElem.from_coeff(ctx, ctx.lift(datum.b[i]))
+        assert b_hat == SkewElem.from_coeff(ctx, datum.b[i])
         h_inv = assignment.images[f"H{i + 1}"].invert()
         out[f"t{i + 1}"] = t_i
         out[f"t{i + 1}^-1"] = t_inv
@@ -282,7 +282,7 @@ def old_recover_classical_lower(assignment):
     for i in range(ctx.n):
         f_hat = assignment.images[f"F{i + 1}"]
         f_inv = f_hat.invert()
-        bbar = ctx.lift(reflect(datum.b[i]))
+        bbar = reflect(datum.b[i])
         t_inv = f_inv * SkewElem.from_coeff(ctx, bbar)
         assert t_inv == SkewElem.torus(ctx, _unit_vec(ctx.n, i, -1))
         t_i = t_inv.invert()
@@ -306,7 +306,7 @@ def old_recover_weyl(assignment):
     for k in range(n):
         raiser = assignment.images[f"x{k + 1}"] if k < r else assignment.images[f"z{k - r + 1}"]
         coord = -(raiser * assignment.images[f"y{k + 1}"])
-        assert coord == SkewElem.from_coeff(ctx, ctx.lift(datum.alpha[k]))
+        assert coord == SkewElem.from_coeff(ctx, datum.alpha[k])
         coord_hats.append(coord)
         t_neg = assignment.images[f"y{k + 1}"].scale(-1).invert()
         out[f"t^{tuple(aux.dual_pairs[k][1]) if k < r else tuple(aux.torus_complement[k - r])}inv"] = t_neg

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .cartan import CartanMatrix, symmetrize, validate_gcm
+from .cartan import _as_matrix, symmetrize
 from .exact import QQ_ONE, QScalar, q_power
+from .exact.laurent import _accumulate
 from .morphisms import _serre_windows
 
 __all__ = [
@@ -44,10 +45,6 @@ __all__ = [
 
 
 # -- scalars ------------------------------------------------------------------
-
-
-def _as_matrix(C) -> CartanMatrix:
-    return C if isinstance(C, CartanMatrix) else validate_gcm(C)
 
 
 def _as_scalar(field, c):
@@ -115,15 +112,7 @@ class NCPoly:
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            s = c if prev is None else prev + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return NCPoly(self.field, out)
+        return NCPoly(self.field, _accumulate((self.terms, other.terms)))
 
     def __neg__(self):
         return NCPoly(self.field, {w: -c for w, c in self.terms.items()})
@@ -136,17 +125,8 @@ class NCPoly:
     def __mul__(self, other):
         if not isinstance(other, NCPoly):
             return self.scale(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                prev = out.get(w)
-                s = c1 * c2 if prev is None else prev + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return NCPoly(self.field, out)
+        rows = ({w1 + w2: c1 * c2 for w2, c2 in other.terms.items()} for w1, c1 in self.terms.items())
+        return NCPoly(self.field, _accumulate(rows))
 
     def __rmul__(self, other):
         # scalars commute with everything, so one-sided scaling suffices
@@ -157,10 +137,6 @@ class NCPoly:
         if not c:
             return NCPoly.zero(self.field)
         return NCPoly(self.field, {w: c * v for w, v in self.terms.items()})
-
-    def degree(self):
-        """Length of the longest word, or None for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=None)
 
     def to_str(self) -> str:
         if not self.terms:
@@ -236,22 +212,15 @@ class RewriteSystem:
         self.field = "rational" if mode == "classical" else "q"
         n = self.matrix.n
         self.n = n
-        ranks = {}
-        cartan = []
-        for i in range(n):
-            ranks[f"E{i + 1}"] = (0, i, 0)
-            if mode == "classical":
-                ranks[f"H{i + 1}"] = (1, i, 0)
-                cartan.append(f"H{i + 1}")
-            else:
-                ranks[f"K{i + 1}"] = (1, i, 0)
-                ranks[f"K{i + 1}^-1"] = (1, i, 1)
-                cartan += [f"K{i + 1}", f"K{i + 1}^-1"]
-            ranks[f"F{i + 1}"] = (2, i, 0)
-        self._ranks = ranks
+        if mode == "classical":
+            cartan = [f"H{i + 1}" for i in range(n)]
+        else:
+            cartan = [k for i in range(n) for k in (f"K{i + 1}", f"K{i + 1}^-1")]
         self.alphabet = tuple(
             [f"E{i + 1}" for i in range(n)] + cartan + [f"F{i + 1}" for i in range(n)]
         )
+        # the alphabet is in term order, so a letter's place in it is its rank
+        self._place = {letter: place for place, letter in enumerate(self.alphabet)}
         self.order = "graded, F > " + ("H" if mode == "classical" else "K") + " > E, index tiebreak"
         self.rules = tuple(rules)
         by_lead = {}
@@ -259,7 +228,7 @@ class RewriteSystem:
             if not rule.lead:
                 raise ValueError("empty lead word")
             for letter in rule.lead:
-                if letter not in ranks:
+                if letter not in self._place:
                     raise ValueError(f"rule lead uses unknown letter {letter!r}")
             lead_key = self.order_key(rule.lead)
             for w in rule.rhs.terms:
@@ -268,14 +237,9 @@ class RewriteSystem:
             by_lead.setdefault(rule.lead, []).append((index, rule))
         self._by_lead = by_lead
         self._lead_lengths = sorted({len(lead) for lead in by_lead})
-        # order_key negated for normal_form's heap: each letter's rank becomes
-        # minus its place among the ranks, which compares the same way reversed
-        self._neg_place = {
-            letter: -place for place, letter in enumerate(sorted(ranks, key=ranks.get))
-        }
 
     def order_key(self, word):
-        return (len(word), tuple(self._ranks[letter] for letter in word))
+        return (len(word), tuple(self._place[letter] for letter in word))
 
     def redexes(self, word):
         """Every (position, rule) whose lead occurs at that position.
@@ -416,7 +380,8 @@ def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: in
         raise ValueError(f"unknown strategy {strategy!r}")
     if p.field != R.field:
         raise ValueError(f"{p.field} polynomial given to a {R.field} system")
-    neg_place = R._neg_place
+    # order_key negated for the min-heap, so the largest word pops first
+    neg_place = {letter: -place for letter, place in R._place.items()}
 
     def entry(word):
         return (-len(word), tuple([neg_place[letter] for letter in word])), word
@@ -434,12 +399,9 @@ def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: in
             continue  # cancelled since it was pushed
         redexes = R.redexes(word)
         if not redexes:
-            prev = done.get(word)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                done[word] = s
-            else:
-                done.pop(word, None)
+            # every rule lowers the order and the largest word pops first, so
+            # a popped word never comes back: this is its only arrival
+            done[word] = coeff
             continue
         steps += 1
         pos, rule = pick(redexes)
@@ -605,7 +567,7 @@ def parse_word(text: str, R: RewriteSystem):
     tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
     word = []
     for tok in tokens:
-        if not _LETTER.match(tok) or tok not in R._ranks:
+        if not _LETTER.match(tok) or tok not in R._place:
             raise ValueError(
                 f"unknown generator {tok!r}; expected one of {', '.join(R.alphabet)}"
             )

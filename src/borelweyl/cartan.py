@@ -54,12 +54,6 @@ class CartanMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return self.entries[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
 
 @dataclass(frozen=True)
 class CartanAux:
@@ -99,6 +93,11 @@ def validate_gcm(rows) -> CartanMatrix:
                     (i, j),
                 )
     return CartanMatrix(n, tuple(rows))
+
+
+def _as_matrix(C) -> CartanMatrix:
+    """A CartanMatrix as it is; raw rows validated into one."""
+    return C if isinstance(C, CartanMatrix) else validate_gcm(C)
 
 
 def symmetrize(C: CartanMatrix) -> tuple:

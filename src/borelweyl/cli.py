@@ -62,17 +62,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-CHECK_NAMES = (
-    "datum",
-    "borel-upper",
-    "borel-lower",
-    "weyl-embedding",
-    "quantum-weyl",
-    "biproduct",
-)
-_CLASSICAL_ONLY = frozenset({"weyl-embedding"})
-_QUANTUM_ONLY = frozenset({"quantum-weyl"})
-
 # exceptions a section converts into a failing report instead of a crash
 _ENGINE_ERRORS = (DatumError, CartanError, RewriteLimitError, ValueError, ArithmeticError)
 
@@ -163,76 +152,6 @@ def _load_matrix_argument(value):
     except OSError:
         is_file = False
     return _parse_matrix_text(path.read_text() if is_file else value)
-
-
-# -- job description ---------------------------------------------------------
-
-
-def _resolve_checks(mode, requested):
-    """Expand 'all' against the mode; reject explicit mode conflicts."""
-    if requested is None:
-        names = CHECK_NAMES
-        implicit = True
-    else:
-        names = tuple(tok for tok in re.split(r"[,\s]+", requested) if tok)
-        implicit = False
-    if not names:
-        raise ValueError("no checks selected")
-    out = []
-    for name in names:
-        if name == "all":
-            out.extend(CHECK_NAMES)
-            continue
-        if name not in CHECK_NAMES:
-            raise ValueError(
-                f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}"
-            )
-        if not implicit:
-            if name in _CLASSICAL_ONLY and mode == "quantum":
-                raise ValueError(f"check {name!r} runs in classical mode only")
-            if name in _QUANTUM_ONLY and mode == "classical":
-                raise ValueError(f"check {name!r} runs in quantum mode only")
-        out.append(name)
-    seen, ordered = set(), []
-    for name in CHECK_NAMES:
-        if name in out and name not in seen:
-            seen.add(name)
-            ordered.append(name)
-    return tuple(ordered)
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """Everything run() needs, validated up front."""
-
-    command: str  # analyze | verify | rewrite
-    matrix: CartanMatrix
-    d: tuple = None
-    mode: str = "both"  # classical | quantum | both
-    checks: tuple = CHECK_NAMES
-    degree_bound: int = 4
-    fmt: str = "text"  # text | structured
-    corrupt_beta: bool = False
-    word: str = ""
-    matrix_name: str = None
-
-    def __post_init__(self):
-        if self.command not in ("analyze", "verify", "rewrite"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.mode not in ("classical", "quantum", "both"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.fmt not in ("text", "structured"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.command == "verify":
-            if not self.checks:
-                raise ValueError("no checks selected")
-            for name in self.checks:
-                if name not in CHECK_NAMES:
-                    raise ValueError(f"unknown check {name!r}")
-            if "biproduct" in self.checks and self.degree_bound < 2:
-                raise ValueError("degree bound must be at least 2 for the biproduct check")
-        if self.command == "rewrite" and self.mode == "both":
-            raise ValueError("rewrite straightens in a single mode; pick classical or quantum")
 
 
 # -- shared builds -----------------------------------------------------------
@@ -386,49 +305,132 @@ def _run_biproduct(job, cache, mode):
     return passed, lines, notes, None
 
 
-_HEADLINES = {
-    ("datum", "classical"): "difference conditions binding the b-polynomials to the matrix",
-    ("datum", "quantum"): "scaling and window conditions on the quantum coefficients, plain and localized",
-    ("borel-upper", "classical"): "upper Borel presentation mapped into the twisted model",
-    ("borel-lower", "classical"): "lower Borel presentation mapped into the twisted model",
-    ("borel-upper", "quantum"): "quantum upper Borel presentation under the fixed orientation",
-    ("borel-lower", "quantum"): "quantum lower Borel presentation under the fixed orientation",
-    ("weyl-embedding", "classical"): "canonical pairs realized inside the localized torus model",
-    ("quantum-weyl", "quantum"): "quantum canonical pairs built on the omega weights",
-    ("biproduct", "classical"): "straightening rules: bounded-degree confluence and cross relations",
-    ("biproduct", "quantum"): "straightening rules: bounded-degree confluence and cross relations",
+_SECTIONS = {
+    # (check, mode) -> (headline, runner), in report order
+    ("datum", "classical"): (
+        "difference conditions binding the b-polynomials to the matrix",
+        _run_datum_classical,
+    ),
+    ("datum", "quantum"): (
+        "scaling and window conditions on the quantum coefficients, plain and localized",
+        _run_datum_quantum,
+    ),
+    ("borel-upper", "classical"): (
+        "upper Borel presentation mapped into the twisted model",
+        lambda job, cache: _run_borel_classical(job, cache, "upper"),
+    ),
+    ("borel-upper", "quantum"): (
+        "quantum upper Borel presentation under the fixed orientation",
+        lambda job, cache: _run_borel_quantum(job, cache, "upper"),
+    ),
+    ("borel-lower", "classical"): (
+        "lower Borel presentation mapped into the twisted model",
+        lambda job, cache: _run_borel_classical(job, cache, "lower"),
+    ),
+    ("borel-lower", "quantum"): (
+        "quantum lower Borel presentation under the fixed orientation",
+        lambda job, cache: _run_borel_quantum(job, cache, "lower"),
+    ),
+    ("weyl-embedding", "classical"): (
+        "canonical pairs realized inside the localized torus model",
+        _run_weyl,
+    ),
+    ("quantum-weyl", "quantum"): (
+        "quantum canonical pairs built on the omega weights",
+        _run_quantum_weyl,
+    ),
+    ("biproduct", "classical"): (
+        "straightening rules: bounded-degree confluence and cross relations",
+        lambda job, cache: _run_biproduct(job, cache, "classical"),
+    ),
+    ("biproduct", "quantum"): (
+        "straightening rules: bounded-degree confluence and cross relations",
+        lambda job, cache: _run_biproduct(job, cache, "quantum"),
+    ),
 }
-
-_RUNNERS = {
-    ("datum", "classical"): _run_datum_classical,
-    ("datum", "quantum"): _run_datum_quantum,
-    ("borel-upper", "classical"): lambda job, cache: _run_borel_classical(job, cache, "upper"),
-    ("borel-lower", "classical"): lambda job, cache: _run_borel_classical(job, cache, "lower"),
-    ("borel-upper", "quantum"): lambda job, cache: _run_borel_quantum(job, cache, "upper"),
-    ("borel-lower", "quantum"): lambda job, cache: _run_borel_quantum(job, cache, "lower"),
-    ("weyl-embedding", "classical"): _run_weyl,
-    ("quantum-weyl", "quantum"): _run_quantum_weyl,
-    ("biproduct", "classical"): lambda job, cache: _run_biproduct(job, cache, "classical"),
-    ("biproduct", "quantum"): lambda job, cache: _run_biproduct(job, cache, "quantum"),
-}
+CHECK_NAMES = tuple(dict.fromkeys(check for check, _ in _SECTIONS))
 
 
 def _section(check, mode, job, cache):
     started = time.perf_counter()
+    headline, runner = _SECTIONS[(check, mode)]
     try:
-        passed, lines, notes, witness = _RUNNERS[(check, mode)](job, cache)
+        passed, lines, notes, witness = runner(job, cache)
     except _ENGINE_ERRORS as exc:
         passed, lines, notes, witness = False, [f"error: {exc}"], [], None
     return {
         "check": check,
         "mode": mode,
-        "headline": _HEADLINES[(check, mode)],
+        "headline": headline,
         "passed": passed,
         "lines": list(lines),
         "notes": list(notes),
         "witness": witness,
         "seconds": round(time.perf_counter() - started, 6),
     }
+
+
+# -- job description ---------------------------------------------------------
+
+
+def _resolve_checks(mode, requested):
+    """Expand 'all' against the mode; reject explicit mode conflicts."""
+    if requested is None:
+        names = CHECK_NAMES
+        implicit = True
+    else:
+        names = tuple(tok for tok in re.split(r"[,\s]+", requested) if tok)
+        implicit = False
+    if not names:
+        raise ValueError("no checks selected")
+    out = []
+    for name in names:
+        if name == "all":
+            out.extend(CHECK_NAMES)
+            continue
+        if name not in CHECK_NAMES:
+            raise ValueError(
+                f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}"
+            )
+        if not implicit and mode != "both" and (name, mode) not in _SECTIONS:
+            other = "quantum" if mode == "classical" else "classical"
+            raise ValueError(f"check {name!r} runs in {other} mode only")
+        out.append(name)
+    return tuple(name for name in CHECK_NAMES if name in out)
+
+
+@dataclass(frozen=True)
+class JobSpec:
+    """Everything run() needs, validated up front."""
+
+    command: str  # analyze | verify | rewrite
+    matrix: CartanMatrix
+    d: tuple = None
+    mode: str = "both"  # classical | quantum | both
+    checks: tuple = CHECK_NAMES
+    degree_bound: int = 4
+    fmt: str = "text"  # text | structured
+    corrupt_beta: bool = False
+    word: str = ""
+    matrix_name: str = None
+
+    def __post_init__(self):
+        if self.command not in ("analyze", "verify", "rewrite"):
+            raise ValueError(f"unknown command {self.command!r}")
+        if self.mode not in ("classical", "quantum", "both"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.fmt not in ("text", "structured"):
+            raise ValueError(f"unknown format {self.fmt!r}")
+        if self.command == "verify":
+            if not self.checks:
+                raise ValueError("no checks selected")
+            for name in self.checks:
+                if name not in CHECK_NAMES:
+                    raise ValueError(f"unknown check {name!r}")
+            if "biproduct" in self.checks and self.degree_bound < 2:
+                raise ValueError("degree bound must be at least 2 for the biproduct check")
+        if self.command == "rewrite" and self.mode == "both":
+            raise ValueError("rewrite straightens in a single mode; pick classical or quantum")
 
 
 # -- report assembly ---------------------------------------------------------
@@ -486,11 +488,8 @@ def run(job: JobSpec):
     sections = []
     for check in job.checks:
         for mode in modes:
-            if check in _CLASSICAL_ONLY and mode != "classical":
-                continue
-            if check in _QUANTUM_ONLY and mode != "quantum":
-                continue
-            sections.append(_section(check, mode, job, cache))
+            if (check, mode) in _SECTIONS:
+                sections.append(_section(check, mode, job, cache))
     report["mode"] = job.mode
     report["checks"] = sections
     report["passed"] = all(s["passed"] for s in sections)

@@ -16,12 +16,11 @@ from math import lcm
 
 from .cartan import (
     CartanAux,
-    CartanMatrix,
+    _as_matrix,
     _column_reduce,
     _inverse,
     quasi_inverse,
     symmetrize,
-    validate_gcm,
 )
 from .exact import MLaurent, QQ_ONE, q_power
 from .skew import (
@@ -80,10 +79,6 @@ class QuantumDatum:
     g: tuple  # scaling integers, one per paired direction
     directions: tuple  # torus direction vectors: paired m_j, then the complement
     scaling_exponents: tuple  # ints e[i][j]: sigma^{directions[j]}(omega_i) = q^e·omega_i
-
-
-def _as_matrix(C) -> CartanMatrix:
-    return C if isinstance(C, CartanMatrix) else validate_gcm(C)
 
 
 def _linear_form(n, coeffs) -> MLaurent:
@@ -331,20 +326,19 @@ def build_omega(C, d=None, aux: CartanAux = None, ctx: ModelContext = None):
     return omegas, tuple(exponents), tuple(gs), tuple(dirs), tuple(table)
 
 
-def check_bound_quantum(qdatum: QuantumDatum, orientation: int = 1) -> list:
+def check_bound_quantum(qdatum: QuantumDatum) -> list:
     """Every quantum binding condition, under both available readings.
 
     The plain reading applies the sigma-window directly to b_j = K_j^{-1};
     the localized reading conjugates by K_i^{-1}E_i inside the model, where
-    E_i is the image K_i^{-1}t_i^orientation.  Both are reported side by
-    side, and each row's `expected` flag is the verdict predicted for it:
-    the plain window holds iff a_ij = 0, the printed conjugation exponents
-    iff a_ij is even, and the weight-adapted conjugation window, like every
-    scaling row, always holds.
+    E_i is the image K_i^{-1}t_i.  Both are reported side by side, and each
+    row's `expected` flag is the verdict predicted for it: the plain window
+    holds iff a_ij = 0, the printed conjugation exponents iff a_ij is even,
+    and the weight-adapted conjugation window, like every scaling row,
+    always holds.
     """
     ctx, C, d = qdatum.context, qdatum.aux.matrix, qdatum.d
     n = C.n
-    s = orientation
     names = [f"K{i+1}" for i in range(n)]
     out = []
 
@@ -358,7 +352,7 @@ def check_bound_quantum(qdatum: QuantumDatum, orientation: int = 1) -> list:
         return e.to_str(coeff_names=names)
 
     def unit(i):
-        return tuple(s if k == i else 0 for k in range(n))
+        return tuple(1 if k == i else 0 for k in range(n))
 
     for i in range(n):
         for j in range(n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import MLaurent, PolyFrac
+from .laurent import MLaurent, PolyFrac, _accumulate
 from .qq import QScalar
 
 __all__ = ["EndoSpec", "apply_endo"]
@@ -82,8 +82,7 @@ def _apply_to_laurent(f: MLaurent, spec: EndoSpec) -> MLaurent:
             for i, k in enumerate(e):
                 if k:
                     c = c * spec.data[i] ** k
-            if c:
-                out[e] = c
+            out[e] = c
         return MLaurent(f.n, out)
     # additive shift: expand (v_i + c_i)^{e_i} binomially
     for i, c in enumerate(spec.data):
@@ -93,8 +92,8 @@ def _apply_to_laurent(f: MLaurent, spec: EndoSpec) -> MLaurent:
                 "shift of an inverted variable is not polynomial"
             )
     cache: dict = {}
-    total = MLaurent.zero(f.n)
-    for e, c in f.terms.items():
+
+    def image(e, c):
         fixed = tuple(k if not spec.data[i] else 0 for i, k in enumerate(e))
         term = MLaurent.monomial(f.n, fixed, c)
         for i, k in enumerate(e):
@@ -107,8 +106,9 @@ def _apply_to_laurent(f: MLaurent, spec: EndoSpec) -> MLaurent:
                     })
                     cache[key] = lin**k
                 term = term * cache[key]
-        total = total + term
-    return total
+        return term.terms
+
+    return MLaurent(f.n, _accumulate(image(e, c) for e, c in f.terms.items()))
 
 
 def apply_endo(f, spec: EndoSpec):

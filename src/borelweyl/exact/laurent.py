@@ -6,6 +6,12 @@ variables K₁,…,Kₙ over QScalar.  An MLaurent is a finite map from integer
 exponent vectors (length n tuples) to nonzero scalars; ordinary polynomials
 are the non-negative-exponent special case.
 
+Operators accumulate, the constructor drops zeros: every sum, binary or
+n-ary, adds its term maps key by key with `_accumulate`, and a key whose
+coefficient cancelled stays behind at zero until the MLaurent constructor
+drops it.  `SkewElem` and the words of `biproduct` follow the same rule, so
+each of the three sparse types tests for a zero coefficient in one place.
+
 PolyFrac is the fraction field.  The canonical form of one of its elements
 is an MLaurent when it is a polynomial, and a PolyFrac only when its reduced
 denominator is not constant.  For a PolyFrac, common monomial units are
@@ -34,6 +40,21 @@ __all__ = [
 ]
 
 _SCALARS = (int, Fraction, QScalar)
+
+
+def _accumulate(term_maps) -> dict:
+    """Sum term maps key by key into one new dict.
+
+    A key whose coefficients cancel stays in the result at zero: the
+    constructor the caller hands it to drops it.
+    """
+    maps = iter(term_maps)
+    out = dict(next(maps, {}))
+    for terms in maps:
+        for key, c in terms.items():
+            s = out.get(key)
+            out[key] = c if s is None else s + c
+    return out
 
 
 class MLaurent:
@@ -135,14 +156,7 @@ class MLaurent:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MLaurent(self.n, out)
+        return MLaurent(self.n, _accumulate((self.terms, other.terms)))
 
     __radd__ = __add__
 
@@ -169,16 +183,11 @@ class MLaurent:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MLaurent(self.n, out)
+        rows = (
+            {tuple(x + y for x, y in zip(ea, eb)): ca * cb for eb, cb in b.items()}
+            for ea, ca in a.items()
+        )
+        return MLaurent(self.n, _accumulate(rows))
 
     __rmul__ = __mul__
 
@@ -226,17 +235,18 @@ class MLaurent:
         if len(values) != self.n:
             raise ValueError(f"{len(values)} values for {self.n} variables")
         m = values[0].n if values else self.n
-        out = MLaurent.zero(m)
         cache = {}
-        for e, c in self.terms.items():
+
+        def image(e, c):
             term = MLaurent.const(m, c)
             for i, k in enumerate(e):
                 if k:
                     if (i, k) not in cache:
                         cache[(i, k)] = values[i] ** k
                     term = term * cache[(i, k)]
-            out = out + term
-        return out
+            return term.terms
+
+        return MLaurent(m, _accumulate(image(e, c) for e, c in self.terms.items()))
 
     def evaluate(self, point):
         """Evaluate at concrete scalars (test oracle; negative exponents need nonzero entries)."""

@@ -34,9 +34,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cartan import CartanMatrix, _eliminate, _inverse, symmetrize, validate_gcm
+from .cartan import _as_matrix, _eliminate, _inverse, symmetrize
 from .datum import ClassicalDatum, QuantumDatum, _directions
 from .exact import MLaurent, QQ_ONE, q_binom, q_power
+from .exact.laurent import _accumulate
 from .skew import ModelContext, SkewElem
 
 __all__ = [
@@ -158,7 +159,7 @@ def _serre_relations(C, X, ad: str, d=None) -> list:
 
 def _borel(C, letter: str, weight_sign: int) -> Presentation:
     """H_i and the letter's generators: [H_i, X_j] = weight_sign·a_ij·X_j plus Serre."""
-    C = C if isinstance(C, CartanMatrix) else validate_gcm(C)
+    C = _as_matrix(C)
     n = C.n
     H = [f"H{i + 1}" for i in range(n)]
     X = [f"{letter}{i + 1}" for i in range(n)]
@@ -238,7 +239,7 @@ def quantum_weyl(m: int, n: int, g, central: int = 0) -> Presentation:
 
 
 def _quantum_borel(C, d, letter: str, weight_sign: int) -> Presentation:
-    C = C if isinstance(C, CartanMatrix) else validate_gcm(C)
+    C = _as_matrix(C)
     n = C.n
     if d is None:
         d = symmetrize(C)
@@ -486,15 +487,15 @@ def quantum_weyl_assignment(qdatum: QuantumDatum) -> GeneratorAssignment:
 
 
 def _eval_terms(images: dict, ctx: ModelContext, terms) -> SkewElem:
-    total = SkewElem.zero(ctx)
-    for coeff, word in terms:
+    def image(coeff, word):
         cur = SkewElem.one(ctx)
         for sym in word:
             if sym not in images:
                 raise ValueError(f"generator {sym!r} has no image")
             cur = cur * images[sym]
-        total = total + cur.scale(coeff)
-    return total
+        return cur.scale(coeff).terms
+
+    return SkewElem(ctx, _accumulate(image(coeff, word) for coeff, word in terms))
 
 
 def evaluate_word(assignment: GeneratorAssignment, p) -> SkewElem:
@@ -625,9 +626,7 @@ def _recover_weyl(assignment):
         out[f"t^{m}inv"] = t_m.invert()  # logs a torus unit
     hcoords = _inverse(datum.aux.Q)
     for i in range(ctx.n):
-        h_hat = SkewElem.zero(ctx)
-        for k, coord in enumerate(coord_hats):
-            h_hat = h_hat + coord.scale(hcoords[i][k])
+        h_hat = SkewElem(ctx, _accumulate(coord.scale(c).terms for c, coord in zip(hcoords[i], coord_hats)))
         _require(h_hat == SkewElem.from_coeff(ctx, ctx.coeff_var(i)), "h recovery failed")
         out[f"h{i + 1}"] = h_hat
         out[f"h{i + 1}^-1"] = h_hat.invert()  # logs h_i
@@ -715,13 +714,12 @@ class _ShiftTable:
         self.b = b
         self.degree = b.total_degree()
         top = MLaurent(b.n, {e: c for e, c in b.terms.items() if sum(e) == self.degree})
-        columns = []
-        for spec in ctx.sigma:
-            column = MLaurent.zero(b.n)
-            for k, amount in enumerate(spec.data):
-                if amount:
-                    column = column + top.derivative(k) * amount
-            columns.append(column)
+        columns = [
+            MLaurent(b.n, _accumulate(
+                (top.derivative(k) * amount).terms for k, amount in enumerate(spec.data) if amount
+            ))
+            for spec in ctx.sigma
+        ]
         rows = sorted({e for column in columns for e in column.terms})
         self.index = {e: r for r, e in enumerate(rows)}
         self.matrix = [[column.terms.get(e, 0) for column in columns] for e in rows]
@@ -770,18 +768,20 @@ def _shift_tables(ctx, datum) -> tuple:
     return tuple(_ShiftTable(ctx, b) for b in datum.b)
 
 
-def _classify_classical(ctx, tables, f, shift_bound=2):
+_SHIFT_WINDOW = range(-2, 3)
+
+
+def _classify_classical(ctx, tables, f):
     """Torus unit, h generator, or the first sigma^v(b_j) that equals f:
-    j ascending, then v lexicographic over {-shift_bound..shift_bound}^n."""
+    j ascending, then v lexicographic over _SHIFT_WINDOW^n = {-2..2}^n."""
     if isinstance(f, MLaurent) and f.is_const():
         return "torus-unit", "torus unit"
     for i in range(ctx.n):
         if f == ctx.coeff_var(i):
             return "h-generator", f"h{i + 1}"
     if isinstance(f, MLaurent):
-        window = range(-shift_bound, shift_bound + 1)
         for j, table in enumerate(tables):
-            v = table.first_shift(f, window)
+            v = table.first_shift(f, _SHIFT_WINDOW)
             if v is not None:
                 detail = f"b{j + 1}" if not any(v) else f"sigma^{v}(b{j + 1})"
                 return "shifted-b", detail

@@ -36,6 +36,7 @@ from .exact import (
     apply_endo,
     q_power,
 )
+from .exact.laurent import _accumulate
 
 __all__ = [
     "DenominatorLog",
@@ -219,15 +220,7 @@ class SkewElem:
     def __add__(self, other):
         if not isinstance(other, SkewElem) or other.ctx is not self.ctx:
             raise ValueError("context mismatch")
-        out = dict(self.terms)
-        for m, f in other.terms.items():
-            s = out.get(m)
-            s = f if s is None else s + f
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return SkewElem(self.ctx, out)
+        return SkewElem(self.ctx, _accumulate((self.terms, other.terms)))
 
     def __neg__(self):
         return SkewElem(self.ctx, {m: -f for m, f in self.terms.items()})
@@ -247,18 +240,11 @@ class SkewElem:
         if not isinstance(other, SkewElem) or other.ctx is not self.ctx:
             raise ValueError("context mismatch")
         ctx = self.ctx
-        out = {}
-        for m, f in self.terms.items():
-            for mp, g in other.terms.items():
-                key = tuple(a + b for a, b in zip(m, mp))
-                val = f * ctx.apply_vec(m, g)
-                s = out.get(key)
-                s = val if s is None else s + val
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SkewElem(ctx, out)
+        rows = (
+            {tuple(a + b for a, b in zip(m, mp)): f * ctx.apply_vec(m, g) for mp, g in other.terms.items()}
+            for m, f in self.terms.items()
+        )
+        return SkewElem(ctx, _accumulate(rows))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QScalar)):
@@ -324,14 +310,13 @@ def directional_diff(ctx: ModelContext, m, f):
     return ctx.apply_vec(m, f) - f
 
 
-def q_divided_diff(ctx: ModelContext, i: int, m: int, f, d=None):
+def q_divided_diff(ctx: ModelContext, i: int, m: int, f):
     """Window product ∏_{ℓ=0}^{m-1}(σ_i − q^{2ℓ·d_i}) applied to f."""
     if ctx.kind != "quantum":
         raise ValueError("q_divided_diff needs a quantum context")
-    d = tuple(d) if d is not None else ctx.d
     out = f
     for ell in range(m):
-        out = ctx.apply(i, out) - out * q_power(2 * ell * d[i])
+        out = ctx.apply(i, out) - out * q_power(2 * ell * ctx.d[i])
     return out
 
 

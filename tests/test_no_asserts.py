@@ -1,8 +1,10 @@
-"""Checks that decide a verdict are raises, never assert statements.
+"""Source guards over every module of the package.
 
-python -O strips every assert, so a check written as one silently stops
-running there.  Every module of the package is covered, so a new module
-cannot slip past the guard.
+Checks that decide a verdict are raises, never assert statements: python -O
+strips every assert, so a check written as one silently stops running there.
+No module imports sympy: it serves tests and offline scripts only and must
+never become a runtime dependency.  Every module of the package is covered,
+so a new module cannot slip past either guard.
 """
 
 import ast
@@ -26,3 +28,20 @@ def test_module_has_no_assert_statement(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements in {module} at lines {lines}"
+
+
+def _imports(tree):
+    """(line, absolute module name) for every import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_does_not_import_sympy(module):
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [line for line, name in _imports(tree) if name.split(".")[0] == "sympy"]
+    assert lines == [], f"sympy imported in {module} at lines {lines}"

@@ -16,7 +16,6 @@ from .laurent import (
     jacobian,
     det_poly,
 )
-from .endo import EndoSpec, apply_endo
 
 __all__ = [
     "Rational",
@@ -32,6 +31,4 @@ __all__ = [
     "poly_div_exact",
     "jacobian",
     "det_poly",
-    "EndoSpec",
-    "apply_endo",
 ]

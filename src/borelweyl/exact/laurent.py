@@ -111,11 +111,6 @@ class MLaurent:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 
-    def const_value(self):
-        if not self.is_const():
-            raise ValueError("not a constant")
-        return next(iter(self.terms.values())) if self.terms else 0
-
     def deg_in(self, i: int):
         return max((e[i] for e in self.terms), default=None)
 
@@ -228,18 +223,30 @@ class MLaurent:
         return MLaurent(self.n, out)
 
     def substitute(self, values) -> "MLaurent":
-        """Polynomial composition v_i ↦ values[i]; exponents must be non-negative."""
-        if self.is_laurent():
-            raise ArithmeticError("substitution into Laurent exponents")
+        """Polynomial composition v_i ↦ values[i], where None keeps v_i.
+
+        A variable that moves must have non-negative exponents; a kept one
+        may be Laurent, and keeping one needs values in the same n variables.
+        """
         values = list(values)
         if len(values) != self.n:
             raise ValueError(f"{len(values)} values for {self.n} variables")
-        m = values[0].n if values else self.n
+        moved = [i for i, v in enumerate(values) if v is not None]
+        kept = [i for i, v in enumerate(values) if v is None]
+        if any(e[i] < 0 for e in self.terms for i in moved):
+            raise ArithmeticError("substitution into Laurent exponents")
+        m = values[moved[0]].n if moved else self.n
+        if kept and m != self.n:
+            raise ValueError(f"a kept variable of {self.n} among values in {m} variables")
         cache = {}
 
         def image(e, c):
-            term = MLaurent.const(m, c)
-            for i, k in enumerate(e):
+            fixed = [0] * m
+            for i in kept:
+                fixed[i] = e[i]
+            term = MLaurent.monomial(m, fixed, c)
+            for i in moved:
+                k = e[i]
                 if k:
                     if (i, k) not in cache:
                         cache[(i, k)] = values[i] ** k
@@ -357,10 +364,14 @@ def _prem(f: MLaurent, g: MLaurent, v: int) -> MLaurent:
 
 
 def _content_in(p: MLaurent, v: int) -> MLaurent:
+    """Gcd of p's coefficients in v, folded from the top power down until it
+    is a unit, so the work depends on p alone and not on its term order."""
     cs = _coeffs_in(p, v)
     g = MLaurent.zero(p.n)
-    for poly in cs.values():
-        g = poly_gcd(g, poly)
+    for k in sorted(cs, reverse=True):
+        g = poly_gcd(g, cs[k])
+        if g.is_const():
+            break
     return g
 
 

@@ -716,9 +716,9 @@ class _ShiftTable:
         top = MLaurent(b.n, {e: c for e, c in b.terms.items() if sum(e) == self.degree})
         columns = [
             MLaurent(b.n, _accumulate(
-                (top.derivative(k) * amount).terms for k, amount in enumerate(spec.data) if amount
+                (top.derivative(k) * amount).terms for k, amount in enumerate(step) if amount
             ))
-            for spec in ctx.sigma
+            for step in ctx.steps
         ]
         rows = sorted({e for column in columns for e in column.terms})
         self.index = {e: r for r, e in enumerate(rows)}

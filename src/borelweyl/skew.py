@@ -2,7 +2,9 @@
 
 Elements are finite sums Σ f_m·t^m with torus exponents m ∈ ℤⁿ and
 coefficients f_m in a commutative base, multiplied by the twist rule
-(f·t^m)(g·t^{m'}) = f·σ^m(g)·t^{m+m'} for commuting automorphisms σ_i.
+(f·t^m)(g·t^{m'}) = f·σ^m(g)·t^{m+m'}.  Each σ_i acts by one vector read
+off the Cartan matrix, so σ^m acts by the vector Σ m_i·step_i and the σ_i
+commute by construction.
 
 Two context flavours cover both model families:
 
@@ -27,15 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cartan import CartanMatrix
-from .exact import (
-    EndoSpec,
-    MLaurent,
-    PolyFrac,
-    QQ_ONE,
-    QScalar,
-    apply_endo,
-    q_power,
-)
+from .exact import MLaurent, PolyFrac, QQ_ONE, QScalar, q_power
+from .exact.endo import scale, shift
 from .exact.laurent import _accumulate
 
 __all__ = [
@@ -47,10 +42,6 @@ __all__ = [
     "twisted_diff",
     "directional_diff",
     "q_divided_diff",
-    "commutator",
-    "ad_power",
-    "ad_q",
-    "ad_q_iterated",
     "conjugate",
 ]
 
@@ -69,32 +60,31 @@ class DenominatorLog:
 
 
 class ModelContext:
-    def __init__(self, kind: str, matrix: CartanMatrix, sigma, d=None):
+    """The coefficient ring and the torus action of one model.
+
+    σ_i acts by one vector read off the Cartan matrix, kept in ``steps[i]``:
+    classically it shifts h_j by a_ji (column i of C), in the quantum model
+    it scales K_j by q^{-d_i·a_ij}.  σ^m then acts by Σ m_i·steps[i], so the
+    σ_i commute by construction.
+    """
+
+    def __init__(self, kind: str, matrix: CartanMatrix, d=None):
         if kind not in ("classical", "quantum"):
             raise ValueError(f"context kind must be 'classical' or 'quantum', got {kind!r}")
+        n = matrix.n
+        if kind == "quantum" and (d is None or len(d) != n):
+            raise ValueError(f"a quantum context needs one d entry per row of its {n}x{n} matrix")
         self.kind = kind
         self.matrix = matrix
-        self.n = matrix.n
-        self.sigma = tuple(sigma)
+        self.n = n
         self.d = tuple(d) if d is not None else None
         self.one = Fraction(1) if kind == "classical" else QQ_ONE
+        if kind == "classical":
+            self.steps = tuple(tuple(Fraction(matrix[j, i]) for j in range(n)) for i in range(n))
+        else:
+            self.steps = tuple(tuple(-d[i] * matrix[i, j] for j in range(n)) for i in range(n))
         self.denominator_log = DenominatorLog()
-        self._power_cache: dict = {}
-        for s in self.sigma:
-            if s.n != self.n:
-                raise ValueError(f"an automorphism acts on {s.n} variables, not {self.n}")
-        self._check_commuting()
-
-    def _check_commuting(self):
-        # the twist rule needs σ_iσ_j = σ_jσ_i; confirm on every generator
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                for k in range(self.n):
-                    g = self.coeff_var(k)
-                    ij = self.apply(i, self.apply(j, g))
-                    ji = self.apply(j, self.apply(i, g))
-                    if ij != ji:
-                        raise ValueError(f"automorphisms {i} and {j} do not commute")
+        self._vectors: dict = {}
 
     # -- coefficient ring --------------------------------------------------
 
@@ -122,45 +112,31 @@ class ModelContext:
 
     # -- automorphisms -----------------------------------------------------
 
-    def apply(self, i: int, f):
-        return apply_endo(f, self.sigma[i])
+    def _act(self, vector, f):
+        return (shift if self.kind == "classical" else scale)(f, vector)
 
-    def sigma_power(self, m) -> EndoSpec:
-        m = tuple(m)
-        if m not in self._power_cache:
-            spec = None
-            for i, k in enumerate(m):
-                if k:
-                    step = self.sigma[i].power(k)
-                    spec = step if spec is None else spec.compose(step)
-            if spec is None:
-                spec = (
-                    EndoSpec.shift((0,) * self.n)
-                    if self.kind == "classical"
-                    else EndoSpec.scale((QQ_ONE,) * self.n)
-                )
-            self._power_cache[m] = spec
-        return self._power_cache[m]
+    def apply(self, i: int, f):
+        """σ_i(f)."""
+        return self._act(self.steps[i], f)
 
     def apply_vec(self, m, f):
-        return apply_endo(f, self.sigma_power(m))
+        """σ^m(f); f itself when σ^m acts trivially."""
+        m = tuple(m)
+        vector = self._vectors.get(m)
+        if vector is None:
+            if len(m) != self.n:
+                raise ValueError(f"torus exponent {m} has length {len(m)}, not {self.n}")
+            vector = tuple(sum(k * step[j] for k, step in zip(m, self.steps)) for j in range(self.n))
+            self._vectors[m] = vector
+        return self._act(vector, f) if any(vector) else f
 
 
 def classical_context(matrix: CartanMatrix) -> ModelContext:
-    n = matrix.n
-    sigma = [
-        EndoSpec.shift(tuple(Fraction(matrix[j, i]) for j in range(n))) for i in range(n)
-    ]
-    return ModelContext("classical", matrix, sigma)
+    return ModelContext("classical", matrix)
 
 
 def quantum_context(matrix: CartanMatrix, d) -> ModelContext:
-    n = matrix.n
-    sigma = [
-        EndoSpec.scale(tuple(q_power(-d[i] * matrix[i, j]) for j in range(n)))
-        for i in range(n)
-    ]
-    return ModelContext("quantum", matrix, sigma, d=d)
+    return ModelContext("quantum", matrix, d)
 
 
 class SkewElem:
@@ -317,31 +293,6 @@ def q_divided_diff(ctx: ModelContext, i: int, m: int, f):
     out = f
     for ell in range(m):
         out = ctx.apply(i, out) - out * q_power(2 * ell * ctx.d[i])
-    return out
-
-
-def commutator(a: SkewElem, b: SkewElem) -> SkewElem:
-    return a * b - b * a
-
-
-def ad_power(x: SkewElem, y: SkewElem, p: int) -> SkewElem:
-    out = y
-    for _ in range(p):
-        out = commutator(x, out)
-    return out
-
-
-def ad_q(x: SkewElem, y: SkewElem, twist: QScalar) -> SkewElem:
-    if x.ctx.kind != "quantum":
-        raise ValueError("ad_q needs a quantum context")
-    return x * y - (y * x) * twist
-
-
-def ad_q_iterated(x: SkewElem, y: SkewElem, twists) -> SkewElem:
-    """Apply ad_q repeatedly with the caller-supplied twist for each step."""
-    out = y
-    for tw in twists:
-        out = ad_q(x, out, tw)
     return out
 
 

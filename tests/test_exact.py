@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: canonical forms, ring axioms, endomorphisms."""
+"""Exact arithmetic kernel: canonical forms, ring axioms, shift and scale kernels."""
 
 import os
 import subprocess
@@ -11,13 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import borelweyl
+from borelweyl import exact
 from borelweyl.exact import (
-    EndoSpec,
     MLaurent,
     PolyFrac,
     QQ_ONE,
     QScalar,
-    apply_endo,
     det_poly,
     jacobian,
     poly_div_exact,
@@ -26,6 +25,8 @@ from borelweyl.exact import (
     q_int,
     q_power,
 )
+from borelweyl.exact.endo import scale, shift
+from borelweyl.exact.laurent import _accumulate
 from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact, _pgcd, _pgcd_euclid
 
 try:
@@ -148,20 +149,39 @@ def test_exact_division_raises_under_python_O():
 def test_shape_checks_raise_under_python_O():
     script = (
         "import sys\n"
-        "from borelweyl.exact import MLaurent, jacobian\n"
+        "from borelweyl.cartan import catalog_matrix\n"
+        "from borelweyl.exact import MLaurent, QQ_ONE, jacobian\n"
+        "from borelweyl.exact.endo import scale, shift\n"
+        "from borelweyl.skew import quantum_context\n"
         "print(sys.flags.optimize)\n"
-        "for build in (lambda: MLaurent(2, {(1,): 1}), lambda: jacobian([MLaurent.var(2, 0)])):\n"
+        "h, k_inv = MLaurent.var(2, 0), MLaurent.var(1, 0, -1, one=QQ_ONE)\n"
+        "for build in (\n"
+        "    lambda: MLaurent(2, {(1,): 1}),\n"
+        "    lambda: jacobian([MLaurent.var(2, 0)]),\n"
+        "    lambda: shift(h, (1,)),\n"
+        "    lambda: scale(h, (1, 0, 0)),\n"
+        "    lambda: shift(k_inv, (1,)),\n"
+        "    lambda: quantum_context(catalog_matrix('A2'), (1,)),\n"
+        "):\n"
         "    try:\n"
         "        build()\n"
-        "    except ValueError as exc:\n"
-        "        print(exc)\n"
+        "    except (ValueError, ArithmeticError) as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
     )
     src = Path(borelweyl.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.splitlines() == ["1", "exponent vector has wrong length", "system is not square"]
+    assert done.stdout.splitlines() == [
+        "1",
+        "ValueError exponent vector has wrong length",
+        "ValueError system is not square",
+        "ValueError 1 values for 2 variables",
+        "ValueError a scaling of 3 variables applied to 2",
+        "ArithmeticError substitution into Laurent exponents",
+        "ValueError a quantum context needs one d entry per row of its 2x2 matrix",
+    ]
 
 
 def test_malformed_polynomial_arithmetic_raises():
@@ -171,8 +191,6 @@ def test_malformed_polynomial_arithmetic_raises():
         x + MLaurent.var(1, 0)
     with pytest.raises(ValueError, match="not a single term"):
         (x + y).single_term()
-    with pytest.raises(ValueError, match="not a constant"):
-        x.const_value()
     with pytest.raises(ArithmeticError, match="Laurent exponents"):
         k_inv.substitute([x, y])
     with pytest.raises(ValueError, match="1 values for 2 variables"):
@@ -183,10 +201,12 @@ def test_malformed_polynomial_arithmetic_raises():
         poly_gcd(k_inv, x)
     with pytest.raises(ValueError, match="mixed variable counts"):
         PolyFrac(x, MLaurent.var(1, 0))
-    with pytest.raises(ValueError, match="1 and 2 variables"):
-        EndoSpec.shift((1,)).compose(EndoSpec.shift((1, 1)))
-    with pytest.raises(ValueError, match="wrong variable count"):
-        apply_endo(x, EndoSpec.shift((1,)))
+    with pytest.raises(ValueError, match="1 values for 2 variables"):
+        shift(x, (1,))
+    with pytest.raises(ValueError, match="a scaling of 1 variables applied to 2"):
+        scale(x, (1,))
+    with pytest.raises(ValueError, match="a kept variable of 2 among values in 1 variables"):
+        x.substitute([MLaurent.var(1, 0), None])
 
 
 def test_pgcd_heuristic_needs_both_divisions_and_the_xi_bound():
@@ -307,6 +327,10 @@ def test_mlaurent_substitute():
     p = h1**2 + h2
     q = p.substitute([h1 + h2, h2])
     assert q == (h1 + h2) ** 2 + h2
+    # into another number of variables, and keeping one variable
+    t = MLaurent.var(1, 0)
+    assert p.substitute([t, t + 1]) == t**2 + t + 1
+    assert p.substitute([None, h1]) == h1**2 + h1
 
 
 exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
@@ -388,64 +412,181 @@ def test_polyfrac_clears_laurent_units():
     assert (f.num, f.den) == (MLaurent.const(1, QQ_ONE), MLaurent.var(1, 0, one=QQ_ONE))
 
 
-# -- endomorphisms -------------------------------------------------------------
+# -- the shift and scale kernels ------------------------------------------------
 
 
 def test_apply_shift_binomial():
     h = MLaurent.var(1, 0)
-    out = apply_endo(h**2, EndoSpec.shift((2,)))
-    assert out == h**2 + 4 * h + 4
+    assert shift(h**2, (2,)) == h**2 + 4 * h + 4
 
 
 def test_apply_scale_laurent():
     k_inv = MLaurent.var(1, 0, -1, one=QQ_ONE)
-    out = apply_endo(k_inv, EndoSpec.scale((q_power(-2),)))
-    assert out == k_inv * q_power(2)
+    assert scale(k_inv, (-2,)) == k_inv * q_power(2)
 
 
 def test_identity_endo():
     h = MLaurent.var(1, 0)
-    assert apply_endo(h**3 + h, EndoSpec.shift((0,))) == h**3 + h
-    assert apply_endo(h**3 + h, EndoSpec.scale((QQ_ONE,))) == h**3 + h
+    assert shift(h**3 + h, (0,)) == h**3 + h
+    assert scale(h**3 + h, (0,)) == h**3 + h
 
 
 def test_shift_of_laurent_variable_rejected():
-    k_inv = MLaurent.var(1, 0, -1, one=QQ_ONE)
-    with pytest.raises(ValueError, match="Laurent"):
-        apply_endo(k_inv, EndoSpec.shift((1,)))
+    k_inv = MLaurent.var(2, 0, -1, one=QQ_ONE)
+    with pytest.raises(ArithmeticError, match="Laurent"):
+        shift(k_inv, (1, 0))
+    # a kept variable may be Laurent
+    assert shift(k_inv, (0, 1)) == k_inv
 
 
 @given(polys2, polys2, st.tuples(fracs, fracs))
 @settings(max_examples=40, deadline=None)
 def test_shift_is_ring_homomorphism(a, b, c):
-    e = EndoSpec.shift(c)
-    assert apply_endo(a * b, e) == apply_endo(a, e) * apply_endo(b, e)
-    assert apply_endo(a + b, e) == apply_endo(a, e) + apply_endo(b, e)
+    assert shift(a * b, c) == shift(a, c) * shift(b, c)
+    assert shift(a + b, c) == shift(a, c) + shift(b, c)
 
 
 @given(polys2, st.tuples(fracs, fracs), st.tuples(fracs, fracs))
 @settings(max_examples=40, deadline=None)
 def test_shift_composition(a, c1, c2):
-    e1, e2 = EndoSpec.shift(c1), EndoSpec.shift(c2)
-    assert apply_endo(apply_endo(a, e1), e2) == apply_endo(a, e2.compose(e1))
-    assert apply_endo(apply_endo(a, e1), e1.inverse()) == a
+    assert shift(shift(a, c1), c2) == shift(a, tuple(x + y for x, y in zip(c1, c2)))
+    assert shift(shift(a, c1), tuple(-x for x in c1)) == a
 
 
 def test_scale_composition():
-    e1 = EndoSpec.scale((q_power(2), q_power(-1)))
-    e2 = EndoSpec.scale((q_power(3), q_power(4)))
-    assert e1.compose(e2) == EndoSpec.scale((q_power(5), q_power(3)))
-    assert e1.power(3) == EndoSpec.scale((q_power(6), q_power(-3)))
-    assert e1.compose(e1.inverse()).is_identity()
-    with pytest.raises(ValueError):
-        e1.compose(EndoSpec.shift((1, 1)))
+    k1, k2 = MLaurent.var(2, 0, one=QQ_ONE), MLaurent.var(2, 1, -1, one=QQ_ONE)
+    f = k1 * k2 + k1**2 + QQ_ONE
+    assert scale(scale(f, (2, -1)), (3, 4)) == scale(f, (5, 3))
+    assert scale(scale(f, (2, -1)), (-2, 1)) == f
+    assert scale(k1 * k2, (2, -1)) == k1 * k2 * q_power(3)
 
 
 def test_polyfrac_endo_componentwise():
     x, y = _h(0), _h(1)
-    f = PolyFrac(x, y)
-    out = apply_endo(f, EndoSpec.shift((1, 1)))
-    assert out == PolyFrac(x + 1, y + 1)
+    assert shift(PolyFrac(x, y), (1, 1)) == PolyFrac(x + 1, y + 1)
+
+
+def _parent_apply_to_laurent(f, kind, data):
+    """The kernel that `shift` and `scale` replaced, kept as an oracle:
+    ``data`` is the rational shift or the QScalar factor of each variable."""
+    if f.n != len(data):
+        raise ValueError("endomorphism has wrong variable count")
+    if kind == "scale":
+        out = {}
+        for e, c in f.terms.items():
+            for i, k in enumerate(e):
+                if k:
+                    c = c * data[i] ** k
+            out[e] = c
+        return MLaurent(f.n, out)
+    # additive shift: expand (v_i + c_i)^{e_i} binomially
+    for i, c in enumerate(data):
+        if c and (f.min_deg_in(i) or 0) < 0:
+            raise ValueError(f"additive shift applied to Laurent variable index {i}")
+    cache: dict = {}
+
+    def image(e, c):
+        fixed = tuple(k if not data[i] else 0 for i, k in enumerate(e))
+        term = MLaurent.monomial(f.n, fixed, c)
+        for i, k in enumerate(e):
+            if k and data[i]:
+                key = (i, k)
+                if key not in cache:
+                    lin = MLaurent(f.n, {
+                        tuple(1 if j == i else 0 for j in range(f.n)): Fraction(1),
+                        (0,) * f.n: data[i],
+                    })
+                    cache[key] = lin**k
+                term = term * cache[key]
+        return term.terms
+
+    return MLaurent(f.n, _accumulate(image(e, c) for e, c in f.terms.items()))
+
+
+laurent_exps = st.tuples(st.integers(min_value=-2, max_value=2), st.integers(min_value=-2, max_value=2))
+q_scalars = st.integers(min_value=-2, max_value=2).flatmap(
+    lambda k: st.integers(min_value=-3, max_value=3).map(lambda c: q_power(k) * c)
+)
+laurent2 = st.dictionaries(laurent_exps, q_scalars, max_size=4).map(lambda d: MLaurent(2, d))
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@given(polys2, st.tuples(fracs, fracs))
+@settings(max_examples=60, deadline=None)
+def test_shift_matches_the_replaced_kernel(f, u):
+    assert shift(f, u) == _parent_apply_to_laurent(f, "shift", u)
+
+
+@given(st.dictionaries(laurent_exps, fracs, max_size=4).map(lambda d: MLaurent(2, d)), fracs)
+@settings(max_examples=40, deadline=None)
+def test_shift_keeps_a_laurent_variable_like_the_replaced_kernel(f, c):
+    # only the second variable moves, so the first may carry negative powers
+    assume(all(e[1] >= 0 for e in f.terms))
+    assert shift(f, (0, c)) == _parent_apply_to_laurent(f, "shift", (Fraction(0), c))
+
+
+@given(laurent2, st.tuples(small_ints, small_ints))
+@settings(max_examples=60, deadline=None)
+def test_scale_matches_the_replaced_kernel(f, e):
+    assert scale(f, e) == _parent_apply_to_laurent(f, "scale", tuple(q_power(k) for k in e))
+
+
+def _to_sympy_poly(f, gens):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**k for g, k in zip(gens, e)))
+         for e, c in f.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+polys3 = st.dictionaries(
+    st.tuples(*(st.integers(min_value=-1, max_value=3),) * 3), fracs, max_size=5
+).map(lambda d: MLaurent(3, d))
+
+
+@_needs_sympy
+@given(polys3, polys2, st.lists(st.booleans(), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_sympy_with_kept_and_moved_variables(f, image, keep):
+    # a moved variable needs non-negative exponents; a kept one may be Laurent
+    assume(all(e[i] >= 0 for e in f.terms for i in range(3) if not keep[i]))
+    image = MLaurent(3, {e + (0,): c for e, c in image.terms.items() if min(e) >= 0})
+    x = sympy.symbols("x0:3")
+    values = [None if kept else image * (i + 1) + MLaurent.var(3, i) for i, kept in enumerate(keep)]
+    expected = _to_sympy_poly(f, x).subs(
+        {x[i]: _to_sympy_poly(v, x) for i, v in enumerate(values) if v is not None},
+        simultaneous=True,
+    )
+    assert sympy.expand(_to_sympy_poly(f.substitute(values), x) - expected) == 0
+
+
+def _poly_gcd_calls(monkeypatch, a, b):
+    calls = []
+    original = exact.laurent.poly_gcd
+
+    def counted(x, y):
+        calls.append(1)
+        return original(x, y)
+
+    monkeypatch.setattr(exact.laurent, "poly_gcd", counted)
+    try:
+        return counted(a, b), len(calls)
+    finally:
+        monkeypatch.setattr(exact.laurent, "poly_gcd", original)
+
+
+def test_content_fold_does_not_depend_on_term_order(monkeypatch):
+    # one polynomial with its terms inserted in two orders makes the same
+    # gcd calls, because the content in y folds its buckets by power
+    x, y = _h(0), _h(1)
+    p = (x - 1) * (y * y * (x + 1) + y * (x - 1) + x * x - 1)
+    g = (x - 1) * (y + 1)
+    reordered = MLaurent(2, dict(reversed(list(p.terms.items()))))
+    assert reordered == p and list(reordered.terms) != list(p.terms)
+    first = _poly_gcd_calls(monkeypatch, p, g)
+    second = _poly_gcd_calls(monkeypatch, reordered, g)
+    assert first[0] == second[0] == x - 1
+    assert first[1] == second[1]
 
 
 # -- jacobian ------------------------------------------------------------------

@@ -89,11 +89,11 @@ def _parse_matrix_text(text):
     """Matrix plus optional symmetrizer override from inline or file text.
 
     Two shapes are accepted.  Inline: rows split on ';' or newlines, entries
-    on spaces or commas ("2 -1; -1 2").  File: a size line n, then n rows,
-    then optionally "d: 1 2 ..." overriding the symmetrizer.  The sniff is
-    unambiguous because no generalized Cartan row is a single bare positive
-    integer other than the 1x1 matrix (2), which the file shape covers as
-    "1" / "2".
+    on spaces or commas ("2 -1; -1 2").  File: a size line n followed by n
+    rows, then optionally "d: 1 2 ..." overriding the symmetrizer.  The sniff
+    is unambiguous because no generalized Cartan row is a single bare
+    positive integer other than the 1x1 matrix (2), and a single line is
+    always inline: "2" is A1, and so is the file "1" / "2".
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -101,7 +101,7 @@ def _parse_matrix_text(text):
         raise MatrixParseError("empty matrix input")
 
     d = None
-    if re.fullmatch(r"\d+", lines[0]):
+    if len(lines) > 1 and re.fullmatch(r"\d+", lines[0]):
         n = int(lines[0])
         body = lines[1:]
         if body and body[-1].lower().startswith("d:"):

@@ -3,26 +3,30 @@
 The classical side carries polynomials b_i = h_i(h_i - 2)/4 + beta_i whose
 twisted differences reproduce the Cartan matrix entries; the correction terms
 beta_i live in the dual coordinates alpha (plus central gamma coordinates when
-the matrix is singular) and are chosen minimal.  The quantum side carries
-b_i = K_i^{-1} together with torus monomials omega_i scaling by prescribed
-q-powers along the paired torus directions.
+the matrix is singular) and solve one linear system per b_i, with zero free
+coefficients.  The quantum side carries b_i = K_i^{-1} together with torus
+monomials omega_i scaling by prescribed q-powers along the paired torus
+directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 
 from .cartan import (
     CartanAux,
     _as_matrix,
     _column_reduce,
+    _eliminate,
     _inverse,
     quasi_inverse,
     symmetrize,
 )
 from .exact import MLaurent, QQ_ONE, q_power
+from .exact.endo import shift
 from .skew import (
     ModelContext,
     SkewElem,
@@ -82,12 +86,7 @@ class QuantumDatum:
 
 
 def _linear_form(n, coeffs) -> MLaurent:
-    terms = {}
-    for u, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c:
-            terms[tuple(1 if v == u else 0 for v in range(n))] = c
-    return MLaurent(n, terms)
+    return MLaurent(n, {tuple(int(v == u) for v in range(n)): Fraction(c) for u, c in enumerate(coeffs)})
 
 
 def _directions(aux: CartanAux) -> list:
@@ -95,7 +94,7 @@ def _directions(aux: CartanAux) -> list:
     return [m for _, m in aux.dual_pairs] + list(aux.torus_complement)
 
 
-def build_alpha(C, aux: CartanAux = None) -> tuple:
+def _alphas(aux: CartanAux, ctx: ModelContext) -> tuple:
     """Dual coordinates as h-polynomials: alpha_i paired with the torus
     direction m_i, followed by the central gamma rows for singular matrices.
 
@@ -103,11 +102,6 @@ def build_alpha(C, aux: CartanAux = None) -> tuple:
     sigma^{m_j}(alpha_i) = alpha_i + delta_ij, and the gamma rows are fixed by
     every sigma.
     """
-    C = _as_matrix(C)
-    return _alphas(aux or quasi_inverse(C), classical_context(C))
-
-
-def _alphas(aux: CartanAux, ctx: ModelContext) -> tuple:
     alphas = tuple(_linear_form(ctx.n, row) for row in aux.Q)
     for j, m in enumerate(_directions(aux)):
         for i, a in enumerate(alphas):
@@ -117,51 +111,74 @@ def _alphas(aux: CartanAux, ctx: ModelContext) -> tuple:
     return alphas
 
 
-def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
-    """Construct the classical datum with the minimal correction terms.
+def _conditions(C, h) -> list:
+    """The conditions binding b_1..b_n to the matrix, in report order.
 
-    Each candidate b_j starts as P_j = h_j(h_j - 2)/4.  Rewritten in the
-    alpha/gamma coordinates, a monomial survives unless some direction i != j
-    shifts it too often: the difference window of length 1 - a_ij must kill
-    b_j, which bounds the degree along the coordinates moved by sigma_i.
-    beta_j is minus the sum of the violating monomials, and the result is
-    re-checked against the actual difference operators before returning.
+    A row (label, j, word, target) says that D_i for i in word, applied in
+    turn to b_j, gives target, in the coordinates where h lists h_1..h_n:
+    D_j(b_j) = h_j, then D_iD_j(b_j) = a_ji, then the windows
+    D_i^{1-a_ij}(b_j) = 0 for i != j.
+    """
+    n = C.n
+    rows = [(f"D{i+1}(b{i+1}) = h{i+1}", i, (i,), h[i]) for i in range(n)]
+    rows += [(f"D{i+1}D{j+1}(b{j+1}) = {C[j, i]}", j, (j, i), MLaurent.const(n, Fraction(C[j, i])))
+             for i in range(n) for j in range(n)]
+    rows += [(f"D{i+1}^{1 - C[i, j]}(b{j+1}) = 0", j, (i,) * (1 - C[i, j]), MLaurent.zero(n))
+             for i in range(n) for j in range(n) if i != j]
+    return rows
+
+
+def _apply_word(act, memo, word):
+    """D_word(memo[()]) with D_i(f) = act(i, f) - f; memo keeps every prefix."""
+    if word not in memo:
+        f = _apply_word(act, memo, word[:-1])
+        memo[word] = act(word[-1], f) - f if f else f
+    return memo[word]
+
+
+def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
+    """Construct the classical datum by one exact linear solve per b_j.
+
+    Each b_j is P_j = h_j(h_j - 2)/4 plus beta_j, of degree at most 2 in the
+    alpha/gamma coordinates other than its own.  sigma_i translates those
+    coordinates, so the rows of `_conditions` on b_j are linear in beta_j's
+    coefficients; `cartan._eliminate` reduces them, an inconsistent row raises
+    DatumError naming b_j, and every free coefficient is set to zero.  The
+    result is re-checked against the difference operators before returning.
     """
     C = _as_matrix(C)
     aux = aux or quasi_inverse(C)
     n = C.n
     ctx = classical_context(C)
-    h_in_alpha = [_linear_form(n, row) for row in _inverse(aux.Q)]
-    # how sigma_i translates the alpha/gamma coordinates: shift[i][k] = (Q·C e_i)_k
-    shift = [
-        [
-            sum(Fraction(aux.Q[k][u]) * C[u, i] for u in range(n))
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
-    active = [[k for k in range(n) if shift[i][k]] for i in range(n)]
+    # sigma_i translates the alpha/gamma coordinates by Q·C e_i
+    moves = [[sum(q * s for q, s in zip(row, step)) for row in aux.Q] for step in ctx.steps]
 
+    def act(i, f):
+        return shift(f, moves[i])
+
+    h_in_alpha = [_linear_form(n, row) for row in _inverse(aux.Q)]
     alphas = _alphas(aux, ctx)
-    betas, bs = [], []
+    rows = _conditions(C, h_in_alpha)
+    betas, bs, images = [], [], {}  # images: the words on each basis monomial, shared by all b_j
     for j in range(n):
+        basis = [tuple(c.count(k) for k in range(n)) for deg in range(3)
+                 for c in combinations_with_replacement([k for k in range(n) if k != j], deg)]
+        memos = [images.setdefault(e, {(): MLaurent.monomial(n, e, Fraction(1))}) for e in basis]
         hj = h_in_alpha[j]
-        p_j = (hj * hj - hj * 2) * Fraction(1, 4)
-        bad = {}
-        for exp, coeff in p_j.terms.items():
-            for i in range(n):
-                if i == j:
-                    continue
-                if sum(exp[k] for k in active[i]) > -C[i, j]:
-                    bad[exp] = coeff
-                    break
-        beta_j = -MLaurent(n, bad)
-        if beta_j.deg_in(j):
-            raise DatumError(f"beta_{j+1} picked up its own coordinate")
-        betas.append(beta_j)
-        hj_plain = MLaurent.var(n, j)
-        base = (hj_plain * hj_plain - hj_plain * 2) * Fraction(1, 4)
-        bs.append(base + beta_j.substitute(alphas))
+        p_j = {(): (hj * hj - hj * 2) * Fraction(1, 4)}
+        labels, equations = [], []
+        for label, _, word, target in (row for row in rows if row[1] == j):
+            columns = [_apply_word(act, memo, word).terms for memo in memos]
+            rhs = (target - _apply_word(act, p_j, word)).terms
+            for mono in sorted(set(rhs).union(*columns)):
+                labels.append(label)
+                equations.append([col.get(mono, 0) for col in columns] + [rhs.get(mono, 0)])
+        reduced, pivots, _ = _eliminate(equations)
+        if pivots and pivots[-1][1] == len(basis):
+            raise DatumError(f"no admissible beta for this matrix: the conditions on b{j+1} "
+                             f"have no solution (inconsistent at {labels[pivots[-1][0]]})")
+        betas.append(MLaurent(n, {basis[col]: reduced[k][-1] for k, (_, col) in enumerate(pivots)}))
+        bs.append((p_j[()] + betas[j]).substitute(alphas))
 
     datum = ClassicalDatum(ctx, aux, alphas, tuple(betas), tuple(bs))
     failed = [rep for rep in check_bound_classical(datum) if not rep.passed]
@@ -173,10 +190,9 @@ def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
 def check_bound_classical(datum: ClassicalDatum) -> list:
     """Evaluate every binding condition on the b-polynomials.
 
-    Coordinate directions carry the second-difference normalization
-    D_i D_j(b_j) = a_ji, the diagonal identity D_i(b_i) = h_i, and the
-    difference window D_i^{1-a_ij}(b_j) = 0; for singular matrices the dual
-    pairing along the m-directions is reported as well.
+    The rows of `_conditions`: D_i(b_i) = h_i, the second-difference
+    normalization D_i D_j(b_j) = a_ji and the windows D_i^{1-a_ij}(b_j) = 0;
+    for singular matrices the dual pairing along the m-directions as well.
     """
     ctx, C = datum.context, datum.aux.matrix
     n = C.n
@@ -184,27 +200,11 @@ def check_bound_classical(datum: ClassicalDatum) -> list:
     out = []
 
     def report(label, residual):
-        out.append(
-            ConditionReport(label, not residual, residual.to_str(names))
-        )
+        out.append(ConditionReport(label, not residual, residual.to_str(names)))
 
-    for i in range(n):
-        residual = twisted_diff(ctx, i, datum.b[i]) - ctx.coeff_var(i)
-        report(f"D{i+1}(b{i+1}) = h{i+1}", residual)
-    for i in range(n):
-        for j in range(n):
-            inner = twisted_diff(ctx, j, datum.b[j])
-            residual = twisted_diff(ctx, i, inner) - ctx.coeff_scalar(C[j, i])
-            report(f"D{i+1}D{j+1}(b{j+1}) = {C[j, i]}", residual)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            window = 1 - C[i, j]
-            cur = datum.b[j]
-            for _ in range(window):
-                cur = twisted_diff(ctx, i, cur)
-            report(f"D{i+1}^{window}(b{j+1}) = 0", cur)
+    memos = [{(): b} for b in datum.b]
+    for label, j, word, target in _conditions(C, [ctx.coeff_var(i) for i in range(n)]):
+        report(label, _apply_word(ctx.apply, memos[j], word) - target)
     if datum.aux.corank:
         for jm, m in enumerate(_directions(datum.aux)):
             for i, a in enumerate(datum.alpha):

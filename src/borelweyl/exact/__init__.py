@@ -7,7 +7,7 @@ the polynomial types live in the submodules.
 
 from fractions import Fraction as Rational
 
-from .qq import QScalar, q_power, q_int, q_binom, QQ_ZERO, QQ_ONE
+from .qq import QScalar, q_power, q_binom, QQ_ZERO, QQ_ONE
 from .laurent import (
     MLaurent,
     PolyFrac,
@@ -21,7 +21,6 @@ __all__ = [
     "Rational",
     "QScalar",
     "q_power",
-    "q_int",
     "q_binom",
     "QQ_ZERO",
     "QQ_ONE",

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-__all__ = ["QScalar", "InexactDivisionError", "q_power", "q_int", "q_binom", "QQ_ZERO", "QQ_ONE"]
+__all__ = ["QScalar", "InexactDivisionError", "q_power", "q_binom", "QQ_ZERO", "QQ_ONE"]
 
 ZPoly = tuple  # dense int coefficients, no trailing zeros; () is the zero poly
 
@@ -382,16 +382,24 @@ def q_power(k: int) -> QScalar:
     return QScalar((1,), (0,) * (-k) + (1,))
 
 
-def q_int(m: int, d: int = 1) -> QScalar:
-    """Balanced q-integer [m]_{q^d} = (q^{dm} − q^{−dm})/(q^d − q^{−d})."""
-    return (q_power(d * m) - q_power(-d * m)) / (q_power(d) - q_power(-d))
-
-
 def q_binom(m: int, k: int, d: int = 1) -> QScalar:
-    """Balanced q-binomial coefficient built from q_int factorials."""
+    """Balanced q-binomial coefficient [m, k]_{q^d}, by the q-Pascal rule
+    [m, k] = q^{dk}·[m−1, k] + q^{−d(m−k)}·[m−1, k−1].
+
+    The rows hold integer Laurent coefficients {exponent: int}; one QScalar
+    is built at the end, so no step divides or takes a gcd.
+    """
     if k < 0 or k > m:
         return QQ_ZERO
-    out = QQ_ONE
-    for j in range(1, k + 1):
-        out = out * q_int(m - k + j, d) / q_int(j, d)
-    return out
+    row = [{0: 1}] + [{} for _ in range(k)]  # row[j] = [i, j], from i = 0
+    for i in range(1, m + 1):
+        for j in range(min(i, k), 0, -1):  # descending, so row[j - 1] is still [i − 1, j − 1]
+            new = {e + d * j: c for e, c in row[j].items()}
+            for e, c in row[j - 1].items():
+                new[e - d * (i - j)] = new.get(e - d * (i - j), 0) + c
+            row[j] = new
+    low = min(row[k])  # [m, k] is symmetric under q ↦ q⁻¹, so low = −d·k(m−k) ≤ 0
+    num = [0] * (1 - 2 * low)
+    for e, c in row[k].items():
+        num[e - low] = c
+    return QScalar(num, (0,) * -low + (1,))

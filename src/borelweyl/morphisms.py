@@ -564,7 +564,7 @@ def verify(assignment: GeneratorAssignment) -> VerificationReport:
         # corrupted images leave nothing coherent to invert; report, don't crash
         recovered = {}
         entries.append(RelationResult("recovery of the inverse map", "recovery", None, False, f"aborted: {exc}"))
-    denominators = tuple(ctx.denominator_log.entries[mark:])
+    denominators = tuple(ctx.denominator_log[mark:])
     return VerificationReport(assignment, tuple(entries), denominators, recovered, assignment.conventions)
 
 

@@ -25,7 +25,6 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cartan import CartanMatrix
@@ -34,7 +33,6 @@ from .exact.endo import scale, shift
 from .exact.laurent import _accumulate
 
 __all__ = [
-    "DenominatorLog",
     "ModelContext",
     "SkewElem",
     "classical_context",
@@ -44,19 +42,6 @@ __all__ = [
     "q_divided_diff",
     "conjugate",
 ]
-
-
-@dataclass
-class DenominatorLog:
-    """Multiplicative record of inverted unit monomials (coefficient, torus exponent)."""
-
-    entries: list = field(default_factory=list)
-
-    def record(self, coeff, torus_exp):
-        self.entries.append((coeff, tuple(torus_exp)))
-
-    def __len__(self):
-        return len(self.entries)
 
 
 class ModelContext:
@@ -83,7 +68,8 @@ class ModelContext:
             self.steps = tuple(tuple(Fraction(matrix[j, i]) for j in range(n)) for i in range(n))
         else:
             self.steps = tuple(tuple(-d[i] * matrix[i, j] for j in range(n)) for i in range(n))
-        self.denominator_log = DenominatorLog()
+        # the inverted unit monomials, as (coefficient, torus exponent) pairs
+        self.denominator_log = []
         self._vectors: dict = {}
 
     # -- coefficient ring --------------------------------------------------
@@ -244,7 +230,7 @@ class SkewElem:
             raise ValueError("inversion supported only for unit monomials")
         (m, f), = self.terms.items()
         f_inv = self.ctx.invert_coeff(f)
-        self.ctx.denominator_log.record(f, m)
+        self.ctx.denominator_log.append((f, m))
         neg = tuple(-x for x in m)
         return SkewElem(self.ctx, {neg: self.ctx.apply_vec(neg, f_inv)})
 

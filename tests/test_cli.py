@@ -44,6 +44,16 @@ def test_file_shape_reads_a_size_line(tmp_path):
     assert parse_matrix(text).entries == catalog_matrix("A3").entries
 
 
+def test_a_single_line_is_always_inline():
+    assert parse_matrix("2").entries == ((2,),)
+    assert parse_matrix("1\n2").entries == ((2,),)  # the file shape, size line first
+
+
+def test_verify_takes_a1_as_the_inline_matrix_2(capsys):
+    assert main(["verify", "--matrix", "2", "--mode", "classical"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
 def test_file_shape_accepts_comments_and_a_d_line():
     from borelweyl.cli import _parse_matrix_text
 
@@ -265,6 +275,19 @@ def test_unsolvable_matrix_turns_into_failing_sections():
     assert datum["lines"][0].startswith("error: no admissible beta")
     # the shared build failure propagates to every dependent section
     assert not sections(report)[("borel-upper", "classical")]["passed"]
+
+
+def test_a2_affine_names_its_unsolvable_b_in_every_classical_section(capsys):
+    assert main(["verify", "--matrix", "2 -1 -1; -1 2 -1; -1 -1 2", "--mode", "classical"]) == 1
+    out = capsys.readouterr().out
+    blocks = [block.splitlines() for block in out.split("\n== ")[1:]]
+    # every classical section but the biproduct, which needs no datum
+    classical = [lines for lines in blocks if "(classical)" in lines[0] and not lines[0].startswith("biproduct")]
+    assert [lines[0].split()[0] for lines in classical] == ["datum", "borel-upper", "borel-lower", "weyl-embedding"]
+    for lines in classical:
+        errors = [line.strip() for line in lines if line.strip().startswith("error:")]
+        assert errors[0].startswith("error: no admissible beta for this matrix:")
+        assert "b1" in errors[0]
 
 
 # -- report plumbing ----------------------------------------------------------

@@ -16,13 +16,13 @@ from borelweyl.exact import (
     MLaurent,
     PolyFrac,
     QQ_ONE,
+    QQ_ZERO,
     QScalar,
     det_poly,
     jacobian,
     poly_div_exact,
     poly_gcd,
     q_binom,
-    q_int,
     q_power,
 )
 from borelweyl.exact.endo import scale, shift
@@ -74,13 +74,23 @@ def test_qscalar_powers():
 
 
 def test_q_integers():
+    def q_int(m, d=1):
+        """Balanced q-integer [m]_{q^d} = (q^{dm} − q^{−dm})/(q^d − q^{−d})."""
+        return (q_power(d * m) - q_power(-d * m)) / (q_power(d) - q_power(-d))
+
     # balanced convention: [2] = q + q^-1, [3] = q^2 + 1 + q^-2
     assert q_int(2) == q_power(1) + q_power(-1)
     assert q_int(3) == q_power(2) + QQ_ONE + q_power(-2)
     assert q_int(2, d=2) == q_power(2) + q_power(-2)
-    assert q_binom(2, 1) == q_int(2)
-    assert q_binom(3, 1) == q_int(3)
-    assert q_binom(4, 2) == q_int(4) * q_int(3) / q_int(2)
+    # the q-Pascal rule against the factorial formula
+    for m in range(9):
+        for d in (1, 2, 3):
+            assert q_binom(m, -1, d) == q_binom(m, m + 1, d) == QQ_ZERO
+            for k in range(m + 1):
+                want = QQ_ONE
+                for j in range(1, k + 1):
+                    want = want * q_int(m - k + j, d) / q_int(j, d)
+                assert q_binom(m, k, d) == want, (m, k, d)
 
 
 small_ints = st.integers(min_value=-4, max_value=4)

@@ -71,7 +71,7 @@ def test_invert_classical_shifted():
     assert inv == SkewElem.monomial(ctx, shifted, (-1,))
     one = SkewElem.one(ctx)
     assert ht * inv == one and inv * ht == one
-    assert any(entry[0] == h for entry in ctx.denominator_log.entries)
+    assert any(entry[0] == h for entry in ctx.denominator_log)
 
 
 def test_invert_torus_unit():

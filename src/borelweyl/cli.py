@@ -34,7 +34,6 @@ from .datum import (
     ClassicalDatum,
     DatumError,
     build_quantum_datum,
-    check_bound_classical,
     check_bound_quantum,
     check_full_rank,
     solve_beta,
@@ -221,7 +220,7 @@ def _morphism_section(report, extra_notes=()):
 
 def _run_datum_classical(job, cache):
     datum = _classical_datum(job, cache)
-    conditions = check_bound_classical(datum)
+    conditions = datum.conditions
     full = check_full_rank(datum)
     lines = [str(c) for c in conditions]
     mark = "pass" if full.full_rank else "FAIL"

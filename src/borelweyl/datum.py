@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm
 
@@ -62,6 +63,11 @@ class ClassicalDatum:
     alpha: tuple  # n linear forms in the h-variables: paired rows, then central rows
     beta: tuple  # n polynomials written in the alpha/gamma coordinates
     b: tuple  # n polynomials in the h-variables
+
+    @cached_property
+    def conditions(self) -> tuple:
+        """The reports of `check_bound_classical`, evaluated once per datum."""
+        return tuple(check_bound_classical(self))
 
     @property
     def coordinate_names(self):
@@ -144,7 +150,8 @@ def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
     coordinates, so the rows of `_conditions` on b_j are linear in beta_j's
     coefficients; `cartan._eliminate` reduces them, an inconsistent row raises
     DatumError naming b_j, and every free coefficient is set to zero.  The
-    result is re-checked against the difference operators before returning.
+    result is re-checked against the difference operators before returning,
+    and it keeps the reports of that check in `conditions`.
     """
     C = _as_matrix(C)
     aux = aux or quasi_inverse(C)
@@ -181,7 +188,7 @@ def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
         bs.append((p_j[()] + betas[j]).substitute(alphas))
 
     datum = ClassicalDatum(ctx, aux, alphas, tuple(betas), tuple(bs))
-    failed = [rep for rep in check_bound_classical(datum) if not rep.passed]
+    failed = [rep for rep in datum.conditions if not rep.passed]
     if failed:
         raise DatumError(f"no admissible beta for this matrix: {failed[0].label}")
     return datum

@@ -21,11 +21,12 @@ logged by the model context, and `birational_witness` factors the log
 into the expected multiplicative set: shifted b's, the h generators, and
 torus units.  Anything else is flagged.
 
-A shift sigma^v moves h by A·v, so it fixes the top-degree part of b and
-moves the next degree down linearly in v.  The witness reads those linear
-equations off the denominator, walks the window of shifts in lexicographic
-order while pruning every prefix that the equations already rule out, and
-lets exact equality decide each remaining candidate.  Recovery checks raise
+A shift sigma^v moves h by A·v, so it fixes the top-degree part of b, and
+it moves the next two degrees down by amounts linear in v once the first of
+them matches.  The witness reads those linear equations off the
+denominator, walks the window of shifts in lexicographic order while
+pruning every prefix that the equations already rule out, and lets exact
+equality decide each remaining candidate.  Recovery checks raise
 RecoveryError, not assert, so they also run under python -O.
 """
 
@@ -700,63 +701,71 @@ class OreWitness:
         return tuple(e for e in self.entries if e.kind == "unrecognized")
 
 
-class _ShiftTable:
-    """What a shift sigma^v does to the top two degrees of one b.
+def _part(p: MLaurent, degree) -> MLaurent:
+    """The homogeneous part of p of the given total degree."""
+    return MLaurent(p.n, {e: c for e, c in p.terms.items() if sum(e) == degree})
 
-    sigma^v sends h to h + A·v, so sigma^v(b) keeps the top-degree part of b,
-    and one degree down it adds the derivative of that part along A·v.  This
-    is linear in v: `matrix` has one column per v_i and one row per monomial,
-    numbered by `index`.  `tail_rank[k]` is the rank of its columns k, k+1, ...
+
+def _along(p: MLaurent, u) -> MLaurent:
+    """D_u p: the derivative of p along the vector u."""
+    return MLaurent(p.n, _accumulate((p.derivative(i) * x).terms for i, x in enumerate(u) if x))
+
+
+class _ShiftTable:
+    """What a shift sigma^v does to the top three degrees of one b.
+
+    sigma^v sends h to h + u with u = A·v.  Write p_k for the degree-k part of
+    a polynomial p, d for the degree of b, D_u for the derivative along u and
+    g = (f - b)_{d-1}.  By Taylor's formula, sigma^v(b) == f asks for
+      b_d = f_d,  D_u b_d = g  and  D_u b_{d-1} + D_u² b_d / 2 = (f - b)_{d-2}.
+    Applying D_u to the second equation gives D_u² b_d = D_u g, so wherever
+    it holds the third one reads D_u (b_{d-1} + g/2) = (f - b)_{d-2}.  Both
+    are linear in v, with the columns D_{A·e_i} of b_d and of b_{d-1} + g/2;
+    for a quadratic b they are all of sigma^v(b) == f.
     """
 
     def __init__(self, ctx, b: MLaurent):
         self.ctx = ctx
         self.b = b
         self.degree = b.total_degree()
-        top = MLaurent(b.n, {e: c for e, c in b.terms.items() if sum(e) == self.degree})
-        columns = [
-            MLaurent(b.n, _accumulate(
-                (top.derivative(k) * amount).terms for k, amount in enumerate(step) if amount
-            ))
-            for step in ctx.steps
-        ]
-        rows = sorted({e for column in columns for e in column.terms})
-        self.index = {e: r for r, e in enumerate(rows)}
-        self.matrix = [[column.terms.get(e, 0) for column in columns] for e in rows]
-        self.tail_rank = [len(_eliminate([row[k:] for row in self.matrix])[1]) for k in range(ctx.n + 1)]
+        if self.degree is not None:
+            self.top = [_along(_part(b, self.degree), step) for step in ctx.steps]
+            self.second = [_along(_part(b, self.degree - 1), step) for step in ctx.steps]
 
     def first_shift(self, f, window):
         """The lexicographically first v in window^n with sigma^v(b) == f, or None.
 
         f must be a polynomial.  It has to agree with b in the top degree, and
-        one degree down f - b has to be the derivative of the top part along
-        A·v.  The walk over v drops every prefix that no rational completion
-        satisfies, and confirms each complete candidate by exact equality.
+        the walk over v drops every prefix that no rational completion of the
+        two linear equations satisfies; exact equality confirms each complete
+        candidate.
         """
         if self.degree is None:
             return None
         diff = f - self.b
         if diff and diff.total_degree() >= self.degree:
             return None
-        target = [0] * len(self.matrix)
-        for e, c in diff.terms.items():
-            if sum(e) == self.degree - 1:
-                if e not in self.index:
-                    return None
-                target[self.index[e]] = c
-        return self._walk(f, window, (), target)
+        g = _part(diff, self.degree - 1)
+        half = Fraction(1, 2)
+        lower = [p + _along(g, [x * half for x in step]) for p, step in zip(self.second, self.ctx.steps)]
+        rows, target = [], []
+        for columns, rhs in ((self.top, g), (lower, _part(diff, self.degree - 2))):
+            for e in sorted(set(rhs.terms).union(*(column.terms for column in columns))):
+                rows.append([column.terms.get(e, 0) for column in columns])
+                target.append(rhs.terms.get(e, 0))
+        return self._walk(f, window, (), rows, target)
 
-    def _walk(self, f, window, prefix, target):
+    def _walk(self, f, window, prefix, rows, target):
         ctx = self.ctx
         k = len(prefix)
-        extended = [row[k:] + [t] for row, t in zip(self.matrix, target)]
-        if len(_eliminate(extended)[1]) != self.tail_rank[k]:
-            return None
+        pivots = _eliminate([row[k:] + [t] for row, t in zip(rows, target)])[1]
+        if pivots and pivots[-1][1] == ctx.n - k:
+            return None  # a pivot in the target column: no rational completion
         if k == ctx.n:
             return prefix if f == ctx.apply_vec(prefix, self.b) else None
         for x in window:
-            rest = [t - row[k] * x for row, t in zip(self.matrix, target)]
-            found = self._walk(f, window, prefix + (x,), rest)
+            rest = [t - row[k] * x for row, t in zip(rows, target)]
+            found = self._walk(f, window, prefix + (x,), rows, rest)
             if found is not None:
                 return found
         return None

@@ -1,9 +1,11 @@
 """Driver-level checks: matrix parsing, job validation, reports, exit codes."""
 
 import json
+import sys
 
 import pytest
 
+import borelweyl.datum
 from borelweyl.cartan import CartanError
 from borelweyl.cli import (
     CHECK_NAMES,
@@ -252,6 +254,24 @@ def test_corrupting_the_correction_terms_is_caught():
         "[FAIL] D2^2(b1) = 0  residual: 1/2",
     ]
     assert not by_name[("borel-upper", "classical")]["passed"]
+
+
+@pytest.mark.parametrize("argv", [["--catalog", "A3"], ["--catalog", "B2", "--format", "structured"]])
+def test_a_classical_job_checks_its_datum_once(argv, monkeypatch, capsys):
+    # solve_beta's re-check is the section's report: the conditions are evaluated once
+    calls = []
+    original = borelweyl.datum.check_bound_classical
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("borelweyl") and getattr(module, "check_bound_classical", None) is original:
+            monkeypatch.setattr(module, "check_bound_classical", counted)
+    assert main(["verify", *argv, "--mode", "classical"]) == 1
+    assert len(calls) == 1
+    assert "D1(b1) = h1" in capsys.readouterr().out
 
 
 def test_rank_three_straightening_is_honest_about_degree_four():

@@ -570,6 +570,62 @@ def test_substitute_matches_sympy_with_kept_and_moved_variables(f, image, keep):
     assert sympy.expand(_to_sympy_poly(f.substitute(values), x) - expected) == 0
 
 
+def _parent_product(a, b):
+    """The tuple-keyed product loop that MLaurent.__mul__ ran on every ring
+    before the packed kernel over ℚ, kept as an oracle."""
+    x, y = a.terms, b.terms
+    if len(x) > len(y):
+        x, y = y, x
+    rows = ({tuple(p + q for p, q in zip(ex, ey)): cx * cy for ey, cy in y.items()} for ex, cx in x.items())
+    return MLaurent(a.n, _accumulate(rows))
+
+
+# exponents near ±1000 overflow any packing width fixed in advance
+wide_exps = st.one_of(st.integers(-3, 3), st.integers(995, 1005), st.integers(-1005, -995))
+rationals = st.one_of(st.integers(-5, 5), fracs)
+
+
+@st.composite
+def rational_pairs(draw):
+    n = draw(st.integers(0, 3))
+    poly = st.dictionaries(st.tuples(*(wide_exps,) * n), rationals, max_size=5).map(lambda d: MLaurent(n, d))
+    return draw(poly), draw(poly)
+
+
+_x, _y = MLaurent.var(2, 0), MLaurent.var(2, 1)
+
+
+@_needs_sympy
+@given(rational_pairs(), st.integers(0, 3))
+@example((MLaurent.const(0, 3), MLaurent.const(0, Fraction(-1, 2))), 2)
+@example((_x + _y, _x - _y), 2)  # the cross terms cancel
+@example((_x * Fraction(1, 2) + 1, _x * -2 + Fraction(2, 5)), 3)
+@example((_x**-1000 + _y**1000 * 3, _x**999 - _y**-1001), 2)
+@example((_x + 1, MLaurent.zero(2)), 0)
+@settings(max_examples=80, deadline=None)
+def test_products_sums_and_powers_over_q_match_sympy(pair, k):
+    a, b = pair
+    v = sympy.symbols(f"v0:{a.n}")
+
+    def sym(f):
+        return _to_sympy_poly(f, v)
+
+    for got, want in ((a * b, sym(a) * sym(b)), (a + b, sym(a) + sym(b)), (a**k, sym(a) ** k),
+                      (a - a, 0), (a * b - b * a, 0)):
+        assert sympy.expand(sym(got) - want) == 0
+        assert all(isinstance(c, (int, Fraction)) and c for c in got.terms.values())
+    # the same terms in the same order as the loop the kernel replaced
+    assert list((a * b).terms.items()) == list(_parent_product(a, b).terms.items())
+
+
+@given(laurent2, laurent2)
+@settings(max_examples=60, deadline=None)
+def test_products_over_qq_keep_the_tuple_loop(a, b):
+    product = a * b
+    assert list(product.terms.items()) == list(_parent_product(a, b).terms.items())
+    assert product.to_str(["K1", "K2"]) == _parent_product(a, b).to_str(["K1", "K2"])
+
+
 def _poly_gcd_calls(monkeypatch, a, b):
     calls = []
     original = exact.laurent.poly_gcd

@@ -13,7 +13,7 @@ from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.cli import _corrupted, _witness_block
 from borelweyl.datum import QuantumDatum, build_quantum_datum, solve_beta
 from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
-from borelweyl.skew import quantum_context
+from borelweyl.skew import ModelContext, quantum_context
 from borelweyl.morphisms import (
     GeneratorAssignment,
     Relation,
@@ -459,6 +459,29 @@ def test_solved_shift_matches_the_brute_force_on_synthetic_denominators(name):
             assert expected[0] == "shifted-b", label
         if label in ("just outside", "b1 + 1", "b2 squared", "fraction"):
             assert expected == ("unrecognized", "unrecognized"), label
+
+
+def a_n(n):
+    return validate_gcm([[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)])
+
+
+def test_shift_candidates_stop_growing_with_rank(monkeypatch):
+    # b1 + 1 matches b1 in degrees 2 and 1; the constant-term equation used to be
+    # left to exact equality, which then confirmed 25, 125 and 625 candidates
+    tried = []
+    apply_vec = ModelContext.apply_vec
+    monkeypatch.setattr(ModelContext, "apply_vec", lambda self, m, f: tried.append(m) or apply_vec(self, m, f))
+    counts = {}
+    for n in (4, 5, 6):
+        datum = solve_beta(a_n(n))
+        ctx = datum.context
+        shifted = apply_vec(ctx, (1,) + (0,) * (n - 2) + (-1,), datum.b[1])
+        del tried[:]
+        assert solved_classify(datum, datum.b[0] + 1) == ("unrecognized", "unrecognized")
+        unrecognized = len(tried)
+        assert solved_classify(datum, shifted)[0] == "shifted-b"
+        counts[n] = (unrecognized, len(tried) - unrecognized)
+    assert counts == {4: (0, 1), 5: (0, 1), 6: (0, 1)}
 
 
 @pytest.mark.parametrize(

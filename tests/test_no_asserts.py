@@ -3,8 +3,10 @@
 Checks that decide a verdict are raises, never assert statements: python -O
 strips every assert, so a check written as one silently stops running there.
 No module imports sympy: it serves tests and offline scripts only and must
-never become a runtime dependency.  Every module of the package is covered,
-so a new module cannot slip past either guard.
+never become a runtime dependency.  No module but the command line, whose
+timings are wall-clock floats, writes a float literal or names `float`: the
+mathematics is exact.  Every module of the package is covered, so a new
+module cannot slip past any guard.
 """
 
 import ast
@@ -45,3 +47,16 @@ def test_module_does_not_import_sympy(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [line for line, name in _imports(tree) if name.split(".")[0] == "sympy"]
     assert lines == [], f"sympy imported in {module} at lines {lines}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])
+def test_module_has_no_float(module):
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Name) and node.id == "float")
+    ]
+    assert lines == [], f"floats in {module} at lines {lines}"

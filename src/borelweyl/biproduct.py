@@ -535,15 +535,14 @@ class MixedRelationReport:
         ]
 
 
-def mixed_relation_check(R: RewriteSystem, C=None) -> MixedRelationReport:
+def mixed_relation_check(R: RewriteSystem) -> MixedRelationReport:
     """Normalize [E_i, F_j] minus its expected value for every pair.
 
     The expected value is delta_ij H_i classically and the balanced
     (K_i - K_i^-1) quotient in quantum mode; a healthy system sends each
     difference to zero in one pairing step plus straightening.
     """
-    C = R.matrix if C is None else _as_matrix(C)
-    n = C.n
+    n = R.n
     entries = []
     for i in range(n):
         for j in range(n):

@@ -11,9 +11,11 @@ unattainable (it would put standard basis vectors in the row space of C),
 so the dual pairs generalize it: m_i come from a unimodular column reduction
 of C, which simultaneously yields a saturated integer kernel basis whose
 vectors complete {m_i} to ℤⁿ.  That column reduction works over ℤ; every
-elimination over ℚ (rank, inverses, the pairing rows, determinants) is one
-Gauss–Jordan routine with a first-maximal-absolute-value pivot rule, so
-results are reproducible.  Every check raises CartanError, so they all run
+elimination over ℚ in the package is `_eliminate`, one Gauss–Jordan routine
+with a first-maximal-absolute-value pivot rule, so results are reproducible.
+Here it gives rank, inverses, the pairing rows and the unimodularity
+determinant; `datum` solves the b-conditions with it and `morphisms` the
+witness's shift equations.  Every check raises CartanError, so they all run
 under python -O as well.
 """
 

@@ -36,7 +36,6 @@ from .skew import (
     directional_diff,
     q_divided_diff,
     quantum_context,
-    twisted_diff,
 )
 
 
@@ -69,6 +68,16 @@ class ClassicalDatum:
         """The reports of `check_bound_classical`, evaluated once per datum."""
         return tuple(check_bound_classical(self))
 
+    @cached_property
+    def shift_tables(self) -> tuple:
+        """One `morphisms._ShiftTable` per b_j, built once per datum.
+
+        The import is deferred because `morphisms` imports this module.
+        """
+        from .morphisms import _ShiftTable
+
+        return tuple(_ShiftTable(self.context, b) for b in self.b)
+
     @property
     def coordinate_names(self):
         r = self.aux.rank
@@ -100,21 +109,17 @@ def _directions(aux: CartanAux) -> list:
     return [m for _, m in aux.dual_pairs] + list(aux.torus_complement)
 
 
-def _alphas(aux: CartanAux, ctx: ModelContext) -> tuple:
+def _alphas(aux: CartanAux, n: int) -> tuple:
     """Dual coordinates as h-polynomials: alpha_i paired with the torus
     direction m_i, followed by the central gamma rows for singular matrices.
 
-    Along each direction the difference operator sees the identity pairing:
+    Along each direction the difference operator sees the identity pairing,
     sigma^{m_j}(alpha_i) = alpha_i + delta_ij, and the gamma rows are fixed by
-    every sigma.
+    every sigma.  For an invertible matrix that is Q·C = I, which
+    `cartan._check_aux` checks; for a singular one it is the pairing rows of
+    `check_bound_classical`, on which `solve_beta` raises.
     """
-    alphas = tuple(_linear_form(ctx.n, row) for row in aux.Q)
-    for j, m in enumerate(_directions(aux)):
-        for i, a in enumerate(alphas):
-            want = ctx.coeff_scalar(1 if (i == j and i < aux.rank) else 0)
-            if directional_diff(ctx, m, a) != want:
-                raise DatumError(f"dual pairing failed at alpha_{i+1}, direction {m}")
-    return alphas
+    return tuple(_linear_form(n, row) for row in aux.Q)
 
 
 def _conditions(C, h) -> list:
@@ -164,7 +169,7 @@ def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
         return shift(f, moves[i])
 
     h_in_alpha = [_linear_form(n, row) for row in _inverse(aux.Q)]
-    alphas = _alphas(aux, ctx)
+    alphas = _alphas(aux, n)
     rows = _conditions(C, h_in_alpha)
     betas, bs, images = [], [], {}  # images: the words on each basis monomial, shared by all b_j
     for j in range(n):
@@ -221,38 +226,6 @@ def check_bound_classical(datum: ClassicalDatum) -> list:
                 idx = i + 1 if i < datum.aux.rank else i - datum.aux.rank + 1
                 report(f"pairing along {m}: D({kind}{idx}) = {want}", residual)
     return out
-
-
-@dataclass(frozen=True)
-class FullRankReport:
-    determinant: str
-    full_rank: bool
-    generation: str  # "witnessed" or "not decided"
-
-
-def check_full_rank(system) -> FullRankReport:
-    """Jacobian criterion for a square polynomial system in the h-variables.
-
-    A datum may be passed directly, in which case the system is D_i(b_i).
-    Generation is only certified when the system is literally (h_1, ..., h_n):
-    then the base coordinates themselves are in the image, and nothing more
-    needs deciding.  Any other independent system gets "not decided".
-    """
-    from .exact import det_poly, jacobian
-
-    if isinstance(system, ClassicalDatum):
-        ctx = system.context
-        system = [twisted_diff(ctx, i, b) for i, b in enumerate(system.b)]
-    system = list(system)
-    n = system[0].n
-    det = det_poly(jacobian(system))
-    names = [f"h{i+1}" for i in range(n)]
-    is_identity = all(f == MLaurent.var(n, i) for i, f in enumerate(system))
-    return FullRankReport(
-        determinant=det.to_str(names),
-        full_rank=bool(det),
-        generation="witnessed" if is_identity else "not decided",
-    )
 
 
 # -- quantum side ----------------------------------------------------------

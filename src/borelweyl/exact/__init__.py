@@ -13,8 +13,6 @@ from .laurent import (
     PolyFrac,
     poly_gcd,
     poly_div_exact,
-    jacobian,
-    det_poly,
 )
 
 __all__ = [
@@ -28,6 +26,4 @@ __all__ = [
     "PolyFrac",
     "poly_gcd",
     "poly_div_exact",
-    "jacobian",
-    "det_poly",
 ]

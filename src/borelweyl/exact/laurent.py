@@ -48,8 +48,6 @@ __all__ = [
     "PolyFrac",
     "poly_gcd",
     "poly_div_exact",
-    "jacobian",
-    "det_poly",
 ]
 
 _SCALARS = (int, Fraction, QScalar)
@@ -614,67 +612,3 @@ class PolyFrac:
 
     def __repr__(self):
         return self.to_str()
-
-
-# -- calculus and exact linear algebra ---------------------------------------
-
-
-def jacobian(fs) -> list:
-    """Matrix of formal partials ∂f_i/∂v_j for a square system."""
-    fs = list(fs)
-    n = fs[0].n
-    if len(fs) != n or any(f.n != n for f in fs):
-        raise ValueError("system is not square")
-    return [[f.derivative(j) for j in range(n)] for f in fs]
-
-
-def det_poly(matrix) -> MLaurent:
-    """Exact determinant by fraction-free (Bareiss) elimination over Q[h].
-
-    Step k replaces each entry below and right of the pivot by its 2x2 minor
-    with the pivot, divided exactly by the previous pivot, so every entry
-    stays a polynomial and the cost is polynomial in the size.  A zero pivot
-    is swapped with a lower row (flipping the sign); a column with no pivot
-    means the determinant is zero.
-
-    A row with a zero in the pivot column would only be scaled by the pivot
-    over the previous pivot, and those factors telescope: such a row is left
-    as it is and scaled once, when it becomes the pivot row.  Triangular
-    Jacobians then cost about as much as the product of their diagonal.
-    """
-    rows = [list(row) for row in matrix]
-    m = len(rows)
-    pivots = []  # pivots[k] is the pivot of step k
-    since = [-1] * m  # the step that last rewrote row i; -1 for none
-
-    def current(i, k):
-        # row i from column k on, as plain Bareiss holds it before step k
-        row = rows[i][k:]
-        if since[i] == k - 1:
-            return row
-        row = [e * pivots[k - 1] for e in row]
-        return row if since[i] < 0 else [poly_div_exact(e, pivots[since[i]]) for e in row]
-
-    sign = 1
-    for k in range(m - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, m) if rows[i][k]), None)
-            if swap is None:
-                return MLaurent.zero(rows[0][0].n)
-            rows[k], rows[swap] = rows[swap], rows[k]
-            since[k], since[swap] = since[swap], since[k]
-            sign = -sign
-        top = current(k, k)
-        pivot = top[0]
-        for i in range(k + 1, m):
-            lead = rows[i][k]
-            if not lead:
-                continue
-            new = [rows[i][j] * pivot - lead * top[j - k] for j in range(k + 1, m)]
-            if since[i] >= 0:
-                new = [poly_div_exact(e, pivots[since[i]]) for e in new]
-            rows[i][k + 1 :] = new
-            since[i] = k
-        pivots.append(pivot)
-    det = current(m - 1, m - 1)[0]
-    return det if sign > 0 else -det

@@ -338,9 +338,6 @@ class QScalar:
     def inverse(self) -> "QScalar":
         return QQ_ONE / self
 
-    def is_one(self) -> bool:
-        return self.num == (1,) and self.den == (1,)
-
     def is_monomial(self) -> bool:
         """True when the value is c·q^k with c rational (single term over single term)."""
         return (

@@ -771,12 +771,6 @@ class _ShiftTable:
         return None
 
 
-def _shift_tables(ctx, datum) -> tuple:
-    if ctx.kind != "classical" or not isinstance(datum, ClassicalDatum):
-        return ()
-    return tuple(_ShiftTable(ctx, b) for b in datum.b)
-
-
 _SHIFT_WINDOW = range(-2, 3)
 
 
@@ -808,7 +802,8 @@ def birational_witness(report: VerificationReport) -> OreWitness:
     by shifted b's, the h generators, and torus units; flag anything else."""
     ctx = report.assignment.context
     names = _coeff_names(ctx)
-    tables = _shift_tables(ctx, report.assignment.datum)
+    datum = report.assignment.datum
+    tables = datum.shift_tables if isinstance(datum, ClassicalDatum) else ()
     entries = []
     for coeff, m in report.denominators:
         if ctx.kind == "classical":

@@ -37,7 +37,6 @@ __all__ = [
     "SkewElem",
     "classical_context",
     "quantum_context",
-    "twisted_diff",
     "directional_diff",
     "q_divided_diff",
     "conjugate",
@@ -260,11 +259,6 @@ class SkewElem:
 
 
 # -- derived operators ---------------------------------------------------------
-
-
-def twisted_diff(ctx: ModelContext, i: int, f):
-    """D_i(f) = σ_i(f) − f on base coefficients."""
-    return ctx.apply(i, f) - f
 
 
 def directional_diff(ctx: ModelContext, m, f):

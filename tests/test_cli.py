@@ -6,12 +6,14 @@ import sys
 import pytest
 
 import borelweyl.datum
-from borelweyl.cartan import CartanError
+from borelweyl import morphisms
+from borelweyl.cartan import CATALOG, CartanError
 from borelweyl.cli import (
     CHECK_NAMES,
     JobSpec,
     MatrixParseError,
     _resolve_checks,
+    _section,
     emit_report,
     main,
     parse_matrix,
@@ -19,6 +21,7 @@ from borelweyl.cli import (
     run,
 )
 from borelweyl.cartan import catalog_matrix
+from borelweyl.datum import ClassicalDatum, solve_beta
 
 
 def job(command="verify", name="A1", **kw):
@@ -254,6 +257,40 @@ def test_corrupting_the_correction_terms_is_caught():
         "[FAIL] D2^2(b1) = 0  residual: 1/2",
     ]
     assert not by_name[("borel-upper", "classical")]["passed"]
+
+
+@pytest.mark.parametrize("corrupt_beta", [False, True])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_the_d_i_b_i_rows_witness_generation(name, corrupt_beta):
+    spec = job(name=name, mode="classical", checks=("datum",), corrupt_beta=corrupt_beta)
+    lines = sections(run(spec)[0])[("datum", "classical")]["lines"]
+    assert lines[-1] == "[pass] jacobian determinant: 1  (generation witnessed)"
+
+
+def test_a_failing_d_i_b_i_row_fails_generation():
+    spec = job(name="A2", mode="classical", checks=("datum",))
+    datum = solve_beta(spec.matrix)
+    doubled = ClassicalDatum(
+        datum.context, datum.aux, datum.alpha, datum.beta, (datum.b[0] * 2,) + datum.b[1:]
+    )
+    section = _section("datum", "classical", spec, {"classical-datum": ("ok", doubled)})
+    assert not section["passed"]
+    assert section["lines"][0].startswith("[FAIL] D1(b1) = h1  residual: ")
+    assert section["lines"][-1] == "[FAIL] generation not witnessed: D1(b1) = h1 fails"
+
+
+def test_a_classical_job_builds_each_shift_table_once(monkeypatch, capsys):
+    # three sections read the witness's shift tables off one datum
+    built = []
+
+    class Counted(morphisms._ShiftTable):
+        def __init__(self, ctx, b):
+            built.append(b)
+            super().__init__(ctx, b)
+
+    monkeypatch.setattr(morphisms, "_ShiftTable", Counted)
+    assert main(["verify", "--catalog", "A3", "--mode", "classical"]) == 1
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("argv", [["--catalog", "A3"], ["--catalog", "B2", "--format", "structured"]])

@@ -13,7 +13,6 @@ from borelweyl.datum import (
     build_quantum_datum,
     check_bound_classical,
     check_bound_quantum,
-    check_full_rank,
     solve_beta,
 )
 from borelweyl.exact import MLaurent, QQ_ONE, q_power
@@ -264,28 +263,6 @@ def test_a2_affine_obstruction_is_the_own_coordinate_shape():
 
     assert solutions([1, 2]) == sympy.EmptySet
     assert solutions([0, 1, 2]) != sympy.EmptySet
-
-
-# -- full rank ---------------------------------------------------------------
-
-
-def test_full_rank_canonical_datum():
-    rep = check_full_rank(solve_beta(catalog_matrix("A2")))
-    assert rep.full_rank and rep.generation == "witnessed"
-
-
-def test_full_rank_generic_system():
-    h1, h2 = MLaurent.var(2, 0), MLaurent.var(2, 1)
-    rep = check_full_rank([h1 * h1, h2])
-    assert rep.full_rank
-    assert rep.determinant == "2*h1"
-    assert rep.generation == "not decided"
-
-
-def test_full_rank_detects_dependence():
-    h1, h2 = MLaurent.var(2, 0), MLaurent.var(2, 1)
-    rep = check_full_rank([h1 + h2, h1 + h2])
-    assert not rep.full_rank
 
 
 # -- quantum datum -----------------------------------------------------------

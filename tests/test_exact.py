@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -18,8 +17,6 @@ from borelweyl.exact import (
     QQ_ONE,
     QQ_ZERO,
     QScalar,
-    det_poly,
-    jacobian,
     poly_div_exact,
     poly_gcd,
     q_binom,
@@ -160,14 +157,13 @@ def test_shape_checks_raise_under_python_O():
     script = (
         "import sys\n"
         "from borelweyl.cartan import catalog_matrix\n"
-        "from borelweyl.exact import MLaurent, QQ_ONE, jacobian\n"
+        "from borelweyl.exact import MLaurent, QQ_ONE\n"
         "from borelweyl.exact.endo import scale, shift\n"
         "from borelweyl.skew import quantum_context\n"
         "print(sys.flags.optimize)\n"
         "h, k_inv = MLaurent.var(2, 0), MLaurent.var(1, 0, -1, one=QQ_ONE)\n"
         "for build in (\n"
         "    lambda: MLaurent(2, {(1,): 1}),\n"
-        "    lambda: jacobian([MLaurent.var(2, 0)]),\n"
         "    lambda: shift(h, (1,)),\n"
         "    lambda: scale(h, (1, 0, 0)),\n"
         "    lambda: shift(k_inv, (1,)),\n"
@@ -186,7 +182,6 @@ def test_shape_checks_raise_under_python_O():
     assert done.stdout.splitlines() == [
         "1",
         "ValueError exponent vector has wrong length",
-        "ValueError system is not square",
         "ValueError 1 values for 2 variables",
         "ValueError a scaling of 3 variables applied to 2",
         "ArithmeticError substitution into Laurent exponents",
@@ -653,107 +648,3 @@ def test_content_fold_does_not_depend_on_term_order(monkeypatch):
     second = _poly_gcd_calls(monkeypatch, reordered, g)
     assert first[0] == second[0] == x - 1
     assert first[1] == second[1]
-
-
-# -- jacobian ------------------------------------------------------------------
-
-
-def test_jacobian_examples():
-    h1, h2 = _h(0), _h(1)
-    ident = jacobian([h1, h2])
-    assert det_poly(ident) == MLaurent.const(2, Fraction(1))
-
-    m = jacobian([h1**2, h2])
-    assert m[0][0] == 2 * h1 and not m[0][1] and not m[1][0]
-    assert det_poly(m) == 2 * h1
-
-    degenerate = jacobian([h1 + h2, h1 + h2])
-    assert not det_poly(degenerate)
-
-
-def test_det_poly_skips_zero_entries():
-    # upper triangular, so the determinant is the diagonal product; expanding
-    # into the minors behind zero entries would cost 11! of them
-    n = 11
-    h = [MLaurent.var(n, i) for i in range(n)]
-    J = jacobian([h[i] * h[i + 1] + h[i] for i in range(n - 1)] + [h[n - 1]])
-    assert all(not J[i][j] for i in range(n) for j in range(i))
-    diagonal = MLaurent.const(n, Fraction(1))
-    for i in range(n):
-        diagonal = diagonal * J[i][i]
-    assert det_poly(J) == diagonal
-
-
-def cofactor_det(matrix):
-    # the cofactor expansion det_poly used before fraction-free elimination
-    m = len(matrix)
-    if m == 1:
-        return matrix[0][0]
-    total = MLaurent.zero(matrix[0][0].n)
-    for j in range(m):
-        if not matrix[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
-_entries = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.fractions(min_value=-3, max_value=3, max_denominator=2),
-    max_size=3,
-).map(lambda terms: MLaurent(2, terms))
-
-
-@st.composite
-def _poly_matrices(draw):
-    size = draw(st.integers(1, 5))
-    rows = [draw(st.lists(_entries, min_size=size, max_size=size)) for _ in range(size)]
-    # zero pivots, zero columns and repeated rows are the cases elimination must handle
-    for i in range(size):
-        shape = draw(st.sampled_from(["keep", "keep", "zero pivot", "zero column", "copy row 0"]))
-        if shape == "zero pivot":
-            rows[i][i] = MLaurent.zero(2)
-        elif shape == "zero column":
-            for row in rows:
-                row[i] = MLaurent.zero(2)
-        elif shape == "copy row 0":
-            rows[i] = list(rows[0])
-    return rows
-
-
-@given(_poly_matrices())
-@settings(max_examples=100, deadline=None)
-def test_det_poly_matches_the_cofactor_expansion(matrix):
-    assert det_poly(matrix) == cofactor_det(matrix)
-
-
-def test_det_poly_on_a_full_upper_triangle_is_polynomial_time():
-    # f_i = (i+1)·h_i + (h_{i+1} + … + h_n)²: every entry right of the
-    # diagonal is nonzero, so a cofactor expansion visits about 11! minors
-    n = 11
-    h = [MLaurent.var(n, i) for i in range(n)]
-    fs = []
-    for i in range(n):
-        tail = MLaurent.zero(n)
-        for k in range(i + 1, n):
-            tail = tail + h[k]
-        fs.append(h[i] * (i + 1) + tail * tail)
-    J = jacobian(fs)
-    assert all(J[i][j] for i in range(n) for j in range(i, n))
-    assert det_poly(J) == MLaurent.const(n, Fraction(39916800))  # 11!
-
-
-def test_det_poly_on_a_dense_jacobian():
-    # f_i = (i+1)·h_i + (h_1 + … + h_n)²: no zero entry at all, so only the
-    # elimination keeps this polynomial; det(D + 2S·11ᵀ) = n!·(1 + 2S·Σ 1/k)
-    n = 9
-    h = [MLaurent.var(n, i) for i in range(n)]
-    total = MLaurent.zero(n)
-    for x in h:
-        total = total + x
-    J = jacobian([h[i] * (i + 1) + total * total for i in range(n)])
-    assert all(J[i][j] for i in range(n) for j in range(n))
-    harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
-    assert det_poly(J) == MLaurent.const(n, Fraction(factorial(n))) + total * (2 * factorial(n) * harmonic)

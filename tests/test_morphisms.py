@@ -20,7 +20,6 @@ from borelweyl.morphisms import (
     Presentation,
     VerificationReport,
     _classify_classical,
-    _shift_tables,
     birational_witness,
     borel_lower,
     borel_upper,
@@ -404,7 +403,7 @@ def brute_force_classify(ctx, datum, f, shift_bound=2):
 
 def solved_classify(datum, f):
     ctx = datum.context
-    return _classify_classical(ctx, _shift_tables(ctx, datum), f)
+    return _classify_classical(ctx, datum.shift_tables, f)
 
 
 def logged_denominators(datum):

@@ -5,11 +5,14 @@ strips every assert, so a check written as one silently stops running there.
 No module imports sympy: it serves tests and offline scripts only and must
 never become a runtime dependency.  No module but the command line, whose
 timings are wall-clock floats, writes a float literal or names `float`: the
-mathematics is exact.  Every module of the package is covered, so a new
-module cannot slip past any guard.
+mathematics is exact.  Every name a module lists in `__all__` is an
+attribute of that module, so a deletion cannot leave a stale export behind.
+Every module of the package is covered, so a new module cannot slip past any
+guard.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -60,3 +63,12 @@ def test_module_has_no_float(module):
         or (isinstance(node, ast.Name) and node.id == "float")
     ]
     assert lines == [], f"floats in {module} at lines {lines}"
+
+
+# __main__ runs the command line on import
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__main__.py"])
+def test_module_exports_only_names_it_defines(module):
+    dotted = ("borelweyl/" + module[: -len(".py")]).replace("/", ".").removesuffix(".__init__")
+    imported = importlib.import_module(dotted)
+    missing = [name for name in getattr(imported, "__all__", ()) if not hasattr(imported, name)]
+    assert missing == [], f"{dotted}.__all__ names what it does not define: {missing}"

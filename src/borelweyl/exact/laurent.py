@@ -272,30 +272,18 @@ class MLaurent:
         return MLaurent(self.n, out)
 
     def substitute(self, values) -> "MLaurent":
-        """Polynomial composition v_i ↦ values[i], where None keeps v_i.
-
-        A variable that moves must have non-negative exponents; a kept one
-        may be Laurent, and keeping one needs values in the same n variables.
-        """
+        """Polynomial composition v_i ↦ values[i]; the exponents must be non-negative."""
         values = list(values)
         if len(values) != self.n:
             raise ValueError(f"{len(values)} values for {self.n} variables")
-        moved = [i for i, v in enumerate(values) if v is not None]
-        kept = [i for i, v in enumerate(values) if v is None]
-        if any(e[i] < 0 for e in self.terms for i in moved):
+        if self.is_laurent():
             raise ArithmeticError("substitution into Laurent exponents")
-        m = values[moved[0]].n if moved else self.n
-        if kept and m != self.n:
-            raise ValueError(f"a kept variable of {self.n} among values in {m} variables")
+        m = values[0].n if values else 0
         cache = {}
 
         def image(e, c):
-            fixed = [0] * m
-            for i in kept:
-                fixed[i] = e[i]
-            term = MLaurent.monomial(m, fixed, c)
-            for i in moved:
-                k = e[i]
+            term = MLaurent.const(m, c)
+            for i, k in enumerate(e):
                 if k:
                     if (i, k) not in cache:
                         cache[(i, k)] = values[i] ** k

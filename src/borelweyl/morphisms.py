@@ -4,9 +4,11 @@ The algebras in play (Borel halves of a Kac-Moody algebra, Weyl algebras,
 their quantum versions) are stored as plain relation lists over a free
 algebra: each relation is a finite sum of scalar * word.  A generator
 assignment sends every generator to a skew-model element, and `verify`
-pushes each relation through the assignment and records the residual.
-A relation is satisfied exactly when its residual is the zero element;
-there is no tolerance anywhere.
+pushes each relation through the assignment and records the residual.  It
+evaluates each relation by Horner on the last letter: the words that end
+in the same generator share one right product by its image, their prefixes
+summed first.  A relation is satisfied exactly when its residual is the
+zero element; there is no tolerance anywhere.
 
 Classical and quantum, upper and lower presentations share their pieces:
 `_serre_windows` writes out every Serre window (the rewriting rules of
@@ -488,15 +490,41 @@ def quantum_weyl_assignment(qdatum: QuantumDatum) -> GeneratorAssignment:
 
 
 def _eval_terms(images: dict, ctx: ModelContext, terms) -> SkewElem:
-    def image(coeff, word):
-        cur = SkewElem.one(ctx)
-        for sym in word:
-            if sym not in images:
-                raise ValueError(f"generator {sym!r} has no image")
-            cur = cur * images[sym]
-        return cur.scale(coeff).terms
+    """Σ c_w·image(w), by Horner on the last letter.
 
-    return SkewElem(ctx, _accumulate(image(coeff, word) for coeff, word in terms))
+    The words that end in x share one right product:
+    Σ c_{ux}·image(ux) = (Σ c_{ux}·image(u))·image(x), the prefixes summed
+    first, recursively.  Every product right-multiplies by one generator
+    image, so σ only ever shifts a generator's coefficient.  A lone word is
+    multiplied out and scaled once at the end, which keeps its coefficient
+    (a q-binomial, say) out of the products.
+    """
+
+    def image(sym):
+        if sym not in images:
+            raise ValueError(f"generator {sym!r} has no image")
+        return images[sym]
+
+    def horner(terms):
+        parts, groups = [], {}
+        for coeff, word in terms:
+            if word:
+                groups.setdefault(word[-1], []).append((coeff, word[:-1]))
+            else:
+                parts.append(SkewElem.one(ctx).scale(coeff))
+        for last, group in groups.items():
+            if len(group) == 1:
+                (coeff, prefix), = group
+                word = prefix + (last,)
+                cur = image(word[0])
+                for sym in word[1:]:
+                    cur = cur * image(sym)
+                parts.append(cur.scale(coeff))
+            else:
+                parts.append(horner(group) * image(last))
+        return SkewElem(ctx, _accumulate(p.terms for p in parts))
+
+    return horner(terms)
 
 
 def evaluate_word(assignment: GeneratorAssignment, p) -> SkewElem:

@@ -11,6 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import borelweyl
 from borelweyl import exact
+from borelweyl.cartan import validate_gcm
+from borelweyl.datum import solve_beta
 from borelweyl.exact import (
     MLaurent,
     PolyFrac,
@@ -210,8 +212,6 @@ def test_malformed_polynomial_arithmetic_raises():
         shift(x, (1,))
     with pytest.raises(ValueError, match="a scaling of 1 variables applied to 2"):
         scale(x, (1,))
-    with pytest.raises(ValueError, match="a kept variable of 2 among values in 1 variables"):
-        x.substitute([MLaurent.var(1, 0), None])
 
 
 def test_pgcd_heuristic_needs_both_divisions_and_the_xi_bound():
@@ -332,10 +332,9 @@ def test_mlaurent_substitute():
     p = h1**2 + h2
     q = p.substitute([h1 + h2, h2])
     assert q == (h1 + h2) ** 2 + h2
-    # into another number of variables, and keeping one variable
+    # into another number of variables
     t = MLaurent.var(1, 0)
     assert p.substitute([t, t + 1]) == t**2 + t + 1
-    assert p.substitute([None, h1]) == h1**2 + h1
 
 
 exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
@@ -545,24 +544,97 @@ def _to_sympy_poly(f, gens):
 
 
 polys3 = st.dictionaries(
-    st.tuples(*(st.integers(min_value=-1, max_value=3),) * 3), fracs, max_size=5
+    st.tuples(*(st.integers(min_value=0, max_value=3),) * 3), fracs, max_size=5
 ).map(lambda d: MLaurent(3, d))
 
 
 @_needs_sympy
-@given(polys3, polys2, st.lists(st.booleans(), min_size=3, max_size=3))
+@given(polys3, polys2)
 @settings(max_examples=60, deadline=None)
-def test_substitute_matches_sympy_with_kept_and_moved_variables(f, image, keep):
-    # a moved variable needs non-negative exponents; a kept one may be Laurent
-    assume(all(e[i] >= 0 for e in f.terms for i in range(3) if not keep[i]))
-    image = MLaurent(3, {e + (0,): c for e, c in image.terms.items() if min(e) >= 0})
+def test_substitute_matches_sympy(f, image):
+    # every variable moves (the shift oracle below covers kept ones); the
+    # expected value is composed in sympy's own polynomial arithmetic
+    image = MLaurent(3, {e + (0,): c for e, c in image.terms.items()})
     x = sympy.symbols("x0:3")
-    values = [None if kept else image * (i + 1) + MLaurent.var(3, i) for i, kept in enumerate(keep)]
-    expected = _to_sympy_poly(f, x).subs(
-        {x[i]: _to_sympy_poly(v, x) for i, v in enumerate(values) if v is not None},
-        simultaneous=True,
-    )
-    assert sympy.expand(_to_sympy_poly(f.substitute(values), x) - expected) == 0
+    values = [image * (i + 1) + MLaurent.var(3, i) for i in range(3)]
+
+    def poly(g):
+        terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()}
+        return sympy.Poly.from_dict(terms or {(0, 0, 0): 0}, *x, domain="QQ")
+
+    expected = poly(MLaurent.zero(3))
+    for e, c in f.terms.items():
+        term = poly(MLaurent.const(3, c))
+        for value, k in zip(values, e):
+            term = term * poly(value) ** k
+        expected = expected + term
+    assert poly(f.substitute(values)) == expected
+
+
+@st.composite
+def shift_cases(draw):
+    """A polynomial over ℚ in up to 4 variables, exponents up to 4, and a
+    rational shift with some zero entries."""
+    n = draw(st.integers(1, 4))
+    f = draw(st.dictionaries(st.tuples(*(st.integers(0, 4),) * n), fracs, max_size=6))
+    u = draw(st.lists(st.one_of(st.just(Fraction(0)), fracs), min_size=n, max_size=n))
+    return MLaurent(n, f), tuple(u)
+
+
+@_needs_sympy
+@given(shift_cases())
+@settings(max_examples=80, deadline=None)
+def test_shift_matches_sympy(case):
+    f, u = case
+    x = sympy.symbols(f"x0:{f.n}")
+    moved = {v: v + sympy.Rational(c.numerator, c.denominator) for v, c in zip(x, u)}
+    expected = sympy.expand(_to_sympy_poly(f, x).subs(moved, simultaneous=True))
+    got = shift(f, u)
+    assert sympy.expand(_to_sympy_poly(got, x) - expected) == 0
+    assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+
+
+def test_shift_edge_cases():
+    x, y = _h(0), _h(1)
+    assert shift(MLaurent.zero(2), (1, Fraction(1, 2))) == MLaurent.zero(2)
+    f = x * x + y
+    assert shift(f, (0, 0)) is f
+    g = x * x
+    assert shift(g, (0, 3)) is g  # y moves, but g does not involve it
+    # a Laurent exponent may sit in a kept variable, not in a moved one
+    k = MLaurent.var(2, 0, -1)
+    assert shift(k * y, (0, Fraction(1, 2))) == k * y + k * Fraction(1, 2)
+    with pytest.raises(ArithmeticError, match="substitution into Laurent exponents"):
+        shift(k * y, (1, 0))
+    # only ℚ polynomials are shifted: over ℚ(q), one that involves no moved
+    # variable comes back as it is, and one that does is refused
+    k_inv = MLaurent.var(2, 0, -1, one=QQ_ONE)
+    assert shift(k_inv, (0, 1)) is k_inv
+    with pytest.raises(ValueError, match="coefficients over the rationals"):
+        shift(MLaurent.var(2, 1, one=QQ_ONE) + k_inv, (0, 1))
+    assert shift(PolyFrac(x, y), (1, 1)) == PolyFrac(x + 1, y + 1)
+
+
+def test_a_shift_makes_no_polynomial_products(monkeypatch):
+    # the Taylor pass works on integer numerators; the substitution it
+    # replaced multiplied each term by cached powers of h_j + u_j
+    a4 = validate_gcm([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+    datum = solve_beta(a4)
+    b2, (s1, s2) = datum.b[1], datum.context.steps[:2]
+    u = tuple(2 * x - y for x, y in zip(s1, s2))  # sigma_1^2 sigma_2^-1
+    images = [MLaurent.var(4, j) + c for j, c in enumerate(u)]
+    calls = []
+    product = MLaurent.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(MLaurent, "__mul__", counted)
+    monkeypatch.setattr(MLaurent, "__rmul__", counted)
+    shifted = shift(b2, u)
+    assert calls == []
+    assert b2.substitute(images) == shifted and calls  # the counter does see products
 
 
 def _parent_product(a, b):

@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import borelweyl
 from borelweyl import morphisms
@@ -142,6 +144,99 @@ def test_evaluate_word_empty_and_single():
     assert evaluate_word(asg, ((Fraction(1), ("E1",)),)) == asg.images["E1"]
     with pytest.raises(ValueError, match="no image"):
         evaluate_word(asg, ((Fraction(1), ("F1",)),))
+
+
+# -- Horner evaluation against word-by-word products ---------------------------
+
+
+def word_by_word(asg, p):
+    """Each word multiplied out from the identity, scaled and summed: the
+    evaluation that Horner on the last letter replaced, kept as an oracle."""
+    ctx = asg.context
+    total = SkewElem.zero(ctx)
+    for coeff, word in p:
+        cur = SkewElem.one(ctx)
+        for sym in word:
+            cur = cur * asg.images[sym]
+        total = total + cur.scale(coeff)
+    return total
+
+
+@cache
+def horner_assignment(kind):
+    """The classical A3 and the quantum B2 upper assignments."""
+    if kind == "classical":
+        return classical_borel_assignment(solve_beta(catalog_matrix("A3")), "upper")
+    asg, _ = fix_orientation(build_quantum_datum(catalog_matrix("B2")), "upper")
+    return asg
+
+
+_scalars = {
+    "classical": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "quantum": st.tuples(st.integers(-2, 2), st.integers(-3, 3)).map(lambda t: q_power(t[0]) * t[1]),
+}
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_horner_evaluation_matches_word_by_word_products(kind, data):
+    asg = horner_assignment(kind)
+    letters = st.sampled_from(asg.presentation.generators)
+    # words drawn from a small pool, so that terms repeat words and share
+    # prefixes and last letters; the empty word is a word of length 0
+    pool = data.draw(st.lists(st.lists(letters, max_size=4).map(tuple), min_size=1, max_size=4))
+    p = data.draw(st.lists(st.tuples(_scalars[kind], st.sampled_from(pool)), max_size=6))
+    assert evaluate_word(asg, tuple(p)) == word_by_word(asg, p)
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_horner_evaluation_of_cancelling_terms_is_zero(kind):
+    asg = horner_assignment(kind)
+    one = asg.context.one
+    torus = ("H1", "H2") if kind == "classical" else ("K1", "K2")
+    p = (
+        (one, ("E1", "E2", "E1")), (-one, ("E1", "E2", "E1")),  # one word twice
+        (one, torus), (-one, torus[::-1]),  # commuting letters
+        (one * 3, ()), (-one * 3, ()),
+    )
+    assert word_by_word(asg, p) == SkewElem.zero(asg.context)
+    assert evaluate_word(asg, p) == SkewElem.zero(asg.context)
+    assert not evaluate_word(asg, p).terms
+
+
+def test_horner_evaluation_names_an_unknown_generator():
+    asg = horner_assignment("classical")
+    one = Fraction(1)
+    for p in (
+        ((one, ("E1", "X")), (one, ("H1", "X"))),  # a shared last letter
+        ((one, ("X", "E1")), (one, ("H1", "E1"))),  # inside a summed prefix
+        ((one, ("E2",)), (one, ("X", "E1"))),  # in a lone word
+    ):
+        with pytest.raises(ValueError) as info:
+            evaluate_word(asg, p)
+        assert str(info.value) == "generator 'X' has no image"
+
+
+def test_verify_shares_products_between_words(monkeypatch):
+    # Horner on the last letter: the 18 relations of the classical A3 upper
+    # Borel have 101 letters, one product each word by word (the recovery adds
+    # 6), so verify made 107 skew products; sharing right products makes 54
+    asg = classical_borel_assignment(solve_beta(catalog_matrix("A3")), "upper")
+    relations = asg.presentation.relations
+    letters = sum(len(word) for rel in relations for _, word in rel.terms)
+    assert (len(relations), letters) == (18, 101)
+    calls = []
+    product = SkewElem.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(SkewElem, "__mul__", counted)
+    report = verify(asg)
+    assert report.recovered
+    assert len(calls) == 54 < letters + 6 == 107
 
 
 # -- classical Borel maps ------------------------------------------------------

@@ -221,6 +221,8 @@ class RewriteSystem:
         )
         # the alphabet is in term order, so a letter's place in it is its rank
         self._place = {letter: place for place, letter in enumerate(self.alphabet)}
+        # normal_form's heap keys negate the places, so the largest word pops first
+        self._neg_place = {letter: -place for letter, place in self._place.items()}
         self.order = "graded, F > " + ("H" if mode == "classical" else "K") + " > E, index tiebreak"
         self.rules = tuple(rules)
         by_lead = {}
@@ -380,8 +382,7 @@ def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: in
         raise ValueError(f"unknown strategy {strategy!r}")
     if p.field != R.field:
         raise ValueError(f"{p.field} polynomial given to a {R.field} system")
-    # order_key negated for the min-heap, so the largest word pops first
-    neg_place = {letter: -place for letter, place in R._place.items()}
+    neg_place = R._neg_place
 
     def entry(word):
         return (-len(word), tuple([neg_place[letter] for letter in word])), word
@@ -429,13 +430,18 @@ def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: in
 
 @dataclass(frozen=True)
 class Ambiguity:
-    """One overlap word with its two one-step reducts chased to normal form."""
+    """One overlap word with its two one-step reducts chased to normal form.
+
+    ``left`` and ``right`` name the rule applied first on each side;
+    ``nf_left`` and ``nf_right`` are the two normal forms as NCPoly, which
+    the report renders only for an unresolved ambiguity.
+    """
 
     word: tuple
     left: str
     right: str
-    nf_left: str
-    nf_right: str
+    nf_left: NCPoly
+    nf_right: NCPoly
     resolved: bool
 
     def __str__(self):
@@ -464,8 +470,8 @@ class ConfluenceReport:
         ]
         for a in bad:
             lines.append(f"  {a}")
-            lines.append(f"    one way:   {a.nf_left}")
-            lines.append(f"    other way: {a.nf_right}")
+            lines.append(f"    one way:   {a.nf_left.to_str()}")
+            lines.append(f"    other way: {a.nf_right.to_str()}")
         return lines
 
 
@@ -489,8 +495,8 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
                 word,
                 f"{word_str(r1.lead)} at {pos1}",
                 f"{word_str(r2.lead)} at {pos2}",
-                nf1.to_str(),
-                nf2.to_str(),
+                nf1,
+                nf2,
                 nf1 == nf2,
             )
         )

@@ -20,6 +20,11 @@ checks its remainder and raises InexactDivisionError otherwise, also under
 ``python -O``.
 
 Negative powers of q are ordinary fractions here: q⁻¹ == QScalar((1,), (0, 1)).
+So a Laurent polynomial in q has a denominator q^k, and so do the products,
+sums and negations of Laurent polynomials.  Such a denominator skips the
+gcd: q is the only prime factor of q^k and its content is 1, so reducing
+only strips the common power of q from the numerator, and the result is
+the pair the gcd would give.
 """
 
 from __future__ import annotations
@@ -239,6 +244,11 @@ class QScalar:
             raise ZeroDivisionError("QScalar denominator is the zero polynomial")
         if not num:
             den = (1,)
+        elif den[-1] == 1 and not any(den[:-1]):
+            # den = q^k: q is its only prime factor and its content is 1
+            k = min(_qorder(num), len(den) - 1)
+            if k:
+                num, den = num[k:], den[k:]
         else:
             g = _pgcd(num, den)
             if g != (1,):
@@ -305,6 +315,10 @@ class QScalar:
         other = QScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.num == self.den:  # self is 1: canonical num and den are equal only as (1,)
+            return other
+        if other.num == other.den:
+            return self
         return QScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__

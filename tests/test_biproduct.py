@@ -21,7 +21,7 @@ from borelweyl.biproduct import (
     parse_word,
     word_str,
 )
-from borelweyl.cartan import CartanError, catalog_matrix
+from borelweyl.cartan import CartanError, catalog_matrix, validate_gcm
 from borelweyl.exact import QQ_ONE, q_binom, q_power
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
@@ -362,25 +362,30 @@ def test_a3_degree_four_finds_the_missing_composite_root(mode):
     ]
 
 
-@pytest.mark.parametrize("mode", ["classical", "quantum"])
-@pytest.mark.parametrize("name", ["B2", "A3"])
-def test_ambiguities_come_in_rule_pair_order(name, mode):
-    # every ordered pair of rules, overlaps before containments, as the report lists them
-    R = build_rules(catalog_matrix(name), mode=mode)
-    expected = []
+def rule_pair_overlaps(R, bound):
+    """Every (r1, r2, word, pos) with r1's lead at 0 of word and r2's at pos,
+    for every ordered pair of rules, overlaps before containments."""
     for r1 in R.rules:
         l1 = r1.lead
         for r2 in R.rules:
             l2 = r2.lead
             for k in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - k :] == l2[:k] and len(l1) + len(l2) - k <= 4:
-                    expected.append((l1 + l2[k:], word_str(l2), len(l1) - k))
-            if len(l2) < len(l1) <= 4:
+                if l1[len(l1) - k :] == l2[:k] and len(l1) + len(l2) - k <= bound:
+                    yield r1, r2, l1 + l2[k:], len(l1) - k
+            if len(l2) < len(l1) <= bound:
                 for pos in range(len(l1) - len(l2) + 1):
                     if l1[pos : pos + len(l2)] == l2:
-                        expected.append((l1, word_str(l2), pos))
+                        yield r1, r2, l1, pos
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("name", ["B2", "A3"])
+def test_ambiguities_come_in_rule_pair_order(name, mode):
+    # every ordered pair of rules, overlaps before containments, as the report lists them
+    R = build_rules(catalog_matrix(name), mode=mode)
+    expected = [(word, f"{word_str(r2.lead)} at {pos}") for _, r2, word, pos in rule_pair_overlaps(R, 4)]
     found = check_local_confluence(R, 4).ambiguities
-    assert [(a.word, a.right) for a in found] == [(w, f"{lead} at {pos}") for w, lead, pos in expected]
+    assert [(a.word, a.right) for a in found] == expected
 
 
 def test_confluence_bound_must_cover_a_rule():
@@ -394,6 +399,58 @@ def test_summary_lines_show_the_failure_pair():
     lines = check_local_confluence(R, 4).summary_lines()
     assert "112 ambiguities, 110 resolved" in lines[0]
     assert any("E3*E2*E2*E1" in line for line in lines)
+
+
+def test_a_resolved_ambiguity_is_never_rendered(monkeypatch):
+    R = build_rules(catalog_matrix("A2"), mode="quantum")
+    calls = []
+    render = NCPoly.to_str
+
+    def counted(p):
+        calls.append(1)
+        return render(p)
+
+    monkeypatch.setattr(NCPoly, "to_str", counted)
+    assert check_local_confluence(R, 4).passed
+    assert calls == []
+    mixed_relation_check(R)
+    assert len(calls) == R.n * R.n  # the counter does see renders
+
+
+def _summary_rendering_every_ambiguity(R, bound):
+    """The confluence summary built independently: normalise and render both
+    sides of every ambiguity, resolved or not, in rule pair order."""
+
+    def one_step(word, pos, rule):
+        head, tail = word[:pos], word[pos + len(rule.lead) :]
+        return NCPoly(R.field, {head + w + tail: c for w, c in rule.rhs.terms.items()})
+
+    rows = []
+    for r1, r2, word, pos in rule_pair_overlaps(R, bound):
+        nf1 = normal_form(one_step(word, 0, r1), R)
+        nf2 = normal_form(one_step(word, pos, r2), R)
+        pair = f"{word_str(r1.lead)} at 0 vs {word_str(r2.lead)} at {pos}"
+        rows.append((word, pair, nf1 == nf2, nf1.to_str(), nf2.to_str()))
+    bad = [row for row in rows if not row[2]]
+    lines = [
+        f"{R.mode} rewriting, overlaps of degree <= {bound}: "
+        f"{len(rows)} ambiguities, {len(rows) - len(bad)} resolved"
+    ]
+    for word, pair, _, s1, s2 in bad:
+        lines += [f"  [FAIL] {word_str(word)}  ({pair})", f"    one way:   {s1}", f"    other way: {s2}"]
+    return lines
+
+
+A3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+D4_ROWS = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+@pytest.mark.parametrize("rows", [A3_ROWS, D4_ROWS], ids=["A3", "D4"])
+def test_summary_lines_match_rendering_every_ambiguity(rows):
+    R = build_rules(validate_gcm(rows), mode="quantum")
+    lines = check_local_confluence(R, 6).summary_lines()
+    assert len(lines) > 1  # both systems leave ambiguities unresolved at degree 6
+    assert lines == _summary_rendering_every_ambiguity(R, 6)
 
 
 # -- negative controls -----------------------------------------------------------

@@ -261,6 +261,14 @@ def _positive(p):
     return -p if p.LC() < 0 else p
 
 
+def _canonical_by_sympy(num, den):
+    """(num, den) of num/den reduced by sympy, with a positive leading coefficient."""
+    num, den = num.cancel(den, include=True)
+    if den.LC() < 0:
+        num, den = -num, -den
+    return _from_sympy(num), _from_sympy(den)
+
+
 _cofactors = st.lists(st.integers(-9, 9), min_size=1, max_size=13).filter(any).map(tuple)
 _planted = st.tuples(
     st.integers(1, 6),
@@ -291,11 +299,8 @@ def test_pgcd_matches_sympy(data):
 @settings(max_examples=80, deadline=None)
 def test_qscalar_canonical_form_matches_sympy_cancel(data):
     a, b = _planted_pair(data)
-    num, den = a.cancel(b, include=True)
-    if den.LC() < 0:
-        num, den = -num, -den
     x = QScalar(_from_sympy(a), _from_sympy(b))
-    assert (x.num, x.den) == (_from_sympy(num), _from_sympy(den))
+    assert (x.num, x.den) == _canonical_by_sympy(a, b)
 
 
 @_needs_sympy
@@ -306,6 +311,74 @@ def test_euclid_fallback_matches_sympy(data):
     a, b = (_primitive_q_free(p) for p in _planted_pair(data))
     expected = _positive(sympy.gcd(_to_sympy(a), _to_sympy(b)))
     assert _pgcd_euclid(a, b) == _from_sympy(expected)
+
+
+def _q_to(k):
+    return (0,) * k + (1,)
+
+
+# integer numerators, zero included, times q^s so that some are divisible by q
+_laurent_parts = st.tuples(
+    st.lists(st.integers(-9, 9), max_size=6).map(tuple), st.integers(0, 3), st.integers(0, 4)
+).map(lambda t: ((0,) * t[1] + t[0], t[2]))
+
+
+@_needs_sympy
+@given(_laurent_parts, _laurent_parts)
+@example(((), 2), ((0, 0, 5), 3))  # zero, and a numerator divisible by q^2
+@example(((0, 0, -4), 2), ((1,), 0))  # cancels to a constant
+@settings(max_examples=80, deadline=None)
+def test_laurent_elements_over_q_power_match_sympy_cancel(a, b):
+    (na, ka), (nb, kb) = a, b
+    x, y = QScalar(na, _q_to(ka)), QScalar(nb, _q_to(kb))
+    sa, sb = _to_sympy(na), _to_sympy(nb)
+    qa, qb = _to_sympy(_q_to(ka)), _to_sympy(_q_to(kb))
+    assert (x.num, x.den) == _canonical_by_sympy(sa, qa)
+    for got, num in ((x + y, sa * qb + sb * qa), (x - y, sa * qb - sb * qa), (x * y, sa * sb)):
+        assert (got.num, got.den) == _canonical_by_sympy(num, qa * qb)
+
+
+def _pgcd_calls(monkeypatch, make):
+    calls = []
+    original = exact.qq._pgcd
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(exact.qq, "_pgcd", counted)
+    try:
+        return make(), len(calls)
+    finally:
+        monkeypatch.setattr(exact.qq, "_pgcd", original)
+
+
+@_needs_sympy
+@pytest.mark.parametrize("num, den", [((0, 4, 2), (0, 0, 2)), ((0, 4, 2), (0, 0, -1)), ((3, 0, -6), (-2,))])
+def test_a_q_power_denominator_up_to_a_unit_still_takes_the_gcd(monkeypatch, num, den):
+    # only q^k itself skips the gcd; 2·q^k and −q^k still lose their content or sign
+    x, calls = _pgcd_calls(monkeypatch, lambda: QScalar(num, den))
+    assert calls >= 1
+    assert (x.num, x.den) == _canonical_by_sympy(_to_sympy(num), _to_sympy(den))
+
+
+def test_laurent_arithmetic_over_q_makes_no_gcd(monkeypatch):
+    x = QScalar((1, 0, -3), _q_to(2))  # q^-2 − 3
+    y = QScalar((0, 2, 5), _q_to(1))  # 2 + 5q
+    for make in (lambda: x * y, lambda: x + y, lambda: x - y, lambda: -x):
+        assert _pgcd_calls(monkeypatch, make)[1] == 0
+    # the counter does see a real fraction
+    fraction = QScalar((1, 1), (-1, 0, 1))
+    assert _pgcd_calls(monkeypatch, lambda: fraction * y)[1] >= 1
+
+
+@given(qscalars)
+@settings(max_examples=40, deadline=None)
+def test_products_by_one_return_the_other_operand(x):
+    assert x * QQ_ONE == x and QQ_ONE * x == x
+    assert x * 1 == x and 1 * x == x
+    y = QScalar((1, 1), (0, 1))
+    assert y * QScalar((2,), (2,)) is y and QQ_ONE * y is y  # no product is formed
 
 
 # -- MLaurent ----------------------------------------------------------------

@@ -14,9 +14,9 @@ vectors complete {m_i} to ℤⁿ.  That column reduction works over ℤ; every
 elimination over ℚ in the package is `_eliminate`, one Gauss–Jordan routine
 with a first-maximal-absolute-value pivot rule, so results are reproducible.
 Here it gives rank, inverses, the pairing rows and the unimodularity
-determinant; `datum` solves the b-conditions with it and `morphisms` the
-witness's shift equations.  Every check raises CartanError, so they all run
-under python -O as well.
+determinant; `datum` solves the b-conditions and the witness's shift
+equations with it.  Every check raises CartanError, so they all run under
+python -O as well.
 """
 
 from __future__ import annotations

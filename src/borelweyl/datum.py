@@ -7,6 +7,9 @@ the matrix is singular) and solve one linear system per b_i, with zero free
 coefficients.  The quantum side carries b_i = K_i^{-1} together with torus
 monomials omega_i scaling by prescribed q-powers along the paired torus
 directions.
+
+A classical datum also tells the denominator witness of `morphisms` which
+sigma-shift of which b a polynomial is (`ClassicalDatum.find_shift`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import lcm
 
 from .cartan import (
@@ -28,6 +31,7 @@ from .cartan import (
 )
 from .exact import MLaurent, QQ_ONE, q_power
 from .exact.endo import shift
+from .exact.laurent import _accumulate
 from .skew import (
     ModelContext,
     SkewElem,
@@ -69,14 +73,45 @@ class ClassicalDatum:
         return tuple(check_bound_classical(self))
 
     @cached_property
-    def shift_tables(self) -> tuple:
-        """One `morphisms._ShiftTable` per b_j, built once per datum.
+    def shift_columns(self) -> tuple:
+        """`_shift_columns` of each b_j, built once per datum."""
+        return tuple(_shift_columns(self.context, b) for b in self.b)
 
-        The import is deferred because `morphisms` imports this module.
+    def find_shift(self, f):
+        """The first (j, v) with sigma^v(b_j) == f, or None: j ascending, then
+        v lexicographic in _SHIFT_WINDOW^n = {-2..2}^n.  f must be a polynomial.
+
+        One elimination of the equations of `_shift_columns`, columns in
+        reverse order, reads each pivot coordinate of v off the free ones
+        before it, so v is lexicographic exactly when its free coordinates
+        are.  Exact equality confirms each candidate.
         """
-        from .morphisms import _ShiftTable
-
-        return tuple(_ShiftTable(self.context, b) for b in self.b)
+        ctx, n = self.context, self.context.n
+        for j, (b, columns) in enumerate(zip(self.b, self.shift_columns)):
+            if columns is None:
+                continue
+            degree, top, second = columns
+            diff = f - b
+            if diff and diff.total_degree() >= degree:
+                continue
+            g = _part(diff, degree - 1)
+            lower = [p + _along(g, [Fraction(x, 2) for x in step]) for p, step in zip(second, ctx.steps)]
+            reduced, pivots, _ = _eliminate(
+                _linear_rows(top[::-1], g) + _linear_rows(lower[::-1], _part(diff, degree - 2))
+            )
+            if pivots and pivots[-1][1] == n:
+                continue  # a pivot in the target column: no rational solution
+            bound = {n - 1 - col: reduced[k] for k, (_, col) in enumerate(pivots)}
+            free = [i for i in range(n) if i not in bound]
+            for choice in product(_SHIFT_WINDOW, repeat=len(free)):
+                v = dict(zip(free, choice))
+                for i, row in bound.items():
+                    v[i] = row[-1] - sum(row[n - 1 - k] * v[k] for k in free)
+                if all(x.denominator == 1 and x in _SHIFT_WINDOW for x in v.values()):
+                    v = tuple(int(v[i]) for i in range(n))
+                    if f == ctx.apply_vec(v, b):
+                        return j, v
+        return None
 
     @property
     def coordinate_names(self):
@@ -139,6 +174,13 @@ def _conditions(C, h) -> list:
     return rows
 
 
+def _linear_rows(columns, rhs) -> list:
+    """The identity sum_k x_k·columns[k] = rhs as linear rows [coefficients | rhs],
+    one per monomial in ascending order."""
+    monomials = sorted(set(rhs.terms).union(*(column.terms for column in columns)))
+    return [[column.terms.get(e, 0) for column in columns] + [rhs.terms.get(e, 0)] for e in monomials]
+
+
 def _apply_word(act, memo, word):
     """D_word(memo[()]) with D_i(f) = act(i, f) - f; memo keeps every prefix."""
     if word not in memo:
@@ -180,11 +222,10 @@ def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
         p_j = {(): (hj * hj - hj * 2) * Fraction(1, 4)}
         labels, equations = [], []
         for label, _, word, target in (row for row in rows if row[1] == j):
-            columns = [_apply_word(act, memo, word).terms for memo in memos]
-            rhs = (target - _apply_word(act, p_j, word)).terms
-            for mono in sorted(set(rhs).union(*columns)):
-                labels.append(label)
-                equations.append([col.get(mono, 0) for col in columns] + [rhs.get(mono, 0)])
+            columns = [_apply_word(act, memo, word) for memo in memos]
+            new = _linear_rows(columns, target - _apply_word(act, p_j, word))
+            labels += [label] * len(new)
+            equations += new
         reduced, pivots, _ = _eliminate(equations)
         if pivots and pivots[-1][1] == len(basis):
             raise DatumError(f"no admissible beta for this matrix: the conditions on b{j+1} "
@@ -226,6 +267,39 @@ def check_bound_classical(datum: ClassicalDatum) -> list:
                 idx = i + 1 if i < datum.aux.rank else i - datum.aux.rank + 1
                 report(f"pairing along {m}: D({kind}{idx}) = {want}", residual)
     return out
+
+
+_SHIFT_WINDOW = range(-2, 3)
+
+
+def _part(p: MLaurent, degree) -> MLaurent:
+    """The homogeneous part of p of the given total degree."""
+    return MLaurent(p.n, {e: c for e, c in p.terms.items() if sum(e) == degree})
+
+
+def _along(p: MLaurent, u) -> MLaurent:
+    """D_u p: the derivative of p along the vector u."""
+    return MLaurent(p.n, _accumulate((p.derivative(i) * x).terms for i, x in enumerate(u) if x))
+
+
+def _shift_columns(ctx: ModelContext, b: MLaurent):
+    """What a shift sigma^v does to the top three degrees of b (None for b = 0).
+
+    sigma^v sends h to h + u with u = A·v.  Write p_k for the degree-k part of
+    a polynomial p, d for the degree of b, D_u for the derivative along u and
+    g = (f - b)_{d-1}.  By Taylor's formula, sigma^v(b) == f asks for
+      b_d = f_d,  D_u b_d = g  and  D_u b_{d-1} + D_u² b_d / 2 = (f - b)_{d-2}.
+    Applying D_u to the second equation gives D_u² b_d = D_u g, so wherever
+    it holds the third one reads D_u (b_{d-1} + g/2) = (f - b)_{d-2}.  Both
+    are linear in v, with the columns D_{A·e_i} of b_d and of b_{d-1} + g/2;
+    for a quadratic b they are all of sigma^v(b) == f.  Returns d and the
+    columns D_{A·e_i} of b_d and of b_{d-1}; `find_shift` adds the g/2 part.
+    """
+    degree = b.total_degree()
+    if degree is None:
+        return None
+    top, second = ([_along(_part(b, k), step) for step in ctx.steps] for k in (degree, degree - 1))
+    return degree, top, second
 
 
 # -- quantum side ----------------------------------------------------------

@@ -21,15 +21,10 @@ recovery phase that re-expresses the model's own generators (torus units,
 coefficient generators) inside the localized image.  Every inversion is
 logged by the model context, and `birational_witness` factors the log
 into the expected multiplicative set: shifted b's, the h generators, and
-torus units.  Anything else is flagged.
-
-A shift sigma^v moves h by A·v, so it fixes the top-degree part of b, and
-it moves the next two degrees down by amounts linear in v once the first of
-them matches.  The witness reads those linear equations off the
-denominator, walks the window of shifts in lexicographic order while
-pruning every prefix that the equations already rule out, and lets exact
-equality decide each remaining candidate.  Recovery checks raise
-RecoveryError, not assert, so they also run under python -O.
+torus units, asking the classical datum (`ClassicalDatum.find_shift`) which
+sigma-shift of which b a denominator is.  Anything else is flagged.
+Recovery checks raise RecoveryError, not assert, so they also run under
+python -O.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cartan import _as_matrix, _eliminate, _inverse, symmetrize
+from .cartan import _as_matrix, _inverse, symmetrize
 from .datum import ClassicalDatum, QuantumDatum, _directions
 from .exact import MLaurent, QQ_ONE, q_binom, q_power
 from .exact.laurent import _accumulate
@@ -729,93 +724,19 @@ class OreWitness:
         return tuple(e for e in self.entries if e.kind == "unrecognized")
 
 
-def _part(p: MLaurent, degree) -> MLaurent:
-    """The homogeneous part of p of the given total degree."""
-    return MLaurent(p.n, {e: c for e, c in p.terms.items() if sum(e) == degree})
-
-
-def _along(p: MLaurent, u) -> MLaurent:
-    """D_u p: the derivative of p along the vector u."""
-    return MLaurent(p.n, _accumulate((p.derivative(i) * x).terms for i, x in enumerate(u) if x))
-
-
-class _ShiftTable:
-    """What a shift sigma^v does to the top three degrees of one b.
-
-    sigma^v sends h to h + u with u = A·v.  Write p_k for the degree-k part of
-    a polynomial p, d for the degree of b, D_u for the derivative along u and
-    g = (f - b)_{d-1}.  By Taylor's formula, sigma^v(b) == f asks for
-      b_d = f_d,  D_u b_d = g  and  D_u b_{d-1} + D_u² b_d / 2 = (f - b)_{d-2}.
-    Applying D_u to the second equation gives D_u² b_d = D_u g, so wherever
-    it holds the third one reads D_u (b_{d-1} + g/2) = (f - b)_{d-2}.  Both
-    are linear in v, with the columns D_{A·e_i} of b_d and of b_{d-1} + g/2;
-    for a quadratic b they are all of sigma^v(b) == f.
-    """
-
-    def __init__(self, ctx, b: MLaurent):
-        self.ctx = ctx
-        self.b = b
-        self.degree = b.total_degree()
-        if self.degree is not None:
-            self.top = [_along(_part(b, self.degree), step) for step in ctx.steps]
-            self.second = [_along(_part(b, self.degree - 1), step) for step in ctx.steps]
-
-    def first_shift(self, f, window):
-        """The lexicographically first v in window^n with sigma^v(b) == f, or None.
-
-        f must be a polynomial.  It has to agree with b in the top degree, and
-        the walk over v drops every prefix that no rational completion of the
-        two linear equations satisfies; exact equality confirms each complete
-        candidate.
-        """
-        if self.degree is None:
-            return None
-        diff = f - self.b
-        if diff and diff.total_degree() >= self.degree:
-            return None
-        g = _part(diff, self.degree - 1)
-        half = Fraction(1, 2)
-        lower = [p + _along(g, [x * half for x in step]) for p, step in zip(self.second, self.ctx.steps)]
-        rows, target = [], []
-        for columns, rhs in ((self.top, g), (lower, _part(diff, self.degree - 2))):
-            for e in sorted(set(rhs.terms).union(*(column.terms for column in columns))):
-                rows.append([column.terms.get(e, 0) for column in columns])
-                target.append(rhs.terms.get(e, 0))
-        return self._walk(f, window, (), rows, target)
-
-    def _walk(self, f, window, prefix, rows, target):
-        ctx = self.ctx
-        k = len(prefix)
-        pivots = _eliminate([row[k:] + [t] for row, t in zip(rows, target)])[1]
-        if pivots and pivots[-1][1] == ctx.n - k:
-            return None  # a pivot in the target column: no rational completion
-        if k == ctx.n:
-            return prefix if f == ctx.apply_vec(prefix, self.b) else None
-        for x in window:
-            rest = [t - row[k] * x for row, t in zip(rows, target)]
-            found = self._walk(f, window, prefix + (x,), rows, rest)
-            if found is not None:
-                return found
-        return None
-
-
-_SHIFT_WINDOW = range(-2, 3)
-
-
-def _classify_classical(ctx, tables, f):
-    """Torus unit, h generator, or the first sigma^v(b_j) that equals f:
-    j ascending, then v lexicographic over _SHIFT_WINDOW^n = {-2..2}^n."""
+def _classify_classical(ctx, datum, f):
+    """Torus unit, h generator, or the first sigma^v(b_j) of a classical datum
+    that equals f (`ClassicalDatum.find_shift`)."""
     if isinstance(f, MLaurent) and f.is_const():
         return "torus-unit", "torus unit"
     for i in range(ctx.n):
         if f == ctx.coeff_var(i):
             return "h-generator", f"h{i + 1}"
-    if isinstance(f, MLaurent):
-        for j, table in enumerate(tables):
-            v = table.first_shift(f, _SHIFT_WINDOW)
-            if v is not None:
-                detail = f"b{j + 1}" if not any(v) else f"sigma^{v}(b{j + 1})"
-                return "shifted-b", detail
+    if isinstance(datum, ClassicalDatum) and isinstance(f, MLaurent):
+        found = datum.find_shift(f)
+        if found is not None:
+            j, v = found
+            return "shifted-b", f"b{j + 1}" if not any(v) else f"sigma^{v}(b{j + 1})"
     return "unrecognized", "unrecognized"
 
 
@@ -830,12 +751,10 @@ def birational_witness(report: VerificationReport) -> OreWitness:
     by shifted b's, the h generators, and torus units; flag anything else."""
     ctx = report.assignment.context
     names = _coeff_names(ctx)
-    datum = report.assignment.datum
-    tables = datum.shift_tables if isinstance(datum, ClassicalDatum) else ()
     entries = []
     for coeff, m in report.denominators:
         if ctx.kind == "classical":
-            kind, detail = _classify_classical(ctx, tables, coeff)
+            kind, detail = _classify_classical(ctx, report.assignment.datum, coeff)
         else:
             kind, detail = _classify_quantum(coeff)
         entries.append(WitnessEntry(coeff.to_str(names), tuple(m), kind, detail))

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import borelweyl.datum
-from borelweyl import morphisms
 from borelweyl.cartan import CATALOG, CartanError
 from borelweyl.cli import (
     CHECK_NAMES,
@@ -280,15 +279,11 @@ def test_a_failing_d_i_b_i_row_fails_generation():
 
 
 def test_a_classical_job_builds_each_shift_table_once(monkeypatch, capsys):
-    # three sections read the witness's shift tables off one datum
+    # three sections read the witness's shift columns off one datum: one build
+    # per b_j, where one per section would make 9
     built = []
-
-    class Counted(morphisms._ShiftTable):
-        def __init__(self, ctx, b):
-            built.append(b)
-            super().__init__(ctx, b)
-
-    monkeypatch.setattr(morphisms, "_ShiftTable", Counted)
+    original = borelweyl.datum._shift_columns
+    monkeypatch.setattr(borelweyl.datum, "_shift_columns", lambda ctx, b: built.append(b) or original(ctx, b))
     assert main(["verify", "--catalog", "A3", "--mode", "classical"]) == 1
     assert len(built) == 3
 

@@ -13,7 +13,7 @@ import borelweyl
 from borelweyl import morphisms
 from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.cli import _corrupted, _witness_block
-from borelweyl.datum import QuantumDatum, build_quantum_datum, solve_beta
+from borelweyl.datum import ClassicalDatum, QuantumDatum, build_quantum_datum, solve_beta
 from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
 from borelweyl.skew import ModelContext, quantum_context
 from borelweyl.morphisms import (
@@ -497,8 +497,7 @@ def brute_force_classify(ctx, datum, f, shift_bound=2):
 
 
 def solved_classify(datum, f):
-    ctx = datum.context
-    return _classify_classical(ctx, datum.shift_tables, f)
+    return _classify_classical(datum.context, datum, f)
 
 
 def logged_denominators(datum):
@@ -507,11 +506,23 @@ def logged_denominators(datum):
     return [coeff for report in reports for coeff, _ in report.denominators]
 
 
-@pytest.mark.parametrize("name", CATALOG)
+# the verify-classical ladder matrices outside the catalog: rank-3 non-simply-laced
+# data and a rank-4 branch node; on each, some searches leave v free coordinates
+LADDER = {
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+}
+
+
+@pytest.mark.parametrize("name", CATALOG + list(LADDER))
 def test_solved_shift_matches_the_brute_force_on_the_catalog(name):
-    datum = solve_beta(catalog_matrix(name))
-    for f in logged_denominators(datum):
+    datum = solve_beta(validate_gcm(LADDER[name]) if name in LADDER else catalog_matrix(name))
+    denominators = logged_denominators(datum)
+    for f in denominators:
         assert solved_classify(datum, f) == brute_force_classify(datum.context, datum, f)
+    if name in LADDER:
+        assert denominators
 
 
 def test_solved_shift_matches_the_brute_force_on_a_corrupted_datum():
@@ -590,11 +601,47 @@ def test_a_periodic_b_prints_its_first_shift_in_the_window(name, index, detail):
     assert solved_classify(datum, f) == ("shifted-b", detail)
 
 
+def test_a_period_with_mixed_signs_keeps_the_lexicographic_order():
+    # sigma^v fixes (h1 + h2)^2 exactly when v1 = -v2, so the first v in the
+    # window is (-2, 2); reading v1 off v2 instead would meet (2, -2) first
+    datum = solve_beta(catalog_matrix("A1xA1"))
+    h1, h2 = (datum.context.coeff_var(i) for i in range(2))
+    b1 = (h1 + h2) * (h1 + h2)
+    datum = ClassicalDatum(datum.context, datum.aux, datum.alpha, datum.beta, (b1, datum.b[1]))
+    expected = ("shifted-b", "sigma^(-2, 2)(b1)")
+    assert brute_force_classify(datum.context, datum, b1) == expected
+    assert solved_classify(datum, b1) == expected
+
+
 def test_rank_four_b1_keeps_its_lexicographic_name():
     rows = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
     datum = solve_beta(validate_gcm(rows))
     f = datum.b[0]
     assert solved_classify(datum, f) == ("shifted-b", "sigma^(0, 0, -2, -2)(b1)")
+
+
+def test_a_classical_assignment_without_a_datum_still_gets_a_witness():
+    # GeneratorAssignment.datum defaults to None: units and h generators are
+    # still classified, and every other denominator is flagged, not an error
+    datum = solve_beta(catalog_matrix("A2"))
+    report = verify(classical_borel_assignment(datum))
+    bare = GeneratorAssignment(report.assignment.presentation, report.assignment.context,
+                               report.assignment.images, report.assignment.kind)
+    assert bare.datum is None
+    ctx = bare.context
+    h1 = ctx.coeff_var(0)
+    denominators = ((MLaurent.const(2, Fraction(3)), (0, 0)), (h1, (0, 0)), (datum.b[0], (1, 0)))
+    witness = birational_witness(
+        VerificationReport(bare, report.entries, denominators, report.recovered, report.conventions)
+    )
+    assert [(e.kind, e.detail) for e in witness.entries] == [
+        ("torus-unit", "torus unit"), ("h-generator", "h1"), ("unrecognized", "unrecognized")
+    ]
+    assert not witness.passed
+    # the same denominators with the datum: b1 is recognised
+    assert [e.kind for e in birational_witness(
+        VerificationReport(report.assignment, report.entries, denominators, report.recovered, report.conventions)
+    ).entries] == ["torus-unit", "h-generator", "shifted-b"]
 
 
 def test_an_unrecognized_denominator_fails_the_witness():

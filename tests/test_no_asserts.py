@@ -7,6 +7,8 @@ never become a runtime dependency.  No module but the command line, whose
 timings are wall-clock floats, writes a float literal or names `float`: the
 mathematics is exact.  Every name a module lists in `__all__` is an
 attribute of that module, so a deletion cannot leave a stale export behind.
+Every import is a module-level statement, so an import cycle cannot hide
+behind an import deferred into a function.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """
@@ -50,6 +52,19 @@ def test_module_does_not_import_sympy(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [line for line, name in _imports(tree) if name.split(".")[0] == "sympy"]
     assert lines == [], f"sympy imported in {module} at lines {lines}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_at_module_level(module):
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {id(node) for node in tree.body}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert lines == [], f"imports below module level in {module} at lines {lines}"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])

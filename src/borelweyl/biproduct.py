@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .cartan import _as_matrix, symmetrize
+from .cartan import CartanAux
 from .exact import QQ_ONE, QScalar, q_power
 from .exact.laurent import _accumulate
 from .morphisms import _serre_windows
@@ -207,11 +207,10 @@ class RewriteSystem:
         if mode not in ("classical", "quantum"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.matrix = _as_matrix(matrix)
+        self.matrix = matrix
         self.d = d
         self.field = "rational" if mode == "classical" else "q"
-        n = self.matrix.n
-        self.n = n
+        self.n = n = matrix.n
         if mode == "classical":
             cartan = [f"H{i + 1}" for i in range(n)]
         else:
@@ -296,22 +295,20 @@ def _bracket(mode, d, i) -> dict:
     return {(f"K{i + 1}",): c, (f"K{i + 1}^-1",): -c}
 
 
-def build_rules(C, d=None, mode: str = "classical") -> RewriteSystem:
-    """Assemble the straightening rules for a Cartan matrix.
+def build_rules(aux: CartanAux, mode: str = "classical") -> RewriteSystem:
+    """Assemble the straightening rules for the matrix of aux, at q^{d_i} with d = aux.d.
 
     Classical rules move every F right past H and E, every H right past E,
     sort commuting letters by index, and reduce the maximal word of each
     Serre window.  Quantum rules do the same with K-letter scalings and
     balanced q-binomial Serre coefficients; K and K^-1 cancel on contact.
     """
-    C = _as_matrix(C)
-    n = C.n
+    C, n = aux.matrix, aux.matrix.n
     if mode == "classical":
         field, one, d = "rational", Fraction(1), None
         cartan = [(f"H{i + 1}",) for i in range(n)]
     elif mode == "quantum":
-        field, one = "q", QQ_ONE
-        d = tuple(d) if d is not None else symmetrize(C)
+        field, one, d = "q", QQ_ONE, aux.d
         cartan = [(f"K{i + 1}", f"K{i + 1}^-1") for i in range(n)]
     else:
         raise ValueError(f"unknown mode {mode!r}")

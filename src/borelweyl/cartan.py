@@ -60,7 +60,7 @@ class CartanMatrix:
 @dataclass(frozen=True)
 class CartanAux:
     matrix: CartanMatrix
-    d: tuple  # minimal positive integer symmetrizer
+    d: tuple  # the job's symmetrizer: minimal unless the matrix file overrides it
     rank: int
     corank: int
     Q: tuple  # n×n Fractions: dual-pair rows stacked over leftKernel rows
@@ -95,11 +95,6 @@ def validate_gcm(rows) -> CartanMatrix:
                     (i, j),
                 )
     return CartanMatrix(n, tuple(rows))
-
-
-def _as_matrix(C) -> CartanMatrix:
-    """A CartanMatrix as it is; raw rows validated into one."""
-    return C if isinstance(C, CartanMatrix) else validate_gcm(C)
 
 
 def symmetrize(C: CartanMatrix) -> tuple:

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,21 +181,26 @@ def _corrupted(datum: ClassicalDatum) -> ClassicalDatum:
 
 
 def _aux(job, cache):
-    return _shared(cache, "quasi-inverse", lambda: quasi_inverse(job.matrix))
+    """The job's CartanAux, built once; a file's `d:` override, validated by
+    the parser, replaces the minimal symmetrizer in it."""
+
+    def build():
+        aux = quasi_inverse(job.matrix)
+        return aux if job.d is None else replace(aux, d=job.d)
+
+    return _shared(cache, "quasi-inverse", build)
 
 
 def _classical_datum(job, cache):
     def build():
-        datum = solve_beta(job.matrix, _aux(job, cache))
+        datum = solve_beta(_aux(job, cache))
         return _corrupted(datum) if job.corrupt_beta else datum
 
     return _shared(cache, "classical-datum", build)
 
 
 def _quantum_datum(job, cache):
-    return _shared(
-        cache, "quantum-datum", lambda: build_quantum_datum(job.matrix, job.d, _aux(job, cache))
-    )
+    return _shared(cache, "quantum-datum", lambda: build_quantum_datum(_aux(job, cache)))
 
 
 # -- sections ----------------------------------------------------------------
@@ -255,7 +260,7 @@ def _run_datum_quantum(job, cache):
         f"omega{i + 1} has torus exponent {list(exp)}"
         for i, exp in enumerate(qd.omega_exponents)
     ]
-    notes.append(f"symmetrizer d = {list(qd.d)}; scaling weights g = {list(qd.g)}")
+    notes.append(f"symmetrizer d = {list(qd.aux.d)}; scaling weights g = {list(qd.g)}")
     notes.append(
         "plain and printed-localized rows may FAIL by design on negative entries;"
         " the section verdict checks every row against the documented pattern"
@@ -295,7 +300,7 @@ def _run_quantum_weyl(job, cache):
 
 
 def _run_biproduct(job, cache, mode):
-    rules = _shared(cache, f"rules-{mode}", lambda: build_rules(job.matrix, job.d, mode=mode))
+    rules = _shared(cache, f"rules-{mode}", lambda: build_rules(_aux(job, cache), mode=mode))
     confluence = check_local_confluence(rules, job.degree_bound)
     mixed = mixed_relation_check(rules)
     lines = confluence.summary_lines() + mixed.summary_lines()
@@ -435,9 +440,9 @@ class JobSpec:
 # -- report assembly ---------------------------------------------------------
 
 
-def _derived_block(matrix, aux, d_override):
+def _derived_block(aux):
     return {
-        "symmetrizer_d": list(d_override) if d_override else list(aux.d),
+        "symmetrizer_d": list(aux.d),
         "rank": aux.rank,
         "corank": aux.corank,
         "scaling_g": list(aux.g),
@@ -459,7 +464,7 @@ def run(job: JobSpec):
         "command": job.command,
         "matrix_name": job.matrix_name,
         "matrix": [list(row) for row in job.matrix.entries],
-        "derived": _derived_block(job.matrix, aux, job.d),
+        "derived": _derived_block(aux),
     }
 
     if job.command == "analyze":
@@ -471,7 +476,7 @@ def run(job: JobSpec):
         section = {"mode": job.mode, "input": None, "normal_form": None}
         passed = True
         try:
-            rules = build_rules(job.matrix, job.d, mode=job.mode)
+            rules = build_rules(aux, mode=job.mode)
             poly = rules.poly(parse_word(job.word, rules))
             section["input"] = str(poly)
             section["normal_form"] = str(normal_form(poly, rules))

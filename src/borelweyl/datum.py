@@ -20,15 +20,9 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import lcm
 
-from .cartan import (
-    CartanAux,
-    _as_matrix,
-    _column_reduce,
-    _eliminate,
-    _inverse,
-    quasi_inverse,
-    symmetrize,
-)
+from .cartan import CartanAux, _column_reduce, _eliminate, _inverse
+# unused here; perfbench's test_wrappers_rebind_every_namespace reads datum.quasi_inverse
+from .cartan import quasi_inverse  # noqa: F401
 from .exact import MLaurent, QQ_ONE, q_power
 from .exact.endo import shift
 from .exact.laurent import _accumulate
@@ -125,8 +119,7 @@ class ClassicalDatum:
 @dataclass(frozen=True)
 class QuantumDatum:
     context: ModelContext
-    aux: CartanAux
-    d: tuple
+    aux: CartanAux  # aux.d is the symmetrizer of the q-scalings
     b: tuple  # the monomials K_i^{-1}
     omega: tuple  # torus-weight monomials, paired entries then central ones
     omega_exponents: tuple  # K-exponent vector of each omega
@@ -189,7 +182,7 @@ def _apply_word(act, memo, word):
     return memo[word]
 
 
-def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
+def solve_beta(aux: CartanAux) -> ClassicalDatum:
     """Construct the classical datum by one exact linear solve per b_j.
 
     Each b_j is P_j = h_j(h_j - 2)/4 plus beta_j, of degree at most 2 in the
@@ -200,9 +193,7 @@ def solve_beta(C, aux: CartanAux = None) -> ClassicalDatum:
     result is re-checked against the difference operators before returning,
     and it keeps the reports of that check in `conditions`.
     """
-    C = _as_matrix(C)
-    aux = aux or quasi_inverse(C)
-    n = C.n
+    C, n = aux.matrix, aux.matrix.n
     ctx = classical_context(C)
     # sigma_i translates the alpha/gamma coordinates by Q·C e_i
     moves = [[sum(q * s for q, s in zip(row, step)) for row in aux.Q] for step in ctx.steps]
@@ -305,18 +296,15 @@ def _shift_columns(ctx: ModelContext, b: MLaurent):
 # -- quantum side ----------------------------------------------------------
 
 
-def build_quantum_datum(C, d=None, aux: CartanAux = None) -> QuantumDatum:
-    C = _as_matrix(C)
-    d = tuple(d) if d is not None else symmetrize(C)
-    aux = aux or quasi_inverse(C)
-    ctx = quantum_context(C, d)
-    n = C.n
+def build_quantum_datum(aux: CartanAux) -> QuantumDatum:
+    """b_i = K_i^{-1} and the omega weights, in the model that scales by q^{d_i·a_ij}, d = aux.d."""
+    ctx = quantum_context(aux.matrix, aux.d)
+    n = ctx.n
     b = tuple(MLaurent.var(n, i, -1, one=QQ_ONE) for i in range(n))
-    omega, exponents, g, dirs, table = build_omega(C, d, aux, ctx)
-    return QuantumDatum(ctx, aux, d, b, omega, exponents, g, dirs, table)
+    return QuantumDatum(ctx, aux, b, *_omega(aux, ctx))
 
 
-def build_omega(C, d=None, aux: CartanAux = None, ctx: ModelContext = None):
+def _omega(aux: CartanAux, ctx: ModelContext):
     """Torus-weight monomials omega_i = prod_u K_u^{w_iu} and their scalings.
 
     Writing S for the symmetrized matrix, sigma^m rescales K^w by
@@ -324,12 +312,10 @@ def build_omega(C, d=None, aux: CartanAux = None, ctx: ModelContext = None):
     with g_i the smallest positive integer making w_i integral; w-vectors for
     the central entries are the negated complement directions, which S
     annihilates.  The full scaling table is recomputed through the model's
-    automorphisms and must come out diagonal.
+    automorphisms and must come out diagonal.  Returns the QuantumDatum
+    fields after b: omegas, exponents, g, directions and the table.
     """
-    C = _as_matrix(C)
-    d = tuple(d) if d is not None else symmetrize(C)
-    aux = aux or quasi_inverse(C)
-    ctx = ctx or quantum_context(C, d)
+    C, d = aux.matrix, aux.d
     n, r = C.n, aux.rank
     S = [[d[i] * C[i, j] for j in range(n)] for i in range(n)]
     dirs = _directions(aux)
@@ -391,7 +377,7 @@ def check_bound_quantum(qdatum: QuantumDatum) -> list:
     and the weight-adapted conjugation window, like every scaling row,
     always holds.
     """
-    ctx, C, d = qdatum.context, qdatum.aux.matrix, qdatum.d
+    ctx, C, d = qdatum.context, qdatum.aux.matrix, qdatum.aux.d
     n = C.n
     names = [f"K{i+1}" for i in range(n)]
     out = []

@@ -5,8 +5,6 @@ evaluation at sample points.  Rationals are ``fractions.Fraction``; Q(q) and
 the polynomial types live in the submodules.
 """
 
-from fractions import Fraction as Rational
-
 from .qq import QScalar, q_power, q_binom, QQ_ZERO, QQ_ONE
 from .laurent import (
     MLaurent,
@@ -16,7 +14,6 @@ from .laurent import (
 )
 
 __all__ = [
-    "Rational",
     "QScalar",
     "q_power",
     "q_binom",

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .cartan import _as_matrix, _inverse, symmetrize
+from .cartan import CartanAux, _inverse
 from .datum import ClassicalDatum, QuantumDatum, _directions
 from .exact import MLaurent, QQ_ONE, q_binom, q_power
 from .exact.laurent import _accumulate
@@ -128,11 +128,11 @@ def _q_commutation(a, b, e, family) -> Relation:
     return Relation(f"{a}{b} = q^{e}*{b}{a}", family, ((QQ_ONE, (a, b)), (-q_power(e), (b, a))))
 
 
-def _serre_windows(families, i: int, j: int, m: int, d=None) -> list:
+def _serre_windows(families, i: int, j: int, m: int, d) -> list:
     """For each family X of symbols, the Serre window ((c_k, X_i^{m-k}·X_j·X_i^k) for k = 0..m).
 
     c_k is (-1)^k·binom(m, k) over the rationals, or (-1)^k times the
-    balanced q-binomial at q^d when d is given; the families share one
+    balanced q-binomial at q^d when d is not None; the families share one
     computation of them.  Every Serre word in the package, relation or
     rewriting rule, is written out here.
     """
@@ -143,8 +143,8 @@ def _serre_windows(families, i: int, j: int, m: int, d=None) -> list:
     ]
 
 
-def _serre_relations(C, X, ad: str, d=None) -> list:
-    """ad(X_i)^{1-a_ij}(X_j) = 0 for every i != j, q-binomials at q^{d_i} when d is given."""
+def _serre_relations(C, X, ad: str, d) -> list:
+    """ad(X_i)^{1-a_ij}(X_j) = 0 for every i != j, q-binomials at q^{d_i} when d is not None."""
     rels = []
     for i in range(C.n):
         for j in range(C.n):
@@ -157,7 +157,6 @@ def _serre_relations(C, X, ad: str, d=None) -> list:
 
 def _borel(C, letter: str, weight_sign: int) -> Presentation:
     """H_i and the letter's generators: [H_i, X_j] = weight_sign·a_ij·X_j plus Serre."""
-    C = _as_matrix(C)
     n = C.n
     H = [f"H{i + 1}" for i in range(n)]
     X = [f"{letter}{i + 1}" for i in range(n)]
@@ -173,21 +172,21 @@ def _borel(C, letter: str, weight_sign: int) -> Presentation:
                     _commutator_terms(H[i], X[j], one) + ((Fraction(-a), (X[j],)),),
                 )
             )
-    rels += _serre_relations(C, X, "ad")
+    rels += _serre_relations(C, X, "ad", None)
     side = "upper" if letter == "E" else "lower"
     return Presentation(
         f"{side} Borel, rank {n}", tuple(H + X), (), tuple(rels), {"matrix": C}
     )
 
 
-def borel_upper(C) -> Presentation:
+def borel_upper(aux: CartanAux) -> Presentation:
     """H_i and E_i with the weight relations and the E-side Serre relations."""
-    return _borel(C, "E", +1)
+    return _borel(aux.matrix, "E", +1)
 
 
-def borel_lower(C) -> Presentation:
+def borel_lower(aux: CartanAux) -> Presentation:
     """H_i and F_i; the weight relations carry the opposite sign."""
-    return _borel(C, "F", -1)
+    return _borel(aux.matrix, "F", -1)
 
 
 def _weyl(m, n, central, one, pairing, stem, params) -> Presentation:
@@ -236,12 +235,8 @@ def quantum_weyl(m: int, n: int, g, central: int = 0) -> Presentation:
     return _weyl(m, n, central, QQ_ONE, pairing, "qWeyl", {"m": m, "n": n, "g": g, "central": central})
 
 
-def _quantum_borel(C, d, letter: str, weight_sign: int) -> Presentation:
-    C = _as_matrix(C)
-    n = C.n
-    if d is None:
-        d = symmetrize(C)
-    d = tuple(int(x) for x in d)
+def _quantum_borel(aux: CartanAux, letter: str, weight_sign: int) -> Presentation:
+    C, d, n = aux.matrix, aux.d, aux.matrix.n
     K = [f"K{i + 1}" for i in range(n)]
     Kinv = [f"K{i + 1}^-1" for i in range(n)]
     X = [f"{letter}{i + 1}" for i in range(n)]
@@ -264,14 +259,14 @@ def _quantum_borel(C, d, letter: str, weight_sign: int) -> Presentation:
     )
 
 
-def quantum_borel_upper(C, d=None) -> Presentation:
-    """K_i^{+-1} and E_i: E_j K_i = q^{-d_i a_ij} K_i E_j plus q-Serre."""
-    return _quantum_borel(C, d, "E", -1)
+def quantum_borel_upper(aux: CartanAux) -> Presentation:
+    """K_i^{+-1} and E_i: E_j K_i = q^{-d_i a_ij} K_i E_j plus q-Serre, d = aux.d."""
+    return _quantum_borel(aux, "E", -1)
 
 
-def quantum_borel_lower(C, d=None) -> Presentation:
-    """K_i^{+-1} and F_i: F_j K_i = q^{+d_i a_ij} K_i F_j plus q-Serre."""
-    return _quantum_borel(C, d, "F", +1)
+def quantum_borel_lower(aux: CartanAux) -> Presentation:
+    """K_i^{+-1} and F_i: F_j K_i = q^{+d_i a_ij} K_i F_j plus q-Serre, d = aux.d."""
+    return _quantum_borel(aux, "F", +1)
 
 
 # -- assignments ---------------------------------------------------------------
@@ -380,7 +375,7 @@ def _quantum_side(qdatum: QuantumDatum, side: str):
     """The side's letter and presentation, and the images of K_i and K_i^-1."""
     ctx = qdatum.context
     letter = "E" if side == "upper" else "F"
-    pres = _quantum_borel(qdatum.aux.matrix, qdatum.d, letter, -1 if side == "upper" else 1)
+    pres = _quantum_borel(qdatum.aux, letter, -1 if side == "upper" else 1)
     torus = {}
     for i in range(ctx.n):
         torus[f"K{i + 1}"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i))
@@ -458,9 +453,8 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
             detail.append(f"{sym}: ambiguous, both signs pass")
         else:
             signs.append(None)
-            names = ["K1"] if n == 1 else [f"K{u + 1}" for u in range(n)]
             both = "; ".join(
-                f"t^{s:+d} residual {outcomes[s][0].to_str(names)}" for s in (1, -1)
+                f"t^{s:+d} residual {outcomes[s][0].to_str(_coeff_names(ctx))}" for s in (1, -1)
             )
             detail.append(f"{sym}: no sign works ({both})")
     choice = OrientationChoice(tuple(signs), all(s is not None for s in signs), tuple(detail))

@@ -25,7 +25,7 @@ from borelweyl.biproduct import (
     mixed_relation_check,
     normal_form,
 )
-from borelweyl.cartan import catalog_matrix
+from borelweyl.cartan import catalog_matrix, quasi_inverse
 from borelweyl.datum import (
     ClassicalDatum,
     build_quantum_datum,
@@ -65,7 +65,7 @@ def test_criterion_1_datum_solves_and_relations_split_as_proven():
     started = time.perf_counter()
     for name in FINITE:
         C = catalog_matrix(name)
-        datum = solve_beta(C)
+        datum = solve_beta(quasi_inverse(C))
         assert all(c.passed for c in check_bound_classical(datum)), name
         for side in ("upper", "lower"):
             report = verify(classical_borel_assignment(datum, side=side))
@@ -100,7 +100,7 @@ def _red_classical(name):
     ["A1", "A1xA1", _red_classical("A2"), _red_classical("A3"), _red_classical("B2"), _red_classical("G2")],
 )
 def test_criterion_1_every_borel_relation_maps_to_zero(name):
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     for side in ("upper", "lower"):
         assert verify(classical_borel_assignment(datum, side=side)).passed
 
@@ -111,7 +111,7 @@ def test_criterion_1_every_borel_relation_maps_to_zero(name):
 def test_criterion_2_rank_zero_kernel_images_are_the_catalog_ones():
     for name in FINITE:
         C = catalog_matrix(name)
-        datum = solve_beta(C)
+        datum = solve_beta(quasi_inverse(C))
         assignment = weyl_assignment(datum)
         ctx = datum.context
         for i in range(C.n):
@@ -127,7 +127,7 @@ def test_criterion_2_rank_zero_kernel_images_are_the_catalog_ones():
 
 
 def test_criterion_2_affine_generalized_pairing_closes_with_the_gap_note():
-    datum = solve_beta(catalog_matrix("A1affine"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A1affine")))
     assignment = weyl_assignment(datum)
     assert assignment.presentation.name == "Weyl(1,2) + 1 central"
     report = verify(assignment)
@@ -145,7 +145,7 @@ def test_criterion_3_quantum_catalog_under_the_computed_orientation():
     started = time.perf_counter()
     for name in FINITE:
         C = catalog_matrix(name)
-        qd = build_quantum_datum(C)
+        qd = build_quantum_datum(quasi_inverse(C))
         for condition in check_bound_quantum(qd):
             if condition.label.startswith(
                 ("scaling:", "localized scaling:", "localized window (weight-adapted):")
@@ -185,7 +185,7 @@ def _red_quantum(name):
     ["A1", "A1xA1", _red_quantum("A2"), _red_quantum("A3"), _red_quantum("B2"), _red_quantum("G2")],
 )
 def test_criterion_3_every_quantum_borel_relation_maps_to_zero(name):
-    qd = build_quantum_datum(catalog_matrix(name))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix(name)))
     for side in ("upper", "lower"):
         assignment, _ = fix_orientation(qd, side=side)
         assert verify(assignment).passed
@@ -196,7 +196,7 @@ def test_criterion_3_every_quantum_borel_relation_maps_to_zero(name):
 
 def test_criterion_4_omega_scalings_and_quantum_weyl_relations_are_exact():
     for name in EVERYTHING:
-        qd = build_quantum_datum(catalog_matrix(name))
+        qd = build_quantum_datum(quasi_inverse(catalog_matrix(name)))
         r = qd.aux.rank
         for i, row in enumerate(qd.scaling_exponents):
             for j, exponent in enumerate(row):
@@ -214,7 +214,7 @@ def test_criterion_5_small_rank_systems_are_locally_confluent_to_degree_four():
     for name in ("A1", "A2"):
         C = catalog_matrix(name)
         for mode in ("classical", "quantum"):
-            report = check_local_confluence(build_rules(C, mode=mode), 4)
+            report = check_local_confluence(build_rules(quasi_inverse(C), mode=mode), 4)
             assert report.passed, (name, mode)
 
 
@@ -222,7 +222,7 @@ def test_criterion_5_cross_pair_normal_forms_hold_verbatim():
     for name in ("A1", "A2"):
         C = catalog_matrix(name)
         for mode in ("classical", "quantum"):
-            R = build_rules(C, mode=mode)
+            R = build_rules(quasi_inverse(C), mode=mode)
             for i in range(C.n):
                 for j in range(C.n):
                     got = normal_form(R.poly((f"F{j + 1}", f"E{i + 1}")), R)
@@ -243,7 +243,7 @@ def test_criterion_5_normal_forms_do_not_depend_on_the_reduction_order():
     for name in ("A1", "A2"):
         C = catalog_matrix(name)
         for mode in ("classical", "quantum"):
-            R = build_rules(C, mode=mode)
+            R = build_rules(quasi_inverse(C), mode=mode)
             rng = random.Random(f"acceptance/{name}/{mode}")
 
             def chaotic(redexes):
@@ -262,7 +262,7 @@ def test_criterion_5_normal_forms_do_not_depend_on_the_reduction_order():
 
 def test_criterion_6_dropping_beta_fails_exactly_the_window_conditions():
     C = catalog_matrix("A2")
-    datum = solve_beta(C)
+    datum = solve_beta(quasi_inverse(C))
     n = C.n
     bare = []
     for j in range(n):
@@ -277,7 +277,7 @@ def test_criterion_6_dropping_beta_fails_exactly_the_window_conditions():
 
 
 def test_criterion_6_flipped_orientation_fails_the_weight_relations():
-    qd = build_quantum_datum(catalog_matrix("A1"))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix("A1")))
     report = verify(quantum_borel_assignment(qd, "upper", orientation=-1))
     assert not report.passed
     failed = [e.name for e in report.failed() if e.family == "weight"]
@@ -292,7 +292,7 @@ def _with_pairing_rhs(R, terms):
 
 
 def test_criterion_6_corrupting_the_pairing_rule_breaks_local_confluence():
-    R = _with_pairing_rhs(build_rules(catalog_matrix("A1")), {("E1", "F1"): 1, ("E1",): -1})
+    R = _with_pairing_rhs(build_rules(quasi_inverse(catalog_matrix("A1"))), {("E1", "F1"): 1, ("E1",): -1})
     report = check_local_confluence(R, 4)
     assert not report.passed
     (ambiguity,) = report.unresolved()
@@ -304,7 +304,7 @@ def test_criterion_6_merely_dropping_the_h_term_is_caught_by_the_cross_check():
     # this milder corruption presents a consistent algebra ([E,F] = 0 with the
     # same weights), so confluence survives and detection falls to the cross
     # relations, which report the missing -H on the diagonal
-    R = _with_pairing_rhs(build_rules(catalog_matrix("A1")), {("E1", "F1"): 1})
+    R = _with_pairing_rhs(build_rules(quasi_inverse(catalog_matrix("A1"))), {("E1", "F1"): 1})
     assert check_local_confluence(R, 4).passed
     report = mixed_relation_check(R)
     assert not report.passed
@@ -317,7 +317,7 @@ def test_criterion_6_merely_dropping_the_h_term_is_caught_by_the_cross_check():
 def test_criterion_7_plain_window_fails_exactly_below_zero_and_both_appear():
     for name in EVERYTHING:
         C = catalog_matrix(name)
-        by_label = {c.label: c for c in check_bound_quantum(build_quantum_datum(C))}
+        by_label = {c.label: c for c in check_bound_quantum(build_quantum_datum(quasi_inverse(C)))}
         for i in range(C.n):
             for j in range(C.n):
                 if i == j:
@@ -356,8 +356,8 @@ def test_criterion_8_every_inverted_denominator_is_factored_by_the_witness():
     allowed = {"torus-unit", "h-generator", "shifted-b"}
     for name in EVERYTHING:
         C = catalog_matrix(name)
-        datum = solve_beta(C)
-        qd = build_quantum_datum(C)
+        datum = solve_beta(quasi_inverse(C))
+        qd = build_quantum_datum(quasi_inverse(C))
         reports = [
             verify(classical_borel_assignment(datum, side=side))
             for side in ("upper", "lower")

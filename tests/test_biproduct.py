@@ -21,7 +21,7 @@ from borelweyl.biproduct import (
     parse_word,
     word_str,
 )
-from borelweyl.cartan import CartanError, catalog_matrix, validate_gcm
+from borelweyl.cartan import CartanError, catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.exact import QQ_ONE, q_binom, q_power
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
@@ -42,7 +42,7 @@ def swap_rule(R, lead, replacement):
 
 
 def test_sl2_classical_has_exactly_the_three_cross_rules():
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     assert {r.lead for r in R.rules} == {("F1", "E1"), ("H1", "E1"), ("F1", "H1")}
     pair = rule_for(R, ("F1", "E1"))
     assert pair.rhs == NCPoly("rational", {("E1", "F1"): 1, ("H1",): -1})
@@ -51,7 +51,7 @@ def test_sl2_classical_has_exactly_the_three_cross_rules():
 
 
 def test_a2_serre_rules_reduce_the_order_maximal_word():
-    R = build_rules(catalog_matrix("A2"))
+    R = build_rules(quasi_inverse(catalog_matrix("A2")))
     up = rule_for(R, ("E2", "E2", "E1"))
     assert up.rhs == NCPoly("rational", {("E2", "E1", "E2"): 2, ("E1", "E2", "E2"): -1})
     down = rule_for(R, ("E2", "E1", "E1"))
@@ -63,19 +63,19 @@ def test_a2_serre_rules_reduce_the_order_maximal_word():
 
 
 def test_quantum_serre_coefficients_are_balanced_binomials():
-    R = build_rules(catalog_matrix("A2"), mode="quantum")
+    R = build_rules(quasi_inverse(catalog_matrix("A2")), mode="quantum")
     r = rule_for(R, ("E2", "E2", "E1"))
     assert r.rhs.terms[("E2", "E1", "E2")] == q_binom(2, 1, 1)
     assert r.rhs.terms[("E1", "E2", "E2")] == -QQ_ONE
     # G2's wide window: ad-power 4, so a five-letter lead with four survivors
-    G = build_rules(catalog_matrix("G2"), mode="quantum")
+    G = build_rules(quasi_inverse(catalog_matrix("G2")), mode="quantum")
     wide = rule_for(G, ("E2",) * 4 + ("E1",))
     assert len(wide.rhs.terms) == 4
     assert wide.rhs.terms[("E2", "E2", "E2", "E1", "E2")] == q_binom(4, 1, G.d[1])
 
 
 def test_quantum_weight_rules_scale_by_the_symmetrized_exponent():
-    R = build_rules(catalog_matrix("B2"), mode="quantum")
+    R = build_rules(quasi_inverse(catalog_matrix("B2")), mode="quantum")
     assert R.d == (1, 2)
     assert rule_for(R, ("K1", "E2")).rhs == NCPoly("q", {("E2", "K1"): q_power(-2)})
     assert rule_for(R, ("F2", "K1")).rhs == NCPoly("q", {("K1", "F2"): q_power(-2)})
@@ -83,10 +83,10 @@ def test_quantum_weight_rules_scale_by_the_symmetrized_exponent():
 
 
 def test_disconnected_letters_get_sort_rules():
-    R = build_rules(catalog_matrix("A1xA1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1xA1")))
     assert rule_for(R, ("E2", "E1")).rhs == NCPoly.word("rational", ("E1", "E2"))
     # connected pairs are governed by Serre windows instead
-    S = build_rules(catalog_matrix("A2"))
+    S = build_rules(quasi_inverse(catalog_matrix("A2")))
     assert not [r for r in S.rules if r.lead == ("E2", "E1")]
 
 
@@ -100,16 +100,16 @@ def test_rules_must_decrease_the_term_order():
 def test_quantum_mode_requires_a_symmetrizable_matrix():
     loop = [[2, -1, -2], [-1, 2, -1], [-1, -1, 2]]
     with pytest.raises(CartanError, match="not symmetrizable"):
-        build_rules(loop, mode="quantum")
+        build_rules(quasi_inverse(validate_gcm(loop)), mode="quantum")
     with pytest.raises(ValueError, match="unknown mode"):
-        build_rules(catalog_matrix("A1"), mode="super")
+        build_rules(quasi_inverse(catalog_matrix("A1")), mode="super")
 
 
 # -- term order ----------------------------------------------------------------
 
 
 def test_order_is_graded_with_f_above_h_above_e():
-    R = build_rules(catalog_matrix("A2"))
+    R = build_rules(quasi_inverse(catalog_matrix("A2")))
     key = R.order_key
     assert key(("F1", "E1")) > key(("E1", "F1"))
     assert key(("H1", "E2")) > key(("E2", "H1"))
@@ -122,14 +122,14 @@ def test_order_is_graded_with_f_above_h_above_e():
 
 
 def test_pairing_normal_form_verbatim():
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     nf = normal_form(R.poly(("F1", "E1")), R)
     assert nf == NCPoly("rational", {("E1", "F1"): 1, ("H1",): -1})
     assert nf.to_str() == "E1*F1 - H1"
 
 
 def test_quantum_pairing_normal_form_verbatim():
-    R = build_rules(catalog_matrix("A1"), mode="quantum")
+    R = build_rules(quasi_inverse(catalog_matrix("A1")), mode="quantum")
     c = (q_power(1) - q_power(-1)).inverse()
     nf = normal_form(R.poly(("F1", "E1")), R)
     assert nf == NCPoly("q", {("E1", "F1"): QQ_ONE, ("K1",): -c, ("K1^-1",): c})
@@ -137,14 +137,14 @@ def test_quantum_pairing_normal_form_verbatim():
 
 
 def test_normal_word_is_left_alone():
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     p = R.poly(("E1", "H1", "F1"))
     assert normal_form(p, R) == p
 
 
 def test_straightening_h_f_e():
     # H·F·E = E·H·F + 2·E·F - H·H, found by hand and by the engine both ways
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     expected = NCPoly(
         "rational",
         {("E1", "H1", "F1"): 1, ("E1", "F1"): 2, ("H1", "H1"): -1},
@@ -154,7 +154,7 @@ def test_straightening_h_f_e():
 
 
 def test_k_and_its_inverse_cancel_both_ways():
-    R = build_rules(catalog_matrix("A2"), mode="quantum")
+    R = build_rules(quasi_inverse(catalog_matrix("A2")), mode="quantum")
     one = NCPoly.one("q")
     assert normal_form(R.poly(("K1", "K1^-1")), R) == one
     assert normal_form(R.poly(("K1^-1", "K1")), R) == one
@@ -162,13 +162,13 @@ def test_k_and_its_inverse_cancel_both_ways():
 
 
 def test_mixed_input_field_is_rejected():
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     with pytest.raises(ValueError, match="polynomial given to a"):
         normal_form(NCPoly.word("q", ("E1",)), R)
 
 
 def test_step_limit_error_carries_a_trace():
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     with pytest.raises(RewriteLimitError) as err:
         normal_form(R.poly(("F1", "E1")), R, step_limit=0)
     assert err.value.steps == 1
@@ -196,7 +196,7 @@ def test_step_limit_error_carries_a_trace():
 
 
 def test_redexes_at_one_position_keep_construction_order():
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     extra = Rule(("F1", "E1", "E1"), R.poly(("E1", "E1", "F1")), "extra")
     pairing = rule_for(R, ("F1", "E1"))
     word = ("F1", "E1", "E1")
@@ -267,7 +267,7 @@ def _middle(redexes):
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("name", ["B2", "G2", "A3"])
 def test_reduction_order_matches_the_max_scan(name, mode):
-    R = build_rules(catalog_matrix(name), mode=mode)
+    R = build_rules(quasi_inverse(catalog_matrix(name)), mode=mode)
     rng = random.Random(f"{name}-{mode}")
     e_and_f = [letter for letter in R.alphabet if letter[0] in "EF"]
     for _ in range(20):
@@ -284,7 +284,7 @@ def test_reduction_order_matches_the_max_scan(name, mode):
 
 @given(st.lists(st.sampled_from(["E1", "H1", "F1"]), max_size=5))
 def test_sl2_normal_form_is_stable_and_strategy_free(letters):
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     p = R.poly(tuple(letters))
     nf = normal_form(p, R)
     assert normal_form(nf, R) == nf
@@ -301,7 +301,7 @@ def normal_words(R, degree):
 
 @pytest.mark.parametrize("degree", range(7))
 def test_sl2_classical_normal_words_count_ordered_monomials(degree):
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     ordered = {
         ("E1",) * a + ("H1",) * b + ("F1",) * (degree - a - b)
         for a in range(degree + 1)
@@ -313,14 +313,14 @@ def test_sl2_classical_normal_words_count_ordered_monomials(degree):
 
 @pytest.mark.parametrize("degree", range(7))
 def test_sl2_quantum_normal_words_are_e_krun_f(degree):
-    R = build_rules(catalog_matrix("A1"), mode="quantum")
+    R = build_rules(quasi_inverse(catalog_matrix("A1")), mode="quantum")
     # E^a (K-run) F^c: one empty run plus a K1-run and a K1^-1-run per length
     assert len(normal_words(R, degree)) == (degree + 1) ** 2
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for a in range(4) for b in range(4) if a + b])
 def test_a2_e_block_bidegree_count(a, b):
-    R = build_rules(catalog_matrix("A2"))
+    R = build_rules(quasi_inverse(catalog_matrix("A2")))
     words = [
         w
         for w in product(("E1", "E2"), repeat=a + b)
@@ -335,14 +335,14 @@ def test_a2_e_block_bidegree_count(a, b):
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("name", ["A1", "A2"])
 def test_small_rank_systems_are_degree_four_confluent(name, mode):
-    R = build_rules(catalog_matrix(name), mode=mode)
+    R = build_rules(quasi_inverse(catalog_matrix(name)), mode=mode)
     report = check_local_confluence(R, 4)
     assert report.passed
     assert report.ambiguities  # something was actually checked
 
 
 def test_sl2_classical_has_the_single_famous_overlap():
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     report = check_local_confluence(R, 4)
     assert [a.word for a in report.ambiguities] == [("F1", "H1", "E1")]
     assert report.passed
@@ -352,7 +352,7 @@ def test_sl2_classical_has_the_single_famous_overlap():
 def test_a3_degree_four_finds_the_missing_composite_root(mode):
     # bare Serre rules stop being a complete basis at rank three: the
     # adjacent-window overlap needs a composite-root reduction we do not carry
-    R = build_rules(catalog_matrix("A3"), mode=mode)
+    R = build_rules(quasi_inverse(catalog_matrix("A3")), mode=mode)
     assert check_local_confluence(R, 3).passed
     report = check_local_confluence(R, 4)
     assert not report.passed
@@ -382,27 +382,27 @@ def rule_pair_overlaps(R, bound):
 @pytest.mark.parametrize("name", ["B2", "A3"])
 def test_ambiguities_come_in_rule_pair_order(name, mode):
     # every ordered pair of rules, overlaps before containments, as the report lists them
-    R = build_rules(catalog_matrix(name), mode=mode)
+    R = build_rules(quasi_inverse(catalog_matrix(name)), mode=mode)
     expected = [(word, f"{word_str(r2.lead)} at {pos}") for _, r2, word, pos in rule_pair_overlaps(R, 4)]
     found = check_local_confluence(R, 4).ambiguities
     assert [(a.word, a.right) for a in found] == expected
 
 
 def test_confluence_bound_must_cover_a_rule():
-    R = build_rules(catalog_matrix("A1"))
+    R = build_rules(quasi_inverse(catalog_matrix("A1")))
     with pytest.raises(ValueError, match="degree bound"):
         check_local_confluence(R, 1)
 
 
 def test_summary_lines_show_the_failure_pair():
-    R = build_rules(catalog_matrix("A3"))
+    R = build_rules(quasi_inverse(catalog_matrix("A3")))
     lines = check_local_confluence(R, 4).summary_lines()
     assert "112 ambiguities, 110 resolved" in lines[0]
     assert any("E3*E2*E2*E1" in line for line in lines)
 
 
 def test_a_resolved_ambiguity_is_never_rendered(monkeypatch):
-    R = build_rules(catalog_matrix("A2"), mode="quantum")
+    R = build_rules(quasi_inverse(catalog_matrix("A2")), mode="quantum")
     calls = []
     render = NCPoly.to_str
 
@@ -447,7 +447,7 @@ D4_ROWS = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 
 @pytest.mark.parametrize("rows", [A3_ROWS, D4_ROWS], ids=["A3", "D4"])
 def test_summary_lines_match_rendering_every_ambiguity(rows):
-    R = build_rules(validate_gcm(rows), mode="quantum")
+    R = build_rules(quasi_inverse(validate_gcm(rows)), mode="quantum")
     lines = check_local_confluence(R, 6).summary_lines()
     assert len(lines) > 1  # both systems leave ambiguities unresolved at degree 6
     assert lines == _summary_rendering_every_ambiguity(R, 6)
@@ -464,7 +464,7 @@ def corrupt_pairing(R, rhs_terms):
 def test_dropping_the_h_term_is_caught_by_the_cross_check_not_confluence():
     # F·E -> E·F alone still presents a consistent algebra ([E,F] = 0 with the
     # same weights), so every overlap resolves; what breaks is [E,F] - H itself
-    R = corrupt_pairing(build_rules(catalog_matrix("A1")), {("E1", "F1"): 1})
+    R = corrupt_pairing(build_rules(quasi_inverse(catalog_matrix("A1"))), {("E1", "F1"): 1})
     assert check_local_confluence(R, 4).passed
     report = mixed_relation_check(R)
     assert not report.passed
@@ -475,7 +475,7 @@ def test_wrong_weight_term_breaks_the_f_h_e_overlap():
     # replacing -H by -E injects a weight-two term where weight zero is forced,
     # and the F·H·E ambiguity stops resolving (the two ways differ by 2·E)
     R = corrupt_pairing(
-        build_rules(catalog_matrix("A1")), {("E1", "F1"): 1, ("E1",): -1}
+        build_rules(quasi_inverse(catalog_matrix("A1"))), {("E1", "F1"): 1, ("E1",): -1}
     )
     report = check_local_confluence(R, 4)
     assert not report.passed
@@ -490,7 +490,7 @@ def test_wrong_weight_term_breaks_the_f_h_e_overlap():
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("name", CATALOG)
 def test_mixed_relations_normalize_to_zero(name, mode):
-    R = build_rules(catalog_matrix(name), mode=mode)
+    R = build_rules(quasi_inverse(catalog_matrix(name)), mode=mode)
     report = mixed_relation_check(R)
     assert report.passed
     assert len(report.entries) == R.n * R.n
@@ -514,7 +514,7 @@ def test_normal_forms_do_not_depend_on_the_reduction_order(name, mode):
     # A3's rules are degree-4 incomplete (see the confluence test), so its
     # guarantee only reaches degree-3 inputs; everywhere else degree 4 is safe
     max_degree = 3 if name == "A3" else 4
-    R = build_rules(catalog_matrix(name), mode=mode)
+    R = build_rules(quasi_inverse(catalog_matrix(name)), mode=mode)
     rng = random.Random(f"{name}/{mode}")
     chaotic = lambda redexes: redexes[rng.randrange(len(redexes))]
     for _ in range(100):
@@ -527,7 +527,7 @@ def test_normal_forms_do_not_depend_on_the_reduction_order(name, mode):
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("name", ["A1", "A2"])
 def test_degree_six_reductions_terminate(name, mode):
-    R = build_rules(catalog_matrix(name), mode=mode)
+    R = build_rules(quasi_inverse(catalog_matrix(name)), mode=mode)
     rng = random.Random(f"terminate/{name}/{mode}")
     for _ in range(25):
         p = random_poly(R, rng, 6)
@@ -539,7 +539,7 @@ def test_degree_six_reductions_terminate(name, mode):
 
 
 def test_parse_word_accepts_stars_and_spaces():
-    R = build_rules(catalog_matrix("A2"), mode="quantum")
+    R = build_rules(quasi_inverse(catalog_matrix("A2")), mode="quantum")
     assert parse_word("F1*E2", R) == ("F1", "E2")
     assert parse_word("  K1^-1 E1 ", R) == ("K1^-1", "E1")
     with pytest.raises(ValueError, match="unknown generator 'E9'"):

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import borelweyl.cartan
+import borelweyl.cli
 import borelweyl.datum
 from borelweyl.cartan import CATALOG, CartanError
 from borelweyl.cli import (
@@ -19,7 +21,7 @@ from borelweyl.cli import (
     parse_report,
     run,
 )
-from borelweyl.cartan import catalog_matrix
+from borelweyl.cartan import catalog_matrix, quasi_inverse
 from borelweyl.datum import ClassicalDatum, solve_beta
 
 
@@ -268,7 +270,7 @@ def test_the_d_i_b_i_rows_witness_generation(name, corrupt_beta):
 
 def test_a_failing_d_i_b_i_row_fails_generation():
     spec = job(name="A2", mode="classical", checks=("datum",))
-    datum = solve_beta(spec.matrix)
+    datum = solve_beta(quasi_inverse(spec.matrix))
     doubled = ClassicalDatum(
         datum.context, datum.aux, datum.alpha, datum.beta, (datum.b[0] * 2,) + datum.b[1:]
     )
@@ -288,19 +290,58 @@ def test_a_classical_job_builds_each_shift_table_once(monkeypatch, capsys):
     assert len(built) == 3
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name wherever a borelweyl module binds it; returns the list of calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for bound in list(sys.modules.values()):
+        if bound and bound.__name__.startswith("borelweyl") and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--catalog", "B2", "--mode", "both"],
+    ["rewrite", "--catalog", "B2", "--mode", "quantum", "K1", "E1"],
+])
+def test_a_job_derives_its_symmetrizer_once(argv, monkeypatch, capsys):
+    # the datum, the presentations and the rules all read the job's CartanAux
+    symmetrized = count_calls(monkeypatch, borelweyl.cartan, "symmetrize")
+    inverted = count_calls(monkeypatch, borelweyl.cartan, "quasi_inverse")
+    assert main(argv) == (1 if argv[0] == "verify" else 0)
+    assert len(symmetrized) == 1
+    assert len(inverted) == 1
+
+
+def test_a_symmetrizer_override_is_the_one_every_quantum_object_reads(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "scaled.mat"
+    path.write_text("2\n2 -2\n-1 2\nd: 2 4\n")
+    built = []
+    for name in ("build_quantum_datum", "build_rules"):
+
+        def keep(*args, _build=getattr(borelweyl.cli, name), **kwargs):
+            built.append(_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(borelweyl.cli, name, keep)
+    assert main(["verify", "--matrix", str(path), "--mode", "quantum", "--format", "structured"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["derived"]["symmetrizer_d"] == [2, 4]
+    notes = sections(report)[("datum", "quantum")]["notes"]
+    assert "symmetrizer d = [2, 4]; scaling weights g = [4, 4]" in notes
+    qd, rules = built
+    assert qd.aux.d == qd.context.d == rules.d == (2, 4)
+
+
 @pytest.mark.parametrize("argv", [["--catalog", "A3"], ["--catalog", "B2", "--format", "structured"]])
 def test_a_classical_job_checks_its_datum_once(argv, monkeypatch, capsys):
     # solve_beta's re-check is the section's report: the conditions are evaluated once
-    calls = []
-    original = borelweyl.datum.check_bound_classical
-
-    def counted(d):
-        calls.append(d)
-        return original(d)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("borelweyl") and getattr(module, "check_bound_classical", None) is original:
-            monkeypatch.setattr(module, "check_bound_classical", counted)
+    calls = count_calls(monkeypatch, borelweyl.datum, "check_bound_classical")
     assert main(["verify", *argv, "--mode", "classical"]) == 1
     assert len(calls) == 1
     assert "D1(b1) = h1" in capsys.readouterr().out

@@ -9,14 +9,14 @@ from borelweyl.cartan import _inverse, catalog_matrix, lattice_scaling, quasi_in
 from borelweyl.datum import (
     ClassicalDatum,
     DatumError,
-    build_omega,
+    _omega,
     build_quantum_datum,
     check_bound_classical,
     check_bound_quantum,
     solve_beta,
 )
 from borelweyl.exact import MLaurent, QQ_ONE, q_power
-from borelweyl.skew import classical_context, q_divided_diff
+from borelweyl.skew import classical_context, q_divided_diff, quantum_context
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
 
@@ -29,14 +29,14 @@ def mono(n, exps, coeff):
 
 
 def test_alpha_forms_a2():
-    alphas = solve_beta(catalog_matrix("A2")).alpha
+    alphas = solve_beta(quasi_inverse(catalog_matrix("A2"))).alpha
     assert alphas[0] == mono(2, (1, 0), Fraction(2, 3)) + mono(2, (0, 1), Fraction(1, 3))
     assert alphas[1] == mono(2, (1, 0), Fraction(1, 3)) + mono(2, (0, 1), Fraction(2, 3))
 
 
 def test_alpha_forms_affine():
     # one paired coordinate plus one central gamma
-    alphas = solve_beta(catalog_matrix("A1affine")).alpha
+    alphas = solve_beta(quasi_inverse(catalog_matrix("A1affine"))).alpha
     assert alphas[0] == mono(2, (1, 0), Fraction(1, 2))
     assert alphas[1] == mono(2, (1, 0), 1) + mono(2, (0, 1), 1)
 
@@ -58,7 +58,7 @@ BETA_EXPECTED = {
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_solve_beta_minimal_values(name):
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     n = datum.context.n
     for j, want in enumerate(BETA_EXPECTED[name]):
         assert datum.beta[j] == MLaurent(n, dict(want))
@@ -66,13 +66,13 @@ def test_solve_beta_minimal_values(name):
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_bound_conditions_all_pass(name):
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     reports = check_bound_classical(datum)
     assert reports and all(r.passed for r in reports)
 
 
 def test_b_polynomial_shape_sl2():
-    datum = solve_beta(catalog_matrix("A1"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A1")))
     h = MLaurent.var(1, 0)
     assert datum.b[0] == (h * h - h * 2) * Fraction(1, 4)
 
@@ -80,7 +80,7 @@ def test_b_polynomial_shape_sl2():
 def _datum_with_beta(name, betas):
     C = catalog_matrix(name)
     aux = quasi_inverse(C)
-    base = solve_beta(C, aux)
+    base = solve_beta(aux)
     n = C.n
     bs = []
     for j in range(n):
@@ -100,7 +100,7 @@ def test_beta_zero_breaks_exactly_the_windows():
 @pytest.mark.parametrize("name", ["A2", "G2"])
 def test_beta_is_minimal_monomialwise(name):
     # dropping any single correction monomial must break a window condition
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     n = datum.context.n
     dropped_any = False
     for j in range(n):
@@ -117,7 +117,7 @@ def test_beta_is_minimal_monomialwise(name):
 
 def test_solve_beta_never_uses_own_coordinate():
     for name in CATALOG:
-        datum = solve_beta(catalog_matrix(name))
+        datum = solve_beta(quasi_inverse(catalog_matrix(name)))
         for j, beta in enumerate(datum.beta):
             assert not beta.deg_in(j)
 
@@ -135,9 +135,9 @@ def test_solve_beta_random_rank_two(a, b):
         # singular and lopsided: the needed correction lives in a coordinate
         # that the diagonal direction also shifts, so no beta can work
         with pytest.raises(DatumError):
-            solve_beta(C)
+            solve_beta(quasi_inverse(C))
     else:
-        datum = solve_beta(C)
+        datum = solve_beta(quasi_inverse(C))
         assert all(r.passed for r in check_bound_classical(datum))
 
 
@@ -188,13 +188,13 @@ def agrees_with_the_old_solve(C):
         old = old_solve_beta(C)
     except DatumError:
         try:
-            new = solve_beta(C)
+            new = solve_beta(quasi_inverse(C))
         except DatumError as exc:
             assert str(exc).startswith("no admissible beta for this matrix: ")
         else:
             assert all(r.passed for r in check_bound_classical(new))
         return
-    new = solve_beta(C)
+    new = solve_beta(quasi_inverse(C))
     assert new.beta == old.beta and new.b == old.b
     assert [b.to_str() for b in new.b] == [b.to_str() for b in old.b]
 
@@ -280,7 +280,7 @@ OMEGA_EXPECTED = {
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_omega_exponents_and_scalings(name):
-    qd = build_quantum_datum(catalog_matrix(name))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix(name)))
     exps, g = OMEGA_EXPECTED[name]
     assert qd.omega_exponents == exps
     assert qd.g == g
@@ -294,19 +294,19 @@ def test_omega_scaling_can_exceed_column_lattice_bound():
     # the symmetrizer enters the scaling exponents: for B2 and G2 the verified
     # g differs from the plain column-denominator reading of Q
     for name, plain in (("B2", (2, 1)), ("G2", (1, 1))):
-        qd = build_quantum_datum(catalog_matrix(name))
+        qd = build_quantum_datum(quasi_inverse(catalog_matrix(name)))
         assert qd.aux.g == plain
-        assert qd.g == tuple(qd.d[i] * plain[i] for i in range(len(plain)))
+        assert qd.g == tuple(qd.aux.d[i] * plain[i] for i in range(len(plain)))
 
 
 def test_quantum_b_is_k_inverse():
-    qd = build_quantum_datum(catalog_matrix("A2"))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix("A2")))
     assert qd.b[0] == MLaurent.var(2, 0, -1, one=QQ_ONE)
     assert qd.b[1] == MLaurent.var(2, 1, -1, one=QQ_ONE)
 
 
 def test_affine_central_omega_is_fixed_by_everything():
-    qd = build_quantum_datum(catalog_matrix("A1affine"))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix("A1affine")))
     ctx = qd.context
     central = qd.omega[1]
     for i in range(2):
@@ -315,7 +315,7 @@ def test_affine_central_omega_is_fixed_by_everything():
 
 
 def test_plain_window_residual_a2():
-    qd = build_quantum_datum(catalog_matrix("A2"))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix("A2")))
     got = q_divided_diff(qd.context, 0, 2, qd.b[1])
     coeff = (q_power(-1) - 1) * (q_power(-1) - q_power(2))
     assert got == MLaurent.var(2, 1, -1, one=QQ_ONE) * coeff
@@ -324,7 +324,7 @@ def test_plain_window_residual_a2():
 @pytest.mark.parametrize("name", CATALOG)
 def test_plain_fails_iff_negative_entry_localized_always_holds(name):
     C = catalog_matrix(name)
-    qd = build_quantum_datum(C)
+    qd = build_quantum_datum(quasi_inverse(C))
     reports = {r.label: r for r in check_bound_quantum(qd)}
     for i in range(C.n):
         for j in range(C.n):
@@ -351,7 +351,7 @@ def test_plain_fails_iff_negative_entry_localized_always_holds(name):
 @pytest.mark.parametrize("name", ["B2", "G2"])
 def test_quantum_rows_carry_their_predicted_verdict(name):
     C = catalog_matrix(name)
-    reports = check_bound_quantum(build_quantum_datum(C))
+    reports = check_bound_quantum(build_quantum_datum(quasi_inverse(C)))
     by_label = {r.label: r for r in reports}
     expected = {r.label: True for r in reports}
     for i in range(C.n):
@@ -372,18 +372,19 @@ def test_quantum_rows_carry_their_predicted_verdict(name):
 
 def test_symmetrizer_shows_up_in_scaling_labels():
     # B2 has d = (1, 2); the sigma_2 scaling of b_1 carries the doubled power
-    qd = build_quantum_datum(catalog_matrix("B2"))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix("B2")))
     labels = [r.label for r in check_bound_quantum(qd)]
     assert "scaling: sigma2(b1) = q^-2·b1" in labels
 
 
 def test_build_omega_rejects_nothing_on_catalog():
-    # direct call, bypassing build_quantum_datum
+    # direct call of the omega step, bypassing build_quantum_datum
     for name in CATALOG:
         C = catalog_matrix(name)
-        omegas, exps, g, dirs, table = build_omega(C)
+        aux = quasi_inverse(C)
+        omegas, exps, g, dirs, table = _omega(aux, quantum_context(C, aux.d))
         assert len(omegas) == C.n
-        assert len(g) == quasi_inverse(C).rank
+        assert len(g) == aux.rank
 
 
 def test_lattice_scaling_matches_quasi_inverse_column_reading():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -90,7 +91,7 @@ SERRE_AT_P2 = {
 
 
 def test_borel_upper_rank_one_is_a_single_weight_relation():
-    pres = borel_upper(catalog_matrix("A1"))
+    pres = borel_upper(quasi_inverse(catalog_matrix("A1")))
     assert pres.generators == ("H1", "E1")
     assert len(pres.relations) == 1
     (rel,) = pres.relations
@@ -113,7 +114,7 @@ def test_weyl_one_one_is_the_canonical_commutator():
 
 
 def test_quantum_serre_coefficients_are_balanced():
-    pres = quantum_borel_upper(catalog_matrix("A2"), (1, 1))
+    pres = quantum_borel_upper(quasi_inverse(catalog_matrix("A2")))
     serre = pres.by_family("serre")
     assert len(serre) == 2
     rel = next(r for r in serre if r.name.startswith("ad_q(E1)"))
@@ -125,7 +126,7 @@ def test_quantum_serre_coefficients_are_balanced():
 
 
 def test_g2_window_reaches_four():
-    pres = quantum_borel_upper(catalog_matrix("G2"))
+    pres = quantum_borel_upper(quasi_inverse(catalog_matrix("G2")))
     rel = next(r for r in pres.by_family("serre") if r.name.startswith("ad_q(E2)"))
     assert len(rel.terms) == 5  # window 1 - (-3) = 4
 
@@ -137,7 +138,7 @@ def test_presentation_rejects_undeclared_symbols():
 
 
 def test_evaluate_word_empty_and_single():
-    datum = solve_beta(catalog_matrix("A1"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A1")))
     asg = classical_borel_assignment(datum)
     one = SkewElem.one(asg.context)
     assert evaluate_word(asg, ((Fraction(1), ()),)) == one
@@ -166,8 +167,8 @@ def word_by_word(asg, p):
 def horner_assignment(kind):
     """The classical A3 and the quantum B2 upper assignments."""
     if kind == "classical":
-        return classical_borel_assignment(solve_beta(catalog_matrix("A3")), "upper")
-    asg, _ = fix_orientation(build_quantum_datum(catalog_matrix("B2")), "upper")
+        return classical_borel_assignment(solve_beta(quasi_inverse(catalog_matrix("A3"))), "upper")
+    asg, _ = fix_orientation(build_quantum_datum(quasi_inverse(catalog_matrix("B2"))), "upper")
     return asg
 
 
@@ -222,7 +223,7 @@ def test_verify_shares_products_between_words(monkeypatch):
     # Horner on the last letter: the 18 relations of the classical A3 upper
     # Borel have 101 letters, one product each word by word (the recovery adds
     # 6), so verify made 107 skew products; sharing right products makes 54
-    asg = classical_borel_assignment(solve_beta(catalog_matrix("A3")), "upper")
+    asg = classical_borel_assignment(solve_beta(quasi_inverse(catalog_matrix("A3"))), "upper")
     relations = asg.presentation.relations
     letters = sum(len(word) for rel in relations for _, word in rel.terms)
     assert (len(relations), letters) == (18, 101)
@@ -261,7 +262,7 @@ def serre_pairs(report):
 @pytest.mark.parametrize("side", ["upper", "lower"])
 def test_classical_borel_relations(name, side):
     C = catalog_matrix(name)
-    datum = solve_beta(C)
+    datum = solve_beta(quasi_inverse(C))
     report = verify(classical_borel_assignment(datum, side))
     for entry in report.entries:
         if entry.family != "serre":
@@ -280,7 +281,7 @@ def test_classical_borel_relations(name, side):
 
 def test_a2_upper_serre_spot_value_at_first_point():
     C = catalog_matrix("A2")
-    report = verify(classical_borel_assignment(solve_beta(C)))
+    report = verify(classical_borel_assignment(solve_beta(quasi_inverse(C))))
     entry = serre_pairs(report)[(1, 2)]
     ((_, coeff),) = entry.residual.terms.items()
     assert coeff.evaluate(h_point(C, COORD_P1)) == Fraction(-13, 8)
@@ -290,14 +291,14 @@ def test_a2_upper_serre_spot_value_at_first_point():
 def test_reflected_b_is_the_diagonal_shift(name):
     # the lower coefficients coincide with sigma_i(b_i) on this whole catalog;
     # the recovery phase leans on the weaker fact that they factor as shifts
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     ctx = datum.context
     for i, b in enumerate(datum.b):
         assert reflect(b) == ctx.apply(i, b)
 
 
 def test_sl2_witness_names_exactly_h_b_and_torus():
-    datum = solve_beta(catalog_matrix("A1"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A1")))
     report = verify(classical_borel_assignment(datum))
     witness = birational_witness(report)
     assert witness.passed
@@ -307,7 +308,7 @@ def test_sl2_witness_names_exactly_h_b_and_torus():
 @pytest.mark.parametrize("name", CATALOG)
 @pytest.mark.parametrize("side", ["upper", "lower"])
 def test_classical_witness_factors_everywhere(name, side):
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     report = verify(classical_borel_assignment(datum, side))
     witness = birational_witness(report)
     assert witness.passed, [e.detail for e in witness.flagged()]
@@ -319,7 +320,7 @@ def test_classical_witness_factors_everywhere(name, side):
 
 
 def test_recovery_exposes_model_generators():
-    datum = solve_beta(catalog_matrix("A2"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A2")))
     report = verify(classical_borel_assignment(datum))
     ctx = report.assignment.context
     assert report.recovered["t1"] == SkewElem.torus(ctx, (1, 0))
@@ -332,7 +333,7 @@ def test_recovery_exposes_model_generators():
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_weyl_embedding_satisfies_all_relations(name):
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     report = verify(weyl_assignment(datum))
     assert report.passed, [str(e) for e in report.failed()]
     witness = birational_witness(report)
@@ -343,7 +344,7 @@ def test_weyl_embedding_satisfies_all_relations(name):
 
 
 def test_affine_weyl_presentation_has_one_central_generator():
-    datum = solve_beta(catalog_matrix("A1affine"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A1affine")))
     asg = weyl_assignment(datum)
     assert asg.presentation.name == "Weyl(1,2) + 1 central"
     assert "z1" in asg.images
@@ -354,7 +355,7 @@ def test_affine_weyl_presentation_has_one_central_generator():
 def test_weyl_pairing_needs_the_dual_directions():
     # swapping the two y-directions pairs x1 against the wrong shift, so
     # [x1,y1] picks up a vanishing difference and the constant term survives
-    datum = solve_beta(catalog_matrix("B2"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("B2")))
     asg = weyl_assignment(datum)
     images = dict(asg.images)
     images["y1"], images["y2"] = images["y2"], images["y1"]
@@ -369,7 +370,7 @@ def test_weyl_pairing_needs_the_dual_directions():
 
 def quantum_datum(name):
     C = catalog_matrix(name)
-    qd = build_quantum_datum(C)
+    qd = build_quantum_datum(quasi_inverse(C))
     return qd
 
 
@@ -438,7 +439,7 @@ def test_orientation_search_reports_residuals_when_nothing_works():
     C = catalog_matrix("A2")
     ctx = quantum_context(C, (1, 2))
     b = tuple(MLaurent.var(2, i, -1, one=QQ_ONE) for i in range(2))
-    qd = QuantumDatum(ctx, quasi_inverse(C), (1, 2), b, (), (), (), (), ())
+    qd = QuantumDatum(ctx, replace(quasi_inverse(C), d=(1, 2)), b, (), (), (), (), ())
     asg, choice = fix_orientation(qd, "upper")
     assert asg is None and not choice.passed
     assert any("no sign works" in line for line in choice.detail)
@@ -451,7 +452,7 @@ def test_orientation_search_reports_residuals_when_nothing_works():
 @pytest.mark.parametrize("name", CATALOG)
 def test_quantum_weyl_embedding_passes(name):
     C = catalog_matrix(name)
-    qd = build_quantum_datum(C)
+    qd = build_quantum_datum(quasi_inverse(C))
     report = verify(quantum_weyl_assignment(qd))
     assert report.passed, [str(e) for e in report.failed()]
     witness = birational_witness(report)
@@ -460,7 +461,7 @@ def test_quantum_weyl_embedding_passes(name):
 
 
 def test_quantum_weyl_scaling_relations_carry_the_computed_exponents():
-    qd = build_quantum_datum(catalog_matrix("B2"))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix("B2")))
     asg = quantum_weyl_assignment(qd)
     names = {r.name for r in asg.presentation.by_family("pairing")}
     assert f"y1x1 = q^{qd.g[0]}*x1y1" in names
@@ -468,7 +469,7 @@ def test_quantum_weyl_scaling_relations_carry_the_computed_exponents():
 
 
 def test_affine_quantum_weyl_has_central_invariant():
-    qd = build_quantum_datum(catalog_matrix("A1affine"))
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix("A1affine")))
     asg = quantum_weyl_assignment(qd)
     assert asg.presentation.params["central"] == 1
     report = verify(asg)
@@ -517,7 +518,7 @@ LADDER = {
 
 @pytest.mark.parametrize("name", CATALOG + list(LADDER))
 def test_solved_shift_matches_the_brute_force_on_the_catalog(name):
-    datum = solve_beta(validate_gcm(LADDER[name]) if name in LADDER else catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(validate_gcm(LADDER[name]) if name in LADDER else catalog_matrix(name)))
     denominators = logged_denominators(datum)
     for f in denominators:
         assert solved_classify(datum, f) == brute_force_classify(datum.context, datum, f)
@@ -526,7 +527,7 @@ def test_solved_shift_matches_the_brute_force_on_the_catalog(name):
 
 
 def test_solved_shift_matches_the_brute_force_on_a_corrupted_datum():
-    datum = _corrupted(solve_beta(catalog_matrix("A2")))
+    datum = _corrupted(solve_beta(quasi_inverse(catalog_matrix("A2"))))
     kinds = set()
     for f in logged_denominators(datum):
         expected = brute_force_classify(datum.context, datum, f)
@@ -556,7 +557,7 @@ def synthetic_denominators(datum):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_solved_shift_matches_the_brute_force_on_synthetic_denominators(name):
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     for label, f in synthetic_denominators(datum).items():
         expected = brute_force_classify(datum.context, datum, f)
         assert solved_classify(datum, f) == expected, label
@@ -578,7 +579,7 @@ def test_shift_candidates_stop_growing_with_rank(monkeypatch):
     monkeypatch.setattr(ModelContext, "apply_vec", lambda self, m, f: tried.append(m) or apply_vec(self, m, f))
     counts = {}
     for n in (4, 5, 6):
-        datum = solve_beta(a_n(n))
+        datum = solve_beta(quasi_inverse(a_n(n)))
         ctx = datum.context
         shifted = apply_vec(ctx, (1,) + (0,) * (n - 2) + (-1,), datum.b[1])
         del tried[:]
@@ -595,7 +596,7 @@ def test_shift_candidates_stop_growing_with_rank(monkeypatch):
 )
 def test_a_periodic_b_prints_its_first_shift_in_the_window(name, index, detail):
     # sigma^v fixes b_j along a period, so the plain b_j is first met at v != 0
-    datum = solve_beta(catalog_matrix(name))
+    datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     f = datum.b[index]
     assert brute_force_classify(datum.context, datum, f) == ("shifted-b", detail)
     assert solved_classify(datum, f) == ("shifted-b", detail)
@@ -604,7 +605,7 @@ def test_a_periodic_b_prints_its_first_shift_in_the_window(name, index, detail):
 def test_a_period_with_mixed_signs_keeps_the_lexicographic_order():
     # sigma^v fixes (h1 + h2)^2 exactly when v1 = -v2, so the first v in the
     # window is (-2, 2); reading v1 off v2 instead would meet (2, -2) first
-    datum = solve_beta(catalog_matrix("A1xA1"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A1xA1")))
     h1, h2 = (datum.context.coeff_var(i) for i in range(2))
     b1 = (h1 + h2) * (h1 + h2)
     datum = ClassicalDatum(datum.context, datum.aux, datum.alpha, datum.beta, (b1, datum.b[1]))
@@ -615,7 +616,7 @@ def test_a_period_with_mixed_signs_keeps_the_lexicographic_order():
 
 def test_rank_four_b1_keeps_its_lexicographic_name():
     rows = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
-    datum = solve_beta(validate_gcm(rows))
+    datum = solve_beta(quasi_inverse(validate_gcm(rows)))
     f = datum.b[0]
     assert solved_classify(datum, f) == ("shifted-b", "sigma^(0, 0, -2, -2)(b1)")
 
@@ -623,7 +624,7 @@ def test_rank_four_b1_keeps_its_lexicographic_name():
 def test_a_classical_assignment_without_a_datum_still_gets_a_witness():
     # GeneratorAssignment.datum defaults to None: units and h generators are
     # still classified, and every other denominator is flagged, not an error
-    datum = solve_beta(catalog_matrix("A2"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A2")))
     report = verify(classical_borel_assignment(datum))
     bare = GeneratorAssignment(report.assignment.presentation, report.assignment.context,
                                report.assignment.images, report.assignment.kind)
@@ -645,7 +646,7 @@ def test_a_classical_assignment_without_a_datum_still_gets_a_witness():
 
 
 def test_an_unrecognized_denominator_fails_the_witness():
-    datum = solve_beta(catalog_matrix("A2"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A2")))
     report = verify(classical_borel_assignment(datum))
     ctx = report.assignment.context
     stray = datum.b[0] + 1
@@ -669,7 +670,7 @@ def test_an_unrecognized_denominator_fails_the_witness():
 
 
 def tampered_upper_assignment():
-    datum = solve_beta(catalog_matrix("A2"))
+    datum = solve_beta(quasi_inverse(catalog_matrix("A2")))
     asg = classical_borel_assignment(datum)
     images = dict(asg.images)
     images["E1"] = images["E1"].scale(2)
@@ -708,6 +709,6 @@ def test_an_assertion_error_inside_a_recovery_is_not_swallowed(monkeypatch):
         raise AssertionError("a bug in the recovery")
 
     monkeypatch.setitem(morphisms._RECOVERIES, "classical-upper", broken)
-    asg = classical_borel_assignment(solve_beta(catalog_matrix("A1")))
+    asg = classical_borel_assignment(solve_beta(quasi_inverse(catalog_matrix("A1"))))
     with pytest.raises(AssertionError, match="a bug in the recovery"):
         verify(asg)

@@ -8,7 +8,10 @@ timings are wall-clock floats, writes a float literal or names `float`: the
 mathematics is exact.  Every name a module lists in `__all__` is an
 attribute of that module, so a deletion cannot leave a stale export behind.
 Every import is a module-level statement, so an import cycle cannot hide
-behind an import deferred into a function.
+behind an import deferred into a function.  Only `cartan`, which derives
+them, and the command line, which builds one CartanAux per job, call
+`symmetrize` or `quasi_inverse`: every other module reads the job's aux, so
+the symmetrizer has one source.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """
@@ -65,6 +68,19 @@ def test_module_imports_only_at_module_level(module):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert lines == [], f"imports below module level in {module} at lines {lines}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("cartan.py", "cli.py")])
+def test_module_reads_the_symmetrizer_off_the_jobs_aux(module):
+    path = PACKAGE / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("symmetrize", "quasi_inverse")
+    ]
+    assert lines == [], f"symmetrize or quasi_inverse called in {module} at lines {lines}"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])

@@ -7,13 +7,14 @@ Serre rule, every recovered element and every logged denominator of the
 shared templates must match them in order.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from borelweyl.biproduct import NCPoly, Rule, build_rules
-from borelweyl.cartan import _inverse, catalog_matrix, symmetrize, validate_gcm
+from borelweyl.cartan import _inverse, catalog_matrix, quasi_inverse, symmetrize, validate_gcm
 from borelweyl.datum import DatumError, build_quantum_datum, solve_beta
 from borelweyl.exact import QQ_ONE, q_binom, q_power
 from borelweyl.morphisms import (
@@ -362,17 +363,17 @@ def same_recovery(assignment, old_recover):
 @pytest.mark.parametrize("name", MATRICES)
 def test_borel_presentations_match_the_old_builders(name):
     C = MATRICES[name]
-    same_presentation(borel_upper(C), old_borel(C, "E", +1))
-    same_presentation(borel_lower(C), old_borel(C, "F", -1))
-    same_presentation(quantum_borel_upper(C), old_quantum_borel(C, None, "E", -1))
-    same_presentation(quantum_borel_lower(C), old_quantum_borel(C, None, "F", +1))
+    same_presentation(borel_upper(quasi_inverse(C)), old_borel(C, "E", +1))
+    same_presentation(borel_lower(quasi_inverse(C)), old_borel(C, "F", -1))
+    same_presentation(quantum_borel_upper(quasi_inverse(C)), old_quantum_borel(C, None, "E", -1))
+    same_presentation(quantum_borel_lower(quasi_inverse(C)), old_quantum_borel(C, None, "F", +1))
     d = tuple(2 * x for x in symmetrize(C))
-    same_presentation(quantum_borel_upper(C, d), old_quantum_borel(C, d, "E", -1))
+    same_presentation(quantum_borel_upper(replace(quasi_inverse(C), d=d)), old_quantum_borel(C, d, "E", -1))
 
 
 @pytest.mark.parametrize("name", MATRICES)
 def test_weyl_presentations_match_the_old_builders(name):
-    qd = build_quantum_datum(MATRICES[name])
+    qd = build_quantum_datum(quasi_inverse(MATRICES[name]))
     r, n = qd.aux.rank, qd.aux.matrix.n
     same_presentation(weyl(r, n, central=n - r), old_weyl(r, n, central=n - r))
     same_presentation(quantum_weyl(r, n, qd.g, central=n - r), old_quantum_weyl(r, n, qd.g, central=n - r))
@@ -384,7 +385,7 @@ def test_weyl_presentations_match_the_old_builders(name):
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_serre_rules_match_the_old_serre_block(name, mode):
     C = MATRICES[name]
-    rules = build_rules(C, mode=mode).rules
+    rules = build_rules(quasi_inverse(C), mode=mode).rules
     old = old_serre_block(C, mode)
     serre = [r for r in rules if r.tag == "serre"]
     assert rules[len(rules) - len(serre) :] == tuple(serre)  # the Serre rules come last
@@ -400,12 +401,12 @@ def test_a2_affine_has_no_classical_datum():
     # no beta free of its own coordinate solves b1's conditions on Ã2, so its
     # classical recoveries are not compared
     with pytest.raises(DatumError, match=r"no admissible beta for this matrix: the conditions on b1 "):
-        solve_beta(MATRICES["A2~"])
+        solve_beta(quasi_inverse(MATRICES["A2~"]))
 
 
 @pytest.mark.parametrize("name", CLASSICAL)
 def test_classical_recoveries_match_the_old_ones(name):
-    datum = solve_beta(MATRICES[name])
+    datum = solve_beta(quasi_inverse(MATRICES[name]))
     same_recovery(classical_borel_assignment(datum, "upper"), old_recover_classical_upper)
     same_recovery(classical_borel_assignment(datum, "lower"), old_recover_classical_lower)
     same_recovery(weyl_assignment(datum), old_recover_weyl)
@@ -413,15 +414,15 @@ def test_classical_recoveries_match_the_old_ones(name):
 
 @pytest.mark.parametrize("name", MATRICES)
 def test_quantum_weyl_recovery_matches_the_old_one(name):
-    qd = build_quantum_datum(MATRICES[name])
+    qd = build_quantum_datum(quasi_inverse(MATRICES[name]))
     same_recovery(quantum_weyl_assignment(qd), old_recover_quantum_weyl)
 
 
 @pytest.mark.parametrize("name", MATRICES)
 @pytest.mark.parametrize("side", ["upper", "lower"])
 def test_fix_orientation_hands_over_the_presentation_it_searched(name, side):
-    qd = build_quantum_datum(MATRICES[name])
+    qd = build_quantum_datum(quasi_inverse(MATRICES[name]))
     assignment, choice = fix_orientation(qd, side)
     letter, sign = ("E", -1) if side == "upper" else ("F", +1)
-    same_presentation(assignment.presentation, old_quantum_borel(qd.aux.matrix, qd.d, letter, sign))
+    same_presentation(assignment.presentation, old_quantum_borel(qd.aux.matrix, qd.aux.d, letter, sign))
     assert choice.passed

@@ -69,8 +69,8 @@ def word_str(word) -> str:
 class NCPoly:
     """Finite scalar combination of words in the generator letters.
 
-    Words multiply by concatenation; nothing is reordered here.  The terms
-    map never stores zero coefficients.
+    Nothing is reordered here; `normal_form` straightens.  The terms map
+    never stores zero coefficients.
     """
 
     __slots__ = ("field", "terms")
@@ -121,16 +121,6 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, NCPoly):
-            return self.scale(other)
-        rows = ({w1 + w2: c1 * c2 for w2, c2 in other.terms.items()} for w1, c1 in self.terms.items())
-        return NCPoly(self.field, _accumulate(rows))
-
-    def __rmul__(self, other):
-        # scalars commute with everything, so one-sided scaling suffices
-        return self.scale(other)
 
     def scale(self, c) -> "NCPoly":
         c = _as_scalar(self.field, c)

@@ -60,7 +60,7 @@ class CartanMatrix:
 @dataclass(frozen=True)
 class CartanAux:
     matrix: CartanMatrix
-    d: tuple  # the job's symmetrizer: minimal unless the matrix file overrides it
+    d: tuple  # the job's symmetrizer: minimal unless the job overrides it
     rank: int
     corank: int
     Q: tuple  # n×n Fractions: dual-pair rows stacked over leftKernel rows

@@ -88,7 +88,8 @@ def _parse_matrix_text(text):
 
     Two shapes are accepted.  Inline: rows split on ';' or newlines, entries
     on spaces or commas ("2 -1; -1 2").  File: a size line n followed by n
-    rows, then optionally "d: 1 2 ..." overriding the symmetrizer.  The sniff
+    rows, then optionally "d: 1 2 ..." overriding the symmetrizer (`JobSpec`
+    checks that it symmetrizes the matrix).  The sniff
     is unambiguous because no generalized Cartan row is a single bare
     positive integer other than the 1x1 matrix (2), and a single line is
     always inline: "2" is A1, and so is the file "1" / "2".
@@ -105,7 +106,7 @@ def _parse_matrix_text(text):
         if body and body[-1].lower().startswith("d:"):
             d_text = body[-1][2:]
             body = body[:-1]
-            d = _int_row(d_text, len(body) + 2)
+            d = tuple(_int_row(d_text, len(body) + 2))
         if len(body) != n:
             raise MatrixParseError(
                 f"expected {n} matrix rows after the size line, got {len(body)}"
@@ -122,20 +123,7 @@ def _parse_matrix_text(text):
             pieces.extend(p for p in ln.split(";") if p.strip())
         rows = [_int_row(p, k + 1) for k, p in enumerate(pieces)]
 
-    matrix = validate_gcm(rows)
-    if d is not None:
-        if len(d) != matrix.n or any(x <= 0 for x in d):
-            raise MatrixParseError(
-                f"symmetrizer override needs {matrix.n} positive integers, got {d}"
-            )
-        for i in range(matrix.n):
-            for j in range(matrix.n):
-                if d[i] * matrix[i, j] != d[j] * matrix[j, i]:
-                    raise MatrixParseError(
-                        f"override d = {d} does not symmetrize the matrix at ({i + 1}, {j + 1})"
-                    )
-        d = tuple(d)
-    return matrix, d
+    return validate_gcm(rows), d
 
 
 def parse_matrix(text) -> CartanMatrix:
@@ -181,8 +169,8 @@ def _corrupted(datum: ClassicalDatum) -> ClassicalDatum:
 
 
 def _aux(job, cache):
-    """The job's CartanAux, built once; a file's `d:` override, validated by
-    the parser, replaces the minimal symmetrizer in it."""
+    """The job's CartanAux, built once; a `d` override, validated by JobSpec,
+    replaces the minimal symmetrizer in it."""
 
     def build():
         aux = quasi_inverse(job.matrix)
@@ -435,6 +423,16 @@ class JobSpec:
                 raise ValueError("degree bound must be at least 2 for the biproduct check")
         if self.command == "rewrite" and self.mode == "both":
             raise ValueError("rewrite straightens in a single mode; pick classical or quantum")
+        if self.d is not None:
+            C, d = self.matrix, list(self.d)
+            if len(d) != C.n or any(x <= 0 for x in d):
+                raise ValueError(f"symmetrizer override needs {C.n} positive integers, got {d}")
+            for i in range(C.n):
+                for j in range(C.n):
+                    if d[i] * C[i, j] != d[j] * C[j, i]:
+                        raise ValueError(
+                            f"override d = {d} does not symmetrize the matrix at ({i + 1}, {j + 1})"
+                        )
 
 
 # -- report assembly ---------------------------------------------------------

@@ -194,7 +194,7 @@ def solve_beta(aux: CartanAux) -> ClassicalDatum:
     and it keeps the reports of that check in `conditions`.
     """
     C, n = aux.matrix, aux.matrix.n
-    ctx = classical_context(C)
+    ctx = classical_context(aux)
     # sigma_i translates the alpha/gamma coordinates by Q·C e_i
     moves = [[sum(q * s for q, s in zip(row, step)) for row in aux.Q] for step in ctx.steps]
 
@@ -298,7 +298,7 @@ def _shift_columns(ctx: ModelContext, b: MLaurent):
 
 def build_quantum_datum(aux: CartanAux) -> QuantumDatum:
     """b_i = K_i^{-1} and the omega weights, in the model that scales by q^{d_i·a_ij}, d = aux.d."""
-    ctx = quantum_context(aux.matrix, aux.d)
+    ctx = quantum_context(aux)
     n = ctx.n
     b = tuple(MLaurent.var(n, i, -1, one=QQ_ONE) for i in range(n))
     return QuantumDatum(ctx, aux, b, *_omega(aux, ctx))

@@ -22,12 +22,15 @@ does not earn back; those keep the tuple-keyed loop.  So do products over
 ℚ(q): a QScalar has no integer numerator to scale to, and its own product,
 not the exponent tuple, dominates each pair of terms.
 
-PolyFrac is the fraction field.  The canonical form of one of its elements
-is an MLaurent when it is a polynomial, and a PolyFrac only when its reduced
-denominator is not constant.  For a PolyFrac, common monomial units are
-cleared so numerator and denominator are honest polynomials, their gcd is
-divided out, and the denominator is made monic with respect to lexicographic
-order.  Equality is then structural, and a/b == c/d iff a·d == c·b.
+PolyFrac holds the fractions of polynomials that the classical recovery
+phase makes: 1/p, its σ-shifts, and their products with polynomials.  It
+multiplies, inverts, compares and prints; it does not add or divide.  The
+canonical form of a value is an MLaurent when it is a polynomial, and a
+PolyFrac only when its reduced denominator is not constant.  For a PolyFrac
+the gcd of numerator and denominator is divided out and the denominator is
+made monic with respect to lexicographic order, so equality is structural
+and a/b == c/d iff a·d == c·b.  Both parts must be polynomials: a Laurent
+denominator reaches the gcd and raises ArithmeticError.
 
 The gcd is a primitive PRS in the highest occurring variable, recursing on
 contents.  Scalars form a field, so no integer-content bookkeeping is needed
@@ -207,9 +210,6 @@ class MLaurent:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -470,10 +470,13 @@ def poly_gcd(a: MLaurent, b: MLaurent) -> MLaurent:
 class PolyFrac:
     """A fraction num/den whose reduced denominator is not constant.
 
-    ``PolyFrac(num, den)`` is the one normalising constructor of the fraction
-    field, and every fraction result of the arithmetic below goes through it.
-    When the reduced denominator is a constant it returns the numerator as an
-    MLaurent instead, so a polynomial never hides inside a PolyFrac.
+    The classical recovery phase is the only place fractions arise: 1/p from
+    `ModelContext.invert_coeff`, its σ-shifts, and products with the
+    polynomials they recover.  So a PolyFrac multiplies, inverts, compares
+    and prints, and nothing more.  ``PolyFrac(num, den)`` is its one
+    normalising constructor; when the reduced denominator is a constant it
+    returns the numerator as an MLaurent instead, so a polynomial never hides
+    inside a PolyFrac.
     """
 
     __slots__ = ("num", "den")
@@ -485,11 +488,6 @@ class PolyFrac:
             raise ZeroDivisionError("zero denominator polynomial")
         if not num:
             return num
-        # clear monomial units so both parts are honest polynomials
-        shift = [-min(num.min_deg_in(i), den.min_deg_in(i), 0) for i in range(num.n)]
-        if any(shift):
-            num = num.shift_exponents(shift)
-            den = den.shift_exponents(shift)
         if not den.is_const():
             g = poly_gcd(num, den)
             if not g.is_const():
@@ -526,33 +524,10 @@ class PolyFrac:
         return None
 
     def __eq__(self, other):
-        if isinstance(other, PolyFrac):
-            return self.num == other.num and self.den == other.den
-        parts = self._split(other)
-        if parts is None:
+        # a reduced fraction with a non-constant denominator is never a polynomial
+        if not isinstance(other, PolyFrac):
             return NotImplemented
-        # never true for a polynomial, but a Laurent MLaurent may equal a fraction
-        return self.num == parts[0] * self.den
-
-    def __add__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return NotImplemented
-        (a, b), (c, d) = (self.num, self.den), parts
-        if d is None:
-            return PolyFrac(a + c * b, b)
-        return PolyFrac(a * d + c * b, b * d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self.num == other.num and self.den == other.den
 
     def __mul__(self, other):
         parts = self._split(other)
@@ -563,32 +538,8 @@ class PolyFrac:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return NotImplemented
-        c, d = parts
-        if not c:
-            raise ZeroDivisionError("division by the zero fraction")
-        return PolyFrac(self.num if d is None else self.num * d, self.den * c)
-
-    def __rtruediv__(self, other):
-        parts = self._split(other)
-        if parts is None:
-            return NotImplemented
-        c, d = parts
-        return PolyFrac(c * self.den, self.num if d is None else d * self.num)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return PolyFrac(self.num**k, self.den**k)
-
     def inverse(self):
         return PolyFrac(self.den, self.num)
-
-    def evaluate(self, point):
-        return self.num.evaluate(point) / self.den.evaluate(point)
 
     def to_str(self, names=None) -> str:
         ns, ds = self.num.to_str(names), self.den.to_str(names)

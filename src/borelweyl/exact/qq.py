@@ -308,9 +308,6 @@ class QScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = QScalar._coerce(other)
         if other is NotImplemented:
@@ -330,12 +327,6 @@ class QScalar:
         if not other.num:
             raise ZeroDivisionError(f"division by zero QScalar ({other!r})")
         return QScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        other = QScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, k: int):
         if k < 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import CartanMatrix
+from .cartan import CartanAux
 from .exact import MLaurent, PolyFrac, QQ_ONE, QScalar, q_power
 from .exact.endo import scale, shift
 from .exact.laurent import _accumulate
@@ -46,27 +46,25 @@ __all__ = [
 class ModelContext:
     """The coefficient ring and the torus action of one model.
 
-    σ_i acts by one vector read off the Cartan matrix, kept in ``steps[i]``:
+    σ_i acts by one vector read off the job's `CartanAux` (its matrix C and
+    symmetrizer d), kept in ``steps[i]``:
     classically it shifts h_j by a_ji (column i of C), in the quantum model
     it scales K_j by q^{-d_i·a_ij}.  σ^m then acts by Σ m_i·steps[i], so the
     σ_i commute by construction.
     """
 
-    def __init__(self, kind: str, matrix: CartanMatrix, d=None):
+    def __init__(self, kind: str, aux: CartanAux):
         if kind not in ("classical", "quantum"):
             raise ValueError(f"context kind must be 'classical' or 'quantum', got {kind!r}")
-        n = matrix.n
-        if kind == "quantum" and (d is None or len(d) != n):
-            raise ValueError(f"a quantum context needs one d entry per row of its {n}x{n} matrix")
+        C, d, n = aux.matrix, aux.d, aux.matrix.n
         self.kind = kind
-        self.matrix = matrix
+        self.aux = aux
         self.n = n
-        self.d = tuple(d) if d is not None else None
         self.one = Fraction(1) if kind == "classical" else QQ_ONE
         if kind == "classical":
-            self.steps = tuple(tuple(Fraction(matrix[j, i]) for j in range(n)) for i in range(n))
+            self.steps = tuple(tuple(Fraction(C[j, i]) for j in range(n)) for i in range(n))
         else:
-            self.steps = tuple(tuple(-d[i] * matrix[i, j] for j in range(n)) for i in range(n))
+            self.steps = tuple(tuple(-d[i] * C[i, j] for j in range(n)) for i in range(n))
         # the inverted unit monomials, as (coefficient, torus exponent) pairs
         self.denominator_log = []
         self._vectors: dict = {}
@@ -116,12 +114,12 @@ class ModelContext:
         return self._act(vector, f) if any(vector) else f
 
 
-def classical_context(matrix: CartanMatrix) -> ModelContext:
-    return ModelContext("classical", matrix)
+def classical_context(aux: CartanAux) -> ModelContext:
+    return ModelContext("classical", aux)
 
 
-def quantum_context(matrix: CartanMatrix, d) -> ModelContext:
-    return ModelContext("quantum", matrix, d)
+def quantum_context(aux: CartanAux) -> ModelContext:
+    return ModelContext("quantum", aux)
 
 
 class SkewElem:
@@ -190,10 +188,8 @@ class SkewElem:
         return self + (-other)
 
     def scale(self, c) -> "SkewElem":
-        """Multiply by a central scalar or base coefficient on the left."""
-        if isinstance(c, (int, Fraction, QScalar)):
-            return SkewElem(self.ctx, {m: g * c for m, g in self.terms.items()})
-        return SkewElem.from_coeff(self.ctx, c) * self
+        """Multiply by a scalar of the coefficient field, which is central."""
+        return SkewElem(self.ctx, {m: g * c for m, g in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QScalar)):
@@ -207,23 +203,6 @@ class SkewElem:
         )
         return SkewElem(ctx, _accumulate(rows))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QScalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.invert() ** (-k)
-        out = SkewElem.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def invert(self) -> "SkewElem":
         if len(self.terms) != 1:
             raise ValueError("inversion supported only for unit monomials")
@@ -233,7 +212,7 @@ class SkewElem:
         neg = tuple(-x for x in m)
         return SkewElem(self.ctx, {neg: self.ctx.apply_vec(neg, f_inv)})
 
-    def to_str(self, coeff_names=None, torus_name="t") -> str:
+    def to_str(self, coeff_names=None) -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -243,7 +222,7 @@ class SkewElem:
             tor = []
             for i, k in enumerate(m):
                 if k:
-                    nm = torus_name if self.ctx.n == 1 else f"{torus_name}{i + 1}"
+                    nm = "t" if self.ctx.n == 1 else f"t{i + 1}"
                     tor.append(nm if k == 1 else f"{nm}^{k}")
             if tor and fs == "1":
                 body = "*".join(tor)
@@ -272,7 +251,7 @@ def q_divided_diff(ctx: ModelContext, i: int, m: int, f):
         raise ValueError("q_divided_diff needs a quantum context")
     out = f
     for ell in range(m):
-        out = ctx.apply(i, out) - out * q_power(2 * ell * ctx.d[i])
+        out = ctx.apply(i, out) - out * q_power(2 * ell * ctx.aux.d[i])
     return out
 
 

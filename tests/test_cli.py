@@ -84,9 +84,6 @@ def test_validation_failure_carries_the_position():
     [
         ("", "empty"),
         ("2\n2 -2\n", "expected 2 matrix rows"),
-        ("2\n2 -2\n-2 2\nd: 1\n", "2 positive integers"),
-        ("2\n2 -2\n-2 2\nd: 1 -1\n", "2 positive integers"),
-        ("2\n2 -2\n-1 2\nd: 2 1\n", r"does not symmetrize the matrix at \(1, 2\)"),
     ],
 )
 def test_rejected_matrix_text(text, complaint):
@@ -102,6 +99,32 @@ def test_ragged_rows_are_not_square():
 
 
 # -- job validation -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, name, d, complaint",
+    [
+        ("analyze", "A1affine", (1,), r"needs 2 positive integers, got \[1\]"),
+        ("analyze", "A1affine", (1, -1), "2 positive integers"),
+        ("analyze", "B2", (2, 1), r"override d = \[2, 1\] does not symmetrize the matrix at \(1, 2\)"),
+        ("analyze", "B2", (0, -3), "2 positive integers"),
+        ("verify", "B2", (1, 1), r"does not symmetrize the matrix at \(1, 2\)"),
+    ],
+    ids=["too-short", "negative", "transposed", "programmatic-analyze", "programmatic-quantum"],
+)
+def test_a_job_rejects_a_symmetrizer_override_that_does_not_fit(command, name, d, complaint):
+    # JobSpec checks d for every entry point, so no section runs on it
+    with pytest.raises(ValueError, match=complaint):
+        JobSpec(command=command, matrix=catalog_matrix(name), d=d, mode="quantum")
+
+
+def test_a_bad_d_line_exits_2_with_the_override_message(tmp_path, capsys):
+    path = tmp_path / "bad.mat"
+    path.write_text("2\n2 -2\n-1 2\nd: 2 1\n")
+    assert main(["verify", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: override d = [2, 1] does not symmetrize the matrix at (1, 2)\n"
 
 
 def test_default_checks_expand_per_mode():
@@ -335,7 +358,7 @@ def test_a_symmetrizer_override_is_the_one_every_quantum_object_reads(tmp_path, 
     notes = sections(report)[("datum", "quantum")]["notes"]
     assert "symmetrizer d = [2, 4]; scaling weights g = [4, 4]" in notes
     qd, rules = built
-    assert qd.aux.d == qd.context.d == rules.d == (2, 4)
+    assert qd.context.aux is qd.aux and qd.aux.d == rules.d == (2, 4)
 
 
 @pytest.mark.parametrize("argv", [["--catalog", "A3"], ["--catalog", "B2", "--format", "structured"]])

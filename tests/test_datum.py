@@ -177,7 +177,7 @@ def old_solve_beta(C):
         betas.append(beta_j)
         h = MLaurent.var(n, j)
         bs.append((h * h - h * 2) * Fraction(1, 4) + beta_j.substitute(alphas))
-    datum = ClassicalDatum(classical_context(C), aux, alphas, tuple(betas), tuple(bs))
+    datum = ClassicalDatum(classical_context(aux), aux, alphas, tuple(betas), tuple(bs))
     if not all(r.passed for r in check_bound_classical(datum)):
         raise DatumError("no admissible beta for this matrix")
     return datum
@@ -382,7 +382,7 @@ def test_build_omega_rejects_nothing_on_catalog():
     for name in CATALOG:
         C = catalog_matrix(name)
         aux = quasi_inverse(C)
-        omegas, exps, g, dirs, table = _omega(aux, quantum_context(C, aux.d))
+        omegas, exps, g, dirs, table = _omega(aux, quantum_context(aux))
         assert len(omegas) == C.n
         assert len(g) == aux.rank
 

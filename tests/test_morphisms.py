@@ -436,10 +436,9 @@ def test_flipped_orientation_on_orthogonal_rank_two_fails_only_diagonal():
 def test_orientation_search_reports_residuals_when_nothing_works():
     # with a non-symmetrizing weight vector the cross relations demand a
     # fractional twist, so neither sign can win; both residuals get reported
-    C = catalog_matrix("A2")
-    ctx = quantum_context(C, (1, 2))
+    aux = replace(quasi_inverse(catalog_matrix("A2")), d=(1, 2))
     b = tuple(MLaurent.var(2, i, -1, one=QQ_ONE) for i in range(2))
-    qd = QuantumDatum(ctx, replace(quasi_inverse(C), d=(1, 2)), b, (), (), (), (), ())
+    qd = QuantumDatum(quantum_context(aux), aux, b, (), (), (), (), ())
     asg, choice = fix_orientation(qd, "upper")
     assert asg is None and not choice.passed
     assert any("no sign works" in line for line in choice.detail)

@@ -11,7 +11,10 @@ Every import is a module-level statement, so an import cycle cannot hide
 behind an import deferred into a function.  Only `cartan`, which derives
 them, and the command line, which builds one CartanAux per job, call
 `symmetrize` or `quasi_inverse`: every other module reads the job's aux, so
-the symmetrizer has one source.
+the symmetrizer has one source.  Only `exact/` and `skew`, whose
+`invert_coeff` makes the recovery phase's 1/p, build a `PolyFrac`: the
+fraction type multiplies and inverts but does not add, so a fraction made
+anywhere else would meet arithmetic it no longer has.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """
@@ -70,17 +73,27 @@ def test_module_imports_only_at_module_level(module):
     assert lines == [], f"imports below module level in {module} at lines {lines}"
 
 
-@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("cartan.py", "cli.py")])
-def test_module_reads_the_symmetrizer_off_the_jobs_aux(module):
+def _calls(module, names):
+    """Lines of `module` that call a function or method named in `names`."""
     path = PACKAGE / module
     tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [
+    return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("symmetrize", "quasi_inverse")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
     ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("cartan.py", "cli.py")])
+def test_module_reads_the_symmetrizer_off_the_jobs_aux(module):
+    lines = _calls(module, ("symmetrize", "quasi_inverse"))
     assert lines == [], f"symmetrize or quasi_inverse called in {module} at lines {lines}"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if not m.startswith("exact/") and m != "skew.py"])
+def test_module_makes_no_fraction_outside_the_recovery_phase(module):
+    lines = _calls(module, ("PolyFrac",))
+    assert lines == [], f"PolyFrac built in {module} at lines {lines}"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli.py"])

@@ -9,7 +9,6 @@ from .qq import QScalar, q_power, q_binom, QQ_ZERO, QQ_ONE
 from .laurent import (
     MLaurent,
     PolyFrac,
-    poly_gcd,
     poly_div_exact,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "QQ_ONE",
     "MLaurent",
     "PolyFrac",
-    "poly_gcd",
     "poly_div_exact",
 ]

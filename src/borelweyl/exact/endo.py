@@ -11,8 +11,8 @@ numerators over one common denominator, each pass expands (v_j + u_j)^k
 binomially with the powers of u_j prescaled to one denominator, and each
 output term becomes one Fraction at the end, so it makes no polynomial
 products.  Only the classical model shifts, so a shifted polynomial has
-coefficients over ℚ; its coefficients can be fractions of polynomials,
-and `shift` maps one part by part.
+coefficients over ℚ; a coefficient can also be a reciprocal c/p, and
+`shift` maps it to c/p(v + u), which is again one.
 """
 
 from __future__ import annotations

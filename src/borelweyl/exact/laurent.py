@@ -25,16 +25,13 @@ not the exponent tuple, dominates each pair of terms.
 PolyFrac holds the fractions of polynomials that the classical recovery
 phase makes: 1/p, its σ-shifts, and their products with polynomials.  It
 multiplies, inverts, compares and prints; it does not add or divide.  The
+paper localises only at an Ore set of polynomials, and the recovery forms
+s⁻¹ and products such as s⁻¹·s, so every fraction it makes either divides
+exactly or is a reciprocal, a nonzero scalar over a polynomial.  The
 canonical form of a value is an MLaurent when it is a polynomial, and a
-PolyFrac only when its reduced denominator is not constant.  For a PolyFrac
-the gcd of numerator and denominator is divided out and the denominator is
-made monic with respect to lexicographic order, so equality is structural
-and a/b == c/d iff a·d == c·b.  Both parts must be polynomials: a Laurent
-denominator reaches the gcd and raises ArithmeticError.
-
-The gcd is a primitive PRS in the highest occurring variable, recursing on
-contents.  Scalars form a field, so no integer-content bookkeeping is needed
-beyond what the recursion does.
+PolyFrac c/p, with p non-constant and monic with respect to lexicographic
+order, otherwise.  That form is canonical with no gcd, so equality is
+structural.  Any other fraction raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from .qq import QScalar
 __all__ = [
     "MLaurent",
     "PolyFrac",
-    "poly_gcd",
     "poly_div_exact",
 ]
 
@@ -158,12 +154,6 @@ class MLaurent:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
 
-    def deg_in(self, i: int):
-        return max((e[i] for e in self.terms), default=None)
-
-    def min_deg_in(self, i: int):
-        return min((e[i] for e in self.terms), default=None)
-
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=None)
 
@@ -257,11 +247,6 @@ class MLaurent:
             return MLaurent.const(self.n, one)
         return out
 
-    def shift_exponents(self, vec) -> "MLaurent":
-        """Multiply by the unit monomial with exponent vector ``vec``."""
-        vec = tuple(vec)
-        return MLaurent(self.n, {tuple(x + y for x, y in zip(e, vec)): c for e, c in self.terms.items()})
-
     def derivative(self, i: int) -> "MLaurent":
         out = {}
         for e, c in self.terms.items():
@@ -351,19 +336,7 @@ def _scalar_inv(c):
     return c.inverse()
 
 
-# -- polynomial gcd (non-negative exponents, field scalars) -----------------
-
-
-def _coeffs_in(p: MLaurent, v: int):
-    """Split p by the power of variable v: {k: coefficient poly with v-exponent 0}."""
-    out = {}
-    for e, c in p.terms.items():
-        k = e[v]
-        e2 = list(e)
-        e2[v] = 0
-        bucket = out.setdefault(k, {})
-        bucket[tuple(e2)] = c
-    return {k: MLaurent(p.n, t) for k, t in out.items()}
+# -- exact division and fractions --------------------------------------------
 
 
 def poly_div_exact(a: MLaurent, b: MLaurent) -> MLaurent:
@@ -386,97 +359,17 @@ def poly_div_exact(a: MLaurent, b: MLaurent) -> MLaurent:
     return MLaurent(a.n, quo)
 
 
-def _prem(f: MLaurent, g: MLaurent, v: int) -> MLaurent:
-    """Pseudo-remainder of f by g in variable v (up to units, which the PRS strips)."""
-    dg = g.deg_in(v) or 0
-    gc = _coeffs_in(g, v)
-    lg = gc[dg]
-    r = f
-    while r and (r.deg_in(v) or 0) >= dg:
-        rc = _coeffs_in(r, v)
-        dr = max(rc)
-        lr = rc[dr]
-        r = r * lg - g * lr.shift_exponents(tuple(dr - dg if i == v else 0 for i in range(f.n)))
-    return r
-
-
-def _content_in(p: MLaurent, v: int) -> MLaurent:
-    """Gcd of p's coefficients in v, folded from the top power down until it
-    is a unit, so the work depends on p alone and not on its term order."""
-    cs = _coeffs_in(p, v)
-    g = MLaurent.zero(p.n)
-    for k in sorted(cs, reverse=True):
-        g = poly_gcd(g, cs[k])
-        if g.is_const():
-            break
-    return g
-
-
-def _monic_lex(p: MLaurent) -> MLaurent:
-    if not p:
-        return p
-    _, c = p.leading_lex()
-    one = _scalar_one(c)
-    if c == one:
-        return p
-    return p * _scalar_inv(c)
-
-
-def poly_gcd(a: MLaurent, b: MLaurent) -> MLaurent:
-    """Gcd of ordinary polynomials over a field, monic under lex order."""
-    if a.is_laurent() or b.is_laurent():
-        raise ArithmeticError("gcd needs non-negative exponents")
-    if not a:
-        return _monic_lex(b)
-    if not b:
-        return _monic_lex(a)
-    if a.is_const() or b.is_const():
-        # nonzero constants are units of the coefficient field
-        return MLaurent.const(a.n, _scalar_one(next(iter(a.terms.values()))))
-    avars = {i for e in a.terms for i in range(a.n) if e[i]}
-    bvars = {i for e in b.terms for i in range(b.n) if e[i]}
-    common = sorted(avars | bvars)
-    if not common:
-        return MLaurent.const(a.n, _scalar_one(next(iter(a.terms.values()))))
-    v = common[-1]
-    if (a.deg_in(v) or 0) == 0 or (b.deg_in(v) or 0) == 0:
-        # v occurs in only one argument: gcd cannot involve v
-        ca = _content_in(a, v) if (a.deg_in(v) or 0) else a
-        cb = _content_in(b, v) if (b.deg_in(v) or 0) else b
-        return poly_gcd(ca, cb)
-    ca, cb = _content_in(a, v), _content_in(b, v)
-    pa, pb = poly_div_exact(a, ca), poly_div_exact(b, cb)
-    cg = poly_gcd(ca, cb)
-    f, g = (pa, pb) if (pa.deg_in(v) or 0) >= (pb.deg_in(v) or 0) else (pb, pa)
-    while True:
-        dg = g.deg_in(v) or 0
-        if dg == 0:
-            part = None  # coprime in v
-            break
-        r = _prem(f, g, v)
-        if not r:
-            part = poly_div_exact(g, _content_in(g, v))
-            break
-        if (r.deg_in(v) or 0) == 0:
-            part = None
-            break
-        f, g = g, poly_div_exact(r, _content_in(r, v))
-    return _monic_lex(cg if part is None else cg * part)
-
-
-# -- fraction field ----------------------------------------------------------
-
-
 class PolyFrac:
-    """A fraction num/den whose reduced denominator is not constant.
+    """A reciprocal c/p: a nonzero scalar over a monic non-constant polynomial.
 
     The classical recovery phase is the only place fractions arise: 1/p from
     `ModelContext.invert_coeff`, its σ-shifts, and products with the
     polynomials they recover.  So a PolyFrac multiplies, inverts, compares
     and prints, and nothing more.  ``PolyFrac(num, den)`` is its one
-    normalising constructor; when the reduced denominator is a constant it
-    returns the numerator as an MLaurent instead, so a polynomial never hides
-    inside a PolyFrac.
+    constructor: it returns the quotient as an MLaurent when den divides num,
+    so a polynomial never hides inside a PolyFrac, and otherwise needs a
+    constant num and makes den monic under lex order.  Any other fraction,
+    or a part with a negative exponent, raises ArithmeticError.
     """
 
     __slots__ = ("num", "den")
@@ -488,18 +381,19 @@ class PolyFrac:
             raise ZeroDivisionError("zero denominator polynomial")
         if not num:
             return num
-        if not den.is_const():
-            g = poly_gcd(num, den)
-            if not g.is_const():
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
+        if num.is_laurent() or den.is_laurent():
+            raise ArithmeticError("a fraction needs non-negative exponents")
+        try:
+            return poly_div_exact(num, den)
+        except ArithmeticError:
+            pass
+        if not num.is_const():
+            raise ArithmeticError("a fraction must be a polynomial or a constant over a polynomial")
         _, lc = den.leading_lex()
         if lc != _scalar_one(lc):
             inv = _scalar_inv(lc)
             num = num * inv
             den = den * inv
-        if den.is_const():
-            return num
         self = object.__new__(cls)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

@@ -9,12 +9,12 @@ commute by construction.
 Two context flavours cover both model families:
 
 * classical — coefficients are elements of ℚ(h₁..hₙ) in canonical form: an
-  MLaurent polynomial with Fraction scalars, and a fraction only where a
-  denominator survives.  σ_i shifts h_j by a_ji.  The full fraction field is
-  the localization: every nonzero coefficient is invertible because the σ_i
-  are automorphisms.  Only `invert_coeff` makes a fraction, and each
-  inversion is logged so reports can exhibit the smaller Ore set a statement
-  actually needs.
+  MLaurent polynomial with Fraction scalars, or a reciprocal c/p.  σ_i
+  shifts h_j by a_ji.  The models localise only at an Ore set of
+  polynomials (shifted b's and h's), and the recovery phase forms s⁻¹ and
+  products such as s⁻¹·s, so no other fraction arises.  Only `invert_coeff`
+  makes a fraction, and each inversion is logged so reports can exhibit the
+  Ore set a statement actually needs.
 * quantum — coefficients are Laurent polynomials in K₁..Kₙ over QScalar;
   σ_i scales K_j by q^{-d_i·a_ij}.  Arithmetic stays in Laurent form; only
   unit monomials are invertible here, which is all the maps require.

@@ -119,7 +119,7 @@ def test_solve_beta_never_uses_own_coordinate():
     for name in CATALOG:
         datum = solve_beta(quasi_inverse(catalog_matrix(name)))
         for j, beta in enumerate(datum.beta):
-            assert not beta.deg_in(j)
+            assert not any(e[j] for e in beta.terms)
 
 
 @given(
@@ -172,7 +172,7 @@ def old_solve_beta(C):
                     bad[exp] = coeff
                     break
         beta_j = -MLaurent(n, bad)
-        if beta_j.deg_in(j):
+        if any(e[j] for e in beta_j.terms):
             raise DatumError(f"beta_{j+1} picked up its own coordinate")
         betas.append(beta_j)
         h = MLaurent.var(n, j)

@@ -20,7 +20,6 @@ from borelweyl.exact import (
     QQ_ZERO,
     QScalar,
     poly_div_exact,
-    poly_gcd,
     q_binom,
     q_power,
 )
@@ -158,7 +157,7 @@ def test_exact_division_raises_under_python_O():
 def test_shape_checks_raise_under_python_O():
     script = (
         "import sys\n"
-        "from borelweyl.exact import MLaurent, QQ_ONE\n"
+        "from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE\n"
         "from borelweyl.exact.endo import scale, shift\n"
         "print(sys.flags.optimize)\n"
         "h, k_inv = MLaurent.var(2, 0), MLaurent.var(1, 0, -1, one=QQ_ONE)\n"
@@ -167,6 +166,7 @@ def test_shape_checks_raise_under_python_O():
         "    lambda: shift(h, (1,)),\n"
         "    lambda: scale(h, (1, 0, 0)),\n"
         "    lambda: shift(k_inv, (1,)),\n"
+        "    lambda: PolyFrac(h, h + 1),\n"
         "):\n"
         "    try:\n"
         "        build()\n"
@@ -184,6 +184,7 @@ def test_shape_checks_raise_under_python_O():
         "ValueError 1 values for 2 variables",
         "ValueError a scaling of 3 variables applied to 2",
         "ArithmeticError substitution into Laurent exponents",
+        "ArithmeticError a fraction must be a polynomial or a constant over a polynomial",
     ]
 
 
@@ -200,8 +201,10 @@ def test_malformed_polynomial_arithmetic_raises():
         x.substitute([y])
     with pytest.raises(ZeroDivisionError):
         poly_div_exact(x, MLaurent.zero(2))
-    with pytest.raises(ArithmeticError, match="non-negative exponents"):
-        poly_gcd(k_inv, x)
+    with pytest.raises(ArithmeticError, match="constant over a polynomial"):
+        PolyFrac(x, y)
+    with pytest.raises(ArithmeticError, match="constant over a polynomial"):
+        PolyFrac(MLaurent.const(2, Fraction(1)), y) * x
     with pytest.raises(ValueError, match="mixed variable counts"):
         PolyFrac(x, MLaurent.var(1, 0))
     with pytest.raises(ValueError, match="1 values for 2 variables"):
@@ -428,42 +431,33 @@ def test_mlaurent_evaluation_homomorphism(a, b):
     assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
 
 
-# -- gcd and fractions ---------------------------------------------------------
-
-
-def test_poly_gcd_known():
-    x, y = _h(0), _h(1)
-    g = poly_gcd((x + y) * (x - y), (x + y) ** 2)
-    assert g == x + y
-    assert poly_gcd(x * y, x * x) == x
-    one = MLaurent.const(2, Fraction(1))
-    assert poly_gcd(x + 1, y + 1) == one
-
-
-@given(polys2, polys2, polys2)
-@settings(max_examples=30, deadline=None)
-def test_poly_gcd_divides_common_multiple(a, b, c):
-    assume(a and b and c)
-    g = poly_gcd(a * c, b * c)
-    monic_c = poly_gcd(c, c)
-    poly_div_exact(g, monic_c)  # raises ArithmeticError if c does not divide
+# -- fractions -----------------------------------------------------------------
 
 
 def test_polyfrac_canonical():
     x, y = _h(0), _h(1)
+    # a fraction whose denominator divides its numerator is a polynomial
     f = PolyFrac(x * x - y * y, x - y)
     assert isinstance(f, MLaurent) and f == x + y
+    assert PolyFrac(x, MLaurent.const(2, Fraction(2))) == x * Fraction(1, 2)
     # scalar normalization: denominator is monic under lex
-    g = PolyFrac(x, x * 2 + y * 2)
+    g = PolyFrac(MLaurent.const(2, Fraction(3)), x * 2 + y * 2)
     assert g.den.leading_lex()[1] == Fraction(1)
+    assert g.num == MLaurent.const(2, Fraction(3, 2)) and g.den == x + y
 
 
-@given(polys2, polys2, polys2, polys2)
+nonzero_fracs = fracs.filter(bool)
+
+
+@given(nonzero_fracs, polys2, nonzero_fracs, polys2, nonzero_fracs)
+@example(Fraction(2), 2 * _h(0) + 2, Fraction(1), _h(0) + 1, Fraction(1))
 @settings(max_examples=40, deadline=None)
-def test_polyfrac_equality_is_cross_multiplication(a, b, c, d):
+def test_polyfrac_equality_is_cross_multiplication(a, b, c, d, k):
     assume(b and d)
-    f, g = PolyFrac(a, b), PolyFrac(c, d)
-    assert (f == g) == (a * d == c * b)
+    one = MLaurent.const(2, Fraction(1))
+    f, g = PolyFrac(one * a, b), PolyFrac(one * c, d)
+    assert (f == g) == (d * a == b * c)
+    assert PolyFrac(one * (a * k), b * k) == f
 
 
 def test_polyfrac_arithmetic():
@@ -471,7 +465,7 @@ def test_polyfrac_arithmetic():
     f = PolyFrac(MLaurent.const(2, Fraction(1)), x)
     g = PolyFrac(MLaurent.const(2, Fraction(1)), y)
     assert f * g == PolyFrac(MLaurent.const(2, Fraction(1)), x * y)
-    assert f * g.inverse() == PolyFrac(y, x)
+    assert (f * g).inverse() == x * y and f * g * (x * y) == MLaurent.const(2, Fraction(1))
     assert f * x == x * f == MLaurent.const(2, Fraction(1))
     with pytest.raises(ZeroDivisionError):
         PolyFrac(x, MLaurent.zero(2))
@@ -537,7 +531,8 @@ def test_scale_composition():
 
 def test_polyfrac_endo_componentwise():
     x, y = _h(0), _h(1)
-    assert shift(PolyFrac(x, y), (1, 1)) == PolyFrac(x + 1, y + 1)
+    three = MLaurent.const(2, Fraction(3))
+    assert shift(PolyFrac(three, x * y + 1), (1, 2)) == PolyFrac(three, (x + 1) * (y + 2) + 1)
 
 
 def _parent_apply_to_laurent(f, kind, data):
@@ -555,7 +550,7 @@ def _parent_apply_to_laurent(f, kind, data):
         return MLaurent(f.n, out)
     # additive shift: expand (v_i + c_i)^{e_i} binomially
     for i, c in enumerate(data):
-        if c and (f.min_deg_in(i) or 0) < 0:
+        if c and any(e[i] < 0 for e in f.terms):
             raise ValueError(f"additive shift applied to Laurent variable index {i}")
     cache: dict = {}
 
@@ -664,6 +659,35 @@ def test_shift_matches_sympy(case):
     assert all(isinstance(c, Fraction) and c for c in got.terms.values())
 
 
+
+def _assert_canonical(got, expr, gens):
+    """``got`` is sympy's cancelled form of ``expr``, its denominator scaled
+    to be monic under lex order: an MLaurent when that denominator is 1."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    lc = sympy.Poly(den, *gens).LC(order="lex")
+    num, den = sympy.expand(num / lc), sympy.expand(den / lc)
+    if den == 1:
+        assert isinstance(got, MLaurent) and sympy.expand(_to_sympy_poly(got, gens) - num) == 0
+    else:
+        assert isinstance(got, PolyFrac)
+        assert sympy.expand(_to_sympy_poly(got.num, gens) - num) == 0
+        assert sympy.expand(_to_sympy_poly(got.den, gens) - den) == 0
+
+
+@_needs_sympy
+@given(polys2, polys2, nonzero_fracs, st.tuples(fracs, fracs))
+@example(2 * _h(0) - 4 * _h(1) + 6, _h(1), Fraction(3), (Fraction(1), Fraction(-1, 2)))
+@settings(max_examples=60, deadline=None)
+def test_reciprocals_match_sympy(p, q, c, u):
+    assume(p)
+    x = sympy.symbols("x0:2")
+    reciprocal = sympy.Rational(c.numerator, c.denominator) / _to_sympy_poly(p, x)
+    f = PolyFrac(MLaurent.const(2, c), p)
+    _assert_canonical(f, reciprocal, x)
+    assert PolyFrac(p * q, p) == q
+    moved = {v: v + sympy.Rational(a.numerator, a.denominator) for v, a in zip(x, u)}
+    _assert_canonical(shift(f, u), reciprocal.subs(moved, simultaneous=True), x)
+
 def test_shift_edge_cases():
     x, y = _h(0), _h(1)
     assert shift(MLaurent.zero(2), (1, Fraction(1, 2))) == MLaurent.zero(2)
@@ -682,7 +706,8 @@ def test_shift_edge_cases():
     assert shift(k_inv, (0, 1)) is k_inv
     with pytest.raises(ValueError, match="coefficients over the rationals"):
         shift(MLaurent.var(2, 1, one=QQ_ONE) + k_inv, (0, 1))
-    assert shift(PolyFrac(x, y), (1, 1)) == PolyFrac(x + 1, y + 1)
+    one = MLaurent.const(2, Fraction(1))
+    assert shift(PolyFrac(one, y), (1, 1)) == PolyFrac(one, y + 1)
 
 
 def test_a_shift_makes_no_polynomial_products(monkeypatch):
@@ -761,32 +786,3 @@ def test_products_over_qq_keep_the_tuple_loop(a, b):
     product = a * b
     assert list(product.terms.items()) == list(_parent_product(a, b).terms.items())
     assert product.to_str(["K1", "K2"]) == _parent_product(a, b).to_str(["K1", "K2"])
-
-
-def _poly_gcd_calls(monkeypatch, a, b):
-    calls = []
-    original = exact.laurent.poly_gcd
-
-    def counted(x, y):
-        calls.append(1)
-        return original(x, y)
-
-    monkeypatch.setattr(exact.laurent, "poly_gcd", counted)
-    try:
-        return counted(a, b), len(calls)
-    finally:
-        monkeypatch.setattr(exact.laurent, "poly_gcd", original)
-
-
-def test_content_fold_does_not_depend_on_term_order(monkeypatch):
-    # one polynomial with its terms inserted in two orders makes the same
-    # gcd calls, because the content in y folds its buckets by power
-    x, y = _h(0), _h(1)
-    p = (x - 1) * (y * y * (x + 1) + y * (x - 1) + x * x - 1)
-    g = (x - 1) * (y + 1)
-    reordered = MLaurent(2, dict(reversed(list(p.terms.items()))))
-    assert reordered == p and list(reordered.terms) != list(p.terms)
-    first = _poly_gcd_calls(monkeypatch, p, g)
-    second = _poly_gcd_calls(monkeypatch, reordered, g)
-    assert first[0] == second[0] == x - 1
-    assert first[1] == second[1]

@@ -538,7 +538,6 @@ def test_solved_shift_matches_the_brute_force_on_a_corrupted_datum():
 def synthetic_denominators(datum):
     ctx = datum.context
     b1, b2 = datum.b
-    h1 = MLaurent.var(2, 0)
     out = {
         "corner (-2,-2)": ctx.apply_vec((-2, -2), b1),
         "corner (2,2)": ctx.apply_vec((2, 2), b2),
@@ -550,7 +549,7 @@ def synthetic_denominators(datum):
         "b1 + 1": b1 + 1,
         "b2 squared": b2 * b2,
     }
-    out["fraction"] = PolyFrac(b1, h1 + 1)
+    out["fraction"] = PolyFrac(ctx.coeff_one(), b1)  # 1/b1: b1 sits in a denominator
     return out
 
 

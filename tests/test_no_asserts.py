@@ -13,8 +13,9 @@ them, and the command line, which builds one CartanAux per job, call
 `symmetrize` or `quasi_inverse`: every other module reads the job's aux, so
 the symmetrizer has one source.  Only `exact/` and `skew`, whose
 `invert_coeff` makes the recovery phase's 1/p, build a `PolyFrac`: the
-fraction type multiplies and inverts but does not add, so a fraction made
-anywhere else would meet arithmetic it no longer has.
+fraction type holds only a reciprocal c/p, which multiplies and inverts but
+does not add, so a fraction made anywhere else could be one it cannot hold,
+or meet arithmetic it does not have.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """

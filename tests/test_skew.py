@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import borelweyl
 from borelweyl.cartan import CATALOG, catalog_matrix, quasi_inverse
+from borelweyl.cli import _corrupted
 from borelweyl.datum import solve_beta
 from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
 from borelweyl.morphisms import classical_borel_assignment, verify, weyl_assignment
@@ -232,10 +233,12 @@ def test_invert_two_sided_classical(fp, m):
 @settings(max_examples=60, deadline=None)
 def test_a_cancelled_fraction_is_an_mlaurent(p, q):
     assume(q)
-    back = (p * CTX_C.invert_coeff(q)) * q
-    assert isinstance(back, MLaurent) and back == p
-    assert PolyFrac(p * q, q) == p and p == PolyFrac(p * q, q)
     inverse = CTX_C.invert_coeff(q)
+    back = (p * q) * inverse
+    assert isinstance(back, MLaurent) and back == p
+    one = inverse * q
+    assert isinstance(one, MLaurent) and one == CTX_C.coeff_one()
+    assert PolyFrac(p * q, q) == p and p == PolyFrac(p * q, q)
     assert isinstance(inverse, MLaurent) == q.is_const()
 
 
@@ -243,20 +246,32 @@ def _coefficients(elem):
     return list(elem.terms.values()) if elem is not None else []
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG))
-def test_classical_verify_keeps_every_coefficient_polynomial(name):
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [(name, False) for name in sorted(CATALOG)] + [("A2", True), ("A3", True)],
+    ids=sorted(CATALOG) + ["A2-corrupt-beta", "A3-corrupt-beta"],
+)
+def test_classical_verify_keeps_every_coefficient_polynomial(name, corrupt):
+    # the recovery never aborts, and every fraction it makes is a reciprocal c/p,
+    # also on the datum whose corrections `verify --corrupt-beta` drops
     datum = solve_beta(quasi_inverse(catalog_matrix(name)))
+    if corrupt:
+        datum = _corrupted(datum)
     assignments = [classical_borel_assignment(datum, side) for side in ("upper", "lower")]
     assignments.append(weyl_assignment(datum))
-    seen = 0
+    seen = fractions = 0
     for assignment in assignments:
         report = verify(assignment)
+        assert not [e.name for e in report.entries if e.family == "recovery"], name
+        recovered = [f for image in report.recovered.values() for f in _coefficients(image)]
+        assert all(f.num.is_const() for f in recovered if isinstance(f, PolyFrac)), name
+        fractions += sum(isinstance(f, PolyFrac) for f in recovered)
         coeffs = [f for image in assignment.images.values() for f in _coefficients(image)]
         coeffs += [f for entry in report.entries for f in _coefficients(entry.residual)]
         coeffs += [f for f, _ in report.denominators]
         assert all(isinstance(f, MLaurent) for f in coeffs), name
         seen += len(coeffs)
-    assert seen
+    assert seen and fractions
 
 
 # -- σ^m is one vector read off the matrix --------------------------------------
@@ -282,7 +297,7 @@ def test_sigma_powers_compose_additively(name, kind, a, b):
     a, b = tuple(a[: ctx.n]), tuple(b[: ctx.n])
     f = _sample_coeff(ctx)
     if kind == "classical":
-        f = PolyFrac(f, ctx.coeff_var(0) + ctx.coeff_scalar(1))
+        f = PolyFrac(ctx.coeff_scalar(3), f)
     total = tuple(x + y for x, y in zip(a, b))
     assert ctx.apply_vec(a, ctx.apply_vec(b, f)) == ctx.apply_vec(total, f)
     assert ctx.apply_vec(b, ctx.apply_vec(a, f)) == ctx.apply_vec(total, f)
@@ -290,11 +305,11 @@ def test_sigma_powers_compose_additively(name, kind, a, b):
 
 def test_identity_power_returns_the_same_fraction():
     ctx = classical_context(quasi_inverse(A2))
-    pf = PolyFrac(ctx.coeff_var(0), ctx.coeff_var(1) + ctx.coeff_scalar(1))
+    pf = PolyFrac(ctx.coeff_scalar(3), ctx.coeff_var(1) + ctx.coeff_scalar(1))
     assert ctx.apply_vec((0, 0), pf) is pf
     # affine A1 has a kernel: σ^(1,1) shifts nothing, so the value is kept as is
     affine = classical_context(quasi_inverse(catalog_matrix("A1affine")))
-    g = PolyFrac(affine.coeff_var(0), affine.coeff_var(1) + affine.coeff_scalar(1))
+    g = PolyFrac(affine.coeff_scalar(3), affine.coeff_var(1) + affine.coeff_scalar(1))
     assert affine.apply_vec((1, 1), g) is g
     assert affine.apply_vec((1, 0), g) != g
 

@@ -10,8 +10,10 @@ the lead.  Confluence of the rules is not assumed: it is checked on all
 overlap ambiguities up to a degree bound, which is the finite,
 machine-checkable shadow of the PBW claim.
 
-Scalars are plain rationals in classical mode and exact rational functions
-of q in quantum mode; nothing here ever touches floating point.
+Scalars are rationals in classical mode, ``int`` or ``Fraction`` as given
+(every classical rule has integer coefficients, so integer input stays on
+ints), and exact rational functions of q in quantum mode; nothing here ever
+touches floating point.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
 def _as_scalar(field, c):
     if field == "rational":
         if isinstance(c, (int, Fraction)):
-            return Fraction(c)
+            return c
     else:
         if isinstance(c, QScalar):
             return c
@@ -269,10 +271,13 @@ def _serre_rule(window, first_leads: bool, field) -> Rule:
 
     The window runs from x_i^m·x_j to x_j·x_i^m, so its first word is the
     largest when i > j and its last word otherwise.  Both end coefficients
-    are ±1, so dividing by the lead's stays division-free in q.
+    are ±1, so the lead's is its own inverse: the rest is multiplied by it,
+    which keeps an integer window on integers and a q-window division-free.
     """
     lead_c, lead = window[0] if first_leads else window[-1]
-    rhs = {w: -(c / lead_c) for c, w in window if w != lead}
+    if lead_c not in (1, -1):
+        raise ValueError(f"a Serre window must end in ±1, not {lead_c}")
+    rhs = {w: -(c * lead_c) for c, w in window if w != lead}
     return Rule(lead, NCPoly(field, rhs), "serre")
 
 
@@ -280,7 +285,7 @@ def _bracket(mode, d, i) -> dict:
     """[E_i, F_i] as {word: coefficient}: H_i, or the balanced
     (K_i - K_i^-1)/(q^{d_i} - q^{-d_i}) in quantum mode."""
     if mode == "classical":
-        return {(f"H{i + 1}",): Fraction(1)}
+        return {(f"H{i + 1}",): 1}
     c = (q_power(d[i]) - q_power(-d[i])).inverse()
     return {(f"K{i + 1}",): c, (f"K{i + 1}^-1",): -c}
 
@@ -295,7 +300,7 @@ def build_rules(aux: CartanAux, mode: str = "classical") -> RewriteSystem:
     """
     C, n = aux.matrix, aux.matrix.n
     if mode == "classical":
-        field, one, d = "rational", Fraction(1), None
+        field, one, d = "rational", 1, None
         cartan = [(f"H{i + 1}",) for i in range(n)]
     elif mode == "quantum":
         field, one, d = "q", QQ_ONE, aux.d

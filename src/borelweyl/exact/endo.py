@@ -9,10 +9,11 @@ kernels take the vector itself.
 Gerhard, ISSAC 1997), on integers: the coefficients of f become integer
 numerators over one common denominator, each pass expands (v_j + u_j)^k
 binomially with the powers of u_j prescaled to one denominator, and each
-output term becomes one Fraction at the end, so it makes no polynomial
-products.  Only the classical model shifts, so a shifted polynomial has
-coefficients over ℚ; a coefficient can also be a reciprocal c/p, and
-`shift` maps it to c/p(v + u), which is again one.
+output term becomes one int at the end when that denominator is 1 (an
+integral shift of an integer polynomial), and one Fraction otherwise, so it
+makes no polynomial products.  Only the classical model shifts, so a
+shifted polynomial has coefficients over ℚ; a coefficient can also be a
+reciprocal c/p, and `shift` maps it to c/p(v + u), which is again one.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def shift(f, u):
     for j in moved:
         terms, scaled = _taylor_pass(terms, j, u[j].numerator, u[j].denominator)
         den *= scaled
-    return MLaurent(f.n, {e: Fraction(c, den) for e, c in terms.items()})
+    return MLaurent(f.n, terms if den == 1 else {e: Fraction(c, den) for e, c in terms.items()})
 
 
 def scale(f, e):

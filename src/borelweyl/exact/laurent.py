@@ -1,10 +1,10 @@
 """Multivariate Laurent polynomials and their fraction fields.
 
 One arithmetic kernel serves both coefficient rings the models need:
-polynomials in h₁,…,hₙ over Fraction and Laurent polynomials in the torus
-variables K₁,…,Kₙ over QScalar.  An MLaurent is a finite map from integer
-exponent vectors (length n tuples) to nonzero scalars; ordinary polynomials
-are the non-negative-exponent special case.
+polynomials in h₁,…,hₙ over ℚ, with int or Fraction scalars, and Laurent
+polynomials in the torus variables K₁,…,Kₙ over QScalar.  An MLaurent is a
+finite map from integer exponent vectors (length n tuples) to nonzero
+scalars; ordinary polynomials are the non-negative-exponent special case.
 
 Operators accumulate, the constructor drops zeros: every sum, binary or
 n-ary, adds its term maps key by key with `_accumulate`, and a key whose
@@ -16,11 +16,13 @@ A product over ℚ runs on integers (`_packed_product`): each exponent vector
 is packed into one integer key, wide enough for the largest exponent of the
 product, and each operand's coefficients become integer numerators over one
 common denominator, so the inner loop adds and multiplies plain ints and
-each output term is unpacked into one Fraction.  The set-up is a pass over
-each operand, which a product with a single-term operand or of two binomials
-does not earn back; those keep the tuple-keyed loop.  So do products over
-ℚ(q): a QScalar has no integer numerator to scale to, and its own product,
-not the exponent tuple, dominates each pair of terms.
+each output term is unpacked once: into an int when that denominator is 1,
+so a product of integer polynomials stays on ints, and into one Fraction
+otherwise.  The set-up is a pass over each operand, which a product with a
+single-term operand or of two binomials does not earn back; those keep the
+tuple-keyed loop.  So do products over ℚ(q): a QScalar has no integer
+numerator to scale to, and its own product, not the exponent tuple,
+dominates each pair of terms.
 
 PolyFrac holds the fractions of polynomials that the classical recovery
 phase makes: 1/p, its σ-shifts, and their products with polynomials.  It
@@ -75,7 +77,8 @@ def _packed_product(a: dict, b: dict) -> dict:
     vectors digit by digit and no digit carries into the next.  Each operand
     is scaled to integer numerators over the lcm of its denominators, the
     inner loop adds keys and multiplies numerators, and each output term is
-    unpacked once over the product of the two denominators.
+    unpacked once over the product of the two denominators, as an int when
+    that product is 1.
     """
     top = max(map(abs, chain.from_iterable(a)), default=0) + max(map(abs, chain.from_iterable(b)), default=0)
     w = top.bit_length() + 1
@@ -97,7 +100,10 @@ def _packed_product(a: dict, b: dict) -> dict:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
     den = da * db
-    return {tuple([(k >> s & mask) - half for s in shifts]): Fraction(c, den) for k, c in acc.items()}
+    return {
+        tuple([(k >> s & mask) - half for s in shifts]): c if den == 1 else Fraction(c, den)
+        for k, c in acc.items()
+    }
 
 
 class MLaurent:

@@ -7,8 +7,11 @@ assignment sends every generator to a skew-model element, and `verify`
 pushes each relation through the assignment and records the residual.  It
 evaluates each relation by Horner on the last letter: the words that end
 in the same generator share one right product by its image, their prefixes
-summed first.  A relation is satisfied exactly when its residual is the
-zero element; there is no tolerance anywhere.
+summed first.  Over ℚ it runs on integers: each image is split once per
+run into an integer image over one denominator, and each relation divides
+once, by the lcm of its words' denominators.  A relation is satisfied
+exactly when its residual is the zero element; there is no tolerance
+anywhere.
 
 Classical and quantum, upper and lower presentations share their pieces:
 `_serre_windows` writes out every Serre window (the rewriting rules of
@@ -16,9 +19,10 @@ Classical and quantum, upper and lower presentations share their pieces:
 half drives both its assignment and its recovery, and `weyl` and
 `quantum_weyl` fill one template that differs only in the pairing relation.
 
-Verification never divides.  The division happens afterwards, in a
-recovery phase that re-expresses the model's own generators (torus units,
-coefficient generators) inside the localized image.  Every inversion is
+Verification never inverts a model element.  The inversion happens
+afterwards, in a recovery phase that re-expresses the model's own
+generators (torus units, coefficient generators) inside the localized
+image.  Every inversion is
 logged by the model context, and `birational_witness` factors the log
 into the expected multiplicative set: shifted b's, the h generators, and
 torus units, asking the classical datum (`ClassicalDatum.find_shift`) which
@@ -30,11 +34,11 @@ python -O.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .cartan import CartanAux, _inverse
 from .datum import ClassicalDatum, QuantumDatum, _directions
-from .exact import MLaurent, QQ_ONE, q_binom, q_power
+from .exact import MLaurent, QQ_ONE, QScalar, q_binom, q_power
 from .exact.laurent import _accumulate
 from .skew import ModelContext, SkewElem
 
@@ -131,12 +135,12 @@ def _q_commutation(a, b, e, family) -> Relation:
 def _serre_windows(families, i: int, j: int, m: int, d) -> list:
     """For each family X of symbols, the Serre window ((c_k, X_i^{m-k}·X_j·X_i^k) for k = 0..m).
 
-    c_k is (-1)^k·binom(m, k) over the rationals, or (-1)^k times the
+    c_k is (-1)^k·binom(m, k), an int, or (-1)^k times the
     balanced q-binomial at q^d when d is not None; the families share one
     computation of them.  Every Serre word in the package, relation or
     rewriting rule, is written out here.
     """
-    coeffs = [Fraction(comb(m, k)) if d is None else q_binom(m, k, d) for k in range(m + 1)]
+    coeffs = [comb(m, k) if d is None else q_binom(m, k, d) for k in range(m + 1)]
     return [
         tuple((-c if k % 2 else c, (X[i],) * (m - k) + (X[j],) + (X[i],) * k) for k, c in enumerate(coeffs))
         for X in families
@@ -160,7 +164,7 @@ def _borel(C, letter: str, weight_sign: int) -> Presentation:
     n = C.n
     H = [f"H{i + 1}" for i in range(n)]
     X = [f"{letter}{i + 1}" for i in range(n)]
-    one = Fraction(1)
+    one = 1
     rels = _commute_relations(H, one)
     for i in range(n):
         for j in range(n):
@@ -169,7 +173,7 @@ def _borel(C, letter: str, weight_sign: int) -> Presentation:
                 Relation(
                     f"[{H[i]},{X[j]}] = {a}*{X[j]}",
                     "weight",
-                    _commutator_terms(H[i], X[j], one) + ((Fraction(-a), (X[j],)),),
+                    _commutator_terms(H[i], X[j], one) + ((-a, (X[j],)),),
                 )
             )
     rels += _serre_relations(C, X, "ad", None)
@@ -211,10 +215,10 @@ def weyl(m: int, n: int, central: int = 0) -> Presentation:
     optionally tensored with `central` commuting polynomial generators."""
     if m < 0 or n < m or central < 0:
         raise ValueError(f"need 0 <= m <= n and central >= 0, got ({m},{n},{central})")
-    one = Fraction(1)
+    one = 1
 
     def pairing(i, j, x, y):
-        delta = Fraction(1 if i == j else 0)
+        delta = 1 if i == j else 0
         return Relation(f"[{x},{y}] = {delta}", "pairing", _commutator_terms(x, y, one) + ((-delta, ()),))
 
     return _weyl(m, n, central, one, pairing, "Weyl", {"m": m, "n": n, "central": central})
@@ -442,7 +446,8 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
         for s in (1, -1):
             trial = dict(torus)
             trial[sym] = _oriented_image(qdatum, j, s)
-            residuals = [_eval_terms(trial, ctx, r.terms) for r in mine]
+            split = _split_images(ctx, trial)
+            residuals = [_eval_terms(split, ctx, r.terms) for r in mine]
             outcomes[s] = [res for res in residuals if res]
         good = [s for s, bad in outcomes.items() if not bad]
         if len(good) == 1:
@@ -478,21 +483,65 @@ def quantum_weyl_assignment(qdatum: QuantumDatum) -> GeneratorAssignment:
 # -- evaluation and verification -------------------------------------------------
 
 
-def _eval_terms(images: dict, ctx: ModelContext, terms) -> SkewElem:
-    """Σ c_w·image(w), by Horner on the last letter.
+def _split_images(ctx: ModelContext, images: dict) -> tuple:
+    """(dens, ints) with image(s) = ints[s]/dens[s], the empty word () included.
 
-    The words that end in x share one right product:
-    Σ c_{ux}·image(ux) = (Σ c_{ux}·image(u))·image(x), the prefixes summed
-    first, recursively.  Every product right-multiplies by one generator
-    image, so σ only ever shifts a generator's coefficient.  A lone word is
-    multiplied out and scaled once at the end, which keeps its coefficient
-    (a q-binomial, say) out of the products.
+    ints[s] has integer coefficients and dens[s] is the lcm of the image's
+    coefficient denominators.  An image with a coefficient outside ℚ, a
+    QScalar or a fraction of polynomials, has denominator 1 and is its own
+    integer image.
     """
 
-    def image(sym):
-        if sym not in images:
-            raise ValueError(f"generator {sym!r} has no image")
-        return images[sym]
+    def rational(f):
+        return isinstance(f, MLaurent) and not any(isinstance(c, QScalar) for c in f.terms.values())
+
+    dens, ints = {}, {}
+    for sym, img in list(images.items()) + [((), SkewElem.one(ctx))]:
+        if not all(map(rational, img.terms.values())):
+            dens[sym], ints[sym] = 1, img
+            continue
+        d = lcm(*[c.denominator for f in img.terms.values() for c in f.terms.values()])
+        dens[sym], ints[sym] = d, SkewElem(ctx, {
+            m: MLaurent(f.n, {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()})
+            for m, f in img.terms.items()
+        })
+    return dens, ints
+
+
+def _eval_terms(split: tuple, ctx: ModelContext, terms) -> SkewElem:
+    """Σ c_w·image(w) over images split by `_split_images`, by Horner on the last letter.
+
+    The denominators are cleared first: with image(s) = S_s/D_s, a word's
+    image is S_w/D_w with D_w the product of the D_s over its letters, so
+    Σ c_w·image(w) = (1/L)·Σ k_w·S_w, where L is the lcm of the D_w·den(c_w)
+    and k_w = c_w·L/D_w is an integer.  Over ℚ every product below then
+    runs on integers, and the one division by L comes at the end.  A
+    QScalar coefficient has den 1 and every quantum image D = 1, so a
+    quantum relation has L = 1 and passes through unchanged.
+
+    The words that end in x share one right product:
+    Σ k_{ux}·S_{ux} = (Σ k_{ux}·S_u)·S_x, the prefixes summed first,
+    recursively.  Every product right-multiplies by one generator image, so
+    σ only ever shifts a generator's coefficient.  A lone word is multiplied
+    out and scaled once at the end, which keeps its coefficient (a
+    q-binomial, say) out of the products.
+    """
+    dens, ints = split
+    word_dens = []  # D_w·den(c_w); a QScalar has den 1
+    try:
+        for c, word in terms:
+            den = 1 if isinstance(c, QScalar) else c.denominator
+            for sym in word:
+                den *= dens[sym]
+            word_dens.append(den)
+    except KeyError as exc:
+        raise ValueError(f"generator {exc.args[0]!r} has no image") from None
+    L = lcm(*word_dens)
+    if L != 1:  # k_w = c_w·L/D_w
+        terms = [
+            (c * (L // den) if isinstance(c, QScalar) else c.numerator * (L // den), word)
+            for (c, word), den in zip(terms, word_dens)
+        ]
 
     def horner(terms):
         parts, groups = [], {}
@@ -500,25 +549,30 @@ def _eval_terms(images: dict, ctx: ModelContext, terms) -> SkewElem:
             if word:
                 groups.setdefault(word[-1], []).append((coeff, word[:-1]))
             else:
-                parts.append(SkewElem.one(ctx).scale(coeff))
+                parts.append(ints[()].scale(coeff))
         for last, group in groups.items():
             if len(group) == 1:
                 (coeff, prefix), = group
                 word = prefix + (last,)
-                cur = image(word[0])
+                cur = ints[word[0]]
                 for sym in word[1:]:
-                    cur = cur * image(sym)
+                    cur = cur * ints[sym]
                 parts.append(cur.scale(coeff))
             else:
-                parts.append(horner(group) * image(last))
+                parts.append(horner(group) * ints[last])
         return SkewElem(ctx, _accumulate(p.terms for p in parts))
 
-    return horner(terms)
+    total = horner(terms)
+    if L == 1:
+        return total
+    inv = Fraction(1, L)
+    return SkewElem(ctx, {m: MLaurent(f.n, {e: c * inv for e, c in f.terms.items()}) for m, f in total.terms.items()})
 
 
 def evaluate_word(assignment: GeneratorAssignment, p) -> SkewElem:
     """Image of a noncommutative polynomial ((coeff, word), ...) under the assignment."""
-    return _eval_terms(assignment.images, assignment.context, p)
+    ctx = assignment.context
+    return _eval_terms(_split_images(ctx, assignment.images), ctx, p)
 
 
 @dataclass(frozen=True)
@@ -571,9 +625,10 @@ def verify(assignment: GeneratorAssignment) -> VerificationReport:
     """
     ctx = assignment.context
     names = _coeff_names(ctx)
+    split = _split_images(ctx, assignment.images)
     entries = []
     for rel in assignment.presentation.relations:
-        img = _eval_terms(assignment.images, ctx, rel.terms)
+        img = _eval_terms(split, ctx, rel.terms)
         entries.append(RelationResult(rel.name, rel.family, img, not img, img.to_str(names)))
     mark = len(ctx.denominator_log)
     try:

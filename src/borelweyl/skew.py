@@ -9,7 +9,7 @@ commute by construction.
 Two context flavours cover both model families:
 
 * classical — coefficients are elements of ℚ(h₁..hₙ) in canonical form: an
-  MLaurent polynomial with Fraction scalars, or a reciprocal c/p.  σ_i
+  MLaurent polynomial with int or Fraction scalars, or a reciprocal c/p.  σ_i
   shifts h_j by a_ji.  The models localise only at an Ore set of
   polynomials (shifted b's and h's), and the recovery phase forms s⁻¹ and
   products such as s⁻¹·s, so no other fraction arises.  Only `invert_coeff`

@@ -19,6 +19,7 @@ from borelweyl.biproduct import (
     mixed_relation_check,
     normal_form,
     parse_word,
+    _serre_rule,
     word_str,
 )
 from borelweyl.cartan import CartanError, catalog_matrix, quasi_inverse, validate_gcm
@@ -60,6 +61,15 @@ def test_a2_serre_rules_reduce_the_order_maximal_word():
     assert rule_for(R, ("F2", "F1", "F1")).rhs == NCPoly(
         "rational", {("F1", "F2", "F1"): 2, ("F1", "F1", "F2"): -1}
     )
+
+
+def test_serre_rule_needs_a_unit_end_coefficient():
+    # the lead's coefficient multiplies the rest, which is its inverse only for ±1
+    window = ((2, ("E1", "E1", "E2")), (-2, ("E1", "E2", "E1")), (1, ("E2", "E1", "E1")))
+    with pytest.raises(ValueError, match="must end in ±1"):
+        _serre_rule(window, True, "rational")
+    rule = _serre_rule(window, False, "rational")
+    assert rule.rhs == NCPoly("rational", {("E1", "E1", "E2"): -2, ("E1", "E2", "E1"): 2})
 
 
 def test_quantum_serre_coefficients_are_balanced_binomials():

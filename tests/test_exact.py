@@ -24,7 +24,7 @@ from borelweyl.exact import (
     q_power,
 )
 from borelweyl.exact.endo import scale, shift
-from borelweyl.exact.laurent import _accumulate
+from borelweyl.exact.laurent import _accumulate, _packed_product
 from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact, _pgcd, _pgcd_euclid
 
 try:
@@ -638,11 +638,14 @@ def test_substitute_matches_sympy(f, image):
 
 @st.composite
 def shift_cases(draw):
-    """A polynomial over ℚ in up to 4 variables, exponents up to 4, and a
-    rational shift with some zero entries."""
+    """A polynomial in up to 4 variables, exponents up to 4, and a shift with
+    some zero entries: over ℚ, or with int coefficients and an integral shift."""
     n = draw(st.integers(1, 4))
-    f = draw(st.dictionaries(st.tuples(*(st.integers(0, 4),) * n), fracs, max_size=6))
-    u = draw(st.lists(st.one_of(st.just(Fraction(0)), fracs), min_size=n, max_size=n))
+    integral = draw(st.booleans())
+    scalars = st.integers(-5, 5) if integral else fracs
+    f = draw(st.dictionaries(st.tuples(*(st.integers(0, 4),) * n), scalars, max_size=6))
+    entries = st.integers(-3, 3) if integral else fracs
+    u = draw(st.lists(st.one_of(st.just(Fraction(0)), entries), min_size=n, max_size=n))
     return MLaurent(n, f), tuple(u)
 
 
@@ -656,7 +659,10 @@ def test_shift_matches_sympy(case):
     expected = sympy.expand(_to_sympy_poly(f, x).subs(moved, simultaneous=True))
     got = shift(f, u)
     assert sympy.expand(_to_sympy_poly(got, x) - expected) == 0
-    assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+    assert all(isinstance(c, (int, Fraction)) and c for c in got.terms.values())
+    # integers stay ints: an integral shift of an int polynomial makes no Fraction
+    if all(type(c) is int for c in f.terms.values()) and all(c.denominator == 1 for c in u):
+        assert all(type(c) is int for c in got.terms.values())
 
 
 
@@ -778,6 +784,42 @@ def test_products_sums_and_powers_over_q_match_sympy(pair, k):
         assert all(isinstance(c, (int, Fraction)) and c for c in got.terms.values())
     # the same terms in the same order as the loop the kernel replaced
     assert list((a * b).terms.items()) == list(_parent_product(a, b).terms.items())
+
+
+@st.composite
+def integral_cases(draw):
+    """Two int polynomials with wide exponents, and an integral shift of a
+    polynomial with int coefficients."""
+    n = draw(st.integers(1, 3))
+    poly = st.dictionaries(st.tuples(*(wide_exps,) * n), st.integers(-5, 5), max_size=5)
+    a, b = (MLaurent(n, draw(poly)) for _ in range(2))
+    f = MLaurent(n, draw(st.dictionaries(st.tuples(*(st.integers(0, 4),) * n), st.integers(-5, 5), max_size=6)))
+    u = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    return a, b, f, u
+
+
+@given(integral_cases())
+@example((
+    MLaurent(2, {(1, 0): 2, (0, 1): 3, (0, 0): -1}),
+    MLaurent(2, {(1, 1): 1, (0, 1): -1, (0, 0): 4}),
+    MLaurent(2, {(2, 1): 1, (0, 1): -3}),
+    (1, -2),
+))
+@settings(max_examples=60, deadline=None)
+def test_integer_products_and_shifts_keep_ints(case):
+    a, b, f, u = case
+    expected = list(_parent_product(a, b).terms.items())
+    products = [a * b]
+    if a and b:  # the packed kernel itself, which `*` skips for short operands, shorter operand first
+        products.append(MLaurent(a.n, _packed_product(*sorted((a.terms, b.terms), key=len))))
+    for product in products:
+        assert all(type(c) is int and c for c in product.terms.values())
+        assert list(product.terms.items()) == expected
+    shifted = shift(f, u)
+    assert all(type(c) is int and c for c in shifted.terms.values())
+    # the same value as the step-by-step substitution v_j ↦ v_j + u_j
+    values = [MLaurent.var(f.n, j) + c for j, c in enumerate(u)]
+    assert shifted == f.substitute(values)
 
 
 @given(laurent2, laurent2)

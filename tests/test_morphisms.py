@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import borelweyl
 from borelweyl import morphisms
+from borelweyl.biproduct import build_rules, normal_form, parse_word
 from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.cli import _corrupted, _witness_block
 from borelweyl.datum import ClassicalDatum, QuantumDatum, build_quantum_datum, solve_beta
@@ -217,6 +218,55 @@ def test_horner_evaluation_names_an_unknown_generator():
         with pytest.raises(ValueError) as info:
             evaluate_word(asg, p)
         assert str(info.value) == "generator 'X' has no image"
+
+
+# -- cleared evaluation against naive products over ℚ ----------------------------
+
+
+def classical_assignments(name):
+    """The classical upper, lower and Weyl assignments of a catalog or ladder matrix."""
+    datum = solve_beta(quasi_inverse(validate_gcm(LADDER[name]) if name in LADDER else catalog_matrix(name)))
+    return [classical_borel_assignment(datum, side) for side in ("upper", "lower")] + [weyl_assignment(datum)]
+
+
+@pytest.mark.parametrize("name", CATALOG + ["B3", "D4"])
+def test_cleared_evaluation_matches_naive_fraction_products(name):
+    # every relation, evaluated on integer images and divided once by the lcm,
+    # against each word multiplied out on the Fraction images, scaled and summed
+    cleared = 0
+    for asg in classical_assignments(name):
+        ctx = asg.context
+        split = morphisms._split_images(ctx, asg.images)
+        cleared += sum(d > 1 for d in split[0].values())
+        for rel in asg.presentation.relations:
+            assert morphisms._eval_terms(split, ctx, rel.terms) == word_by_word(asg, rel.terms), rel.name
+    assert cleared  # some image has a denominator to clear
+
+
+def _scalars_of(f):
+    """The scalars of a coefficient: an MLaurent's, or a PolyFrac's two parts'."""
+    return [c for part in ((f.num, f.den) if isinstance(f, PolyFrac) else (f,)) for c in part.terms.values()]
+
+
+@pytest.mark.parametrize("name", CATALOG + ["B3"])
+def test_classical_runs_keep_every_scalar_exact(name):
+    # the static guard sees no float literal, but int / int makes a float at
+    # run time: every scalar the classical path makes is a nonzero int or Fraction
+    assignments = classical_assignments(name)
+    datum = assignments[0].datum
+    seen = [c for b in datum.b for c in _scalars_of(b)]
+    for asg in assignments:
+        report = verify(asg)
+        elements = [e.residual for e in report.entries] + list(report.recovered.values())
+        seen += [c for elem in elements for f in elem.terms.values() for c in _scalars_of(f)]
+    if name in CATALOG:
+        R = build_rules(datum.aux)
+        n = datum.context.n
+        word = [f"F{i}" for i in range(n, 0, -1)] + [f"E{i}" for i in range(n, 0, -1)] * 2
+        seen += list(normal_form(R.poly(parse_word(" ".join(word), R)), R).terms.values())
+    assert seen
+    bad = [c for c in seen if type(c) not in (int, Fraction) or not c]
+    assert bad == [], name
 
 
 def test_verify_shares_products_between_words(monkeypatch):

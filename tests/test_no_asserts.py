@@ -5,8 +5,11 @@ strips every assert, so a check written as one silently stops running there.
 No module imports sympy: it serves tests and offline scripts only and must
 never become a runtime dependency.  No module but the command line, whose
 timings are wall-clock floats, writes a float literal or names `float`: the
-mathematics is exact.  Every name a module lists in `__all__` is an
-attribute of that module, so a deletion cannot leave a stale export behind.
+mathematics is exact.  A float made at run time, by int / int, is beyond an
+AST; `test_morphisms.py::test_classical_runs_keep_every_scalar_exact` checks
+every scalar a classical run makes instead.  Every name a module lists in
+`__all__` is an attribute of that module, so a deletion cannot leave a stale
+export behind.
 Every import is a module-level statement, so an import cycle cannot hide
 behind an import deferred into a function.  Only `cartan`, which derives
 them, and the command line, which builds one CartanAux per job, call

@@ -24,7 +24,20 @@ So a Laurent polynomial in q has a denominator q^k, and so do the products,
 sums and negations of Laurent polynomials.  Such a denominator skips the
 gcd: q is the only prime factor of q^k and its content is 1, so reducing
 only strips the common power of q from the numerator, and the result is
-the pair the gcd would give.
+the pair the gcd would give.  A sum or product of two such elements keeps
+that path.
+
+Any other sum or product follows Henrici's rule (Knuth, TAOCP vol. 2,
+§4.5.1): both operands are canonical, so only gcds of the small operands
+are taken, never one of the grown result.  For a/b + c/d with b = d it is
+gcd(a + c, b).  Otherwise let g = gcd(b, d): for g = 1 the sum
+(a·d + c·b)/(b·d) is already reduced, and for g ≠ 1 the numerator
+t = a·(d/g) + c·(b/g) shares only g₂ = gcd(t, g) with the denominator,
+giving (t/g₂) / ((b/g)·(d/g₂)).  A product cancels crosswise,
+(a/g₁)(c/g₂) / ((b/g₂)(d/g₁)) with g₁ = gcd(a, d) and g₂ = gcd(c, b).
+Every gcd has a positive leading coefficient, so the result is canonical
+as built and is not normalised again; negation, inversion and a Fraction
+take no gcd either.
 """
 
 from __future__ import annotations
@@ -214,6 +227,11 @@ def _pgcd_euclid(a: ZPoly, b: ZPoly) -> ZPoly:
     return _pneg(g) if g[-1] < 0 else g
 
 
+def _is_q_power(a: ZPoly) -> bool:
+    """True when a is q^k for some k ≥ 0, 1 included."""
+    return a[-1] == 1 and not any(a[:-1])
+
+
 def _pstr(a: ZPoly) -> str:
     if not a:
         return "0"
@@ -244,8 +262,8 @@ class QScalar:
             raise ZeroDivisionError("QScalar denominator is the zero polynomial")
         if not num:
             den = (1,)
-        elif den[-1] == 1 and not any(den[:-1]):
-            # den = q^k: q is its only prime factor and its content is 1
+        elif _is_q_power(den):
+            # q is the only prime factor of q^k and its content is 1
             k = min(_qorder(num), len(den) - 1)
             if k:
                 num, den = num[k:], den[k:]
@@ -259,13 +277,21 @@ class QScalar:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @staticmethod
+    def _reduced(num: ZPoly, den: ZPoly) -> "QScalar":
+        """num/den from a pair already in canonical form; nothing is normalised."""
+        x = object.__new__(QScalar)
+        object.__setattr__(x, "num", num)
+        object.__setattr__(x, "den", den)
+        return x
+
     def __setattr__(self, *a):
         raise AttributeError("QScalar is immutable")
 
     @staticmethod
     def from_int(k) -> "QScalar":
-        if isinstance(k, Fraction):
-            return QScalar((k.numerator,), (k.denominator,))
+        if isinstance(k, Fraction):  # already reduced, with a positive denominator
+            return QScalar._reduced((k.numerator,) if k else (), (k.denominator,))
         return QScalar((int(k),))
 
     @staticmethod
@@ -292,15 +318,32 @@ class QScalar:
         other = QScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if _is_q_power(b) and _is_q_power(d):
+            return QScalar(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+        if b == d:
+            t = _padd(a, c)
+            if not t:
+                return QQ_ZERO
+            g = _pgcd(t, b)
+            if g == (1,):
+                return QScalar._reduced(t, b)
+            return QScalar._reduced(_pdiv_exact(t, g), _pdiv_exact(b, g))
+        g = _pgcd(b, d) if b != (1,) and d != (1,) else (1,)
+        if g == (1,):
+            # a prime that divides b divides neither d nor a, so not a·d + c·b
+            return QScalar._reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+        b = _pdiv_exact(b, g)
+        t = _padd(_pmul(a, _pdiv_exact(d, g)), _pmul(c, b))  # nonzero: a/b = −c/d needs b = d
+        g = _pgcd(t, g)
+        if g != (1,):
+            t, d = _pdiv_exact(t, g), _pdiv_exact(d, g)
+        return QScalar._reduced(t, _pmul(b, d))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QScalar(_pneg(self.num), self.den)
+        return QScalar._reduced(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         other = QScalar._coerce(other)
@@ -316,7 +359,18 @@ class QScalar:
             return other
         if other.num == other.den:
             return self
-        return QScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if _is_q_power(b) and _is_q_power(d):
+            return QScalar(_pmul(a, c), _pmul(b, d))
+        if not a or not c:
+            return QQ_ZERO
+        g = _pgcd(a, d) if d != (1,) else d
+        if g != (1,):
+            a, d = _pdiv_exact(a, g), _pdiv_exact(d, g)
+        g = _pgcd(c, b) if b != (1,) else b
+        if g != (1,):
+            c, b = _pdiv_exact(c, g), _pdiv_exact(b, g)
+        return QScalar._reduced(_pmul(a, c), _pmul(b, d))
 
     __rmul__ = __mul__
 
@@ -324,13 +378,11 @@ class QScalar:
         other = QScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError(f"division by zero QScalar ({other!r})")
-        return QScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return self * other.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
-            return (QQ_ONE / self) ** (-k)
+            return self.inverse() ** (-k)
         out = QQ_ONE
         base = self
         while k:
@@ -341,7 +393,12 @@ class QScalar:
         return out
 
     def inverse(self) -> "QScalar":
-        return QQ_ONE / self
+        num, den = self.num, self.den
+        if not num:
+            raise ZeroDivisionError(f"division by zero QScalar ({self!r})")
+        if num[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        return QScalar._reduced(den, num)
 
     def is_monomial(self) -> bool:
         """True when the value is c·q^k with c rational (single term over single term)."""

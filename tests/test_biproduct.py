@@ -23,7 +23,8 @@ from borelweyl.biproduct import (
     word_str,
 )
 from borelweyl.cartan import CartanError, catalog_matrix, quasi_inverse, validate_gcm
-from borelweyl.exact import QQ_ONE, q_binom, q_power
+from borelweyl.exact import QQ_ONE, QScalar, q_binom, q_power
+from borelweyl.exact.qq import _is_q_power, _padd, _pmul
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
 
@@ -300,6 +301,50 @@ def test_sl2_normal_form_is_stable_and_strategy_free(letters):
     assert normal_form(nf, R) == nf
     assert normal_form(p, R, strategy="rightmost") == nf
     assert all(R.is_normal(w) for w in nf.terms)
+
+
+def _full_gcd_add(x, y):
+    """x + y reduced from scratch: one gcd of the grown numerator and b·d."""
+    y = QScalar._coerce(y)
+    if y is NotImplemented:
+        return NotImplemented
+    return QScalar(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)), _pmul(x.den, y.den))
+
+
+def _full_gcd_mul(x, y):
+    """x · y reduced from scratch, like `_full_gcd_add`."""
+    y = QScalar._coerce(y)
+    if y is NotImplemented:
+        return NotImplemented
+    return QScalar(_pmul(x.num, y.num), _pmul(x.den, y.den))
+
+
+def _quantum_normal_form(name, word):
+    R = build_rules(quasi_inverse(catalog_matrix(name)), mode="quantum")
+    nf = normal_form(R.poly(tuple(word.split())), R)
+    return {w: (c.num, c.den) for w, c in nf.terms.items()}
+
+
+@pytest.mark.parametrize(
+    "name, word",
+    [
+        ("B2", "F2 F1 F1 F1 E2 E2 F2 E2 E2 E1 E1 E1"),
+        ("B2", "E2 E2 E1 F1 F2 F1 E2 E1 F1 F1"),
+        ("G2", "F2 E2 F1 F1 F2 F1 F1 E1 E2 E1"),
+        ("G2", "F2 F1 F2 E2 E1 F2 F1 F1 E1 F2"),
+        ("A3", "E1 F1 F3 F3 F2 F2 E2 F2 F2 E3 E1 F1"),
+        ("A3", "E2 E2 F3 F2 F3 E1 E3 F3 E1 F3"),
+    ],
+)
+def test_quantum_normal_forms_match_full_gcd_arithmetic(monkeypatch, name, word):
+    # sums and products reduce by gcds of the operands' parts only; the
+    # coefficients must be the very pairs that reducing from scratch gives
+    got = _quantum_normal_form(name, word)
+    assert any(not _is_q_power(den) for _, den in got.values())  # fractions beyond Laurent ones
+    for attr, op in (("__add__", _full_gcd_add), ("__radd__", _full_gcd_add),
+                     ("__mul__", _full_gcd_mul), ("__rmul__", _full_gcd_mul)):
+        monkeypatch.setattr(QScalar, attr, op)
+    assert got == _quantum_normal_form(name, word)
 
 
 # -- PBW counts ----------------------------------------------------------------

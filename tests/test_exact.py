@@ -25,7 +25,7 @@ from borelweyl.exact import (
 )
 from borelweyl.exact.endo import scale, shift
 from borelweyl.exact.laurent import _accumulate, _packed_product
-from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact, _pgcd, _pgcd_euclid
+from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact, _pgcd, _pgcd_euclid, _pmul
 
 try:
     import sympy
@@ -240,11 +240,16 @@ def _from_sympy(p):
     return tuple(cs)
 
 
-def _planted_pair(data):
-    content, shift, indices, u, v, su, sv = data
-    h = sympy.Poly(content * _Q**shift, _Q, domain="ZZ")
+def _cyclotomic_product(indices):
+    h = sympy.Poly(1, _Q, domain="ZZ")
     for n in indices:
         h = h * sympy.Poly(sympy.cyclotomic_poly(n, _Q), _Q, domain="ZZ")
+    return h
+
+
+def _planted_pair(data):
+    content, shift, indices, u, v, su, sv = data
+    h = sympy.Poly(content * _Q**shift, _Q, domain="ZZ") * _cyclotomic_product(indices)
     a = h * _to_sympy(u) * sympy.Poly(_Q**su, _Q, domain="ZZ")
     b = h * _to_sympy(v) * sympy.Poly(_Q**sv, _Q, domain="ZZ")
     return a, b
@@ -302,6 +307,40 @@ def test_qscalar_canonical_form_matches_sympy_cancel(data):
     assert (x.num, x.den) == _canonical_by_sympy(a, b)
 
 
+def _fraction(content, u, v):
+    """Planted-pair data for content·u / content·v, each cofactor a dense tuple."""
+    return (content, 0, [], u, v, 0, 0)
+
+
+_Q2_MINUS_1 = (-1, 0, 1)  # q² − 1 = (q − 1)(q + 1)
+
+
+@_needs_sympy
+@given(_planted, _planted, st.lists(st.integers(2, 12), max_size=2))
+# b = d, with gcd(a + c, b) = 1 and then q + 1
+@example(_fraction(1, (1,), (1, 1)), _fraction(1, (1,), (1, 1)), [])
+@example(_fraction(1, (1,), _Q2_MINUS_1), _fraction(1, (0, 1), _Q2_MINUS_1), [])
+@example(_fraction(1, (1,), (1, 1)), _fraction(2, (1,), (2, 1)), [])  # coprime denominators
+# b = (q − 1)(q + 1), d = (q − 1)(q + 2): g = q − 1 and t = 2(q + 2) − 3(q + 1), so g₂ = g
+@example(_fraction(1, (2,), _Q2_MINUS_1), _fraction(1, (-3,), (-2, 1, 1)), [])
+@example(_fraction(1, (1,), _Q2_MINUS_1), _fraction(3, (-1,), _Q2_MINUS_1), [])  # sum is 0
+@example(_fraction(1, (1, 1), (2, 1)), _fraction(1, (0,), (1, 1)), [])  # a product with zero
+# (q + 1)/(q + 2) · (q + 2)(q + 3)/((q + 1)(q + 4)): both cross gcds are linear
+@example(_fraction(1, (1, 1), (2, 1)), _fraction(1, (6, 5, 1), (4, 5, 1)), [])
+@settings(max_examples=80, deadline=None)
+def test_fraction_arithmetic_matches_sympy_cancel(left, right, shared):
+    # the cyclotomics in `shared` divide both denominators, so g = gcd(b, d) ≠ 1 is common
+    h = _cyclotomic_product(shared)
+    (a, b), (c, d) = _planted_pair(left), _planted_pair(right)
+    b, d = b * h, d * h
+    x = QScalar(_from_sympy(a), _from_sympy(b))
+    y = QScalar(_from_sympy(c), _from_sympy(d))
+    for got, num, den in ((x + y, a * d + c * b, b * d), (x - y, a * d - c * b, b * d), (x * y, a * c, b * d)):
+        assert (got.num, got.den) == _canonical_by_sympy(num, den)
+    if y:
+        assert ((x / y).num, (x / y).den) == _canonical_by_sympy(a * d, b * c)
+
+
 @_needs_sympy
 @given(_planted)
 @settings(max_examples=40, deadline=None)
@@ -337,19 +376,25 @@ def test_laurent_elements_over_q_power_match_sympy_cancel(a, b):
         assert (got.num, got.den) == _canonical_by_sympy(num, qa * qb)
 
 
-def _pgcd_calls(monkeypatch, make):
+def _pgcd_args(monkeypatch, make):
+    """make() and the argument pairs of every _pgcd call it made."""
     calls = []
     original = exact.qq._pgcd
 
-    def counted(a, b):
-        calls.append(1)
+    def recorded(a, b):
+        calls.append((a, b))
         return original(a, b)
 
-    monkeypatch.setattr(exact.qq, "_pgcd", counted)
+    monkeypatch.setattr(exact.qq, "_pgcd", recorded)
     try:
-        return make(), len(calls)
+        return make(), calls
     finally:
         monkeypatch.setattr(exact.qq, "_pgcd", original)
+
+
+def _pgcd_calls(monkeypatch, make):
+    x, calls = _pgcd_args(monkeypatch, make)
+    return x, len(calls)
 
 
 @_needs_sympy
@@ -369,6 +414,23 @@ def test_laurent_arithmetic_over_q_makes_no_gcd(monkeypatch):
     # the counter does see a real fraction
     fraction = QScalar((1, 1), (-1, 0, 1))
     assert _pgcd_calls(monkeypatch, lambda: fraction * y)[1] >= 1
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (QScalar((1, 1), (-2, 1, 1)), QScalar((3, 1), (-1, 0, 1))),  # denominators share q − 1
+        (QScalar((1, 1), (2, 1)), QScalar((5,), (1, 0, 1))),  # coprime denominators
+        (QScalar((0, 1), (2, 4, 2)), QScalar((1, 1, 1), (6,))),  # shared content 2
+    ],
+)
+def test_fraction_arithmetic_never_takes_a_gcd_with_the_full_denominator_product(monkeypatch, x, y):
+    # Henrici: the gcds of a sum or product see the operands' parts, never b·d
+    full = _pmul(x.den, y.den)
+    for make in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+        calls = _pgcd_args(monkeypatch, make)[1]
+        assert calls
+        assert all(full not in args for args in calls), calls
 
 
 @given(qscalars)

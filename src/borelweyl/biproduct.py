@@ -10,10 +10,13 @@ the lead.  Confluence of the rules is not assumed: it is checked on all
 overlap ambiguities up to a degree bound, which is the finite,
 machine-checkable shadow of the PBW claim.
 
-Scalars are rationals in classical mode, ``int`` or ``Fraction`` as given
-(every classical rule has integer coefficients, so integer input stays on
-ints), and exact rational functions of q in quantum mode; nothing here ever
-touches floating point.
+The system, not the polynomial, chooses the scalars.  `build_rules` writes
+every classical rule with integer coefficients and every quantum rule with
+exact rational functions of q (`QScalar`), and `RewriteSystem.poly` scales
+an input word by the system's one, so classical input stays on ``int`` or
+``Fraction`` as given and quantum input becomes `QScalar`.  A polynomial
+holds whatever scalars it is given; nothing here ever touches floating
+point.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .cartan import CartanAux
-from .exact import QQ_ONE, QScalar, q_power
+from .exact import QQ_ONE, q_power
 from .exact.laurent import _accumulate
 from .morphisms import _serre_windows
 
@@ -46,21 +48,6 @@ __all__ = [
 ]
 
 
-# -- scalars ------------------------------------------------------------------
-
-
-def _as_scalar(field, c):
-    if field == "rational":
-        if isinstance(c, (int, Fraction)):
-            return c
-    else:
-        if isinstance(c, QScalar):
-            return c
-        if isinstance(c, (int, Fraction)):
-            return QScalar.from_int(c)
-    raise TypeError(f"{c!r} is not a scalar of the {field} field")
-
-
 # -- words and polynomials ----------------------------------------------------
 
 
@@ -72,36 +59,17 @@ class NCPoly:
     """Finite scalar combination of words in the generator letters.
 
     Nothing is reordered here; `normal_form` straightens.  The terms map
-    never stores zero coefficients.
+    never stores zero coefficients; the scalars are the ones given, and a
+    `RewriteSystem` chooses them for its rules and input words.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, field: str, terms=None):
-        if field not in ("rational", "q"):
-            raise ValueError(f"unknown scalar field {field!r}")
-        clean = {}
-        for w, c in (terms or {}).items():
-            c = _as_scalar(field, c)
-            if c:
-                clean[tuple(w)] = c
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms=None):
+        object.__setattr__(self, "terms", {w: c for w, c in (terms or {}).items() if c})
 
     def __setattr__(self, *a):
         raise AttributeError("NCPoly is immutable")
-
-    @staticmethod
-    def zero(field: str) -> "NCPoly":
-        return NCPoly(field)
-
-    @staticmethod
-    def word(field: str, letters, coeff=1) -> "NCPoly":
-        return NCPoly(field, {tuple(letters): coeff})
-
-    @staticmethod
-    def one(field: str) -> "NCPoly":
-        return NCPoly.word(field, ())
 
     def __bool__(self):
         return bool(self.terms)
@@ -109,15 +77,15 @@ class NCPoly:
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        return self.terms == other.terms
 
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return NCPoly(self.field, _accumulate((self.terms, other.terms)))
+        return NCPoly(_accumulate((self.terms, other.terms)))
 
     def __neg__(self):
-        return NCPoly(self.field, {w: -c for w, c in self.terms.items()})
+        return NCPoly({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, NCPoly):
@@ -125,10 +93,7 @@ class NCPoly:
         return self + (-other)
 
     def scale(self, c) -> "NCPoly":
-        c = _as_scalar(self.field, c)
-        if not c:
-            return NCPoly.zero(self.field)
-        return NCPoly(self.field, {w: c * v for w, v in self.terms.items()})
+        return NCPoly({w: c * v for w, v in self.terms.items()})
 
     def to_str(self) -> str:
         if not self.terms:
@@ -201,7 +166,7 @@ class RewriteSystem:
         self.mode = mode
         self.matrix = matrix
         self.d = d
-        self.field = "rational" if mode == "classical" else "q"
+        self.one = 1 if mode == "classical" else QQ_ONE
         self.n = n = matrix.n
         if mode == "classical":
             cartan = [f"H{i + 1}" for i in range(n)]
@@ -257,16 +222,17 @@ class RewriteSystem:
         return not self.redexes(word)
 
     def zero(self) -> NCPoly:
-        return NCPoly.zero(self.field)
+        return NCPoly()
 
     def poly(self, letters, coeff=1) -> NCPoly:
-        return NCPoly.word(self.field, letters, coeff)
+        """coeff·letters, with coeff scaled into the system's scalars."""
+        return NCPoly({tuple(letters): coeff * self.one})
 
 
 # -- rule construction --------------------------------------------------------
 
 
-def _serre_rule(window, first_leads: bool, field) -> Rule:
+def _serre_rule(window, first_leads: bool) -> Rule:
     """The order-maximal word of a Serre window rewrites to the rest.
 
     The window runs from x_i^m·x_j to x_j·x_i^m, so its first word is the
@@ -278,7 +244,7 @@ def _serre_rule(window, first_leads: bool, field) -> Rule:
     if lead_c not in (1, -1):
         raise ValueError(f"a Serre window must end in ±1, not {lead_c}")
     rhs = {w: -(c * lead_c) for c, w in window if w != lead}
-    return Rule(lead, NCPoly(field, rhs), "serre")
+    return Rule(lead, NCPoly(rhs), "serre")
 
 
 def _bracket(mode, d, i) -> dict:
@@ -300,10 +266,10 @@ def build_rules(aux: CartanAux, mode: str = "classical") -> RewriteSystem:
     """
     C, n = aux.matrix, aux.matrix.n
     if mode == "classical":
-        field, one, d = "rational", 1, None
+        one, d = 1, None
         cartan = [(f"H{i + 1}",) for i in range(n)]
     elif mode == "quantum":
-        field, one, d = "q", QQ_ONE, aux.d
+        one, d = QQ_ONE, aux.d
         cartan = [(f"K{i + 1}", f"K{i + 1}^-1") for i in range(n)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -312,68 +278,59 @@ def build_rules(aux: CartanAux, mode: str = "classical") -> RewriteSystem:
     rules = []
     if mode == "quantum":
         for ki, kinv in cartan:
-            rules.append(Rule((ki, kinv), NCPoly.one(field), "unit"))
-            rules.append(Rule((kinv, ki), NCPoly.one(field), "unit"))
+            rules.append(Rule((ki, kinv), NCPoly({(): one}), "unit"))
+            rules.append(Rule((kinv, ki), NCPoly({(): one}), "unit"))
     for j in range(n):
         for i in range(n):
             rhs = {(E[i], F[j]): one}
             if i == j:
                 rhs.update((w, -c) for w, c in _bracket(mode, d, i).items())
-            rules.append(Rule((F[j], E[i]), NCPoly(field, rhs), "pairing"))
+            rules.append(Rule((F[j], E[i]), NCPoly(rhs), "pairing"))
     for i in range(n):
         for j in range(n):
             # classically h moves past E_j by a shift a_ij, in quantum mode K^±1 by q^{±d_i a_ij}
             for k, s in zip(cartan[i], (1, -1)):
                 scale, shift = (one, C[i, j]) if mode == "classical" else (q_power(s * d[i] * C[i, j]), 0)
-                rules.append(Rule((k, E[j]), NCPoly(field, {(E[j], k): scale, (E[j],): shift}), "weight"))
-                rules.append(Rule((F[j], k), NCPoly(field, {(k, F[j]): scale, (F[j],): shift}), "weight"))
+                rules.append(Rule((k, E[j]), NCPoly({(E[j], k): scale, (E[j],): shift}), "weight"))
+                rules.append(Rule((F[j], k), NCPoly({(k, F[j]): scale, (F[j],): shift}), "weight"))
     for i in range(n):
         for j in range(i):
             for hi in cartan[i]:
                 for lo in cartan[j]:
-                    rules.append(Rule((hi, lo), NCPoly.word(field, (lo, hi)), "sort"))
+                    rules.append(Rule((hi, lo), NCPoly({(lo, hi): one}), "sort"))
     # disconnected E's (and F's) commute outright; connected ones reduce by Serre
     for i in range(n):
         for j in range(i):
             if C[i, j] == 0:
                 for X in (E, F):
-                    rules.append(Rule((X[i], X[j]), NCPoly.word(field, (X[j], X[i])), "sort"))
+                    rules.append(Rule((X[i], X[j]), NCPoly({(X[j], X[i]): one}), "sort"))
     for i in range(n):
         for j in range(n):
             if i != j and C[i, j] < 0:
                 for window in _serre_windows((E, F), i, j, 1 - C[i, j], None if d is None else d[i]):
-                    rules.append(_serre_rule(window, i > j, field))
+                    rules.append(_serre_rule(window, i > j))
     return RewriteSystem(mode, C, d, rules)
 
 
 # -- reduction ----------------------------------------------------------------
 
 
-def _apply_at(word, pos, rule, field) -> NCPoly:
+def _apply_at(word, pos, rule) -> NCPoly:
     head, tail = word[:pos], word[pos + len(rule.lead) :]
-    return NCPoly(field, {head + w + tail: c for w, c in rule.rhs.terms.items()})
+    return NCPoly({head + w + tail: c for w, c in rule.rhs.terms.items()})
 
 
-_STRATEGIES = {
-    "leftmost": lambda redexes: redexes[0],
-    "rightmost": lambda redexes: redexes[-1],
-}
+_STEP_LIMIT = 200_000  # a tripwire: every rule lowers the order, so reductions end
 
 
-def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: int = 200_000) -> NCPoly:
+def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
     """Reduce until no rule applies to any word.
 
-    Always reduces the largest remaining word; within it the strategy picks
-    the redex ("leftmost" by default, ties broken by rule construction
-    order, or any callable on the redex list).  Every rule decreases the
-    term order, so this terminates; the step limit is a tripwire whose
-    error carries the tail of the reduction trace.
+    Always reduces the leftmost redex of the largest remaining word, ties at
+    one position broken by rule construction order.  Every rule decreases
+    the term order, so this terminates; past `_STEP_LIMIT` steps it raises
+    an error that carries the tail of the reduction trace.
     """
-    pick = strategy if callable(strategy) else _STRATEGIES.get(strategy)
-    if pick is None:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if p.field != R.field:
-        raise ValueError(f"{p.field} polynomial given to a {R.field} system")
     neg_place = R._neg_place
 
     def entry(word):
@@ -397,9 +354,9 @@ def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: in
             done[word] = coeff
             continue
         steps += 1
-        pos, rule = pick(redexes)
+        pos, rule = redexes[0]
         trace.append((word, pos, rule))
-        if steps > step_limit:
+        if steps > _STEP_LIMIT:
             raise RewriteLimitError(
                 steps, [f"{word_str(w)} at {i} via {word_str(r.lead)}" for w, i, r in trace]
             )
@@ -414,7 +371,7 @@ def normal_form(p: NCPoly, R: RewriteSystem, strategy="leftmost", step_limit: in
                 work[nw] = s
             else:
                 work.pop(nw, None)
-    return NCPoly(R.field, done)
+    return NCPoly(done)
 
 
 # -- local confluence ---------------------------------------------------------
@@ -480,8 +437,8 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     found = []
 
     def chase(word, pos1, r1, pos2, r2):
-        nf1 = normal_form(_apply_at(word, pos1, r1, R.field), R)
-        nf2 = normal_form(_apply_at(word, pos2, r2, R.field), R)
+        nf1 = normal_form(_apply_at(word, pos1, r1), R)
+        nf2 = normal_form(_apply_at(word, pos2, r2), R)
         found.append(
             Ambiguity(
                 word,
@@ -547,7 +504,7 @@ def mixed_relation_check(R: RewriteSystem) -> MixedRelationReport:
             ei, fj = f"E{i + 1}", f"F{j + 1}"
             p = R.poly((ei, fj)) - R.poly((fj, ei))
             if i == j:
-                p = p - NCPoly(R.field, _bracket(R.mode, R.d, i))
+                p = p - NCPoly(_bracket(R.mode, R.d, i))
             nf = normal_form(p, R)
             entries.append((f"[{ei},{fj}] cross relation", nf.to_str(), not nf))
     return MixedRelationReport(R.mode, tuple(entries))
@@ -556,15 +513,12 @@ def mixed_relation_check(R: RewriteSystem) -> MixedRelationReport:
 # -- parsing (for the command line) --------------------------------------------
 
 
-_LETTER = re.compile(r"^[EFHK]\d+(\^-1)?$")
-
-
 def parse_word(text: str, R: RewriteSystem):
     """Split 'F1*E1' or 'F1 E1' into a word over the system's alphabet."""
     tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
     word = []
     for tok in tokens:
-        if not _LETTER.match(tok) or tok not in R._place:
+        if tok not in R._place:
             raise ValueError(
                 f"unknown generator {tok!r}; expected one of {', '.join(R.alphabet)}"
             )

@@ -8,10 +8,12 @@ and the denominator's leading coefficient is positive.  Equality is
 therefore plain structural comparison; q is never specialized implicitly.
 
 The canonical form divides num and den by their gcd in Z[q], computed in
-integers only.  The common power of q and the integer content come off
-first; past those, a single term shares no factor with anything.  Two
-longer q-free primitive parts go to the heuristic gcd of Char, Geddes and
-Gonnet: evaluate both at an integer ξ ≥ 2·min(‖a‖∞, ‖b‖∞) + 2, take the
+integers only.  A gcd with the unit ±1 is 1 at once, with no content or
+power of q taken: straightening multiplies by many rule coefficients whose
+numerator is 1.  Otherwise the common power of q and the integer content
+come off first; past those, a single term shares no factor with anything.
+Two longer q-free primitive parts go to the heuristic gcd of Char, Geddes
+and Gonnet: evaluate both at an integer ξ ≥ 2·min(‖a‖∞, ‖b‖∞) + 2, take the
 integer gcd, and read a candidate off its ξ-adic digits.  The candidate is
 accepted only if it divides both parts exactly, and under that bound exact
 division proves it is the gcd, so the answer is never a guess.  If a few
@@ -139,13 +141,19 @@ def _pdiv_exact(a: ZPoly, b: ZPoly) -> ZPoly:
     return tuple(quo)
 
 
+_UNITS = ((1,), (-1,))
+
+
 def _pgcd(a: ZPoly, b: ZPoly) -> ZPoly:
     """Gcd in Z[q], content included, normalized to positive leading coeff.
 
-    The common power of q and the integer content come off first; a single
-    term c·q^k shares nothing else with any polynomial, and two q-free
-    primitive parts go to the heuristic gcd.
+    A unit ±1 divides everything and shares nothing, so it gives 1 at once.
+    Otherwise the common power of q and the integer content come off first;
+    a single term c·q^k shares nothing else with any polynomial, and two
+    q-free primitive parts go to the heuristic gcd.
     """
+    if a in _UNITS or b in _UNITS:
+        return (1,)
     if not a or not b:
         g = a or b
         return _pneg(g) if g and g[-1] < 0 else g

@@ -5,9 +5,14 @@ number.  A criterion passes when every clause passed outright; clauses that
 are known to be unattainable are marked xfail(strict=True) and turn the
 verdict into an expected failure, which is reported as such rather than
 hidden.  Anything else (a plain failure, an xpass, an error) is unexpected.
+
+It also holds `reference_normal_form`, the independent reducer that the
+biproduct and acceptance tests compare `normal_form` with.
 """
 
 import re
+
+from borelweyl.biproduct import NCPoly, RewriteLimitError, word_str
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_")
 
@@ -49,3 +54,55 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         else:
             verdict = "PASS"
         terminalreporter.write_line(f"criterion {number}: {verdict} - {_TITLES[number]}")
+
+
+def reference_normal_form(p, R, strategy, step_limit=200_000):
+    """Reduce p by a max-scan loop with per-first-letter redex lookup.
+
+    Always the largest word, the redex picked by ``strategy`` ("leftmost",
+    "rightmost" or a callable on the redex list).  Under "leftmost" this is
+    the order that `normal_form`'s heap and lead index must reproduce, step
+    for step and with the same `RewriteLimitError`.
+    """
+    by_first = {}
+    for rule in R.rules:
+        by_first.setdefault(rule.lead[0], []).append(rule)
+
+    def redexes(word):
+        return [
+            (pos, rule)
+            for pos, letter in enumerate(word)
+            for rule in by_first.get(letter, ())
+            if word[pos : pos + len(rule.lead)] == rule.lead
+        ]
+
+    pick = {"leftmost": lambda rs: rs[0], "rightmost": lambda rs: rs[-1]}.get(strategy, strategy)
+    work, done, steps, trace = dict(p.terms), {}, 0, []
+    while work:
+        word = max(work, key=R.order_key)
+        coeff = work.pop(word)
+        found = redexes(word)
+        assert found == R.redexes(word)
+        if not found:
+            s = coeff + done[word] if word in done else coeff
+            if s:
+                done[word] = s
+            else:
+                done.pop(word, None)
+            continue
+        steps += 1
+        pos, rule = pick(found)
+        trace.append(f"{word_str(word)} at {pos} via {word_str(rule.lead)}")
+        if len(trace) > 12:
+            trace.pop(0)
+        if steps > step_limit:
+            raise RewriteLimitError(steps, trace)
+        head, tail = word[:pos], word[pos + len(rule.lead) :]
+        for w, c in rule.rhs.terms.items():
+            nw = head + w + tail
+            s = coeff * c + work[nw] if nw in work else coeff * c
+            if s:
+                work[nw] = s
+            else:
+                work.pop(nw, None)
+    return NCPoly(done)

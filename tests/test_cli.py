@@ -453,6 +453,21 @@ def test_main_rejects_bad_input_on_stderr(capsys):
     assert "zero-symmetry violated" in captured.err
 
 
+def test_an_inline_matrix_too_long_for_a_file_name_keeps_the_exit_contract(capsys):
+    # affine A11 written inline is longer than a file name may be (255 bytes),
+    # so the path probe raises OSError and the text is read as the matrix
+    n = 12
+    rows = [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0 for j in range(n)] for i in range(n)]
+    text = "; ".join(" ".join(map(str, row)) for row in rows)
+    assert len(text) > 255
+    assert main(["analyze", "--matrix", text]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    assert main(["analyze", "--matrix", "x" + text[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_main_rejects_a_non_symmetrizable_matrix(command, capsys):
     # the entries pass the axioms; the symmetrizer inside run() rejects the matrix

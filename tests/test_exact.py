@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import borelweyl
 from borelweyl import exact
-from borelweyl.cartan import quasi_inverse, validate_gcm
+from borelweyl.biproduct import build_rules, normal_form
+from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.datum import solve_beta
 from borelweyl.exact import (
     MLaurent,
@@ -431,6 +432,50 @@ def test_fraction_arithmetic_never_takes_a_gcd_with_the_full_denominator_product
         calls = _pgcd_args(monkeypatch, make)[1]
         assert calls
         assert all(full not in args for args in calls), calls
+
+
+def test_a_unit_numerator_takes_no_gcd_work(monkeypatch):
+    # gcd(±1, x) = 1 comes back before any content or power of q is taken
+    x, y = QScalar((1,), (1, 1)), QScalar((-1,), (2, 1))  # 1/(1 + q), −1/(2 + q)
+    z, w = QScalar((3,), (1, 1)), QScalar((-2,), (1, 1))
+    contents = []
+    original = exact.qq._pcontent
+    monkeypatch.setattr(exact.qq, "_pcontent", lambda a: contents.append(a) or original(a))
+    assert x * y == QScalar((-1,), (2, 3, 1))  # both cross gcds have a unit numerator
+    assert z + w == x  # the sum's numerator 3 − 2 is a unit
+    assert contents == []
+    # the counter does see a gcd of two longer parts
+    assert QScalar((1, 1), (2, 1)) * QScalar((2, 1), (1, 1)) == QQ_ONE
+    assert contents
+
+
+@_needs_sympy
+@given(_planted, st.fractions(max_denominator=12))
+@example(data=(1, 0, [], (3,), (4,), 0, 0), f=Fraction(3, 4))  # equal to the fraction
+@example(data=(2, 1, [2], (1, 1), (2, 0, 1), 0, 1), f=Fraction(-3, 4))
+@example(data=(1, 0, [3], (1,), (5, 1), 0, 0), f=Fraction(0))
+@settings(max_examples=40, deadline=None)
+def test_fraction_operands_match_sympy_cancel(data, f):
+    # a Fraction on either side goes through QScalar.from_int's Fraction branch
+    a, b = _planted_pair(data)
+    x = QScalar(_from_sympy(a), _from_sympy(b))
+    n, m = f.numerator, f.denominator
+    for got in (x + f, f + x):
+        assert (got.num, got.den) == _canonical_by_sympy(a * m + b * n, b * m)
+    for got in (x * f, f * x):
+        assert (got.num, got.den) == _canonical_by_sympy(a * n, b * m)
+    same = (x.num, x.den) == _canonical_by_sympy(_to_sympy((n,)), _to_sympy((m,)))
+    assert (x == f) is (f == x) is same
+
+
+def test_a_quantum_normal_form_scales_by_a_fraction():
+    R = build_rules(quasi_inverse(catalog_matrix("B2")), mode="quantum")
+    nf = normal_form(R.poly(("F2", "F1", "E2", "E1")), R)
+    half = Fraction(1, 2)
+    scaled = nf.scale(half)
+    assert scaled == nf.scale(QScalar.from_int(half))
+    assert scaled != nf and scaled + scaled == nf
+    assert all(isinstance(c, QScalar) for c in scaled.terms.values())
 
 
 @given(qscalars)

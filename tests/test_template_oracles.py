@@ -224,7 +224,7 @@ def old_quantum_borel(C, d, letter, weight_sign):
     )
 
 
-def old_serre_rules(letter, i, j, m, coeffs, field):
+def old_serre_rules(letter, i, j, m, coeffs):
     li, lj = f"{letter}{i + 1}", f"{letter}{j + 1}"
     words = [(li,) * (m - k) + (lj,) + (li,) * k for k in range(m + 1)]
     if i > j:
@@ -232,7 +232,7 @@ def old_serre_rules(letter, i, j, m, coeffs, field):
     else:
         lead, lead_c = words[m], coeffs[m]
     rhs = {w: -(c / lead_c) for w, c in zip(words, coeffs) if w != lead}
-    return Rule(lead, NCPoly(field, rhs), "serre")
+    return Rule(lead, NCPoly(rhs), "serre")
 
 
 def old_serre_block(C, mode):
@@ -248,7 +248,7 @@ def old_serre_block(C, mode):
                 else:
                     coeffs = [(-1) ** k * q_binom(m, k, d[i]) for k in range(m + 1)]
                 for letter in ("E", "F"):
-                    rules.append(old_serre_rules(letter, i, j, m, coeffs, "rational" if mode == "classical" else "q"))
+                    rules.append(old_serre_rules(letter, i, j, m, coeffs))
     return rules
 
 

@@ -22,7 +22,10 @@ otherwise.  The set-up is a pass over each operand, which a product with a
 single-term operand or of two binomials does not earn back; those keep the
 tuple-keyed loop.  So do products over ℚ(q): a QScalar has no integer
 numerator to scale to, and its own product, not the exponent tuple,
-dominates each pair of terms.
+dominates each pair of terms.  Relation evaluation does not come here: the
+classical Horner chain of `morphisms` stays packed from its images to its
+sum and unpacks only a nonzero residual, so `_packed_product` serves the
+datum and the recovery phase.
 
 PolyFrac holds the fractions of polynomials that the classical recovery
 phase makes: 1/p, its σ-shifts, and their products with polynomials.  It

@@ -7,11 +7,17 @@ assignment sends every generator to a skew-model element, and `verify`
 pushes each relation through the assignment and records the residual.  It
 evaluates each relation by Horner on the last letter: the words that end
 in the same generator share one right product by its image, their prefixes
-summed first.  Over ℚ it runs on integers: each image is split once per
-run into an integer image over one denominator, and each relation divides
-once, by the lcm of its words' denominators.  A relation is satisfied
-exactly when its residual is the zero element; there is no tolerance
-anywhere.
+summed first.  Over ℚ the whole chain runs on packed integer polynomials:
+once per run each image is split into an integer image over one
+denominator, and each coefficient becomes a map from integer keys, one
+exponent vector each, to integers.  One key width serves the run: the
+longest word times the largest per-variable degree of any image, in bits.
+The σ^m of each generator coefficient is shifted and packed once per run.
+Each relation divides once, by the lcm of its words' denominators.  A
+relation is satisfied exactly when its packed sum is empty, and only a
+nonzero residual is unpacked into `MLaurent`s; there is no tolerance
+anywhere.  Over ℚ(q) the chain runs on the `SkewElem` images: every
+quantum image has denominator 1, so there is nothing to clear.
 
 Classical and quantum, upper and lower presentations share their pieces:
 `_serre_windows` writes out every Serre window (the rewriting rules of
@@ -33,12 +39,13 @@ python -O.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, lcm
+from operator import add, lshift
 
 from .cartan import CartanAux, _inverse
 from .datum import ClassicalDatum, QuantumDatum, _directions
-from .exact import MLaurent, QQ_ONE, QScalar, q_binom, q_power
+from .exact import MLaurent, QQ_ONE, q_binom, q_power
 from .exact.laurent import _accumulate
 from .skew import ModelContext, SkewElem
 
@@ -446,8 +453,8 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
         for s in (1, -1):
             trial = dict(torus)
             trial[sym] = _oriented_image(qdatum, j, s)
-            split = _split_images(ctx, trial)
-            residuals = [_eval_terms(split, ctx, r.terms) for r in mine]
+            ring = _SkewImages(ctx, trial)
+            residuals = [_eval_terms(ring, r.terms) for r in mine]
             outcomes[s] = [res for res in residuals if res]
         good = [s for s, bad in outcomes.items() if not bad]
         if len(good) == 1:
@@ -483,96 +490,193 @@ def quantum_weyl_assignment(qdatum: QuantumDatum) -> GeneratorAssignment:
 # -- evaluation and verification -------------------------------------------------
 
 
-def _split_images(ctx: ModelContext, images: dict) -> tuple:
-    """(dens, ints) with image(s) = ints[s]/dens[s], the empty word () included.
+def _key_width(longest: int, degree: int) -> int:
+    """Bits per packed exponent: 2^w − 1 ≥ longest·degree, the largest exponent
+    a product of `longest` images of per-variable degree ≤ `degree` reaches."""
+    return max((longest * degree).bit_length(), 1)
 
-    ints[s] has integer coefficients and dens[s] is the lcm of the image's
-    coefficient denominators.  An image with a coefficient outside ℚ, a
-    QScalar or a fraction of polynomials, has denominator 1 and is its own
-    integer image.
+
+class _PackedImages:
+    """The classical images of one run, packed: the ring `_eval_terms` runs on over ℚ.
+
+    D_s times image s is an integer image S_s, D_s the lcm of the image's
+    coefficient denominators.  An element of the chain maps a torus
+    exponent m to {key: int}, a coefficient c·h^e packed as the key
+    Σ e_j·2^{w·j}.  A σ-shift keeps each per-variable degree, so no exponent
+    of a product of images outgrows the w bits of `_key_width`, and adding
+    two keys adds their exponent vectors with no carry.
     """
 
-    def rational(f):
-        return isinstance(f, MLaurent) and not any(isinstance(c, QScalar) for c in f.terms.values())
+    def __init__(self, ctx: ModelContext, images: dict, polys):
+        degree = 0
+        self.dens = {}
+        for sym, img in images.items():
+            for f in img.terms.values():
+                if not isinstance(f, MLaurent) or f.is_laurent() or not all(
+                    isinstance(c, (int, Fraction)) for c in f.terms.values()
+                ):
+                    raise ValueError(f"the image of {sym} has a coefficient that is not a polynomial over ℚ")
+                degree = max(degree, max(chain.from_iterable(f.terms), default=0))
+            self.dens[sym] = lcm(*[c.denominator for f in img.terms.values() for c in f.terms.values()])
+        w = _key_width(max((len(word) for terms in polys for _, word in terms), default=0), degree)
+        self.ctx, self.images = ctx, images
+        self.shifts = range(0, w * ctx.n, w)
+        self.mask = (1 << w) - 1
+        self.one = {(0,) * ctx.n: {0: 1}}
+        self._shifted = {}  # (symbol, m) -> [(m', σ^m of the packed coefficient at t^{m'})]
 
-    dens, ints = {}, {}
-    for sym, img in list(images.items()) + [((), SkewElem.one(ctx))]:
-        if not all(map(rational, img.terms.values())):
-            dens[sym], ints[sym] = 1, img
-            continue
-        d = lcm(*[c.denominator for f in img.terms.values() for c in f.terms.values()])
-        dens[sym], ints[sym] = d, SkewElem(ctx, {
-            m: MLaurent(f.n, {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()})
-            for m, f in img.terms.items()
+    def shifted(self, sym, m) -> list:
+        got = self._shifted.get((sym, m))
+        if got is None:
+            d = self.dens[sym]
+            got = self._shifted[(sym, m)] = [
+                (mp, [
+                    (sum(map(lshift, e, self.shifts)), c.numerator * (d // c.denominator))
+                    for e, c in self.ctx.apply_vec(m, f).terms.items()
+                ])
+                for mp, f in self.images[sym].terms.items()
+            ]
+        return got
+
+    def image(self, sym) -> dict:
+        return {mp: dict(g) for mp, g in self.shifted(sym, (0,) * self.ctx.n)}
+
+    def times(self, acc: dict, sym) -> dict:
+        """acc·S_sym by the twist rule (f·t^m)(g·t^{m'}) = f·σ^m(g)·t^{m+m'}."""
+        out = {}
+        for m, f in acc.items():
+            for mp, g in self.shifted(sym, m):
+                row = out.setdefault(tuple(map(add, m, mp)), {})
+                get = row.get
+                for kb, cb in g:
+                    for ka, ca in f.items():
+                        k = ka + kb
+                        row[k] = get(k, 0) + ca * cb
+        return out
+
+    @staticmethod
+    def scale(acc: dict, c) -> dict:
+        return {m: {k: x * c for k, x in f.items()} for m, f in acc.items()}
+
+    @staticmethod
+    def add(parts) -> dict:
+        """The sum, without the coefficients that cancelled and the rows they empty."""
+        out = {}
+        for part in parts:
+            for m, f in part.items():
+                row = out.get(m)
+                if row is None:
+                    out[m] = dict(f)
+                    continue
+                get = row.get
+                for k, c in f.items():
+                    row[k] = get(k, 0) + c
+        return {m: row for m, f in out.items() if (row := {k: c for k, c in f.items() if c})}
+
+    def evaluate(self, terms) -> SkewElem:
+        """(1/L)·Σ k_w·S_w, unpacked only when the packed sum is nonzero."""
+        word_dens = []
+        for c, word in terms:
+            den = c.denominator
+            for sym in word:
+                den *= self.dens[sym]
+            word_dens.append(den)
+        L = lcm(*word_dens)
+        total = _horner(self, [(c.numerator * (L // den), word) for (c, word), den in zip(terms, word_dens)])
+        if not total:  # the relation holds exactly when its packed sum is empty
+            return SkewElem.zero(self.ctx)
+        n, shifts, mask = self.ctx.n, self.shifts, self.mask
+        return SkewElem(self.ctx, {
+            m: MLaurent(n, {tuple([k >> s & mask for s in shifts]): c if L == 1 else Fraction(c, L) for k, c in f.items()})
+            for m, f in total.items()
         })
-    return dens, ints
 
 
-def _eval_terms(split: tuple, ctx: ModelContext, terms) -> SkewElem:
-    """Σ c_w·image(w) over images split by `_split_images`, by Horner on the last letter.
+class _SkewImages:
+    """The quantum images as they are, the ring `_eval_terms` runs on over ℚ(q)."""
 
-    The denominators are cleared first: with image(s) = S_s/D_s, a word's
-    image is S_w/D_w with D_w the product of the D_s over its letters, so
-    Σ c_w·image(w) = (1/L)·Σ k_w·S_w, where L is the lcm of the D_w·den(c_w)
-    and k_w = c_w·L/D_w is an integer.  Over ℚ every product below then
-    runs on integers, and the one division by L comes at the end.  A
-    QScalar coefficient has den 1 and every quantum image D = 1, so a
-    quantum relation has L = 1 and passes through unchanged.
+    def __init__(self, ctx: ModelContext, images: dict):
+        self.ctx, self.images = ctx, images
+        self.one = SkewElem.one(ctx)
+
+    def image(self, sym) -> SkewElem:
+        return self.images[sym]
+
+    def times(self, acc: SkewElem, sym) -> SkewElem:
+        return acc * self.images[sym]
+
+    @staticmethod
+    def scale(acc: SkewElem, c) -> SkewElem:
+        return acc.scale(c)
+
+    def add(self, parts) -> SkewElem:
+        return SkewElem(self.ctx, _accumulate(p.terms for p in parts))
+
+    def evaluate(self, terms) -> SkewElem:
+        return _horner(self, terms)
+
+
+def _prepare_images(ctx: ModelContext, images: dict, polys):
+    """The images of one run, ready for `_eval_terms` on the polynomials `polys`."""
+    return _PackedImages(ctx, images, polys) if ctx.kind == "classical" else _SkewImages(ctx, images)
+
+
+def _horner(ring, terms):
+    """Σ c_w·image(w) in the ring, by Horner on the last letter."""
+    parts, groups = [], {}
+    for coeff, word in terms:
+        if word:
+            groups.setdefault(word[-1], []).append((coeff, word[:-1]))
+        else:
+            parts.append(ring.scale(ring.one, coeff))
+    for last, group in groups.items():
+        if len(group) == 1:
+            (coeff, prefix), = group
+            word = prefix + (last,)
+            cur = ring.image(word[0])
+            for sym in word[1:]:
+                cur = ring.times(cur, sym)
+            parts.append(ring.scale(cur, coeff))
+        else:
+            parts.append(ring.times(_horner(ring, group), last))
+    return ring.add(parts)
+
+
+def _eval_terms(ring, terms) -> SkewElem:
+    """Σ c_w·image(w) over the images of `_prepare_images`, by Horner on the last letter.
 
     The words that end in x share one right product:
-    Σ k_{ux}·S_{ux} = (Σ k_{ux}·S_u)·S_x, the prefixes summed first,
-    recursively.  Every product right-multiplies by one generator image, so
-    σ only ever shifts a generator's coefficient.  A lone word is multiplied
-    out and scaled once at the end, which keeps its coefficient (a
-    q-binomial, say) out of the products.
+    Σ c_{ux}·image(ux) = (Σ c_{ux}·image(u))·image(x), the prefixes summed
+    first, recursively.  Every product right-multiplies by one generator
+    image, so σ only ever shifts a generator's coefficient.  A lone word is
+    multiplied out and scaled once at the end, which keeps its coefficient
+    (a q-binomial, say) out of the products.
+
+    Over ℚ the chain runs packed (`_PackedImages`).  The denominators are
+    cleared first, with image(s) = S_s/D_s: Σ c_w·image(w) = (1/L)·Σ k_w·S_w,
+    L the lcm of the D_w·den(c_w) and k_w = c_w·L/D_w an integer.  So every
+    product adds integer keys and multiplies integers, and the one division
+    by L comes at the end.  One key width w serves the run: 2^w − 1 is at
+    least the longest word times the largest per-variable degree of any
+    image, and classical exponents are non-negative, so no bias is needed.
+    σ^m of a generator coefficient is shifted and packed once per run, on
+    first use, and cached per (generator, m).  A relation holds exactly
+    when its packed sum is empty, so only a nonzero residual is unpacked
+    into `MLaurent`s.  Over ℚ(q) the chain runs on the `SkewElem` images
+    (`_SkewImages`): every quantum image has denominator 1, so L = 1 and
+    there is nothing to clear.
     """
-    dens, ints = split
-    word_dens = []  # D_w·den(c_w); a QScalar has den 1
-    try:
-        for c, word in terms:
-            den = 1 if isinstance(c, QScalar) else c.denominator
-            for sym in word:
-                den *= dens[sym]
-            word_dens.append(den)
-    except KeyError as exc:
-        raise ValueError(f"generator {exc.args[0]!r} has no image") from None
-    L = lcm(*word_dens)
-    if L != 1:  # k_w = c_w·L/D_w
-        terms = [
-            (c * (L // den) if isinstance(c, QScalar) else c.numerator * (L // den), word)
-            for (c, word), den in zip(terms, word_dens)
-        ]
-
-    def horner(terms):
-        parts, groups = [], {}
-        for coeff, word in terms:
-            if word:
-                groups.setdefault(word[-1], []).append((coeff, word[:-1]))
-            else:
-                parts.append(ints[()].scale(coeff))
-        for last, group in groups.items():
-            if len(group) == 1:
-                (coeff, prefix), = group
-                word = prefix + (last,)
-                cur = ints[word[0]]
-                for sym in word[1:]:
-                    cur = cur * ints[sym]
-                parts.append(cur.scale(coeff))
-            else:
-                parts.append(horner(group) * ints[last])
-        return SkewElem(ctx, _accumulate(p.terms for p in parts))
-
-    total = horner(terms)
-    if L == 1:
-        return total
-    inv = Fraction(1, L)
-    return SkewElem(ctx, {m: MLaurent(f.n, {e: c * inv for e, c in f.terms.items()}) for m, f in total.terms.items()})
+    for _, word in terms:
+        for sym in word:
+            if sym not in ring.images:
+                raise ValueError(f"generator {sym!r} has no image")
+    return ring.evaluate(terms)
 
 
 def evaluate_word(assignment: GeneratorAssignment, p) -> SkewElem:
     """Image of a noncommutative polynomial ((coeff, word), ...) under the assignment."""
-    ctx = assignment.context
-    return _eval_terms(_split_images(ctx, assignment.images), ctx, p)
+    p = tuple(p)
+    return _eval_terms(_prepare_images(assignment.context, assignment.images, [p]), p)
 
 
 @dataclass(frozen=True)
@@ -625,10 +729,11 @@ def verify(assignment: GeneratorAssignment) -> VerificationReport:
     """
     ctx = assignment.context
     names = _coeff_names(ctx)
-    split = _split_images(ctx, assignment.images)
+    relations = assignment.presentation.relations
+    ring = _prepare_images(ctx, assignment.images, [rel.terms for rel in relations])
     entries = []
-    for rel in assignment.presentation.relations:
-        img = _eval_terms(split, ctx, rel.terms)
+    for rel in relations:
+        img = _eval_terms(ring, rel.terms)
         entries.append(RelationResult(rel.name, rel.family, img, not img, img.to_str(names)))
     mark = len(ctx.denominator_log)
     try:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -235,11 +236,11 @@ def test_cleared_evaluation_matches_naive_fraction_products(name):
     # against each word multiplied out on the Fraction images, scaled and summed
     cleared = 0
     for asg in classical_assignments(name):
-        ctx = asg.context
-        split = morphisms._split_images(ctx, asg.images)
-        cleared += sum(d > 1 for d in split[0].values())
-        for rel in asg.presentation.relations:
-            assert morphisms._eval_terms(split, ctx, rel.terms) == word_by_word(asg, rel.terms), rel.name
+        relations = asg.presentation.relations
+        ring = morphisms._prepare_images(asg.context, asg.images, [rel.terms for rel in relations])
+        cleared += sum(d > 1 for d in ring.dens.values())
+        for rel in relations:
+            assert morphisms._eval_terms(ring, rel.terms) == word_by_word(asg, rel.terms), rel.name
     assert cleared  # some image has a denominator to clear
 
 
@@ -272,22 +273,145 @@ def test_classical_runs_keep_every_scalar_exact(name):
 def test_verify_shares_products_between_words(monkeypatch):
     # Horner on the last letter: the 18 relations of the classical A3 upper
     # Borel have 101 letters, one product each word by word (the recovery adds
-    # 6), so verify made 107 skew products; sharing right products makes 54
+    # 6 skew products), so verify made 107 products; sharing right products
+    # makes 54: 48 packed right products by an image, and the recovery's 6
     asg = classical_borel_assignment(solve_beta(quasi_inverse(catalog_matrix("A3"))), "upper")
     relations = asg.presentation.relations
     letters = sum(len(word) for rel in relations for _, word in rel.terms)
     assert (len(relations), letters) == (18, 101)
     calls = []
-    product = SkewElem.__mul__
 
-    def counted(a, b):
-        calls.append(1)
-        return product(a, b)
+    def counted(kind, product):
+        def wrapper(*args):
+            calls.append(kind)
+            return product(*args)
 
-    monkeypatch.setattr(SkewElem, "__mul__", counted)
+        return wrapper
+
+    monkeypatch.setattr(SkewElem, "__mul__", counted("skew", SkewElem.__mul__))
+    monkeypatch.setattr(morphisms._PackedImages, "times", counted("packed", morphisms._PackedImages.times))
     report = verify(asg)
     assert report.recovered
+    assert (calls.count("packed"), calls.count("skew")) == (48, 6)
     assert len(calls) == 54 < letters + 6 == 107
+
+
+# -- the packed classical chain --------------------------------------------------
+
+
+@cache
+def packed_assignment(case):
+    """A classical Borel assignment: A3's own datum, or the corrupted A2/B2 ones,
+    whose b_j = h_j(h_j - 2)/4 clear a denominator of 4."""
+    name, side = case.split()
+    datum = solve_beta(quasi_inverse(catalog_matrix(name.removesuffix("-corrupt"))))
+    if name.endswith("-corrupt"):
+        datum = _corrupted(datum)
+    return classical_borel_assignment(datum, side)
+
+
+PACKED_CASES = ["A3 upper", "A3 lower", "A2-corrupt upper", "B2-corrupt lower"]
+
+
+@pytest.mark.parametrize("case", PACKED_CASES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_packed_chain_matches_word_by_word_products(case, data):
+    asg = packed_assignment(case)
+    letters = st.sampled_from(asg.presentation.generators)  # the H's and the E's or F's
+    pool = data.draw(st.lists(st.lists(letters, max_size=5).map(tuple), min_size=1, max_size=4))
+    p = data.draw(st.lists(st.tuples(_scalars["classical"], st.sampled_from(pool)), max_size=6))
+    got = evaluate_word(asg, tuple(p))
+    assert got == word_by_word(asg, p)
+    assert all(type(c) in (int, Fraction) and c for f in got.terms.values() for c in f.terms.values())
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_corrupted_data_leave_nonzero_fraction_residuals(name, side):
+    asg = packed_assignment(f"{name}-corrupt {side}")
+    relations = asg.presentation.relations
+    ring = morphisms._prepare_images(asg.context, asg.images, [rel.terms for rel in relations])
+    letter = "E" if side == "upper" else "F"
+    assert {ring.dens[f"{letter}{i}"] for i in (1, 2)} == {4}
+    fractions = 0
+    for rel in relations:
+        residual = morphisms._eval_terms(ring, rel.terms)
+        assert residual == word_by_word(asg, rel.terms), rel.name
+        assert bool(residual) == (rel.family == "serre"), rel.name
+        fractions += any(type(c) is Fraction and c.denominator > 1
+                         for f in residual.terms.values() for c in f.terms.values())
+    assert fractions == 2  # both Serre residuals are divided by L != 1
+
+
+def test_a_product_exponent_of_all_ones_fits_the_width(monkeypatch):
+    # the A2 Weyl images have per-variable degree 1, so x1^7 reaches exponent
+    # 7 = 2^3 - 1: the width rule gives exactly 3 bits, and 2 bits corrupt it
+    asg = weyl_assignment(solve_beta(quasi_inverse(catalog_matrix("A2"))))
+    p = ((1, ("x1",) * 7),)
+    expected = word_by_word(asg, p)
+    assert max(x for f in expected.terms.values() for e in f.terms for x in e) == 7
+    assert morphisms._key_width(7, 1) == 3
+    assert evaluate_word(asg, p) == expected
+    width = morphisms._key_width
+    monkeypatch.setattr(morphisms, "_key_width", lambda longest, degree: width(longest, degree) - 1)
+    assert evaluate_word(asg, p) != expected
+
+
+def test_a_classical_image_must_be_a_polynomial():
+    asg = packed_assignment("A3 upper")
+    ctx = asg.context
+    for bad in (PolyFrac(ctx.coeff_one(), ctx.coeff_var(0)), MLaurent(3, {(-1, 0, 0): 1})):
+        images = dict(asg.images, E1=SkewElem.monomial(ctx, bad, (-1, 0, 0)))
+        with pytest.raises(ValueError, match="the image of E1 has a coefficient that is not a polynomial"):
+            morphisms._prepare_images(ctx, images, [((1, ("E1",)),)])
+
+
+@pytest.mark.parametrize("side", ["upper", "lower", "weyl"])
+def test_classical_relations_stay_packed_until_a_nonzero_residual(monkeypatch, side):
+    # while verify evaluates the relations of A3 (up to the recovery phase), no
+    # MLaurent or packed product runs, each σ^m of a coefficient is shifted
+    # once, and an MLaurent is built only for a term of a nonzero residual
+    datum = solve_beta(quasi_inverse(catalog_matrix("A3")))
+    asg = weyl_assignment(datum) if side == "weyl" else classical_borel_assignment(datum, side)
+    counts = {"mul": 0, "packed": 0, "init": 0}
+    shifts, inside_shift, at_recovery = [], [], {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += not inside_shift
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def shift(f, u):
+        shifts.append((id(f), tuple(u)))
+        inside_shift.append(1)
+        try:
+            return real_shift(f, u)
+        finally:
+            inside_shift.pop()
+
+    real_shift = borelweyl.skew.shift
+    monkeypatch.setattr(borelweyl.skew, "shift", shift)
+    monkeypatch.setattr(MLaurent, "__mul__", counting("mul", MLaurent.__mul__))
+    monkeypatch.setattr(MLaurent, "__init__", counting("init", MLaurent.__init__))
+    monkeypatch.setattr(borelweyl.exact.laurent, "_packed_product",
+                        counting("packed", borelweyl.exact.laurent._packed_product))
+    recover = morphisms._RECOVERIES[asg.kind]
+
+    def snapshot(assignment):
+        at_recovery.update(counts, shifts=list(shifts))
+        return recover(assignment)
+
+    monkeypatch.setitem(morphisms._RECOVERIES, asg.kind, snapshot)
+    report = verify(asg)
+    residual_terms = sum(len(e.residual.terms) for e in report.entries if e.family != "recovery")
+    assert at_recovery["mul"] == at_recovery["packed"] == 0
+    assert at_recovery["shifts"]
+    assert len(set(at_recovery["shifts"])) == len(at_recovery["shifts"])
+    assert at_recovery["init"] == residual_terms
+    assert (residual_terms > 0) == (side != "weyl")
 
 
 # -- classical Borel maps ------------------------------------------------------
@@ -749,6 +873,23 @@ def test_recovery_checks_still_run_under_python_O():
     optimize, entries = done.stdout.splitlines()
     assert optimize == "1"
     assert entries == "[('recovery of the inverse map', 'aborted: torus recovery failed')]"
+
+
+def test_corrupted_residuals_are_the_same_under_python_O():
+    # a relation's verdict is an `if` on its packed sum, not an assert, so
+    # -O lists the same failed relations with the same residuals
+    src = Path(borelweyl.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    verify_a2 = ["-m", "borelweyl", "verify", "--catalog", "A2", "--mode", "classical",
+                 "--corrupt-beta", "--format", "structured"]
+    failed = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, *verify_a2], capture_output=True, text=True, env=env)
+        assert done.returncode == 1, done.stderr
+        checks = json.loads(done.stdout)["checks"]
+        failed.append([line for c in checks for line in c["lines"] if line.startswith("[FAIL]")])
+    assert failed[0] == failed[1]
+    assert sum(" residual: (" in line for line in failed[0]) == 4  # the four Serre residuals
 
 
 def test_an_assertion_error_inside_a_recovery_is_not_swallowed(monkeypatch):

@@ -221,9 +221,6 @@ class RewriteSystem:
     def is_normal(self, word) -> bool:
         return not self.redexes(word)
 
-    def zero(self) -> NCPoly:
-        return NCPoly()
-
     def poly(self, letters, coeff=1) -> NCPoly:
         """coeff·letters, with coeff scaled into the system's scalars."""
         return NCPoly({tuple(letters): coeff * self.one})

@@ -12,20 +12,13 @@ coefficient cancelled stays behind at zero until the MLaurent constructor
 drops it.  `SkewElem` and the words of `biproduct` follow the same rule, so
 each of the three sparse types tests for a zero coefficient in one place.
 
-A product over ℚ runs on integers (`_packed_product`): each exponent vector
-is packed into one integer key, wide enough for the largest exponent of the
-product, and each operand's coefficients become integer numerators over one
-common denominator, so the inner loop adds and multiplies plain ints and
-each output term is unpacked once: into an int when that denominator is 1,
-so a product of integer polynomials stays on ints, and into one Fraction
-otherwise.  The set-up is a pass over each operand, which a product with a
-single-term operand or of two binomials does not earn back; those keep the
-tuple-keyed loop.  So do products over ℚ(q): a QScalar has no integer
-numerator to scale to, and its own product, not the exponent tuple,
-dominates each pair of terms.  Relation evaluation does not come here: the
-classical Horner chain of `morphisms` stays packed from its images to its
-sum and unpacks only a nonzero residual, so `_packed_product` serves the
-datum and the recovery phase.
+A product runs one loop over both rings: each pair of terms adds its
+exponent tuples and multiplies its scalars, so int coefficients stay int.
+What still multiplies here over ℚ is the datum and the recovery phase, a
+few short products per job.  Relation evaluation, the bulk of the
+classical work, does not come here: `morphisms` packs each exponent vector
+into one integer key and keeps its Horner chain packed from the images to
+the sum, unpacking only a nonzero residual.
 
 PolyFrac holds the fractions of polynomials that the classical recovery
 phase makes: 1/p, its σ-shifts, and their products with polynomials.  It
@@ -42,9 +35,6 @@ structural.  Any other fraction raises ArithmeticError.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
-from operator import lshift
 
 from .qq import QScalar
 
@@ -70,43 +60,6 @@ def _accumulate(term_maps) -> dict:
             s = out.get(key)
             out[key] = c if s is None else s + c
     return out
-
-
-def _packed_product(a: dict, b: dict) -> dict:
-    """The product of two term maps over ℚ, computed on integers.
-
-    An exponent vector e becomes the key Σ e_i·2^{w·i}.  2^{w-1} exceeds the
-    largest |exponent| the product can reach, so adding two keys adds their
-    vectors digit by digit and no digit carries into the next.  Each operand
-    is scaled to integer numerators over the lcm of its denominators, the
-    inner loop adds keys and multiplies numerators, and each output term is
-    unpacked once over the product of the two denominators, as an int when
-    that product is 1.
-    """
-    top = max(map(abs, chain.from_iterable(a)), default=0) + max(map(abs, chain.from_iterable(b)), default=0)
-    w = top.bit_length() + 1
-    shifts = range(0, w * len(next(iter(a))), w)
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    bias = half * ((1 << shifts.stop) - 1) // mask  # half in every digit
-
-    def integral(terms):
-        d = lcm(*[c.denominator for c in terms.values()])
-        return d, [(sum(map(lshift, e, shifts)), c.numerator * (d // c.denominator)) for e, c in terms.items()]
-
-    da, na = integral(a)
-    db, nb = integral(b)
-    acc = {}
-    get = acc.get
-    for ka, ca in na:
-        ka += bias
-        for kb, cb in nb:
-            k = ka + kb
-            acc[k] = get(k, 0) + ca * cb
-    den = da * db
-    return {
-        tuple([(k >> s & mask) - half for s in shifts]): c if den == 1 else Fraction(c, den)
-        for k, c in acc.items()
-    }
 
 
 class MLaurent:
@@ -221,11 +174,6 @@ class MLaurent:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        # packing costs a pass over each operand and saves work on each pair of terms
-        if len(a) * len(b) > len(a) + len(b) and not any(
-            isinstance(c, QScalar) for c in chain(a.values(), b.values())
-        ):
-            return MLaurent(self.n, _packed_product(a, b))
         rows = (
             {tuple(x + y for x, y in zip(ea, eb)): ca * cb for eb, cb in b.items()}
             for ea, ca in a.items()

@@ -236,7 +236,7 @@ def test_reduction_order_matches_the_max_scan(monkeypatch, name, mode):
     rng = random.Random(f"{name}-{mode}")
     e_and_f = [letter for letter in R.alphabet if letter[0] in "EF"]
     for _ in range(20):
-        p = R.zero()
+        p = NCPoly()
         letters = rng.choice([R.alphabet, e_and_f])
         for _ in range(rng.randint(1, 3)):
             word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))

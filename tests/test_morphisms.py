@@ -370,11 +370,11 @@ def test_a_classical_image_must_be_a_polynomial():
 @pytest.mark.parametrize("side", ["upper", "lower", "weyl"])
 def test_classical_relations_stay_packed_until_a_nonzero_residual(monkeypatch, side):
     # while verify evaluates the relations of A3 (up to the recovery phase), no
-    # MLaurent or packed product runs, each σ^m of a coefficient is shifted
-    # once, and an MLaurent is built only for a term of a nonzero residual
+    # MLaurent product runs, each σ^m of a coefficient is shifted once, and an
+    # MLaurent is built only for a term of a nonzero residual
     datum = solve_beta(quasi_inverse(catalog_matrix("A3")))
     asg = weyl_assignment(datum) if side == "weyl" else classical_borel_assignment(datum, side)
-    counts = {"mul": 0, "packed": 0, "init": 0}
+    counts = {"mul": 0, "init": 0}
     shifts, inside_shift, at_recovery = [], [], {}
 
     def counting(key, fn):
@@ -396,8 +396,6 @@ def test_classical_relations_stay_packed_until_a_nonzero_residual(monkeypatch, s
     monkeypatch.setattr(borelweyl.skew, "shift", shift)
     monkeypatch.setattr(MLaurent, "__mul__", counting("mul", MLaurent.__mul__))
     monkeypatch.setattr(MLaurent, "__init__", counting("init", MLaurent.__init__))
-    monkeypatch.setattr(borelweyl.exact.laurent, "_packed_product",
-                        counting("packed", borelweyl.exact.laurent._packed_product))
     recover = morphisms._RECOVERIES[asg.kind]
 
     def snapshot(assignment):
@@ -407,7 +405,7 @@ def test_classical_relations_stay_packed_until_a_nonzero_residual(monkeypatch, s
     monkeypatch.setitem(morphisms._RECOVERIES, asg.kind, snapshot)
     report = verify(asg)
     residual_terms = sum(len(e.residual.terms) for e in report.entries if e.family != "recovery")
-    assert at_recovery["mul"] == at_recovery["packed"] == 0
+    assert at_recovery["mul"] == 0
     assert at_recovery["shifts"]
     assert len(set(at_recovery["shifts"])) == len(at_recovery["shifts"])
     assert at_recovery["init"] == residual_terms

@@ -19,6 +19,9 @@ the symmetrizer has one source.  Only `exact/` and `skew`, whose
 fraction type holds only a reciprocal c/p, which multiplies and inverts but
 does not add, so a fraction made anywhere else could be one it cannot hold,
 or meet arithmetic it does not have.
+Every module-level import is used, or re-exported through `__all__`, so a
+deletion cannot leave a dead import behind; a line marked `# noqa: F401`
+keeps a name for a reader outside the package and is exempt.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """
@@ -75,6 +78,29 @@ def test_module_imports_only_at_module_level(module):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert lines == [], f"imports below module level in {module} at lines {lines}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    path = PACKAGE / module
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    unused = [
+        (node.lineno, name)
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and not any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)  # `import a.b` binds a
+        if name not in used
+    ]
+    assert unused == [], f"unused imports in {module}: {unused}"
 
 
 def _calls(module, names):

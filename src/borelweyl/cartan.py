@@ -195,56 +195,42 @@ def _column_reduce(rows):
     saturated integer kernel, reduced non-kernel columns of rows·V).  The
     reduced columns are in echelon position: column k vanishes on every
     pivot row before its own.  Gcd-style column reduction; pivots positive.
+    Each column of rows is kept stacked over the matching column of V, so
+    one column operation is one list update.
     """
     nr = len(rows)
     nc = len(rows[0])
-    W = [list(r) for r in rows]
-    V = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]  # columns of identity
-
-    def col_addmul(dst, src, k):
-        for i in range(nr):
-            W[i][dst] += k * W[i][src]
-        for i in range(nc):
-            V[i][dst] += k * V[i][src]
-
-    def col_swap(a, b):
-        for i in range(nr):
-            W[i][a], W[i][b] = W[i][b], W[i][a]
-        for i in range(nc):
-            V[i][a], V[i][b] = V[i][b], V[i][a]
-
-    def col_negate(a):
-        for i in range(nr):
-            W[i][a] = -W[i][a]
-        for i in range(nc):
-            V[i][a] = -V[i][a]
-
+    cols = [[r[j] for r in rows] + [1 if i == j else 0 for i in range(nc)] for j in range(nc)]
     rank = 0
     for row in range(nr):
-        live = [j for j in range(rank, nc) if W[row][j] != 0]
+        live = [j for j in range(rank, nc) if cols[j][row] != 0]
         if not live:
             continue
         while len(live) > 1:
-            live.sort(key=lambda j: (abs(W[row][j]), j))
-            base = live[0]
+            live.sort(key=lambda j: (abs(cols[j][row]), j))
+            base = cols[live[0]]
             for j in live[1:]:
-                col_addmul(j, base, -(W[row][j] // W[row][base]))
-            live = [j for j in live if W[row][j] != 0]
+                k = -(cols[j][row] // base[row])
+                cols[j] = [x + k * y for x, y in zip(cols[j], base)]
+            live = [j for j in live if cols[j][row] != 0]
         piv = live[0]
-        if W[row][piv] < 0:
-            col_negate(piv)
-        col_swap(rank, piv)
+        if cols[piv][row] < 0:
+            cols[piv] = [-x for x in cols[piv]]
+        cols[rank], cols[piv] = cols[piv], cols[rank]
         rank += 1
-    image_part = [tuple(V[i][j] for i in range(nc)) for j in range(rank)]
-    kernel_part = [tuple(V[i][j] for i in range(nc)) for j in range(rank, nc)]
-    reduced = [tuple(W[i][j] for i in range(nr)) for j in range(rank)]
+    image_part = [tuple(col[nr:]) for col in cols[:rank]]
+    kernel_part = [tuple(col[nr:]) for col in cols[rank:]]
+    reduced = [tuple(col[:nr]) for col in cols[:rank]]
     return image_part, kernel_part, reduced
 
 
-def _solve_pairing(C: CartanMatrix, ms):
-    """Rational q_i with q_iᵀ·C·m_j = δ_ij, supported on pivot rows of C·M."""
-    n, r = C.n, len(ms)
-    B = [[sum(C[i, k] * m[k] for k in range(n)) for m in ms] for i in range(n)]  # n×r
+def _solve_pairing(cms):
+    """Rational q_i with q_i·(C·m_j) = δ_ij, supported on pivot rows of C·M.
+
+    cms are the columns C·m_j, as `_column_reduce` returns them.
+    """
+    r, n = len(cms), len(cms[0])
+    B = list(zip(*cms))  # n×r
     # the pivot rows of B are r independent rows, chosen reproducibly
     _, pivots, _ = _eliminate(B)
     if len(pivots) != r:
@@ -277,9 +263,9 @@ def quasi_inverse(C: CartanMatrix) -> CartanAux:
         )
         aux = CartanAux(C, d, r, 0, Q, (), pairs, (), lattice_scaling(Q))
     else:
-        ms, complement, _ = _column_reduce(C.entries)
+        ms, complement, cms = _column_reduce(C.entries)
         _, left_kernel, _ = _column_reduce([list(col) for col in zip(*C.entries)])
-        qs = _solve_pairing(C, ms)
+        qs = _solve_pairing(cms)
         Q = tuple(list(qs) + [tuple(Fraction(x) for x in w) for w in left_kernel])
         aux = CartanAux(
             C,
@@ -298,10 +284,10 @@ def quasi_inverse(C: CartanMatrix) -> CartanAux:
 
 def _check_aux(aux: CartanAux):
     C, n = aux.matrix, aux.matrix.n
+    cms = [[sum(C[u, v] * m[v] for v in range(n)) for u in range(n)] for _, m in aux.dual_pairs]
     for i, (q, _) in enumerate(aux.dual_pairs):
-        for j, (_, m) in enumerate(aux.dual_pairs):
-            pair = sum(q[u] * sum(C[u, v] * m[v] for v in range(n)) for u in range(n))
-            if pair != (1 if i == j else 0):
+        for j, cm in enumerate(cms):
+            if sum(q[u] * cm[u] for u in range(n)) != (1 if i == j else 0):
                 raise CartanError("dual pairing identity failed")
     for w in aux.left_kernel:
         if any(sum(w[i] * C[i, j] for i in range(n)) for j in range(n)):

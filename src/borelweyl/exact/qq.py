@@ -22,14 +22,12 @@ checks its remainder and raises InexactDivisionError otherwise, also under
 ``python -O``.
 
 Negative powers of q are ordinary fractions here: q⁻¹ == QScalar((1,), (0, 1)).
-So a Laurent polynomial in q has a denominator q^k, and so do the products,
-sums and negations of Laurent polynomials.  Such a denominator skips the
-gcd: q is the only prime factor of q^k and its content is 1, so reducing
-only strips the common power of q from the numerator, and the result is
-the pair the gcd would give.  A sum or product of two such elements keeps
-that path.
+So a Laurent polynomial in q has a denominator q^k.  Such a denominator
+needs no special path: after the common power of q comes off, q^k is the
+single term 1, so the gcd's q-order and single-term steps return the power
+of q it shares with the other argument, and no heuristic gcd runs.
 
-Any other sum or product follows Henrici's rule (Knuth, TAOCP vol. 2,
+Every sum and product follows Henrici's rule (Knuth, TAOCP vol. 2,
 §4.5.1): both operands are canonical, so only gcds of the small operands
 are taken, never one of the grown result.  For a/b + c/d with b = d it is
 gcd(a + c, b).  Otherwise let g = gcd(b, d): for g = 1 the sum
@@ -235,11 +233,6 @@ def _pgcd_euclid(a: ZPoly, b: ZPoly) -> ZPoly:
     return _pneg(g) if g[-1] < 0 else g
 
 
-def _is_q_power(a: ZPoly) -> bool:
-    """True when a is q^k for some k ≥ 0, 1 included."""
-    return a[-1] == 1 and not any(a[:-1])
-
-
 def _pstr(a: ZPoly) -> str:
     if not a:
         return "0"
@@ -270,11 +263,6 @@ class QScalar:
             raise ZeroDivisionError("QScalar denominator is the zero polynomial")
         if not num:
             den = (1,)
-        elif _is_q_power(den):
-            # q is the only prime factor of q^k and its content is 1
-            k = min(_qorder(num), len(den) - 1)
-            if k:
-                num, den = num[k:], den[k:]
         else:
             g = _pgcd(num, den)
             if g != (1,):
@@ -327,8 +315,6 @@ class QScalar:
         if other is NotImplemented:
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
-        if _is_q_power(b) and _is_q_power(d):
-            return QScalar(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
         if b == d:
             t = _padd(a, c)
             if not t:
@@ -337,7 +323,7 @@ class QScalar:
             if g == (1,):
                 return QScalar._reduced(t, b)
             return QScalar._reduced(_pdiv_exact(t, g), _pdiv_exact(b, g))
-        g = _pgcd(b, d) if b != (1,) and d != (1,) else (1,)
+        g = _pgcd(b, d)
         if g == (1,):
             # a prime that divides b divides neither d nor a, so not a·d + c·b
             return QScalar._reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
@@ -368,14 +354,12 @@ class QScalar:
         if other.num == other.den:
             return self
         a, b, c, d = self.num, self.den, other.num, other.den
-        if _is_q_power(b) and _is_q_power(d):
-            return QScalar(_pmul(a, c), _pmul(b, d))
         if not a or not c:
             return QQ_ZERO
-        g = _pgcd(a, d) if d != (1,) else d
+        g = _pgcd(a, d)
         if g != (1,):
             a, d = _pdiv_exact(a, g), _pdiv_exact(d, g)
-        g = _pgcd(c, b) if b != (1,) else b
+        g = _pgcd(c, b)
         if g != (1,):
             c, b = _pdiv_exact(c, g), _pdiv_exact(b, g)
         return QScalar._reduced(_pmul(a, c), _pmul(b, d))

@@ -25,7 +25,7 @@ from borelweyl.biproduct import (
 )
 from borelweyl.cartan import CartanError, catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.exact import QQ_ONE, QScalar, q_binom, q_power
-from borelweyl.exact.qq import _is_q_power, _padd, _pmul
+from borelweyl.exact.qq import _padd, _pmul
 from conftest import reference_normal_form
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
@@ -271,6 +271,11 @@ def _full_gcd_mul(x, y):
     if y is NotImplemented:
         return NotImplemented
     return QScalar(_pmul(x.num, y.num), _pmul(x.den, y.den))
+
+
+def _is_q_power(den):
+    """True when a dense coefficient tuple is q^k for some k ≥ 0, 1 included."""
+    return den[-1] == 1 and not any(den[:-1])
 
 
 def _quantum_normal_form(name, word):

@@ -9,13 +9,14 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import borelweyl
 from borelweyl.cartan import (
     CATALOG,
     CartanError,
     _check_aux,
+    _column_reduce,
     _eliminate,
     _inverse,
     catalog_matrix,
@@ -307,6 +308,29 @@ def test_singular_pivot_column_is_skipped_and_det_is_zero():
     reduced, pivots, det = _eliminate([[0, 2, 4], [0, 1, 3]])
     assert pivots == [(0, 1), (1, 2)] and det == 0
     assert reduced == [[0, 1, 0], [0, 0, 1]]
+
+
+@given(int_matrices)
+@example([[0, 0], [0, 0]])
+@example([[1, 2, 3], [2, 4, 6]])  # rank 1 of 3 columns
+@example([[2, -2], [-2, 2]])  # A1affine
+@settings(max_examples=150, deadline=None)
+def test_column_reduction_is_unimodular_and_echelon(rows):
+    image, kernel, reduced = _column_reduce(rows)
+    nr, nc = len(rows), len(rows[0])
+    assert len(image) == len(reduced) == _oracle_bareiss_rank(rows)
+    assert len(image) + len(kernel) == nc
+    assert abs(_eliminate(image + kernel)[2]) == 1  # V is unimodular
+
+    def times(v):
+        return tuple(sum(rows[i][j] * v[j] for j in range(nc)) for i in range(nr))
+
+    assert all(times(v) == (0,) * nr for v in kernel)
+    assert [times(v) for v in image] == reduced
+    # echelon: each column starts at a later row than the one before, positively
+    starts = [next(i for i, x in enumerate(col) if x) for col in reduced]
+    assert starts == sorted(set(starts))
+    assert all(col[i] > 0 for col, i in zip(reduced, starts))
 
 
 def test_affine_g2_quasi_inverse_follows_the_pivot_rule():

@@ -21,13 +21,18 @@ does not add, so a fraction made anywhere else could be one it cannot hold,
 or meet arithmetic it does not have.
 Every module-level import is used, or re-exported through `__all__`, so a
 deletion cannot leave a dead import behind; a line marked `# noqa: F401`
-keeps a name for a reader outside the package and is exempt.
+keeps a name for a reader outside the package and is exempt.  Every private
+function, class and method (one leading underscore) is named somewhere in the
+package outside its own definition, so a deletion cannot leave a dead helper
+behind.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """
 
 import ast
 import importlib
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -101,6 +106,47 @@ def test_module_uses_every_import(module):
         if name not in used
     ]
     assert unused == [], f"unused imports in {module}: {unused}"
+
+
+def _names(tree):
+    """Every identifier a tree names: variables, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _private_definitions(tree):
+    """Module-level functions and classes, and methods, whose name has one leading underscore."""
+    for node in tree.body:
+        inner = node.body if isinstance(node, ast.ClassDef) else []
+        for item in [node, *inner]:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and item.name.startswith("_")
+                and not item.name.startswith("__")
+            ):
+                yield item
+
+
+@cache
+def _parse(module):
+    path = PACKAGE / module
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_dead_private_helper(module):
+    named = Counter(name for other in MODULES for name in _names(_parse(other)))
+    dead = [
+        (node.lineno, node.name)
+        for node in _private_definitions(_parse(module))
+        if named[node.name] == Counter(_names(node))[node.name]  # only its own body names it
+    ]
+    assert dead == [], f"private helpers in {module} named nowhere else in the package: {dead}"
 
 
 def _calls(module, names):

@@ -31,7 +31,6 @@ __all__ = [
     "CartanAux",
     "validate_gcm",
     "symmetrize",
-    "rank_corank",
     "quasi_inverse",
     "lattice_scaling",
     "CATALOG",
@@ -173,19 +172,19 @@ def _eliminate(rows):
     return m, pivots, det
 
 
+def _eliminate_with_identity(M):
+    """`_eliminate` of [M | I] for a square M; the right half of the reduced
+    rows is M⁻¹ when the determinant is nonzero."""
+    k = len(M)
+    return _eliminate([list(row) + [1 if j == i else 0 for j in range(k)] for i, row in enumerate(M)])
+
+
 def _inverse(M):
     """Exact inverse of a square matrix, read off the elimination of [M | I]."""
-    k = len(M)
-    aug = [list(row) + [1 if j == i else 0 for j in range(k)] for i, row in enumerate(M)]
-    reduced, _, det = _eliminate(aug)
+    reduced, _, det = _eliminate_with_identity(M)
     if not det:
         raise CartanError("singular matrix")
-    return [row[k:] for row in reduced]
-
-
-def rank_corank(C: CartanMatrix) -> tuple:
-    r = len(_eliminate(C.entries)[1])
-    return r, C.n - r
+    return [row[len(M):] for row in reduced]
 
 
 def _column_reduce(rows):
@@ -253,11 +252,15 @@ def lattice_scaling(Q) -> tuple:
 
 
 def quasi_inverse(C: CartanMatrix) -> CartanAux:
+    """The job's `CartanAux`.  One elimination of [C | I] gives the rank (its
+    pivots left of column n) and, at corank 0, Q = C⁻¹ (its right half)."""
     d = symmetrize(C)
-    r, corank = rank_corank(C)
     n = C.n
+    reduced, pivots, _ = _eliminate_with_identity(C.entries)
+    r = sum(col < n for _, col in pivots)
+    corank = n - r
     if corank == 0:
-        Q = tuple(tuple(row) for row in _inverse(C.entries))
+        Q = tuple(tuple(row[n:]) for row in reduced)
         pairs = tuple(
             (Q[i], tuple(1 if k == i else 0 for k in range(n))) for i in range(r)
         )
@@ -295,10 +298,6 @@ def _check_aux(aux: CartanAux):
     basis = [list(m) for _, m in aux.dual_pairs] + [list(v) for v in aux.torus_complement]
     if abs(_eliminate(basis)[2]) != 1:
         raise CartanError("m-vectors plus complement are not unimodular")
-    if aux.corank == 0:
-        ident = [[sum(aux.Q[i][k] * C[k, j] for k in range(n)) for j in range(n)] for i in range(n)]
-        if any(ident[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
-            raise CartanError("quasi-inverse times matrix is not the identity")
 
 
 CATALOG = {

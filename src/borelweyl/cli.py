@@ -221,8 +221,7 @@ def _run_datum_classical(job, cache):
         lines.append(f"[FAIL] generation not witnessed: {', '.join(missed)} fails")
     else:
         lines.append("[pass] jacobian determinant: 1  (generation witnessed)")
-    h_names = [f"h{i + 1}" for i in range(datum.context.n)]
-    notes = [f"b{j + 1} = {b.to_str(h_names)}" for j, b in enumerate(datum.b)]
+    notes = [f"b{j + 1} = {b.to_str(datum.context.names)}" for j, b in enumerate(datum.b)]
     notes += [
         f"beta{j + 1} = {beta.to_str(datum.coordinate_names)}"
         for j, beta in enumerate(datum.beta)

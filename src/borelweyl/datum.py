@@ -240,11 +240,10 @@ def check_bound_classical(datum: ClassicalDatum) -> list:
     """
     ctx, C = datum.context, datum.aux.matrix
     n = C.n
-    names = [f"h{i+1}" for i in range(n)]
     out = []
 
     def report(label, residual):
-        out.append(ConditionReport(label, not residual, residual.to_str(names)))
+        out.append(ConditionReport(label, not residual, residual.to_str(ctx.names)))
 
     memos = [{(): b} for b in datum.b]
     for label, j, word, target in _conditions(C, [ctx.coeff_var(i) for i in range(n)]):
@@ -379,17 +378,16 @@ def check_bound_quantum(qdatum: QuantumDatum) -> list:
     """
     ctx, C, d = qdatum.context, qdatum.aux.matrix, qdatum.aux.d
     n = C.n
-    names = [f"K{i+1}" for i in range(n)]
     out = []
 
     def report(label, residual, to_str, expected=True):
         out.append(ConditionReport(label, not residual, to_str(residual), expected))
 
     def laurent_str(f):
-        return f.to_str(names)
+        return f.to_str(ctx.names)
 
     def skew_str(e):
-        return e.to_str(coeff_names=names)
+        return e.to_str(coeff_names=ctx.names)
 
     def unit(i):
         return tuple(1 if k == i else 0 for k in range(n))

@@ -28,17 +28,19 @@ half drives both its assignment and its recovery, and `weyl` and
 Verification never inverts a model element.  The inversion happens
 afterwards, in a recovery phase that re-expresses the model's own
 generators (torus units, coefficient generators) inside the localized
-image.  Every inversion is
-logged by the model context, and `birational_witness` factors the log
-into the expected multiplicative set: shifted b's, the h generators, and
-torus units, asking the classical datum (`ClassicalDatum.find_shift`) which
-sigma-shift of which b a denominator is.  Anything else is flagged.
+image.  Each assignment carries its own recovery, which its builder hands
+over, and the recovery lists every inversion it makes in a list that
+`verify` owns and puts in the report.  `birational_witness` factors that
+list into the expected multiplicative set: shifted b's, the h generators,
+and torus units, asking the classical datum (`ClassicalDatum.find_shift`)
+which sigma-shift of which b a denominator is.  Anything else is flagged.
 Recovery checks raise RecoveryError, not assert, so they also run under
 python -O.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations
 from math import comb, lcm
 from operator import add, lshift
@@ -288,7 +290,7 @@ class GeneratorAssignment:
     presentation: Presentation
     context: ModelContext
     images: dict  # symbol -> SkewElem
-    kind: str  # classical-upper | classical-lower | weyl | quantum-upper | quantum-lower | quantum-weyl
+    recover: object  # recover(assignment, inverted) -> recovered elements; see `verify`
     datum: object = None  # ClassicalDatum | QuantumDatum
     conventions: tuple = ()
 
@@ -318,7 +320,6 @@ class _ClassicalSide:
     letter: str
     sign: int  # torus sign s; the weight relations carry -s
     reflected: bool  # c_i is reflect(b_i) rather than b_i
-    kind: str
     stem: str  # recovered coefficients are named stem1, stem2, ...
     convention: str
 
@@ -328,11 +329,11 @@ class _ClassicalSide:
 
 _CLASSICAL_SIDES = {
     "upper": _ClassicalSide(
-        "E", -1, False, "classical-upper", "b",
+        "E", -1, False, "b",
         "upper coefficients are the datum b_i, paired with t_i^-1",
     ),
     "lower": _ClassicalSide(
-        "F", 1, True, "classical-lower", "bbar",
+        "F", 1, True, "bbar",
         "lower coefficients are the variable-negation of b_i, paired with t_i",
     ),
 }
@@ -350,7 +351,9 @@ def classical_borel_assignment(datum: ClassicalDatum, side: str = "upper") -> Ge
         c = spec.coeff(datum.b[i])
         images[f"{spec.letter}{i + 1}"] = SkewElem.monomial(ctx, c, _unit_vec(n, i, spec.sign))
     pres = _borel(datum.aux.matrix, spec.letter, -spec.sign)
-    return GeneratorAssignment(pres, ctx, images, spec.kind, datum, (spec.convention,))
+    return GeneratorAssignment(
+        pres, ctx, images, partial(_recover_classical_borel, spec), datum, (spec.convention,)
+    )
 
 
 def _weyl_images(ctx, aux, coeffs, sign) -> dict:
@@ -379,7 +382,7 @@ def weyl_assignment(datum: ClassicalDatum) -> GeneratorAssignment:
             "torus directions, not single coordinates; the central images are the "
             "invariant coefficients on those directions" % aux.rank,
         )
-    return GeneratorAssignment(pres, ctx, images, "weyl", datum, conv)
+    return GeneratorAssignment(pres, ctx, images, _recover_weyl, datum, conv)
 
 
 def _quantum_side(qdatum: QuantumDatum, side: str):
@@ -404,8 +407,8 @@ def _oriented_assignment(qdatum, signs, letter, pres, torus) -> GeneratorAssignm
     for i, s in enumerate(signs):
         images[f"{letter}{i + 1}"] = _oriented_image(qdatum, i, s)
     conv = tuple(f"orientation {letter}{i + 1}: t^{s:+d}" for i, s in enumerate(signs))
-    kind = "quantum-upper" if letter == "E" else "quantum-lower"
-    return GeneratorAssignment(pres, qdatum.context, images, kind, qdatum, conv)
+    recover = partial(_recover_quantum_borel, letter)
+    return GeneratorAssignment(pres, qdatum.context, images, recover, qdatum, conv)
 
 
 def quantum_borel_assignment(
@@ -466,7 +469,7 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
         else:
             signs.append(None)
             both = "; ".join(
-                f"t^{s:+d} residual {outcomes[s][0].to_str(_coeff_names(ctx))}" for s in (1, -1)
+                f"t^{s:+d} residual {outcomes[s][0].to_str(ctx.names)}" for s in (1, -1)
             )
             detail.append(f"{sym}: no sign works ({both})")
     choice = OrientationChoice(tuple(signs), all(s is not None for s in signs), tuple(detail))
@@ -483,7 +486,7 @@ def quantum_weyl_assignment(qdatum: QuantumDatum) -> GeneratorAssignment:
     pres = quantum_weyl(r, n, qdatum.g, central=n - r)
     images = _weyl_images(ctx, qdatum.aux, qdatum.omega, 1)
     return GeneratorAssignment(
-        pres, ctx, images, "quantum-weyl", qdatum, ("lowering generators map to plain torus monomials",)
+        pres, ctx, images, _recover_quantum_weyl, qdatum, ("lowering generators map to plain torus monomials",)
     )
 
 
@@ -697,7 +700,7 @@ class RelationResult:
 class VerificationReport:
     assignment: GeneratorAssignment
     entries: tuple
-    denominators: tuple  # (coefficient, torus exponent) pairs inverted during recovery
+    denominators: tuple  # (coefficient, torus exponent) pairs inverted during recovery, in order
     recovered: dict  # model elements re-expressed inside the localized image
     conventions: tuple
 
@@ -714,36 +717,31 @@ class VerificationReport:
         return lines
 
 
-def _coeff_names(ctx: ModelContext):
-    stem = "h" if ctx.kind == "classical" else "K"
-    return [f"{stem}{i + 1}" for i in range(ctx.n)]
-
-
 def verify(assignment: GeneratorAssignment) -> VerificationReport:
-    """Evaluate every relation, then run the recovery phase for the map's kind.
+    """Evaluate every relation, then run the assignment's own recovery.
 
     Recovery re-derives the model generators (torus units, coefficient
-    generators) from the images, inverting only single-term elements; the
-    context's denominator log captures exactly those inversions and the
-    report keeps the slice belonging to this run.
+    generators) from the images, inverting only single-term elements.
+    `verify` hands it an empty list `inverted`; each inversion that succeeds
+    appends its (coefficient, torus exponent) pair (`_invert`), and the
+    report's denominators are that list.  A recovery that aborts still
+    reports what it inverted before the abort.
     """
     ctx = assignment.context
-    names = _coeff_names(ctx)
     relations = assignment.presentation.relations
     ring = _prepare_images(ctx, assignment.images, [rel.terms for rel in relations])
     entries = []
     for rel in relations:
         img = _eval_terms(ring, rel.terms)
-        entries.append(RelationResult(rel.name, rel.family, img, not img, img.to_str(names)))
-    mark = len(ctx.denominator_log)
+        entries.append(RelationResult(rel.name, rel.family, img, not img, img.to_str(ctx.names)))
+    inverted = []
     try:
-        recovered = _RECOVERIES[assignment.kind](assignment)
+        recovered = assignment.recover(assignment, inverted)
     except (ArithmeticError, ValueError) as exc:
         # corrupted images leave nothing coherent to invert; report, don't crash
         recovered = {}
         entries.append(RelationResult("recovery of the inverse map", "recovery", None, False, f"aborted: {exc}"))
-    denominators = tuple(ctx.denominator_log[mark:])
-    return VerificationReport(assignment, tuple(entries), denominators, recovered, assignment.conventions)
+    return VerificationReport(assignment, tuple(entries), tuple(inverted), recovered, assignment.conventions)
 
 
 class RecoveryError(ValueError):
@@ -758,27 +756,33 @@ def _require(holds: bool, message: str):
         raise RecoveryError(message)
 
 
-def _recover_classical_borel(spec: _ClassicalSide):
-    def recover(assignment):
-        ctx = assignment.context
-        n = ctx.n
-        out = {}
-        for i in range(n):
-            x_hat = assignment.images[f"{spec.letter}{i + 1}"]
-            c = SkewElem.from_coeff(ctx, spec.coeff(assignment.datum.b[i]))
-            x_inv = x_hat.invert()  # logs (c_i, s·e_i)
-            back = x_inv * c
-            _require(back == SkewElem.torus(ctx, _unit_vec(n, i, -spec.sign)), "torus recovery failed")
-            forth = back.invert()  # logs a plain torus unit
-            c_hat = x_hat * back
-            _require(c_hat == c, "coefficient recovery failed")
-            h_inv = assignment.images[f"H{i + 1}"].invert()  # logs h_i
-            out[f"t{i + 1}"], out[f"t{i + 1}^-1"] = (back, forth) if spec.sign < 0 else (forth, back)
-            out[f"{spec.stem}{i + 1}"] = c_hat
-            out[f"h{i + 1}^-1"] = h_inv
-        return out
+def _invert(x: SkewElem, inverted: list) -> SkewElem:
+    """x⁻¹, listing x's (coefficient, torus exponent) in `inverted` once the
+    inversion has succeeded, so a failed inversion lists nothing."""
+    x_inv = x.invert()
+    ((m, f),) = x.terms.items()
+    inverted.append((f, m))
+    return x_inv
 
-    return recover
+
+def _recover_classical_borel(spec: _ClassicalSide, assignment, inverted):
+    ctx = assignment.context
+    n = ctx.n
+    out = {}
+    for i in range(n):
+        x_hat = assignment.images[f"{spec.letter}{i + 1}"]
+        c = SkewElem.from_coeff(ctx, spec.coeff(assignment.datum.b[i]))
+        x_inv = _invert(x_hat, inverted)  # lists (c_i, s·e_i)
+        back = x_inv * c
+        _require(back == SkewElem.torus(ctx, _unit_vec(n, i, -spec.sign)), "torus recovery failed")
+        forth = _invert(back, inverted)  # lists a plain torus unit
+        c_hat = x_hat * back
+        _require(c_hat == c, "coefficient recovery failed")
+        h_inv = _invert(assignment.images[f"H{i + 1}"], inverted)  # lists h_i
+        out[f"t{i + 1}"], out[f"t{i + 1}^-1"] = (back, forth) if spec.sign < 0 else (forth, back)
+        out[f"{spec.stem}{i + 1}"] = c_hat
+        out[f"{ctx.names[i]}^-1"] = h_inv
+    return out
 
 
 def _weyl_slots(assignment, sign):
@@ -793,7 +797,7 @@ def _weyl_slots(assignment, sign):
         yield k, tuple(m), raiser * t_m, t_m
 
 
-def _recover_weyl(assignment):
+def _recover_weyl(assignment, inverted):
     ctx = assignment.context
     datum = assignment.datum
     out = {}
@@ -801,56 +805,42 @@ def _recover_weyl(assignment):
     for k, m, coord, t_m in _weyl_slots(assignment, -1):
         _require(coord == SkewElem.from_coeff(ctx, datum.alpha[k]), "coordinate recovery failed")
         coord_hats.append(coord)
-        out[f"t^{m}inv"] = t_m.invert()  # logs a torus unit
+        out[f"t^{m}inv"] = _invert(t_m, inverted)  # lists a torus unit
     hcoords = _inverse(datum.aux.Q)
     for i in range(ctx.n):
         h_hat = SkewElem(ctx, _accumulate(coord.scale(c).terms for c, coord in zip(hcoords[i], coord_hats)))
         _require(h_hat == SkewElem.from_coeff(ctx, ctx.coeff_var(i)), "h recovery failed")
-        out[f"h{i + 1}"] = h_hat
-        out[f"h{i + 1}^-1"] = h_hat.invert()  # logs h_i
+        out[ctx.names[i]] = h_hat
+        out[f"{ctx.names[i]}^-1"] = _invert(h_hat, inverted)  # lists h_i
     return out
 
 
-def _recover_quantum_borel(letter):
-    def recover(assignment):
-        ctx = assignment.context
-        n = ctx.n
-        out = {}
-        for i in range(n):
-            x_hat = assignment.images[f"{letter}{i + 1}"]
-            x_inv = x_hat.invert()  # logs (K_i^{-1}, s e_i): a torus/K unit
-            t_s = assignment.images[f"K{i + 1}"] * x_hat
-            (m, f), = t_s.terms.items()
-            _require(f == ctx.coeff_one(), "torus recovery failed")
-            t_back = t_s.invert()  # logs a plain torus unit
-            out[f"t^{m}"] = t_s
-            out[f"t^{m}inv"] = t_back
-            out[f"{letter}{i + 1}^-1"] = x_inv
-        return out
-
-    return recover
+def _recover_quantum_borel(letter, assignment, inverted):
+    ctx = assignment.context
+    out = {}
+    for i in range(ctx.n):
+        x_hat = assignment.images[f"{letter}{i + 1}"]
+        x_inv = _invert(x_hat, inverted)  # lists (K_i^{-1}, s e_i): a torus/K unit
+        t_s = assignment.images[f"K{i + 1}"] * x_hat
+        (m, f), = t_s.terms.items()
+        _require(f == ctx.coeff_one(), "torus recovery failed")
+        t_back = _invert(t_s, inverted)  # lists a plain torus unit
+        out[f"t^{m}"] = t_s
+        out[f"t^{m}inv"] = t_back
+        out[f"{letter}{i + 1}^-1"] = x_inv
+    return out
 
 
-def _recover_quantum_weyl(assignment):
+def _recover_quantum_weyl(assignment, inverted):
     ctx = assignment.context
     qdatum = assignment.datum
     out = {}
     for k, m, omega_hat, t_m in _weyl_slots(assignment, 1):
         _require(omega_hat == SkewElem.from_coeff(ctx, qdatum.omega[k]), "omega recovery failed")
         out[f"omega{k + 1}"] = omega_hat
-        out[f"omega{k + 1}^-1"] = omega_hat.invert()  # logs a K-monomial unit
-        out[f"t^{m}inv"] = t_m.invert()
+        out[f"omega{k + 1}^-1"] = _invert(omega_hat, inverted)  # lists a K-monomial unit
+        out[f"t^{m}inv"] = _invert(t_m, inverted)
     return out
-
-
-_RECOVERIES = {
-    "classical-upper": _recover_classical_borel(_CLASSICAL_SIDES["upper"]),
-    "classical-lower": _recover_classical_borel(_CLASSICAL_SIDES["lower"]),
-    "weyl": _recover_weyl,
-    "quantum-upper": _recover_quantum_borel("E"),
-    "quantum-lower": _recover_quantum_borel("F"),
-    "quantum-weyl": _recover_quantum_weyl,
-}
 
 
 # -- denominator factoring -------------------------------------------------------
@@ -885,7 +875,7 @@ def _classify_classical(ctx, datum, f):
         return "torus-unit", "torus unit"
     for i in range(ctx.n):
         if f == ctx.coeff_var(i):
-            return "h-generator", f"h{i + 1}"
+            return "h-generator", ctx.names[i]
     if isinstance(datum, ClassicalDatum) and isinstance(f, MLaurent):
         found = datum.find_shift(f)
         if found is not None:
@@ -904,12 +894,11 @@ def birational_witness(report: VerificationReport) -> OreWitness:
     """Factor every inverted denominator into the multiplicative set generated
     by shifted b's, the h generators, and torus units; flag anything else."""
     ctx = report.assignment.context
-    names = _coeff_names(ctx)
     entries = []
     for coeff, m in report.denominators:
         if ctx.kind == "classical":
             kind, detail = _classify_classical(ctx, report.assignment.datum, coeff)
         else:
             kind, detail = _classify_quantum(coeff)
-        entries.append(WitnessEntry(coeff.to_str(names), tuple(m), kind, detail))
+        entries.append(WitnessEntry(coeff.to_str(ctx.names), tuple(m), kind, detail))
     return OreWitness(tuple(entries), all(e.kind != "unrecognized" for e in entries))

@@ -13,14 +13,15 @@ Two context flavours cover both model families:
   shifts h_j by a_ji.  The models localise only at an Ore set of
   polynomials (shifted b's and h's), and the recovery phase forms s⁻¹ and
   products such as s⁻¹·s, so no other fraction arises.  Only `invert_coeff`
-  makes a fraction, and each inversion is logged so reports can exhibit the
-  Ore set a statement actually needs.
+  makes a fraction; the recovery phase of `morphisms.verify` lists each
+  inversion it makes, so reports can exhibit the Ore set a statement
+  actually needs.
 * quantum — coefficients are Laurent polynomials in K₁..Kₙ over QScalar;
   σ_i scales K_j by q^{-d_i·a_ij}.  Arithmetic stays in Laurent form; only
   unit monomials are invertible here, which is all the maps require.
 
-The denominator log is append-only; everything else is immutable after
-construction.
+Contexts and elements are immutable after construction; a context only
+memoises the vector by which each σ^m acts.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class ModelContext:
     symmetrizer d), kept in ``steps[i]``:
     classically it shifts h_j by a_ji (column i of C), in the quantum model
     it scales K_j by q^{-d_i·a_ij}.  σ^m then acts by Σ m_i·steps[i], so the
-    σ_i commute by construction.
+    σ_i commute by construction.  ``names`` holds the coefficient names
+    ("h1", …, classically; "K1", …, in the quantum model), the one place
+    they are spelled.
     """
 
     def __init__(self, kind: str, aux: CartanAux):
@@ -61,12 +64,11 @@ class ModelContext:
         self.aux = aux
         self.n = n
         self.one = Fraction(1) if kind == "classical" else QQ_ONE
+        self.names = tuple(f"{'h' if kind == 'classical' else 'K'}{i + 1}" for i in range(n))
         if kind == "classical":
             self.steps = tuple(tuple(Fraction(C[j, i]) for j in range(n)) for i in range(n))
         else:
             self.steps = tuple(tuple(-d[i] * C[i, j] for j in range(n)) for i in range(n))
-        # the inverted unit monomials, as (coefficient, torus exponent) pairs
-        self.denominator_log = []
         self._vectors: dict = {}
 
     # -- coefficient ring --------------------------------------------------
@@ -208,7 +210,6 @@ class SkewElem:
             raise ValueError("inversion supported only for unit monomials")
         (m, f), = self.terms.items()
         f_inv = self.ctx.invert_coeff(f)
-        self.ctx.denominator_log.append((f, m))
         neg = tuple(-x for x in m)
         return SkewElem(self.ctx, {neg: self.ctx.apply_vec(neg, f_inv)})
 

@@ -25,6 +25,7 @@ from borelweyl.exact import (
     q_power,
 )
 from borelweyl.exact.endo import scale, shift
+from borelweyl.exact import qq
 from borelweyl.exact.laurent import _accumulate
 from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact, _pgcd, _pgcd_euclid, _pmul
 
@@ -350,6 +351,25 @@ def test_euclid_fallback_matches_sympy(data):
     a, b = (_primitive_q_free(p) for p in _planted_pair(data))
     expected = _positive(sympy.gcd(_to_sympy(a), _to_sympy(b)))
     assert _pgcd_euclid(a, b) == _from_sympy(expected)
+
+
+# small integer polynomials of degree 1 to 3, lowest coefficient first
+_small_polys = st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@_needs_sympy
+@given(_small_polys, _small_polys, _small_polys)
+@settings(max_examples=80, deadline=None)
+def test_pgcd_through_the_euclid_fallback_matches_sympy(f, u, v):
+    # with no evaluation point left, every q-free pair of primitive parts of
+    # degree ≥ 1 goes from the heuristic to Euclid; the products of primitive
+    # polynomials are primitive, and so is their gcd
+    f, u, v = (_to_sympy(c).primitive()[1] for c in (f, u, v))
+    a, b = f * u, f * v
+    expected = _from_sympy(_positive(sympy.gcd(a, b).primitive()[1]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(qq, "_HEURISTIC_POINTS", 0)
+        assert _pgcd(_from_sympy(a), _from_sympy(b)) == expected
 
 
 def _q_to(k):

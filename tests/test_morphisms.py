@@ -16,7 +16,7 @@ from borelweyl import morphisms
 from borelweyl.biproduct import build_rules, normal_form, parse_word
 from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.cli import _corrupted, _witness_block
-from borelweyl.datum import ClassicalDatum, QuantumDatum, build_quantum_datum, solve_beta
+from borelweyl.datum import ClassicalDatum, QuantumDatum, build_quantum_datum, check_bound_quantum, solve_beta
 from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
 from borelweyl.skew import ModelContext, quantum_context
 from borelweyl.morphisms import (
@@ -392,18 +392,16 @@ def test_classical_relations_stay_packed_until_a_nonzero_residual(monkeypatch, s
         finally:
             inside_shift.pop()
 
+    def snapshot(assignment, inverted):
+        at_recovery.update(counts, shifts=list(shifts))
+        return asg.recover(assignment, inverted)
+
+    traced = replace(asg, recover=snapshot)
     real_shift = borelweyl.skew.shift
     monkeypatch.setattr(borelweyl.skew, "shift", shift)
     monkeypatch.setattr(MLaurent, "__mul__", counting("mul", MLaurent.__mul__))
     monkeypatch.setattr(MLaurent, "__init__", counting("init", MLaurent.__init__))
-    recover = morphisms._RECOVERIES[asg.kind]
-
-    def snapshot(assignment):
-        at_recovery.update(counts, shifts=list(shifts))
-        return recover(assignment)
-
-    monkeypatch.setitem(morphisms._RECOVERIES, asg.kind, snapshot)
-    report = verify(asg)
+    report = verify(traced)
     residual_terms = sum(len(e.residual.terms) for e in report.entries if e.family != "recovery")
     assert at_recovery["mul"] == 0
     assert at_recovery["shifts"]
@@ -418,7 +416,7 @@ def test_classical_relations_stay_packed_until_a_nonzero_residual(monkeypatch, s
 def serre_pairs(report):
     out = {}
     C = report.assignment.presentation.params["matrix"]
-    letter = "E" if "upper" in report.assignment.kind else "F"
+    letter = "E" if "upper" in report.assignment.presentation.name else "F"
     for i in range(C.n):
         for j in range(C.n):
             if i == j:
@@ -531,7 +529,7 @@ def test_weyl_pairing_needs_the_dual_directions():
     asg = weyl_assignment(datum)
     images = dict(asg.images)
     images["y1"], images["y2"] = images["y2"], images["y1"]
-    bad = GeneratorAssignment(asg.presentation, asg.context, images, "weyl", datum)
+    bad = GeneratorAssignment(asg.presentation, asg.context, images, asg.recover, datum)
     report = verify(bad)
     assert not report.passed
     assert "[x1,y1] = 1" in [r.name for r in report.failed()]
@@ -797,7 +795,7 @@ def test_a_classical_assignment_without_a_datum_still_gets_a_witness():
     datum = solve_beta(quasi_inverse(catalog_matrix("A2")))
     report = verify(classical_borel_assignment(datum))
     bare = GeneratorAssignment(report.assignment.presentation, report.assignment.context,
-                               report.assignment.images, report.assignment.kind)
+                               report.assignment.images, report.assignment.recover)
     assert bare.datum is None
     ctx = bare.context
     h1 = ctx.coeff_var(0)
@@ -844,7 +842,7 @@ def tampered_upper_assignment():
     asg = classical_borel_assignment(datum)
     images = dict(asg.images)
     images["E1"] = images["E1"].scale(2)
-    return GeneratorAssignment(asg.presentation, asg.context, images, asg.kind, datum)
+    return GeneratorAssignment(asg.presentation, asg.context, images, asg.recover, datum)
 
 
 def test_a_tampered_image_aborts_the_recovery():
@@ -853,6 +851,44 @@ def test_a_tampered_image_aborts_the_recovery():
     assert entry.name == "recovery of the inverse map"
     assert entry.residual_str == "aborted: torus recovery failed"
     assert not report.passed
+
+
+def test_an_aborted_recovery_still_lists_what_it_inverted():
+    # E1 ↦ 2·b1·t1⁻¹ inverts, and then the torus check aborts the recovery:
+    # the one inversion made is listed, and 2·b1 is no σ-shift of any b_j
+    asg = tampered_upper_assignment()
+    report = verify(asg)
+    b1 = asg.datum.b[0]
+    assert report.denominators == ((b1 * 2, (-1, 0)),)
+    witness = birational_witness(report)
+    assert witness.flagged() == witness.entries
+    assert [(e.coeff_str, e.torus_exp) for e in witness.entries] == [((b1 * 2).to_str(["h1", "h2"]), (-1, 0))]
+    assert not witness.passed
+
+
+def test_verify_lists_only_the_inversions_of_its_own_recovery(monkeypatch):
+    # check_bound_quantum inverts through `conjugate` on the same context;
+    # neither that nor an earlier verify shows up in a report's denominators
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix("B2")))
+    asg, _ = fix_orientation(qd, "upper")
+    inverted = []
+    invert = SkewElem.invert
+
+    def recording(x):
+        x_inv = invert(x)
+        ((m, f),) = x.terms.items()
+        inverted.append((f, m))
+        return x_inv
+
+    monkeypatch.setattr(SkewElem, "invert", recording)
+    first = verify(asg)
+    own = tuple(inverted)
+    inverted.clear()
+    check_bound_quantum(qd)
+    assert inverted  # the datum check inverted too
+    inverted.clear()
+    second = verify(asg)
+    assert own and first.denominators == second.denominators == own == tuple(inverted)
 
 
 def test_recovery_checks_still_run_under_python_O():
@@ -892,10 +928,9 @@ def test_corrupted_residuals_are_the_same_under_python_O():
 
 def test_an_assertion_error_inside_a_recovery_is_not_swallowed(monkeypatch):
     # recovery checks raise RecoveryError; an AssertionError can only be a bug
-    def broken(assignment):
+    def broken(assignment, inverted):
         raise AssertionError("a bug in the recovery")
 
-    monkeypatch.setitem(morphisms._RECOVERIES, "classical-upper", broken)
     asg = classical_borel_assignment(solve_beta(quasi_inverse(catalog_matrix("A1"))))
     with pytest.raises(AssertionError, match="a bug in the recovery"):
-        verify(asg)
+        verify(replace(asg, recover=broken))

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import borelweyl
 from borelweyl.cartan import CATALOG, catalog_matrix, quasi_inverse
-from borelweyl.cli import _corrupted
+from borelweyl.cli import JobSpec, _corrupted, run
 from borelweyl.datum import solve_beta
 from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
 from borelweyl.morphisms import classical_borel_assignment, verify, weyl_assignment
@@ -72,7 +72,6 @@ def test_invert_classical_shifted():
     assert inv == SkewElem.monomial(ctx, shifted, (-1,))
     one = SkewElem.one(ctx)
     assert ht * inv == one and inv * ht == one
-    assert any(entry[0] == h for entry in ctx.denominator_log)
 
 
 def test_invert_torus_unit():
@@ -358,3 +357,33 @@ def test_malformed_contexts_and_elements_raise_value_errors():
     for combine in (lambda: t == u, lambda: t + u, lambda: t * u, lambda: t + 1):
         with pytest.raises(ValueError, match="context mismatch"):
             combine()
+
+
+def test_a_context_names_its_coefficients_once():
+    aux = quasi_inverse(A2)
+    assert classical_context(aux).names == ("h1", "h2")
+    assert quantum_context(aux).names == ("K1", "K2")
+
+
+def test_model_contexts_hold_no_mutable_state_after_full_verify_runs(monkeypatch):
+    # every context a full `verify --mode both` of the catalog builds keeps its
+    # public attributes immutable: a report never reads state a context gathered
+    contexts = []
+    init = ModelContext.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
+
+    def mutable(value):
+        if isinstance(value, (list, dict, set)):
+            return True
+        return isinstance(value, tuple) and any(mutable(v) for v in value)
+
+    monkeypatch.setattr(ModelContext, "__init__", recording)
+    for name in CATALOG:
+        run(JobSpec(command="verify", matrix=catalog_matrix(name), mode="both"))
+    assert {ctx.kind for ctx in contexts} == {"classical", "quantum"}
+    for ctx in contexts:
+        public = {key: value for key, value in vars(ctx).items() if not key.startswith("_")}
+        assert not [key for key, value in public.items() if mutable(value)], ctx.kind

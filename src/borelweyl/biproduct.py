@@ -92,9 +92,6 @@ class NCPoly:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c) -> "NCPoly":
-        return NCPoly({w: c * v for w, v in self.terms.items()})
-
     def to_str(self) -> str:
         if not self.terms:
             return "0"
@@ -217,9 +214,6 @@ class RewriteSystem:
             if hits:
                 out.extend((pos, rule) for _, rule in hits)
         return out
-
-    def is_normal(self, word) -> bool:
-        return not self.redexes(word)
 
     def poly(self, letters, coeff=1) -> NCPoly:
         """coeff·letters, with coeff scaled into the system's scalars."""

@@ -22,7 +22,7 @@ the sum, unpacking only a nonzero residual.
 
 PolyFrac holds the fractions of polynomials that the classical recovery
 phase makes: 1/p, its σ-shifts, and their products with polynomials.  It
-multiplies, inverts, compares and prints; it does not add or divide.  The
+multiplies, compares and prints; it does not add, divide or invert.  The
 paper localises only at an Ore set of polynomials, and the recovery forms
 s⁻¹ and products such as s⁻¹·s, so every fraction it makes either divides
 exactly or is a reciprocal, a nonzero scalar over a polynomial.  The
@@ -234,17 +234,6 @@ class MLaurent:
 
         return MLaurent(m, _accumulate(image(e, c) for e, c in self.terms.items()))
 
-    def evaluate(self, point):
-        """Evaluate at concrete scalars (test oracle; negative exponents need nonzero entries)."""
-        total = None
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * point[i] ** k
-            total = v if total is None else total + v
-        return total if total is not None else Fraction(0)
-
     # -- display -----------------------------------------------------------
 
     def to_str(self, names=None) -> str:
@@ -321,8 +310,8 @@ class PolyFrac:
 
     The classical recovery phase is the only place fractions arise: 1/p from
     `ModelContext.invert_coeff`, its σ-shifts, and products with the
-    polynomials they recover.  So a PolyFrac multiplies, inverts, compares
-    and prints, and nothing more.  ``PolyFrac(num, den)`` is its one
+    polynomials they recover.  So a PolyFrac multiplies, compares and
+    prints, and nothing more.  ``PolyFrac(num, den)`` is its one
     constructor: it returns the quotient as an MLaurent when den divides num,
     so a polynomial never hides inside a PolyFrac, and otherwise needs a
     constant num and makes den monic under lex order.  Any other fraction,
@@ -388,9 +377,6 @@ class PolyFrac:
         return PolyFrac(self.num * c, self.den if d is None else self.den * d)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        return PolyFrac(self.den, self.num)
 
     def to_str(self, names=None) -> str:
         ns, ds = self.num.to_str(names), self.den.to_str(names)

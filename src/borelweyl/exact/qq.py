@@ -372,18 +372,6 @@ class QScalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QQ_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def inverse(self) -> "QScalar":
         num, den = self.num, self.den
         if not num:
@@ -403,12 +391,6 @@ class QScalar:
         if not (self.is_monomial() and self.num[-1:] == (1,) and self.den[-1] == 1):
             raise ValueError(f"{self!r} is not a power of q")
         return len(self.num) - len(self.den)
-
-    def evaluate(self, value: Fraction) -> Fraction:
-        """Specialize q to a rational number (test oracle only; q stays formal in the engine)."""
-        num = sum(Fraction(c) * value**e for e, c in enumerate(self.num))
-        den = sum(Fraction(c) * value**e for e, c in enumerate(self.den))
-        return num / den
 
     def __repr__(self):
         if self.den == (1,):

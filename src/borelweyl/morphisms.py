@@ -61,18 +61,12 @@ __all__ = [
     "OrientationChoice",
     "WitnessEntry",
     "OreWitness",
-    "borel_upper",
-    "borel_lower",
     "weyl",
     "quantum_weyl",
-    "quantum_borel_upper",
-    "quantum_borel_lower",
     "classical_borel_assignment",
     "weyl_assignment",
-    "quantum_borel_assignment",
     "quantum_weyl_assignment",
     "fix_orientation",
-    "evaluate_word",
     "verify",
     "birational_witness",
     "reflect",
@@ -192,16 +186,6 @@ def _borel(C, letter: str, weight_sign: int) -> Presentation:
     )
 
 
-def borel_upper(aux: CartanAux) -> Presentation:
-    """H_i and E_i with the weight relations and the E-side Serre relations."""
-    return _borel(aux.matrix, "E", +1)
-
-
-def borel_lower(aux: CartanAux) -> Presentation:
-    """H_i and F_i; the weight relations carry the opposite sign."""
-    return _borel(aux.matrix, "F", -1)
-
-
 def _weyl(m, n, central, one, pairing, stem, params) -> Presentation:
     """Commuting x's and commuting y's, pairing(i, j, x_i, y_j) for every pair,
     and `central` generators z_c commuting with everything."""
@@ -270,16 +254,6 @@ def _quantum_borel(aux: CartanAux, letter: str, weight_sign: int) -> Presentatio
         tuple(rels),
         {"matrix": C, "d": d},
     )
-
-
-def quantum_borel_upper(aux: CartanAux) -> Presentation:
-    """K_i^{+-1} and E_i: E_j K_i = q^{-d_i a_ij} K_i E_j plus q-Serre, d = aux.d."""
-    return _quantum_borel(aux, "E", -1)
-
-
-def quantum_borel_lower(aux: CartanAux) -> Presentation:
-    """K_i^{+-1} and F_i: F_j K_i = q^{+d_i a_ij} K_i F_j plus q-Serre, d = aux.d."""
-    return _quantum_borel(aux, "F", +1)
 
 
 # -- assignments ---------------------------------------------------------------
@@ -385,48 +359,9 @@ def weyl_assignment(datum: ClassicalDatum) -> GeneratorAssignment:
     return GeneratorAssignment(pres, ctx, images, _recover_weyl, datum, conv)
 
 
-def _quantum_side(qdatum: QuantumDatum, side: str):
-    """The side's letter and presentation, and the images of K_i and K_i^-1."""
-    ctx = qdatum.context
-    letter = "E" if side == "upper" else "F"
-    pres = _quantum_borel(qdatum.aux, letter, -1 if side == "upper" else 1)
-    torus = {}
-    for i in range(ctx.n):
-        torus[f"K{i + 1}"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i))
-        torus[f"K{i + 1}^-1"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i, -1))
-    return letter, pres, torus
-
-
 def _oriented_image(qdatum: QuantumDatum, i: int, sign: int) -> SkewElem:
     ctx = qdatum.context
     return SkewElem.monomial(ctx, qdatum.b[i], _unit_vec(ctx.n, i, sign))
-
-
-def _oriented_assignment(qdatum, signs, letter, pres, torus) -> GeneratorAssignment:
-    images = dict(torus)
-    for i, s in enumerate(signs):
-        images[f"{letter}{i + 1}"] = _oriented_image(qdatum, i, s)
-    conv = tuple(f"orientation {letter}{i + 1}: t^{s:+d}" for i, s in enumerate(signs))
-    recover = partial(_recover_quantum_borel, letter)
-    return GeneratorAssignment(pres, qdatum.context, images, recover, qdatum, conv)
-
-
-def quantum_borel_assignment(
-    qdatum: QuantumDatum, side: str = "upper", orientation=None
-) -> GeneratorAssignment:
-    """K_i -> K_i and E_i -> K_i^{-1} t_i^{s_i} with explicit signs s_i.
-
-    Pass `orientation` as +-1 or a per-generator sign tuple; use
-    `fix_orientation` to search for the signs that satisfy the weight
-    relations instead of postulating them.
-    """
-    n = qdatum.context.n
-    if orientation is None:
-        raise ValueError("no orientation given; call fix_orientation to choose one")
-    signs = tuple(orientation) if not isinstance(orientation, int) else (orientation,) * n
-    if len(signs) != n or any(s not in (-1, 1) for s in signs):
-        raise ValueError(f"orientation must be +-1 per generator, got {orientation!r}")
-    return _oriented_assignment(qdatum, signs, *_quantum_side(qdatum, side))
 
 
 @dataclass(frozen=True)
@@ -438,15 +373,20 @@ class OrientationChoice:
 
 def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
     """Search t^{+1} vs t^{-1} per raising/lowering generator against the
-    weight relations, and build the assignment with the surviving signs.
+    weight relations, and build the assignment K_i -> K_i, K_i^-1 -> K_i^-1,
+    E_i (upper) or F_i (lower) -> b_i t_i^{s_i} with the surviving signs.
 
-    Returns (assignment, choice); assignment is None when some generator
-    admits no sign (choice.detail then holds both residuals).
+    Returns (assignment, choice); assignment is None unless exactly one sign
+    passes for every generator (choice.detail then holds both residuals).
     """
     ctx = qdatum.context
     n = ctx.n
-    shared = _quantum_side(qdatum, side)
-    letter, pres, torus = shared
+    letter = "E" if side == "upper" else "F"
+    pres = _quantum_borel(qdatum.aux, letter, -1 if side == "upper" else 1)
+    images = {}
+    for i in range(n):
+        images[f"K{i + 1}"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i))
+        images[f"K{i + 1}^-1"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i, -1))
     weight = pres.by_family("weight")
     signs, detail = [], []
     for j in range(n):
@@ -454,28 +394,25 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
         mine = [r for r in weight if any(sym in word for _, word in r.terms)]
         outcomes = {}
         for s in (1, -1):
-            trial = dict(torus)
-            trial[sym] = _oriented_image(qdatum, j, s)
-            ring = _SkewImages(ctx, trial)
-            residuals = [_eval_terms(ring, r.terms) for r in mine]
-            outcomes[s] = [res for res in residuals if res]
+            ring = _SkewImages(ctx, {**images, sym: _oriented_image(qdatum, j, s)})
+            outcomes[s] = [res for r in mine if (res := _eval_terms(ring, r.terms))]
         good = [s for s, bad in outcomes.items() if not bad]
         if len(good) == 1:
             signs.append(good[0])
             detail.append(f"{sym}: t^{good[0]:+d} (the other sign fails {len(outcomes[-good[0]])} weight relations)")
-        elif len(good) == 2:
-            signs.append(None)
-            detail.append(f"{sym}: ambiguous, both signs pass")
         else:
             signs.append(None)
             both = "; ".join(
-                f"t^{s:+d} residual {outcomes[s][0].to_str(ctx.names)}" for s in (1, -1)
+                f"t^{s:+d} residual {bad[0].to_str(ctx.names) if bad else 0}" for s, bad in outcomes.items()
             )
             detail.append(f"{sym}: no sign works ({both})")
-    choice = OrientationChoice(tuple(signs), all(s is not None for s in signs), tuple(detail))
+    choice = OrientationChoice(tuple(signs), None not in signs, tuple(detail))
     if not choice.passed:
         return None, choice
-    return _oriented_assignment(qdatum, choice.signs, *shared), choice
+    for i, s in enumerate(signs):
+        images[f"{letter}{i + 1}"] = _oriented_image(qdatum, i, s)
+    conv = tuple(f"orientation {letter}{i + 1}: t^{s:+d}" for i, s in enumerate(signs))
+    return GeneratorAssignment(pres, ctx, images, partial(_recover_quantum_borel, letter), qdatum, conv), choice
 
 
 def quantum_weyl_assignment(qdatum: QuantumDatum) -> GeneratorAssignment:
@@ -676,12 +613,6 @@ def _eval_terms(ring, terms) -> SkewElem:
     return ring.evaluate(terms)
 
 
-def evaluate_word(assignment: GeneratorAssignment, p) -> SkewElem:
-    """Image of a noncommutative polynomial ((coeff, word), ...) under the assignment."""
-    p = tuple(p)
-    return _eval_terms(_prepare_images(assignment.context, assignment.images, [p]), p)
-
-
 @dataclass(frozen=True)
 class RelationResult:
     name: str
@@ -707,9 +638,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    def failed(self) -> tuple:
-        return tuple(e for e in self.entries if not e.passed)
 
     def summary_lines(self) -> list:
         lines = [f"{self.assignment.presentation.name}: " + ("PASS" if self.passed else "FAIL")]

@@ -87,7 +87,9 @@ class ModelContext:
 
     def invert_coeff(self, f):
         if self.kind == "classical":
-            return PolyFrac(self.coeff_one(), f) if isinstance(f, MLaurent) else f.inverse()
+            if not isinstance(f, MLaurent):
+                raise ArithmeticError(f"only a polynomial coefficient is inverted, not {f!r}")
+            return PolyFrac(self.coeff_one(), f)
         if not f.is_monomial():
             raise ValueError(
                 "inversion supported only for unit monomials; a non-monomial "

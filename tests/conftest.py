@@ -6,13 +6,20 @@ are known to be unattainable are marked xfail(strict=True) and turn the
 verdict into an expected failure, which is reported as such rather than
 hidden.  Anything else (a plain failure, an xpass, an error) is unexpected.
 
-It also holds `reference_normal_form`, the independent reducer that the
-biproduct and acceptance tests compare `normal_form` with.
+It also holds the oracles that several test modules share:
+`reference_normal_form`, the independent reducer that the biproduct and
+acceptance tests compare `normal_form` with; `evaluate_laurent` and
+`evaluate_q`, which specialize an exact value at rational points;
+`evaluate_word`, the image of one polynomial under an assignment; and
+`flipped_upper_assignment`, a quantum assignment with the wrong orientation.
 """
 
 import re
+from dataclasses import replace
+from fractions import Fraction
 
 from borelweyl.biproduct import NCPoly, RewriteLimitError, word_str
+from borelweyl.morphisms import _eval_terms, _oriented_image, _prepare_images, fix_orientation
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_")
 
@@ -106,3 +113,36 @@ def reference_normal_form(p, R, strategy, step_limit=200_000):
             else:
                 work.pop(nw, None)
     return NCPoly(done)
+
+
+def evaluate_laurent(f, point):
+    """An MLaurent at concrete scalars; negative exponents need nonzero entries."""
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        for i, k in enumerate(e):
+            if k:
+                c = c * point[i] ** k
+        total = total + c
+    return total
+
+
+def evaluate_q(x, value):
+    """A QScalar with q specialized to a rational number; q stays formal in the engine."""
+    num = sum(Fraction(c) * value**e for e, c in enumerate(x.num))
+    den = sum(Fraction(c) * value**e for e, c in enumerate(x.den))
+    return num / den
+
+
+def evaluate_word(assignment, p):
+    """The image of a noncommutative polynomial ((coeff, word), ...) under the
+    assignment, by the evaluation `verify` runs on each relation."""
+    p = tuple(p)
+    return _eval_terms(_prepare_images(assignment.context, assignment.images, [p]), p)
+
+
+def flipped_upper_assignment(qdatum):
+    """The quantum upper assignment with every E_i sent to b_i·t_i^{-1}, the
+    sign that `fix_orientation` rejects: its own assignment, E images flipped."""
+    assignment, _ = fix_orientation(qdatum, "upper")
+    flipped = {f"E{i + 1}": _oriented_image(qdatum, i, -1) for i in range(qdatum.context.n)}
+    return replace(assignment, images={**assignment.images, **flipped}, conventions=())

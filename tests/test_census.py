@@ -1,0 +1,111 @@
+"""Exit-contract census: random generalized Cartan matrices through the command line.
+
+The paper claims its result for every Kac-Moody algebra, and the command line
+promises one exit contract for every matrix: 0 when every section passes, 1
+when a section fails, 2 for bad input with nothing on stdout.  A seeded sample
+of 30 random GCMs of size at most 3 (off-diagonal entries in 0, -1 ... -4, an
+entry zero exactly when its transpose is) runs `verify --mode both
+--degree-bound 4` and `analyze` through `cli.main`.  The sample holds finite,
+affine, indefinite and non-symmetrizable matrices; the last are bad input and
+exit 2.  A structured report that exits 0 or 1 says passed exactly when it
+exits 0.
+
+Every check that decides a verdict is a raise or an `if`, never an assert, so
+one `python -O` subprocess over two census matrices prints the same
+structured report as a normal run once the timings are dropped.
+"""
+
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+import borelweyl
+from borelweyl.cli import main
+
+SEED = 20211
+
+
+def census(size=30):
+    """`size` distinct matrix texts such as "2 -1; -3 2", drawn from SEED."""
+    rng = random.Random(SEED)
+    seen = []
+    while len(seen) < size:
+        n = rng.choice((1, 2, 3, 3))
+        rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                upper = rng.choice((0, -1, -2, -3, -4))
+                rows[i][j] = upper
+                rows[j][i] = upper and rng.choice((-1, -2, -3, -4))
+        text = "; ".join(" ".join(str(x) for x in row) for row in rows)
+        if text not in seen:
+            seen.append(text)
+    return seen
+
+
+CENSUS = census()
+VERIFY = ("verify", "--mode", "both", "--degree-bound", "4", "--format", "structured")
+
+
+@cache
+def run_cli(*argv):
+    """(exit code, stdout) of one in-process run of the command line."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        status = main(list(argv))
+    return status, out.getvalue()
+
+
+def test_the_census_spans_every_size_and_exit_code():
+    assert len(set(CENSUS)) == 30
+    assert {text.count(";") + 1 for text in CENSUS} == {1, 2, 3}
+    assert {run_cli(*VERIFY, "--matrix", text)[0] for text in CENSUS} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("text", CENSUS)
+def test_verify_keeps_the_exit_contract(text):
+    status, out = run_cli(*VERIFY, "--matrix", text)
+    assert status in (0, 1, 2), text
+    if status == 2:
+        assert out == "", text
+    else:
+        assert json.loads(out)["passed"] is (status == 0), text
+
+
+@pytest.mark.parametrize("text", CENSUS)
+def test_analyze_keeps_the_exit_contract(text):
+    status, out = run_cli("analyze", "--matrix", text)
+    assert status in (0, 1, 2), text
+    assert (out == "") is (status == 2), text
+
+
+def _stripped(stdout):
+    report = json.loads(stdout)
+    report.pop("timings")
+    for section in report["checks"]:
+        section.pop("seconds")
+    return report
+
+
+def test_python_O_prints_the_same_census_reports():
+    # the first two census matrices of rank 2 or more that are not bad input
+    src = Path(borelweyl.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    picked = [text for text in CENSUS if ";" in text and run_cli(*VERIFY, "--matrix", text)[0] != 2][:2]
+    assert len(picked) == 2
+    for text in picked:
+        status, normal = run_cli(*VERIFY, "--matrix", text)
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "borelweyl", *VERIFY, "--matrix", text],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == status, done.stderr
+        assert _stripped(done.stdout) == _stripped(normal), text

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import borelweyl
 from borelweyl import exact
-from borelweyl.biproduct import build_rules, normal_form
+from borelweyl.biproduct import NCPoly, build_rules, normal_form
 from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.datum import solve_beta
 from borelweyl.exact import (
@@ -28,6 +28,7 @@ from borelweyl.exact.endo import scale, shift
 from borelweyl.exact import qq
 from borelweyl.exact.laurent import _accumulate
 from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact, _pgcd, _pgcd_euclid, _pmul
+from conftest import evaluate_laurent, evaluate_q
 
 try:
     import sympy
@@ -113,12 +114,12 @@ def test_qscalar_evaluation_homomorphism(a, b):
     # specializing q to a rational commutes with field operations
     at = Fraction(7, 3)
     assume(any(a.den) and any(b.den))
-    assume(a.evaluate(at) is not None)
-    assert (a + b).evaluate(at) == a.evaluate(at) + b.evaluate(at)
-    assert (a * b).evaluate(at) == a.evaluate(at) * b.evaluate(at)
+    assume(evaluate_q(a, at) is not None)
+    assert evaluate_q(a + b, at) == evaluate_q(a, at) + evaluate_q(b, at)
+    assert evaluate_q(a * b, at) == evaluate_q(a, at) * evaluate_q(b, at)
     if b:
-        assume(b.evaluate(at) != 0)
-        assert (a / b).evaluate(at) == a.evaluate(at) / b.evaluate(at)
+        assume(evaluate_q(b, at) != 0)
+        assert evaluate_q(a / b, at) == evaluate_q(a, at) / evaluate_q(b, at)
 
 
 def test_exact_division_raises_on_a_remainder():
@@ -494,8 +495,9 @@ def test_a_quantum_normal_form_scales_by_a_fraction():
     R = build_rules(quasi_inverse(catalog_matrix("B2")), mode="quantum")
     nf = normal_form(R.poly(("F2", "F1", "E2", "E1")), R)
     half = Fraction(1, 2)
-    scaled = nf.scale(half)
-    assert scaled == nf.scale(QScalar.from_int(half))
+    scaled = NCPoly({w: half * c for w, c in nf.terms.items()})
+    assert scaled == NCPoly({w: QScalar.from_int(half) * c for w, c in nf.terms.items()})
+    assert scaled == normal_form(R.poly(("F2", "F1", "E2", "E1"), half), R)
     assert scaled != nf and scaled + scaled == nf
     assert all(isinstance(c, QScalar) for c in scaled.terms.values())
 
@@ -556,8 +558,8 @@ def test_mlaurent_ring_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 def test_mlaurent_evaluation_homomorphism(a, b):
     pt = [Fraction(3, 2), Fraction(-2, 5)]
-    assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
-    assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+    assert evaluate_laurent(a + b, pt) == evaluate_laurent(a, pt) + evaluate_laurent(b, pt)
+    assert evaluate_laurent(a * b, pt) == evaluate_laurent(a, pt) * evaluate_laurent(b, pt)
 
 
 # -- fractions -----------------------------------------------------------------
@@ -594,7 +596,7 @@ def test_polyfrac_arithmetic():
     f = PolyFrac(MLaurent.const(2, Fraction(1)), x)
     g = PolyFrac(MLaurent.const(2, Fraction(1)), y)
     assert f * g == PolyFrac(MLaurent.const(2, Fraction(1)), x * y)
-    assert (f * g).inverse() == x * y and f * g * (x * y) == MLaurent.const(2, Fraction(1))
+    assert f * g * (x * y) == MLaurent.const(2, Fraction(1))
     assert f * x == x * f == MLaurent.const(2, Fraction(1))
     with pytest.raises(ZeroDivisionError):
         PolyFrac(x, MLaurent.zero(2))
@@ -673,8 +675,8 @@ def _parent_apply_to_laurent(f, kind, data):
         out = {}
         for e, c in f.terms.items():
             for i, k in enumerate(e):
-                if k:
-                    c = c * data[i] ** k
+                for _ in range(abs(k)):
+                    c = c * data[i] if k > 0 else c / data[i]
             out[e] = c
         return MLaurent(f.n, out)
     # additive shift: expand (v_i + c_i)^{e_i} binomially

@@ -26,13 +26,8 @@ from borelweyl.morphisms import (
     VerificationReport,
     _classify_classical,
     birational_witness,
-    borel_lower,
-    borel_upper,
     classical_borel_assignment,
-    evaluate_word,
     fix_orientation,
-    quantum_borel_assignment,
-    quantum_borel_upper,
     quantum_weyl_assignment,
     reflect,
     verify,
@@ -40,6 +35,7 @@ from borelweyl.morphisms import (
     weyl_assignment,
 )
 from borelweyl.skew import SkewElem
+from conftest import evaluate_laurent, evaluate_word, flipped_upper_assignment
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
 
@@ -93,7 +89,7 @@ SERRE_AT_P2 = {
 
 
 def test_borel_upper_rank_one_is_a_single_weight_relation():
-    pres = borel_upper(quasi_inverse(catalog_matrix("A1")))
+    pres = classical_borel_assignment(solve_beta(quasi_inverse(catalog_matrix("A1")))).presentation
     assert pres.generators == ("H1", "E1")
     assert len(pres.relations) == 1
     (rel,) = pres.relations
@@ -115,8 +111,14 @@ def test_weyl_one_one_is_the_canonical_commutator():
     )
 
 
+def quantum_upper_presentation(name):
+    """The quantum upper Borel presentation that `fix_orientation` hands over."""
+    asg, _ = fix_orientation(build_quantum_datum(quasi_inverse(catalog_matrix(name))), "upper")
+    return asg.presentation
+
+
 def test_quantum_serre_coefficients_are_balanced():
-    pres = quantum_borel_upper(quasi_inverse(catalog_matrix("A2")))
+    pres = quantum_upper_presentation("A2")
     serre = pres.by_family("serre")
     assert len(serre) == 2
     rel = next(r for r in serre if r.name.startswith("ad_q(E1)"))
@@ -128,7 +130,7 @@ def test_quantum_serre_coefficients_are_balanced():
 
 
 def test_g2_window_reaches_four():
-    pres = quantum_borel_upper(quasi_inverse(catalog_matrix("G2")))
+    pres = quantum_upper_presentation("G2")
     rel = next(r for r in pres.by_family("serre") if r.name.startswith("ad_q(E2)"))
     assert len(rel.terms) == 5  # window 1 - (-3) = 4
 
@@ -446,7 +448,7 @@ def test_classical_borel_relations(name, side):
         else:
             assert not entry.passed
             ((_, coeff),) = entry.residual.terms.items()
-            assert coeff.evaluate(point) == want, (name, side, i, j)
+            assert evaluate_laurent(coeff, point) == want, (name, side, i, j)
 
 
 def test_a2_upper_serre_spot_value_at_first_point():
@@ -454,7 +456,7 @@ def test_a2_upper_serre_spot_value_at_first_point():
     report = verify(classical_borel_assignment(solve_beta(quasi_inverse(C))))
     entry = serre_pairs(report)[(1, 2)]
     ((_, coeff),) = entry.residual.terms.items()
-    assert coeff.evaluate(h_point(C, COORD_P1)) == Fraction(-13, 8)
+    assert evaluate_laurent(coeff, h_point(C, COORD_P1)) == Fraction(-13, 8)
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -505,7 +507,7 @@ def test_recovery_exposes_model_generators():
 def test_weyl_embedding_satisfies_all_relations(name):
     datum = solve_beta(quasi_inverse(catalog_matrix(name)))
     report = verify(weyl_assignment(datum))
-    assert report.passed, [str(e) for e in report.failed()]
+    assert report.passed, [str(e) for e in report.entries if not e.passed]
     witness = birational_witness(report)
     assert witness.passed
     hs = {f"h{i + 1}" for i in range(datum.context.n)}
@@ -532,7 +534,7 @@ def test_weyl_pairing_needs_the_dual_directions():
     bad = GeneratorAssignment(asg.presentation, asg.context, images, asg.recover, datum)
     report = verify(bad)
     assert not report.passed
-    assert "[x1,y1] = 1" in [r.name for r in report.failed()]
+    assert "[x1,y1] = 1" in [r.name for r in report.entries if not r.passed]
 
 
 # -- quantum Borel maps --------------------------------------------------------
@@ -582,9 +584,8 @@ def test_quantum_borel_relations_split_by_parity(name, side):
 
 def test_flipped_orientation_fails_the_weight_relations():
     qd = quantum_datum("A1")
-    asg = quantum_borel_assignment(qd, "upper", orientation=-1)
-    report = verify(asg)
-    failed = {e.name for e in report.failed()}
+    report = verify(flipped_upper_assignment(qd))
+    failed = {e.name for e in report.entries if not e.passed}
     assert "E1K1 = q^-2*K1E1" in failed
     # the residual shows the wrong power landing on the K E word
     (entry,) = [e for e in report.entries if e.name == "E1K1 = q^-2*K1E1"]
@@ -593,8 +594,8 @@ def test_flipped_orientation_fails_the_weight_relations():
 
 def test_flipped_orientation_on_orthogonal_rank_two_fails_only_diagonal():
     qd = quantum_datum("A1xA1")
-    report = verify(quantum_borel_assignment(qd, "upper", orientation=-1))
-    failed = {e.name for e in report.failed()}
+    report = verify(flipped_upper_assignment(qd))
+    failed = {e.name for e in report.entries if not e.passed}
     assert failed == {
         "E1K1 = q^-2*K1E1",
         "E1K1^-1 = q^2*K1^-1E1",
@@ -615,6 +616,17 @@ def test_orientation_search_reports_residuals_when_nothing_works():
     assert all("t^+1" in line and "t^-1" in line for line in choice.detail if "no sign" in line)
 
 
+def test_orientation_search_refuses_when_both_signs_pass(monkeypatch):
+    # no GCM lets both signs pass; with every residual zero both do, and the
+    # search must refuse the assignment without reading a residual that is not there
+    qd = quantum_datum("A2")
+    monkeypatch.setattr(morphisms, "_eval_terms", lambda ring, terms: SkewElem.zero(ring.ctx))
+    asg, choice = fix_orientation(qd, "upper")
+    assert asg is None and not choice.passed
+    assert choice.signs == (None, None)
+    assert choice.detail == tuple(f"E{i}: no sign works (t^+1 residual 0; t^-1 residual 0)" for i in (1, 2))
+
+
 # -- quantum Weyl maps ---------------------------------------------------------
 
 
@@ -623,7 +635,7 @@ def test_quantum_weyl_embedding_passes(name):
     C = catalog_matrix(name)
     qd = build_quantum_datum(quasi_inverse(C))
     report = verify(quantum_weyl_assignment(qd))
-    assert report.passed, [str(e) for e in report.failed()]
+    assert report.passed, [str(e) for e in report.entries if not e.passed]
     witness = birational_witness(report)
     assert witness.passed
     assert set(witness.generators) == {"torus unit"}

@@ -16,15 +16,18 @@ them, and the command line, which builds one CartanAux per job, call
 `symmetrize` or `quasi_inverse`: every other module reads the job's aux, so
 the symmetrizer has one source.  Only `exact/` and `skew`, whose
 `invert_coeff` makes the recovery phase's 1/p, build a `PolyFrac`: the
-fraction type holds only a reciprocal c/p, which multiplies and inverts but
-does not add, so a fraction made anywhere else could be one it cannot hold,
+fraction type holds only a reciprocal c/p, which multiplies but neither adds
+nor inverts, so a fraction made anywhere else could be one it cannot hold,
 or meet arithmetic it does not have.
 Every module-level import is used, or re-exported through `__all__`, so a
 deletion cannot leave a dead import behind; a line marked `# noqa: F401`
 keeps a name for a reader outside the package and is exempt.  Every private
 function, class and method (one leading underscore) is named somewhere in the
 package outside its own definition, so a deletion cannot leave a dead helper
-behind.
+behind.  Every name a module lists in `__all__` is read somewhere in the
+package outside its own definition, so public API that no command reaches is
+deleted rather than kept; the only exemptions are the entry points kept for
+programs outside the package, each with its reason in `ENTRY_POINTS`.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """
@@ -91,11 +94,7 @@ def test_module_uses_every_import(module):
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
     lines = source.splitlines()
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(_exported(tree))
     unused = [
         (node.lineno, name)
         for node in tree.body
@@ -106,6 +105,14 @@ def test_module_uses_every_import(module):
         if name not in used
     ]
     assert unused == [], f"unused imports in {module}: {unused}"
+
+
+def _exported(tree) -> list:
+    """The names a module lists in `__all__`, in order; none without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def _names(tree):
@@ -147,6 +154,43 @@ def test_module_has_no_dead_private_helper(module):
         if named[node.name] == Counter(_names(node))[node.name]  # only its own body names it
     ]
     assert dead == [], f"private helpers in {module} named nowhere else in the package: {dead}"
+
+
+# public names that nothing in the package reads, kept for programs outside it
+ENTRY_POINTS = {
+    ("cli.py", "parse_report"): "docs/report-schema.md promises it reads every structured report back",
+    ("cli.py", "parse_matrix"): "turns the text a user would type into a validated CartanMatrix",
+    ("cartan.py", "catalog_matrix"): "hands a program a catalog matrix by its name, as the CLI accepts it",
+}
+
+
+def _reads(tree):
+    """Every identifier a tree reads: loaded variables and attributes, not
+    assignment targets, definitions or import aliases."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_exports_only_names_the_package_reads(module):
+    read = Counter(name for other in MODULES for name in _reads(_parse(other)))
+    tree = _parse(module)
+    definitions = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    own = {node.name: Counter(_reads(node)) for node in definitions}  # a class reads itself in its methods
+    unread = [
+        name
+        for name in _exported(tree)
+        if (module, name) not in ENTRY_POINTS and read[name] == own.get(name, Counter())[name]
+    ]
+    assert unread == [], f"{module} exports names the package reads nowhere outside their definition: {unread}"
+
+
+def test_every_exempt_entry_point_is_exported():
+    stale = [(module, name) for module, name in ENTRY_POINTS if name not in _exported(_parse(module))]
+    assert stale == []
 
 
 def _calls(module, names):

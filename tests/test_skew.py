@@ -99,6 +99,10 @@ def test_invert_rejects_sums_and_nonmonomials():
     f = qctx.coeff_var(0) + qctx.coeff_one()
     with pytest.raises(ValueError, match="unit monomials"):
         SkewElem.from_coeff(qctx, f).invert()
+    # the recovery inverts polynomials only, so a fraction coefficient is refused
+    frac = SkewElem.from_coeff(ctx, PolyFrac(ctx.coeff_one(), ctx.coeff_var(0)))
+    with pytest.raises(ArithmeticError, match="only a polynomial coefficient"):
+        frac.invert()
 
 
 def _twisted_diff(ctx, i, f):

@@ -196,24 +196,27 @@ class RewriteSystem:
     def order_key(self, word):
         return (len(word), tuple(self._place[letter] for letter in word))
 
-    def redexes(self, word):
-        """Every (position, rule) whose lead occurs at that position.
+    def redexes(self, word, start=0):
+        """Every (position, rule) at the leftmost redex position ≥ start.
 
-        Ordered by position, then by rule construction order.
+        A position holds a redex when some rule's lead occurs there.  The
+        scan stops at the first such position and returns all of its rules
+        in construction order; an empty list means no lead starts at or
+        after ``start``.  Positions before ``start`` are not looked at, so a
+        caller passes a start only when it knows no redex begins earlier.
         """
-        out = []
-        by_lead, n = self._by_lead, len(word)
-        for pos in range(n):
+        by_lead, lengths, n = self._by_lead, self._lead_lengths, len(word)
+        for pos in range(start, n):
             hits = None
-            for length in self._lead_lengths:
+            for length in lengths:
                 if pos + length > n:
                     break
                 found = by_lead.get(word[pos : pos + length])
                 if found:
                     hits = found if hits is None else sorted(hits + found)
             if hits:
-                out.extend((pos, rule) for _, rule in hits)
-        return out
+                return [(pos, rule) for _, rule in hits]
+        return []
 
     def poly(self, letters, coeff=1) -> NCPoly:
         """coeff·letters, with coeff scaled into the system's scalars."""
@@ -321,13 +324,23 @@ def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
     one position broken by rule construction order.  Every rule decreases
     the term order, so this terminates; past `_STEP_LIMIT` steps it raises
     an error that carries the tail of the reduction trace.
+
+    Each popped live word costs one `R.redexes` call, which starts at a
+    hint.  Rewriting ``head + lead + tail`` at its leftmost redex ``pos``
+    gives words ``head + w + tail``.  A redex of such a word that starts
+    before ``pos - (L - 1)``, with L the longest lead, ends before ``pos``,
+    so it lies inside ``head`` and would have been a redex of the rewritten
+    word left of ``pos``; there was none.  So each hint is a fact about the
+    word itself, whichever arrival gave it, and `hints` keeps the largest.
     """
     neg_place = R._neg_place
+    back = R._lead_lengths[-1] - 1 if R._lead_lengths else 0
 
     def entry(word):
         return (-len(word), tuple([neg_place[letter] for letter in word])), word
 
     work = dict(p.terms)
+    hints = {}  # word -> a position before which it holds no redex
     heap = [entry(word) for word in work]
     heapify(heap)
     done = {}
@@ -338,7 +351,7 @@ def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
         coeff = work.pop(word, None)
         if coeff is None:
             continue  # cancelled since it was pushed
-        redexes = R.redexes(word)
+        redexes = R.redexes(word, hints.pop(word, 0))
         if not redexes:
             # every rule lowers the order and the largest word pops first, so
             # a popped word never comes back: this is its only arrival
@@ -352,6 +365,7 @@ def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
                 steps, [f"{word_str(w)} at {i} via {word_str(r.lead)}" for w, i, r in trace]
             )
         head, tail = word[:pos], word[pos + len(rule.lead) :]
+        hint = pos - back
         for w, c in rule.rhs.terms.items():
             nw = head + w + tail
             prev = work.get(nw)
@@ -362,6 +376,8 @@ def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
                 work[nw] = s
             else:
                 work.pop(nw, None)
+            if hint > hints.get(nw, 0):
+                hints[nw] = hint
     return NCPoly(done)
 
 
@@ -418,18 +434,52 @@ class ConfluenceReport:
 def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceReport:
     """Resolve every rule overlap of total degree up to the bound.
 
-    Covers proper overlaps (a suffix of one lead is a prefix of the other)
-    and containments (one lead inside the other); each ambiguity is reduced
-    both ways and chased to normal form.  Unresolved ambiguities land in the
+    Covers proper overlaps (a suffix of one lead is a prefix of the other),
+    containments (one lead inside the other) and each pair of distinct rules
+    on one lead, counted once at position 0.  Each ambiguity is reduced both
+    ways and chased to normal form.  Unresolved ambiguities land in the
     report rather than raising: they are the finding.
+
+    Overlaps of commuting letters are certified instead of chased.  A rule
+    is *pure* when its lead is x·y, its right side is exactly λ·y·x, and it
+    is the only rule on x·y.  When the pairs cb, ba and ca of an overlap
+    x_c·x_b·x_a all have pure rules, both sides reach λ_cb·λ_ca·λ_ba times
+    x_a·x_b·x_c in three steps (the commutation case of Bergman's diamond
+    lemma, as in Cartier–Foata).  The certificate is taken only when
+    `R.redexes` shows that `normal_form` takes exactly those steps on both
+    sides and x_a·x_b·x_c is irreducible, so the recorded normal forms are
+    the ones the chase would return.
     """
     if degree_bound < 2:
         raise ValueError("degree bound below any two rule leads")
     found = []
+    pure = {}
+    for lead, hits in R._by_lead.items():
+        if len(lead) == 2 and len(hits) == 1 and list(hits[0][1].rhs.terms) == [lead[::-1]]:
+            pure[lead] = hits[0][1]
+
+    def commuted(word, r1, r2):
+        """The normal form of both sides of a pure overlap x_c·x_b·x_a, or None."""
+        if len(word) != 3 or pure.get(r1.lead) is not r1 or pure.get(r2.lead) is not r2:
+            return None
+        c, b, a = word
+        ca = pure.get((c, a))
+        if ca is None:
+            return None
+        # normal_form's steps after r1 (left side) and after r2 (right side)
+        for w, pos, rule in (((b, c, a), 1, ca), ((b, a, c), 0, r2), ((c, a, b), 0, ca), ((a, c, b), 1, r1)):
+            first = R.redexes(w)
+            if not first or first[0][0] != pos or first[0][1] is not rule:
+                return None
+        if R.redexes((a, b, c)):
+            return None
+        return NCPoly({(a, b, c): r1.rhs.terms[(b, c)] * ca.rhs.terms[(a, c)] * r2.rhs.terms[(a, b)]})
 
     def chase(word, pos1, r1, pos2, r2):
-        nf1 = normal_form(_apply_at(word, pos1, r1), R)
-        nf2 = normal_form(_apply_at(word, pos2, r2), R)
+        nf1 = nf2 = commuted(word, r1, r2)
+        if nf1 is None:
+            nf1 = normal_form(_apply_at(word, pos1, r1), R)
+            nf2 = normal_form(_apply_at(word, pos2, r2), R)
         found.append(
             Ambiguity(
                 word,
@@ -444,7 +494,7 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     by_first = {}
     for index, rule in enumerate(R.rules):
         by_first.setdefault(rule.lead[0], []).append(index)
-    for r1 in R.rules:
+    for i1, r1 in enumerate(R.rules):
         l1 = r1.lead
         # a lead that overlaps l1 or sits inside it starts with a letter of l1
         partners = sorted({index for letter in set(l1) for index in by_first.get(letter, ())})
@@ -456,7 +506,7 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
                     word = l1 + l2[k:]
                     if len(word) <= degree_bound:
                         chase(word, 0, r1, len(l1) - k, r2)
-            if len(l2) < len(l1) <= degree_bound:
+            if len(l1) <= degree_bound and (len(l2) < len(l1) or (l2 == l1 and index > i1)):
                 for pos in range(len(l1) - len(l2) + 1):
                     if l1[pos : pos + len(l2)] == l2:
                         chase(l1, 0, r1, pos, r2)

@@ -192,6 +192,16 @@ def solve_beta(aux: CartanAux) -> ClassicalDatum:
     DatumError naming b_j, and every free coefficient is set to zero.  The
     result is re-checked against the difference operators before returning,
     and it keeps the reports of that check in `conditions`.
+
+    For invertible C the basis of beta_j runs over the Dynkin neighbours of j
+    only.  There sigma_k translates alpha_k by 1 and fixes the other alphas.
+    For k not adjacent to j, a_kj = 0 makes the window row D_k(b_j) = 0, so
+    b_j does not involve alpha_k; P_j involves only alpha_j and its
+    neighbours, since h_j = sum_k a_jk alpha_k.  So every basis monomial with
+    such an alpha_k has its coefficient forced to 0, its row touches no free
+    column, and dropping those columns leaves the same pivots and solution.
+    For singular C the alphas pair with the m-directions, not with the
+    sigmas, and the full basis stays.
     """
     C, n = aux.matrix, aux.matrix.n
     ctx = classical_context(aux)
@@ -206,8 +216,9 @@ def solve_beta(aux: CartanAux) -> ClassicalDatum:
     rows = _conditions(C, h_in_alpha)
     betas, bs, images = [], [], {}  # images: the words on each basis monomial, shared by all b_j
     for j in range(n):
+        pool = [k for k in range(n) if k != j and (aux.corank or C[k, j])]
         basis = [tuple(c.count(k) for k in range(n)) for deg in range(3)
-                 for c in combinations_with_replacement([k for k in range(n) if k != j], deg)]
+                 for c in combinations_with_replacement(pool, deg)]
         memos = [images.setdefault(e, {(): MLaurent.monomial(n, e, Fraction(1))}) for e in basis]
         hj = h_in_alpha[j]
         p_j = {(): (hj * hj - hj * 2) * Fraction(1, 4)}

@@ -7,6 +7,7 @@ verdict into an expected failure, which is reported as such rather than
 hidden.  Anything else (a plain failure, an xpass, an error) is unexpected.
 
 It also holds the oracles that several test modules share:
+`reference_redexes`, every redex of a word at every position;
 `reference_normal_form`, the independent reducer that the biproduct and
 acceptance tests compare `normal_form` with; `evaluate_laurent` and
 `evaluate_q`, which specialize an exact value at rational points;
@@ -63,13 +64,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {number}: {verdict} - {_TITLES[number]}")
 
 
-def reference_normal_form(p, R, strategy, step_limit=200_000):
-    """Reduce p by a max-scan loop with per-first-letter redex lookup.
+def reference_redexes(R):
+    """R's redexes at every position, by a per-first-letter lead lookup.
 
-    Always the largest word, the redex picked by ``strategy`` ("leftmost",
-    "rightmost" or a callable on the redex list).  Under "leftmost" this is
-    the order that `normal_form`'s heap and lead index must reproduce, step
-    for step and with the same `RewriteLimitError`.
+    The returned function lists (position, rule) for every lead occurrence
+    in a word, ordered by position, then by rule construction order.
+    `RewriteSystem.redexes` must return this list's entries at its first
+    position at or after its start.
     """
     by_first = {}
     for rule in R.rules:
@@ -83,13 +84,29 @@ def reference_normal_form(p, R, strategy, step_limit=200_000):
             if word[pos : pos + len(rule.lead)] == rule.lead
         ]
 
+    return redexes
+
+
+def reference_normal_form(p, R, strategy, step_limit=200_000, popped=None):
+    """Reduce p by a max-scan loop over `reference_redexes`.
+
+    Always the largest word, the redex picked by ``strategy`` ("leftmost",
+    "rightmost" or a callable on the redex list).  Under "leftmost" this is
+    the order that `normal_form`'s heap and lead index must reproduce, step
+    for step and with the same `RewriteLimitError`.  A ``popped`` list
+    receives every word the loop takes, in order.
+    """
+    redexes = reference_redexes(R)
     pick = {"leftmost": lambda rs: rs[0], "rightmost": lambda rs: rs[-1]}.get(strategy, strategy)
     work, done, steps, trace = dict(p.terms), {}, 0, []
     while work:
         word = max(work, key=R.order_key)
         coeff = work.pop(word)
+        if popped is not None:
+            popped.append(word)
         found = redexes(word)
-        assert found == R.redexes(word)
+        # R.redexes stops at the leftmost position that holds a redex
+        assert [hit for hit in found if hit[0] == found[0][0]] == R.redexes(word)
         if not found:
             s = coeff + done[word] if word in done else coeff
             if s:

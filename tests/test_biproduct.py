@@ -26,9 +26,20 @@ from borelweyl.biproduct import (
 from borelweyl.cartan import CartanError, catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.exact import QQ_ONE, QScalar, q_binom, q_power
 from borelweyl.exact.qq import _padd, _pmul
-from conftest import reference_normal_form
+from conftest import reference_normal_form, reference_redexes
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
+ROWS = {
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "A6": [[2 if i == j else -int(abs(i - j) == 1) for j in range(6)] for i in range(6)],
+    "A1^3": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+}
+
+
+def system(name, mode="classical"):
+    matrix = validate_gcm(ROWS[name]) if name in ROWS else catalog_matrix(name)
+    return build_rules(quasi_inverse(matrix), mode=mode)
 
 
 def rule_for(R, lead):
@@ -222,6 +233,31 @@ def test_redexes_at_one_position_keep_construction_order():
     assert last.redexes(word) == [(0, pairing), (0, extra)]
 
 
+def _with_extra_rule(R):
+    # a second lead at the pairing's position, so one position can hold two rules
+    extra = Rule(("F1", "E1", "E1"), R.poly(("E1", "E1", "F1")), "extra")
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (extra,))
+
+
+_REDEX_SYSTEMS = [
+    R
+    for name in ("A1", "B2", "G2", "A3")
+    for mode in ("classical", "quantum")
+    for R in (system(name, mode), _with_extra_rule(system(name, mode)))
+]
+
+
+@given(st.data())
+def test_redexes_stop_at_the_leftmost_position_from_start(data):
+    R = data.draw(st.sampled_from(_REDEX_SYSTEMS))
+    letters = data.draw(st.lists(st.sampled_from(R.alphabet), min_size=1, max_size=4, unique=True))
+    word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=10)))
+    every = reference_redexes(R)(word)
+    for start in range(len(word) + 2):
+        later = [hit for hit in every if hit[0] >= start]
+        assert R.redexes(word, start) == [hit for hit in later if hit[0] == later[0][0]]
+
+
 def _outcome(reduce, *args):
     try:
         return reduce(*args)
@@ -229,10 +265,15 @@ def _outcome(reduce, *args):
         return err.steps, str(err)
 
 
-@pytest.mark.parametrize("mode", ["classical", "quantum"])
-@pytest.mark.parametrize("name", ["B2", "G2", "A3"])
+@pytest.mark.parametrize(
+    "name, mode",
+    [(name, mode) for name in ("A3", "B2", "G2") for mode in ("classical", "quantum")]
+    + [("A4", "quantum"), ("D4", "quantum")],
+)
 def test_reduction_order_matches_the_max_scan(monkeypatch, name, mode):
-    R = build_rules(quasi_inverse(catalog_matrix(name)), mode=mode)
+    # normal_form starts each redex scan at a hint; the leftmost redex it
+    # finds must still be the max-scan's, step for step up to the limit
+    R = system(name, mode)
     rng = random.Random(f"{name}-{mode}")
     e_and_f = [letter for letter in R.alphabet if letter[0] in "EF"]
     for _ in range(20):
@@ -245,6 +286,23 @@ def test_reduction_order_matches_the_max_scan(monkeypatch, name, mode):
         monkeypatch.setattr(biproduct, "_STEP_LIMIT", limit)
         expected = _outcome(reference_normal_form, p, R, "leftmost", limit)
         assert _outcome(normal_form, p, R) == expected
+
+
+@pytest.mark.parametrize("name, mode", [("G2", "classical"), ("A3", "quantum"), ("D4", "quantum")])
+def test_normal_form_scans_each_popped_live_word_once(monkeypatch, name, mode):
+    # the reference pops exactly the live words, in order; normal_form must
+    # ask R.redexes once for each of them, and for nothing else
+    R = system(name, mode)
+    rng = random.Random(f"popped/{name}/{mode}")
+    for _ in range(10):
+        p = random_poly(R, rng, 8) - random_poly(R, rng, 8)
+        popped, asked = [], []
+        expected = reference_normal_form(p, R, "leftmost", popped=popped)
+        scan = R.redexes
+        monkeypatch.setattr(R, "redexes", lambda word, start=0: asked.append(word) or scan(word, start))
+        assert normal_form(p, R) == expected
+        monkeypatch.undo()
+        assert asked == popped
 
 
 @given(st.lists(st.sampled_from(["E1", "H1", "F1"]), max_size=5))
@@ -378,18 +436,107 @@ def test_a3_degree_four_finds_the_missing_composite_root(mode):
 
 def rule_pair_overlaps(R, bound):
     """Every (r1, r2, word, pos) with r1's lead at 0 of word and r2's at pos,
-    for every ordered pair of rules, overlaps before containments."""
-    for r1 in R.rules:
+    for every ordered pair of rules, overlaps before containments; two rules
+    on one lead meet once, at 0, the earlier rule first."""
+    for i1, r1 in enumerate(R.rules):
         l1 = r1.lead
-        for r2 in R.rules:
+        for i2, r2 in enumerate(R.rules):
             l2 = r2.lead
             for k in range(1, min(len(l1), len(l2))):
                 if l1[len(l1) - k :] == l2[:k] and len(l1) + len(l2) - k <= bound:
                     yield r1, r2, l1 + l2[k:], len(l1) - k
-            if len(l2) < len(l1) <= bound:
+            if len(l1) <= bound and (len(l2) < len(l1) or (l2 == l1 and i2 > i1)):
                 for pos in range(len(l1) - len(l2) + 1):
                     if l1[pos : pos + len(l2)] == l2:
                         yield r1, r2, l1, pos
+
+
+def chased_ambiguities(R, bound):
+    """Every ambiguity of `rule_pair_overlaps`, both sides chased by normal_form."""
+
+    def one_step(word, pos, rule):
+        head, tail = word[:pos], word[pos + len(rule.lead) :]
+        return NCPoly({head + w + tail: c for w, c in rule.rhs.terms.items()})
+
+    out = []
+    for r1, r2, word, pos in rule_pair_overlaps(R, bound):
+        nf1 = normal_form(one_step(word, 0, r1), R)
+        nf2 = normal_form(one_step(word, pos, r2), R)
+        left, right = f"{word_str(r1.lead)} at 0", f"{word_str(r2.lead)} at {pos}"
+        out.append(Ambiguity(word, left, right, nf1, nf2, nf1 == nf2))
+    return out
+
+
+def _twin(R):
+    # a second rule on F1·E1 that forgets the bracket
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F1", "E1"), R.poly(("E1", "F1")), "twin"),))
+
+
+def _detour(R):
+    # F3·F2·E1 has pure pairs, but F2·F3·E1, one step into its left side,
+    # now reduces at 0 by a rule that doubles, off the commuting path
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F2", "F3", "E1"), R.poly(("E1", "F2", "F3"), 2), "detour"),))
+
+
+def _stopper(R):
+    # the word both commuting paths end in is no longer irreducible
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("E1", "F2", "F3"), R.poly(("E1", "F2")), "stopper"),))
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [(name, bound) for name in CATALOG + ["A4", "D4"] for bound in (4, 6)] + [("A6", 4)],
+)
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_every_ambiguity_field_matches_chasing_every_overlap(name, mode, bound):
+    # certified ambiguities must hold the very normal forms the chase returns
+    R = system(name, mode)
+    assert list(check_local_confluence(R, bound).ambiguities) == chased_ambiguities(R, bound)
+
+
+@pytest.mark.parametrize("extend", [_twin, _detour, _stopper], ids=["twin", "detour", "stopper"])
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_extended_systems_match_chasing_every_overlap(extend, mode):
+    # a certificate off the commuting path, or a pair of rules on one lead
+    # left out, would show here as a field the chase does not give
+    R = extend(system("A1^3", mode))
+    assert list(check_local_confluence(R, 4).ambiguities) == chased_ambiguities(R, 4)
+
+
+def test_two_rules_on_one_lead_are_compared():
+    R = _twin(system("A1"))
+    report = check_local_confluence(R, 4)
+    assert report.summary_lines()[0].endswith("2 ambiguities, 1 resolved")
+    (bad,) = report.unresolved()
+    assert str(bad) == "[FAIL] F1*E1  (F1*E1 at 0 vs F1*E1 at 0)"
+    assert bad.nf_left - bad.nf_right == R.poly(("H1",), -1)
+
+
+def _pure_leads(R):
+    """Leads x·y whose only rule rewrites them to λ·y·x alone."""
+    rules = {}
+    for rule in R.rules:
+        rules.setdefault(rule.lead, []).append(rule)
+    return {
+        lead
+        for lead, (rule, *others) in rules.items()
+        if not others and len(lead) == 2 and list(rule.rhs.terms) == [lead[::-1]]
+    }
+
+
+def test_a4_quantum_chases_only_what_it_cannot_certify(monkeypatch):
+    R = system("A4", "quantum")
+    pure = _pure_leads(R)
+    ambiguities = chased_ambiguities(R, 6)
+    certified = sum(
+        len(a.word) == 3 and {a.word[:2], a.word[1:], a.word[::2]} <= pure for a in ambiguities
+    )
+    assert (len(ambiguities), certified) == (722, 380)
+    calls = []
+    chase = biproduct.normal_form
+    monkeypatch.setattr(biproduct, "normal_form", lambda p, R: calls.append(p) or chase(p, R))
+    check_local_confluence(R, 6)
+    assert len(calls) == 2 * (722 - certified)
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
@@ -450,34 +597,24 @@ def test_a_resolved_ambiguity_is_never_rendered(monkeypatch):
 def _summary_rendering_every_ambiguity(R, bound):
     """The confluence summary built independently: normalise and render both
     sides of every ambiguity, resolved or not, in rule pair order."""
-
-    def one_step(word, pos, rule):
-        head, tail = word[:pos], word[pos + len(rule.lead) :]
-        return NCPoly({head + w + tail: c for w, c in rule.rhs.terms.items()})
-
-    rows = []
-    for r1, r2, word, pos in rule_pair_overlaps(R, bound):
-        nf1 = normal_form(one_step(word, 0, r1), R)
-        nf2 = normal_form(one_step(word, pos, r2), R)
-        pair = f"{word_str(r1.lead)} at 0 vs {word_str(r2.lead)} at {pos}"
-        rows.append((word, pair, nf1 == nf2, nf1.to_str(), nf2.to_str()))
-    bad = [row for row in rows if not row[2]]
+    rows = chased_ambiguities(R, bound)
+    bad = [a for a in rows if a.nf_left != a.nf_right]
     lines = [
         f"{R.mode} rewriting, overlaps of degree <= {bound}: "
         f"{len(rows)} ambiguities, {len(rows) - len(bad)} resolved"
     ]
-    for word, pair, _, s1, s2 in bad:
-        lines += [f"  [FAIL] {word_str(word)}  ({pair})", f"    one way:   {s1}", f"    other way: {s2}"]
+    for a in bad:
+        lines += [
+            f"  [FAIL] {word_str(a.word)}  ({a.left} vs {a.right})",
+            f"    one way:   {a.nf_left.to_str()}",
+            f"    other way: {a.nf_right.to_str()}",
+        ]
     return lines
 
 
-A3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
-D4_ROWS = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
-
-
-@pytest.mark.parametrize("rows", [A3_ROWS, D4_ROWS], ids=["A3", "D4"])
-def test_summary_lines_match_rendering_every_ambiguity(rows):
-    R = build_rules(quasi_inverse(validate_gcm(rows)), mode="quantum")
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_summary_lines_match_rendering_every_ambiguity(name):
+    R = system(name, "quantum")
     lines = check_local_confluence(R, 6).summary_lines()
     assert len(lines) > 1  # both systems leave ambiguities unresolved at degree 6
     assert lines == _summary_rendering_every_ambiguity(R, 6)

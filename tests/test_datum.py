@@ -1,14 +1,19 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from borelweyl.cartan import _inverse, catalog_matrix, lattice_scaling, quasi_inverse, validate_gcm
+from borelweyl.cartan import _eliminate, _inverse, catalog_matrix, lattice_scaling, quasi_inverse, validate_gcm
 from borelweyl.datum import (
     ClassicalDatum,
     DatumError,
+    _apply_word,
+    _conditions,
+    _linear_form,
+    _linear_rows,
     _omega,
     build_quantum_datum,
     check_bound_classical,
@@ -16,6 +21,7 @@ from borelweyl.datum import (
     solve_beta,
 )
 from borelweyl.exact import MLaurent, QQ_ONE, q_power
+from borelweyl.exact.endo import shift
 from borelweyl.skew import classical_context, q_divided_diff, quantum_context
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
@@ -233,6 +239,39 @@ def symmetrizable_gcms(draw):
 @settings(max_examples=40, deadline=None)
 def test_linear_solve_matches_the_heuristic_on_random_matrices(rows):
     agrees_with_the_old_solve(validate_gcm(rows))
+
+
+def full_basis_betas(aux):
+    """Each beta_j solved over every alpha but its own, free coefficients at 0:
+    the solve before the basis kept to the Dynkin neighbours of j."""
+    C, n = aux.matrix, aux.matrix.n
+    moves = [[sum(q * s for q, s in zip(row, step)) for row in aux.Q] for step in classical_context(aux).steps]
+    h = [_linear_form(n, row) for row in _inverse(aux.Q)]
+
+    def apply(f, word):
+        return _apply_word(lambda i, g: shift(g, moves[i]), {(): f}, word)
+
+    betas = []
+    for j in range(n):
+        basis = [tuple(c.count(k) for k in range(n)) for deg in range(3)
+                 for c in combinations_with_replacement([k for k in range(n) if k != j], deg)]
+        p_j = (h[j] * h[j] - h[j] * 2) * Fraction(1, 4)
+        equations = []
+        for _, _, word, target in (row for row in _conditions(C, h) if row[1] == j):
+            columns = [apply(MLaurent.monomial(n, e, Fraction(1)), word) for e in basis]
+            equations += _linear_rows(columns, target - apply(p_j, word))
+        reduced, pivots, _ = _eliminate(equations)
+        assert not (pivots and pivots[-1][1] == len(basis)), f"b{j + 1} has no solution"
+        betas.append(MLaurent(n, {basis[col]: reduced[k][-1] for k, (_, col) in enumerate(pivots)}))
+    return tuple(betas)
+
+
+@given(symmetrizable_gcms())
+@settings(max_examples=40, deadline=None)
+def test_neighbourhood_basis_solves_like_the_full_basis(rows):
+    aux = quasi_inverse(validate_gcm(rows))
+    assume(aux.corank == 0)  # singular matrices keep the full basis
+    assert solve_beta(aux).beta == full_basis_betas(aux)
 
 
 def test_a2_affine_obstruction_is_the_own_coordinate_shape():

@@ -37,7 +37,7 @@ from .datum import (
     check_bound_quantum,
     solve_beta,
 )
-from .exact import MLaurent
+from .exact import MLaurent, job_memo
 from .morphisms import (
     birational_witness,
     classical_borel_assignment,
@@ -452,50 +452,51 @@ def _derived_block(aux):
 
 def run(job: JobSpec):
     """Execute a job and return (report dict, exit status)."""
-    started = time.perf_counter()
-    # the sections draw the quasi-inverse from the cache: one build per job
-    cache = {}
-    aux = _aux(job, cache)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": job.command,
-        "matrix_name": job.matrix_name,
-        "matrix": [list(row) for row in job.matrix.entries],
-        "derived": _derived_block(aux),
-    }
+    with job_memo():  # sums and products are memoised for this job alone
+        started = time.perf_counter()
+        # the sections draw the quasi-inverse from the cache: one build per job
+        cache = {}
+        aux = _aux(job, cache)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": job.command,
+            "matrix_name": job.matrix_name,
+            "matrix": [list(row) for row in job.matrix.entries],
+            "derived": _derived_block(aux),
+        }
 
-    if job.command == "analyze":
-        report["passed"] = True
+        if job.command == "analyze":
+            report["passed"] = True
+            report["timings"] = {"total_seconds": round(time.perf_counter() - started, 6)}
+            return report, 0
+
+        if job.command == "rewrite":
+            section = {"mode": job.mode, "input": None, "normal_form": None}
+            passed = True
+            try:
+                rules = build_rules(aux, mode=job.mode)
+                poly = rules.poly(parse_word(job.word, rules))
+                section["input"] = str(poly)
+                section["normal_form"] = str(normal_form(poly, rules))
+            except _ENGINE_ERRORS as exc:
+                section["error"] = str(exc)
+                passed = False
+            report["rewrite"] = section
+            report["passed"] = passed
+            report["timings"] = {"total_seconds": round(time.perf_counter() - started, 6)}
+            return report, 0 if passed else 1
+
+        modes = ("classical", "quantum") if job.mode == "both" else (job.mode,)
+        sections = []
+        for check in job.checks:
+            for mode in modes:
+                if (check, mode) in _SECTIONS:
+                    sections.append(_section(check, mode, job, cache))
+        report["mode"] = job.mode
+        report["checks"] = sections
+        report["passed"] = all(s["passed"] for s in sections)
         report["timings"] = {"total_seconds": round(time.perf_counter() - started, 6)}
-        return report, 0
-
-    if job.command == "rewrite":
-        section = {"mode": job.mode, "input": None, "normal_form": None}
-        passed = True
-        try:
-            rules = build_rules(aux, mode=job.mode)
-            poly = rules.poly(parse_word(job.word, rules))
-            section["input"] = str(poly)
-            section["normal_form"] = str(normal_form(poly, rules))
-        except _ENGINE_ERRORS as exc:
-            section["error"] = str(exc)
-            passed = False
-        report["rewrite"] = section
-        report["passed"] = passed
-        report["timings"] = {"total_seconds": round(time.perf_counter() - started, 6)}
-        return report, 0 if passed else 1
-
-    modes = ("classical", "quantum") if job.mode == "both" else (job.mode,)
-    sections = []
-    for check in job.checks:
-        for mode in modes:
-            if (check, mode) in _SECTIONS:
-                sections.append(_section(check, mode, job, cache))
-    report["mode"] = job.mode
-    report["checks"] = sections
-    report["passed"] = all(s["passed"] for s in sections)
-    report["timings"] = {"total_seconds": round(time.perf_counter() - started, 6)}
-    return report, 0 if report["passed"] else 1
+        return report, 0 if report["passed"] else 1
 
 
 def emit_report(report) -> str:

@@ -6,7 +6,7 @@ and integer arithmetic keeps its results as ``int``; Q(q) and the polynomial
 types live in the submodules.
 """
 
-from .qq import QScalar, q_power, q_binom, QQ_ZERO, QQ_ONE
+from .qq import QScalar, q_power, q_binom, QQ_ZERO, QQ_ONE, job_memo
 from .laurent import (
     MLaurent,
     PolyFrac,
@@ -19,6 +19,7 @@ __all__ = [
     "q_binom",
     "QQ_ZERO",
     "QQ_ONE",
+    "job_memo",
     "MLaurent",
     "PolyFrac",
     "poly_div_exact",

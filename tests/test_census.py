@@ -10,6 +10,15 @@ affine, indefinite and non-symmetrizable matrices; the last are bad input and
 exit 2.  A structured report that exits 0 or 1 says passed exactly when it
 exits 0.
 
+Each section's verdict also meets a predicate stated below, over the 25
+symmetrizable draws.  Quantum Borel passes exactly when every off-diagonal
+entry is even, and classical Borel exactly when the matrix is diagonal.  The
+quantum datum and quantum Weyl sections pass on every draw.  The classical
+datum passes on every draw of corank 0 (not only there: A1affine, outside the
+sample, passes too), and the Weyl embedding has its verdict.  The biproduct
+has one verdict in both modes: it passes on every draw of size at most 2 and
+fails on some 3×3 draw.
+
 Every check that decides a verdict is a raise or an `if`, never an assert, so
 one `python -O` subprocess over two census matrices prints the same
 structured report as a normal run once the timings are dropped.
@@ -85,6 +94,43 @@ def test_analyze_keeps_the_exit_contract(text):
     status, out = run_cli("analyze", "--matrix", text)
     assert status in (0, 1, 2), text
     assert (out == "") is (status == 2), text
+
+
+def _verdicts():
+    """(matrix rows, corank, {(check, mode): passed}) for every symmetrizable draw."""
+    out = []
+    for text in CENSUS:
+        status, stdout = run_cli(*VERIFY, "--matrix", text)
+        if status != 2:
+            report = json.loads(stdout)
+            passed = {(s["check"], s["mode"]): s["passed"] for s in report["checks"]}
+            out.append((report["matrix"], report["derived"]["corank"], passed))
+    return out
+
+
+def _off_diagonal(rows):
+    return [x for i, row in enumerate(rows) for j, x in enumerate(row) if i != j]
+
+
+def test_every_section_verdict_meets_its_predicate():
+    verdicts = _verdicts()
+    assert len(verdicts) == 25
+    for rows, corank, passed in verdicts:
+        even = all(x % 2 == 0 for x in _off_diagonal(rows))
+        diagonal = not any(_off_diagonal(rows))
+        for side in ("borel-upper", "borel-lower"):
+            assert passed[side, "quantum"] is even, rows
+            assert passed[side, "classical"] is diagonal, rows
+        assert passed["datum", "quantum"] and passed["quantum-weyl", "quantum"], rows
+        if corank == 0:
+            assert passed["datum", "classical"], rows
+        assert passed["weyl-embedding", "classical"] is passed["datum", "classical"], rows
+        assert passed["biproduct", "classical"] is passed["biproduct", "quantum"], rows
+        if len(rows) <= 2:
+            assert passed["biproduct", "classical"], rows
+    assert sum(all(x % 2 == 0 for x in _off_diagonal(rows)) for rows, _, _ in verdicts) == 4
+    assert sum(not any(_off_diagonal(rows)) for rows, _, _ in verdicts) == 3
+    assert any(len(rows) == 3 and not passed["biproduct", "classical"] for rows, _, passed in verdicts)
 
 
 def _stripped(stdout):

@@ -23,6 +23,7 @@ from borelweyl.cli import (
 )
 from borelweyl.cartan import catalog_matrix, quasi_inverse
 from borelweyl.datum import ClassicalDatum, solve_beta
+from borelweyl.exact import qq
 
 
 def job(command="verify", name="A1", **kw):
@@ -428,6 +429,57 @@ def test_reports_are_deterministic_once_timings_drop():
         return emit_report(report)
 
     assert stripped() == stripped()
+
+
+# -- the job memo ---------------------------------------------------------------
+
+
+def _count_products(monkeypatch):
+    """A list that receives, per Q(q) product formed, whether a job memo was open."""
+    seen, original = [], qq._mul
+
+    def counted(a, b, c, d):
+        seen.append(qq._MEMO.get() is not None)
+        return original(a, b, c, d)
+
+    monkeypatch.setattr(qq, "_mul", counted)
+    return seen
+
+
+def test_a_job_runs_inside_its_own_memo_and_closes_it(monkeypatch):
+    seen = _count_products(monkeypatch)
+    report, status = run(job("verify", "A2", mode="quantum", fmt="structured"))
+    assert seen and all(seen)
+    assert qq._MEMO.get() is None
+    # a section that fails on an engine error closes the memo too
+    report, status = run(job("rewrite", "A2", mode="quantum", word="E1 X9"))
+    assert status == 1 and "error" in report["rewrite"]
+    assert qq._MEMO.get() is None
+
+
+def test_a_job_that_raises_closes_its_memo(monkeypatch):
+    def broken(p, R):
+        raise KeyError("not an engine error")
+
+    monkeypatch.setattr(borelweyl.cli, "normal_form", broken)
+    with pytest.raises(KeyError):
+        run(job("rewrite", "A2", mode="quantum", word="E1 F1"))
+    assert qq._MEMO.get() is None
+
+
+def test_two_runs_of_a_job_form_the_same_products(monkeypatch):
+    # a memo kept across jobs would answer the second run from the first
+    seen = _count_products(monkeypatch)
+    spec = job("verify", "A3", mode="quantum", checks=("borel-upper", "biproduct"), fmt="structured")
+    counts = []
+    for _ in range(2):
+        seen.clear()
+        run(spec)
+        counts.append(len(seen))
+    monkeypatch.setattr(qq, "_MEMO_MAX_COEFFS", -1)  # nothing is small enough to memoise
+    seen.clear()
+    run(spec)
+    assert counts[0] == counts[1] < len(seen)
 
 
 # -- the executable -----------------------------------------------------------

@@ -511,6 +511,86 @@ def test_products_by_one_return_the_other_operand(x):
     assert y * QScalar((2,), (2,)) is y and QQ_ONE * y is y  # no product is formed
 
 
+_rationals = st.one_of(small_ints, st.fractions(max_denominator=6))
+
+
+@given(st.one_of(qscalars, _rationals), _rationals)
+@example(x=QQ_ONE, f=1)
+@example(x=QScalar((1,), (2,)), f=Fraction(1, 2))
+@example(x=QQ_ZERO, f=0)
+@settings(max_examples=80, deadline=None)
+def test_equal_scalars_hash_alike(x, f):
+    x = x if isinstance(x, QScalar) else QScalar.from_int(x)
+    if x == f:
+        assert hash(x) == hash(f), (x, f)
+    assert hash(QScalar.from_int(f)) == hash(f)
+    assert len({QQ_ONE, 1}) == 1 and len({QScalar((1,), (2,)), Fraction(1, 2)}) == 1
+
+
+# -- the job memo --------------------------------------------------------------
+
+
+def _bracket(d):
+    """q^d/(q^{2d} − 1), the balanced bracket's reciprocal shape."""
+    return QScalar(_q_to(d), (-1,) + (0,) * (2 * d - 1) + (1,))
+
+
+_big_polys = st.lists(st.integers(-9, 9), min_size=8, max_size=10).filter(lambda c: c[-1] != 0)
+_memo_scalars = st.one_of(
+    qscalars,
+    _laurent_parts.map(lambda t: QScalar(t[0], _q_to(t[1]))),
+    st.integers(1, 3).map(_bracket),
+    st.tuples(_big_polys, _big_polys).map(lambda t: QScalar(t[0], t[1])),  # above the size bound
+)
+_memo_operands = st.one_of(_memo_scalars, _rationals)
+
+
+def _outcomes(pairs):
+    out = []
+    for x, y in pairs:
+        values = [x + y, y + x, x - y, x * y, y * x] + ([x / y] if y else [])
+        out.append([(v.num, v.den) for v in values])
+    return out
+
+
+@given(st.lists(st.tuples(_memo_scalars, _memo_operands), min_size=1, max_size=6))
+@example([(_bracket(1), _bracket(1)), (_bracket(2), q_power(-1))])
+@settings(max_examples=80, deadline=None)
+def test_memoised_sums_and_products_equal_the_unmemoised_ones(pairs):
+    want = _outcomes(pairs)
+    with qq.job_memo():
+        assert _outcomes(pairs) == want
+        sizes = [len(table) for table in qq._MEMO.get()]
+        assert _outcomes(pairs) == want  # the repeat is answered by the memo
+        assert [len(table) for table in qq._MEMO.get()] == sizes
+    assert qq._MEMO.get() is None
+
+
+def test_the_memo_closes_on_a_raise():
+    with pytest.raises(ZeroDivisionError), qq.job_memo():
+        assert qq._MEMO.get() == ({}, {})
+        _bracket(1) / QQ_ZERO
+    assert qq._MEMO.get() is None
+
+
+def test_the_memo_stores_no_key_above_the_size_bound(monkeypatch):
+    # a G2 quantum rewrite grows coefficients past the bound; those stay out of the memo
+    R = build_rules(quasi_inverse(catalog_matrix("G2")), mode="quantum")
+    sizes, original = [], qq._mul
+
+    def counted(a, b, c, d):
+        sizes.append(len(a) + len(b) + len(c) + len(d))
+        return original(a, b, c, d)
+
+    monkeypatch.setattr(qq, "_mul", counted)
+    with qq.job_memo():
+        normal_form(R.poly(("F2", "F2", "E1", "E2", "E2", "F1", "E1", "F1", "E2", "F2")), R)
+        sums, products = qq._MEMO.get()
+    assert max(sizes) > qq._MEMO_MAX_COEFFS
+    assert sums and products
+    assert all(sum(map(len, key)) <= qq._MEMO_MAX_COEFFS for key in [*sums, *products])
+
+
 # -- MLaurent ----------------------------------------------------------------
 
 

@@ -28,6 +28,13 @@ behind.  Every name a module lists in `__all__` is read somewhere in the
 package outside its own definition, so public API that no command reaches is
 deleted rather than kept; the only exemptions are the entry points kept for
 programs outside the package, each with its reason in `ENTRY_POINTS`.
+No module holds state that could outlive a job: no `functools.cache` or
+`lru_cache` decorator, no module-level assignment of an empty `{}`, `[]`,
+`set()`, `dict()` or `list()` that calls would fill, and no `global`
+statement.  So a result from one job cannot leak into the next or into a
+benchmark's repeated passes.  State scoped to one job passes: the Q(q) memo
+sits in a `ContextVar` that `cli.run` sets for the job and resets after it,
+and a `cached_property` lives on a per-job object.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """
@@ -227,6 +234,53 @@ def test_module_has_no_float(module):
         or (isinstance(node, ast.Name) and node.id == "float")
     ]
     assert lines == [], f"floats in {module} at lines {lines}"
+
+
+_CACHES = {"cache", "lru_cache"}
+_EMPTY_CALLS = {"set", "dict", "list"}
+
+
+def _lasting_state(tree):
+    """(line, what) for every cache decorator, module-level empty container and
+    `global` statement in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield node.lineno, "global"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if getattr(target, "id", getattr(target, "attr", None)) in _CACHES:
+                    yield deco.lineno, "cache decorator"
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if (
+            (isinstance(value, ast.Dict) and not value.keys)
+            or (isinstance(value, ast.List) and not value.elts)
+            or (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) in _EMPTY_CALLS
+                and not value.args
+                and not value.keywords
+            )
+        ):
+            yield node.lineno, "empty module-level container"
+
+
+def test_the_lasting_state_guard_sees_every_form():
+    source = (
+        "import functools\nfrom contextvars import ContextVar\nfrom functools import cached_property\n"
+        "A = {}\nB: list = []\nC = set()\nD = dict()\nE = ContextVar('e', default=None)\n"
+        "@functools.lru_cache(maxsize=8)\ndef f(): pass\n@functools.cache\ndef g(): pass\n"
+        "def h():\n    global A\n    local = {}\n"
+        "class K:\n    @cached_property\n    def p(self): return {}\n"
+    )
+    assert sorted(line for line, _ in _lasting_state(ast.parse(source))) == [4, 5, 6, 7, 9, 11, 14]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_holds_no_state_that_outlives_a_job(module):
+    found = sorted(_lasting_state(_parse(module)))
+    assert found == [], f"state that could outlive a job in {module}: {found}"
 
 
 # __main__ runs the command line on import

@@ -10,6 +10,16 @@ the lead.  Confluence of the rules is not assumed: it is checked on all
 overlap ambiguities up to a degree bound, which is the finite,
 machine-checkable shadow of the PBW claim.
 
+The engine runs on letter codes.  A `RewriteSystem` compiles its alphabet
+once into codes, minus each letter's place in the term order, so that a
+coded word is its own heap key after its length, and it pre-encodes every
+lead and right side.  `normal_form` encodes its input and decodes its
+result; `RewriteSystem.redexes` is the string-word view of the same scan.
+The confluence check settles an overlap in closed form rather than by
+chasing both sides when a letter moves past every letter of a rule (the
+Cartan letters past the Borel rules, and letters that commute with a
+rule's letters); see `check_local_confluence`.
+
 The system, not the polynomial, chooses the scalars.  `build_rules` writes
 every classical rule with integer coefficients and every quantum rule with
 exact rational functions of q (`QScalar`), and `RewriteSystem.poly` scales
@@ -23,7 +33,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .cartan import CartanAux
@@ -174,11 +184,13 @@ class RewriteSystem:
         )
         # the alphabet is in term order, so a letter's place in it is its rank
         self._place = {letter: place for place, letter in enumerate(self.alphabet)}
-        # normal_form's heap keys negate the places, so the largest word pops first
-        self._neg_place = {letter: -place for letter, place in self._place.items()}
+        # a letter's code is minus its place, so coded words sort largest first
+        # and a coded word is its own heap key after its length
+        self._code = {letter: -place for letter, place in self._place.items()}
         self.order = "graded, F > " + ("H" if mode == "classical" else "K") + " > E, index tiebreak"
         self.rules = tuple(rules)
         by_lead = {}
+        coded = []
         for index, rule in enumerate(self.rules):
             if not rule.lead:
                 raise ValueError("empty lead word")
@@ -189,34 +201,55 @@ class RewriteSystem:
             for w in rule.rhs.terms:
                 if self.order_key(w) >= lead_key:
                     raise ValueError(f"rule {rule} does not decrease the term order")
-            by_lead.setdefault(rule.lead, []).append((index, rule))
+            lead = self._encode(rule.lead)
+            by_lead.setdefault(lead, []).append(index)
+            coded.append((lead, tuple((self._encode(w), c) for w, c in rule.rhs.terms.items())))
+        # coded lead -> its rules' indices, in construction order
         self._by_lead = by_lead
+        # rule index -> (coded lead, ((coded word, coefficient), ...))
+        self._coded_rules = tuple(coded)
+        self._first_rule = {lead: indices[0] for lead, indices in by_lead.items()}
         self._lead_lengths = sorted({len(lead) for lead in by_lead})
 
     def order_key(self, word):
         return (len(word), tuple(self._place[letter] for letter in word))
 
-    def redexes(self, word, start=0):
-        """Every (position, rule) at the leftmost redex position ≥ start.
+    def _encode(self, word) -> tuple:
+        code = self._code
+        return tuple([code[letter] for letter in word])
 
-        A position holds a redex when some rule's lead occurs there.  The
-        scan stops at the first such position and returns all of its rules
-        in construction order; an empty list means no lead starts at or
-        after ``start``.  Positions before ``start`` are not looked at, so a
-        caller passes a start only when it knows no redex begins earlier.
-        """
-        by_lead, lengths, n = self._by_lead, self._lead_lengths, len(word)
+    def _decode(self, coded) -> tuple:
+        alphabet = self.alphabet
+        return tuple([alphabet[-c] for c in coded])
+
+    def _leftmost(self, coded, start=0):
+        """(position, rule index) of the leftmost redex of a coded word at or
+        after start, with the first rule there in construction order; None
+        when no lead starts at or after ``start``."""
+        first, lengths, n = self._first_rule, self._lead_lengths, len(coded)
         for pos in range(start, n):
-            hits = None
-            for length in lengths:
-                if pos + length > n:
+            best = None
+            for end in lengths:
+                end += pos
+                if end > n:
                     break
-                found = by_lead.get(word[pos : pos + length])
-                if found:
-                    hits = found if hits is None else sorted(hits + found)
-            if hits:
-                return [(pos, rule) for _, rule in hits]
-        return []
+                index = first.get(coded[pos:end])
+                if index is not None and (best is None or index < best):
+                    best = index
+            if best is not None:
+                return pos, best
+        return None
+
+    def redexes(self, word, start=0):
+        """The leftmost redex at or after start, as [(position, rule)].
+
+        The rule is the first one there in construction order, the one
+        `normal_form` applies; an empty list means no lead starts at or
+        after ``start``.  This is the string-word view of the scan that
+        `normal_form` runs on letter codes.
+        """
+        hit = self._leftmost(self._encode(word), start)
+        return [] if hit is None else [(hit[0], self.rules[hit[1]])]
 
     def poly(self, letters, coeff=1) -> NCPoly:
         """coeff·letters, with coeff scaled into the system's scalars."""
@@ -309,11 +342,6 @@ def build_rules(aux: CartanAux, mode: str = "classical") -> RewriteSystem:
 # -- reduction ----------------------------------------------------------------
 
 
-def _apply_at(word, pos, rule) -> NCPoly:
-    head, tail = word[:pos], word[pos + len(rule.lead) :]
-    return NCPoly({head + w + tail: c for w, c in rule.rhs.terms.items()})
-
-
 _STEP_LIMIT = 200_000  # a tripwire: every rule lowers the order, so reductions end
 
 
@@ -325,7 +353,17 @@ def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
     the term order, so this terminates; past `_STEP_LIMIT` steps it raises
     an error that carries the tail of the reduction trace.
 
-    Each popped live word costs one `R.redexes` call, which starts at a
+    The words are straightened as letter codes (`RewriteSystem._encode`) and
+    decoded once at the end.
+    """
+    coded = _reduce({R._encode(w): c for w, c in p.terms.items()}, R)
+    return NCPoly({R._decode(w): c for w, c in coded.items()})
+
+
+def _reduce(terms: dict, R: RewriteSystem) -> dict:
+    """`normal_form` on a {coded word: coefficient} map, returned the same way.
+
+    Each popped live word costs one `R._leftmost` scan, which starts at a
     hint.  Rewriting ``head + lead + tail`` at its leftmost redex ``pos``
     gives words ``head + w + tail``.  A redex of such a word that starts
     before ``pos - (L - 1)``, with L the longest lead, ends before ``pos``,
@@ -333,15 +371,11 @@ def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
     word left of ``pos``; there was none.  So each hint is a fact about the
     word itself, whichever arrival gave it, and `hints` keeps the largest.
     """
-    neg_place = R._neg_place
+    scan, coded = R._leftmost, R._coded_rules
     back = R._lead_lengths[-1] - 1 if R._lead_lengths else 0
-
-    def entry(word):
-        return (-len(word), tuple([neg_place[letter] for letter in word])), word
-
-    work = dict(p.terms)
+    work = dict(terms)
     hints = {}  # word -> a position before which it holds no redex
-    heap = [entry(word) for word in work]
+    heap = [(-len(word), word) for word in work]
     heapify(heap)
     done = {}
     steps = 0
@@ -351,34 +385,36 @@ def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
         coeff = work.pop(word, None)
         if coeff is None:
             continue  # cancelled since it was pushed
-        redexes = R.redexes(word, hints.pop(word, 0))
-        if not redexes:
+        hit = scan(word, hints.pop(word, 0))
+        if hit is None:
             # every rule lowers the order and the largest word pops first, so
             # a popped word never comes back: this is its only arrival
             done[word] = coeff
             continue
         steps += 1
-        pos, rule = redexes[0]
-        trace.append((word, pos, rule))
+        pos, index = hit
+        trace.append((word, pos, index))
         if steps > _STEP_LIMIT:
             raise RewriteLimitError(
-                steps, [f"{word_str(w)} at {i} via {word_str(r.lead)}" for w, i, r in trace]
+                steps,
+                [f"{word_str(R._decode(w))} at {i} via {word_str(R.rules[r].lead)}" for w, i, r in trace],
             )
-        head, tail = word[:pos], word[pos + len(rule.lead) :]
+        lead, rhs = coded[index]
+        head, tail = word[:pos], word[pos + len(lead) :]
         hint = pos - back
-        for w, c in rule.rhs.terms.items():
+        for w, c in rhs:
             nw = head + w + tail
             prev = work.get(nw)
             s = coeff * c if prev is None else prev + coeff * c
             if s:
                 if prev is None:
-                    heappush(heap, entry(nw))
+                    heappush(heap, (-len(nw), nw))
                 work[nw] = s
             else:
                 work.pop(nw, None)
             if hint > hints.get(nw, 0):
                 hints[nw] = hint
-    return NCPoly(done)
+    return done
 
 
 # -- local confluence ---------------------------------------------------------
@@ -390,7 +426,10 @@ class Ambiguity:
 
     ``left`` and ``right`` name the rule applied first on each side;
     ``nf_left`` and ``nf_right`` are the two normal forms as NCPoly, which
-    the report renders only for an unresolved ambiguity.
+    the report renders only for an unresolved ambiguity.  ``how`` says how
+    they were found: "chased" by `normal_form`, or taken from the
+    "transport" certificate of `check_local_confluence`.  It takes no part
+    in equality, since both ways give the same fields.
     """
 
     word: tuple
@@ -399,6 +438,7 @@ class Ambiguity:
     nf_left: NCPoly
     nf_right: NCPoly
     resolved: bool
+    how: str = field(default="chased", compare=False)
 
     def __str__(self):
         mark = "ok  " if self.resolved else "FAIL"
@@ -431,6 +471,60 @@ class ConfluenceReport:
         return lines
 
 
+def _apply_at(word, pos, rule) -> dict:
+    """One rewrite of a coded word by a coded rule, as {coded word: coefficient}."""
+    lead, rhs = rule
+    head, tail = word[:pos], word[pos + len(lead) :]
+    return {head + w + tail: c for w, c in rhs}
+
+
+def _movers(R: RewriteSystem) -> dict:
+    """The transport movers of R: (x, right) -> (λ, κ) over coded letters.
+
+    A right mover x passes a letter a when the only rule on x·a is
+    x·a → λ_a·a·x + κ_a·a, a left mover when the only rule on a·x is
+    a·x → λ_a·x·a + κ_a·a; its alphabet A_x is every letter it passes, the
+    keys of λ, and κ keeps only the nonzero shifts.  A mover is kept when
+    no other lead over A_x ∪ {x} holds x and every rule over A_x rewrites
+    to words over A_x.  Only the few rules whose right side brings in a
+    letter their lead lacks (the pairings F_i·E_i) can leave A_x, so the
+    cost is a pass over the leads and one over the rules, plus those few
+    rules once per mover.
+    """
+    by_lead, coded = R._by_lead, R._coded_rules
+    movers = {}
+    for lead, hits in by_lead.items():
+        if len(lead) != 2 or len(hits) != 1 or lead[0] == lead[1]:
+            continue
+        rhs = dict(coded[hits[0]][1])
+        scale = rhs.pop(lead[::-1], 0)
+        # x·a -> λ·a·x + κ·a moves x right past a; a·x -> λ·x·a + κ·a moves x left
+        for x, a, right in ((lead[0], lead[1], True), (lead[1], lead[0], False)):
+            shift = rhs.get((a,), 0)
+            if scale and len(rhs) == (1 if shift else 0):
+                lam, kap = movers.setdefault((x, right), ({}, {}))
+                lam[a] = scale
+                if shift:
+                    kap[a] = shift
+    dropped = set()
+    for lead in by_lead:
+        for x in set(lead):
+            for right in (True, False):
+                mover = movers.get((x, right))
+                own = len(lead) == 2 and lead[not right] == x != lead[right]
+                if mover and not own and all(a == x or a in mover[0] for a in lead):
+                    dropped.add((x, right))
+    brought = []  # (lead letters, letters its right side adds)
+    for lead, rhs in coded:
+        extra = {a for w, _ in rhs for a in w}.difference(lead)
+        if extra:
+            brought.append((set(lead), extra))
+    for key, (lam, _) in movers.items():
+        if any(inside <= lam.keys() and not extra <= lam.keys() for inside, extra in brought):
+            dropped.add(key)
+    return {key: mover for key, mover in movers.items() if key not in dropped}
+
+
 def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceReport:
     """Resolve every rule overlap of total degree up to the bound.
 
@@ -438,78 +532,142 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     containments (one lead inside the other) and each pair of distinct rules
     on one lead, counted once at position 0.  Each ambiguity is reduced both
     ways and chased to normal form.  Unresolved ambiguities land in the
-    report rather than raising: they are the finding.
+    report rather than raising: they are the finding.  Words, rules and
+    normal forms are handled as letter codes and decoded for the report.
 
-    Overlaps of commuting letters are certified instead of chased.  A rule
-    is *pure* when its lead is x·y, its right side is exactly λ·y·x, and it
-    is the only rule on x·y.  When the pairs cb, ba and ca of an overlap
-    x_c·x_b·x_a all have pure rules, both sides reach λ_cb·λ_ca·λ_ba times
-    x_a·x_b·x_c in three steps (the commutation case of Bergman's diamond
-    lemma, as in Cartier–Foata).  The certificate is taken only when
-    `R.redexes` shows that `normal_form` takes exactly those steps on both
-    sides and x_a·x_b·x_c is irreducible, so the recorded normal forms are
-    the ones the chase would return.
+    Overlaps that a letter moves through are certified instead of chased;
+    ``how`` on each ambiguity says which way it went.  The certificate
+    gives the very normal forms the chase would return, resolved or not,
+    and decides with plain ``if``s.
+
+    *Transport.*  A Cartan letter acts on each Borel half by an
+    automorphism or a shift, so it passes through every rule of that half
+    (the diamond lemma for algebras of solvable type).  A *mover* (see
+    `_movers`) is a letter x with an alphabet A_x of letters it passes,
+    each a by the only rule on x·a, x·a → λ_a·a·x + κ_a·a (a right mover,
+    as K_i or H_i past the E's), or by the only rule on a·x,
+    a·x → λ_a·x·a + κ_a·a (a left mover, as K_i or H_i past the F's and
+    E_j past the K's); no other lead over A_x ∪ {x} holds x, and every rule
+    over A_x rewrites to words over A_x.  For a word u over A_x let
+    χ(u) = Π λ_{u_j} and δ(u) = Σ_j κ_{u_j}·Π_{i<j} λ_{u_i} (i > j for a
+    left mover).  The overlap x·L of a right mover with the lead L of a
+    rule r over A_x is settled when r is the first rule at position 0 of L,
+    L without its last letter is irreducible, and every word w of r's
+    right side has the lead's (χ, δ) and is irreducible without its last
+    letter.  Then both sides normalise to
+
+        χ(L)·N(rhs r)·x + δ(L)·N(rhs r),
+
+    and the overlap L·x of a left mover, under the same conditions but with
+    every w irreducible, to χ(L)·x·N(rhs r) + δ(L)·N(rhs r).  Proof: x's
+    move is always the leftmost redex, since the letters on its near side
+    form an irreducible word and every lead that holds x is a mover lead;
+    rewriting inside an A_x-word never meets x, so N(t·x) = N(t)·x and
+    N(x·t) = x·N(t); and N, which takes one fixed redex in each word, is
+    linear.  So the side that moves x first gives χ(L)·N(L)·x + δ(L)·N(L),
+    with N(L) = N(rhs r) as r is the first rule on L, and the side that
+    applies r gives Σ c_w·(χ(w)·N(w)·x + δ(w)·N(w)), the same sum.  N(rhs r)
+    is straightened once per rule within one check.  A letter that commutes
+    with others up to a scalar is a mover with κ = 0, so three pairwise
+    commuting letters x_c·x_b·x_a are settled this way too: the commutation
+    case of the diamond lemma, as in Cartier–Foata.
     """
     if degree_bound < 2:
         raise ValueError("degree bound below any two rule leads")
+    reduce, scan, decode, coded = _reduce, R._leftmost, R._decode, R._coded_rules
     found = []
-    pure = {}
-    for lead, hits in R._by_lead.items():
-        if len(lead) == 2 and len(hits) == 1 and list(hits[0][1].rhs.terms) == [lead[::-1]]:
-            pure[lead] = hits[0][1]
+    movers = _movers(R)
+    rule_facts = {}  # rule index -> `transportable`
 
-    def commuted(word, r1, r2):
-        """The normal form of both sides of a pure overlap x_c·x_b·x_a, or None."""
-        if len(word) != 3 or pure.get(r1.lead) is not r1 or pure.get(r2.lead) is not r2:
-            return None
-        c, b, a = word
-        ca = pure.get((c, a))
-        if ca is None:
-            return None
-        # normal_form's steps after r1 (left side) and after r2 (right side)
-        for w, pos, rule in (((b, c, a), 1, ca), ((b, a, c), 0, r2), ((c, a, b), 0, ca), ((a, c, b), 1, r1)):
-            first = R.redexes(w)
-            if not first or first[0][0] != pos or first[0][1] is not rule:
-                return None
-        if R.redexes((a, b, c)):
-            return None
-        return NCPoly({(a, b, c): r1.rhs.terms[(b, c)] * ca.rhs.terms[(a, c)] * r2.rhs.terms[(a, b)]})
+    def transportable(r):
+        """(r passes a right mover, r passes a left mover, N(rhs r)), as far
+        as r itself decides: its lead is its first redex and irreducible
+        without its last letter, and its right side's words are irreducible
+        without their last letter (right) or whole (left)."""
+        if r not in rule_facts:
+            lead, rhs = coded[r]
+            ok = scan(lead) == (0, r) and scan(lead[:-1]) is None
+            rule_facts[r] = (
+                ok and all(scan(w[:-1]) is None for w, _ in rhs),
+                ok and all(scan(w) is None for w, _ in rhs),
+                reduce(dict(rhs), R) if ok else None,
+            )
+        return rule_facts[r]
 
-    def chase(word, pos1, r1, pos2, r2):
-        nf1 = nf2 = commuted(word, r1, r2)
+    def weight(word, lam, kap, right):
+        """(χ, δ) of a word over a mover's alphabet."""
+        chi, delta = R.one, 0
+        for a in word if right else reversed(word):
+            shift = kap.get(a)
+            if shift:
+                delta = delta + shift * chi
+            chi = chi * lam[a]
+        return chi, delta
+
+    def transported(word, i1, pos2, i2):
+        """The normal form of both sides of a mover overlap x·L or L·x, or None."""
+        l1, l2 = coded[i1][0], coded[i2][0]
+        shapes = []
+        if len(l1) == 2 and pos2 == 1 and word[1:] == l2:
+            shapes.append((l1[0], l1[1], True, i2))  # x·L: x's move at 0, r on L at 1
+        if len(l2) == 2 and word[:-1] == l1:
+            shapes.append((l2[1], l2[0], False, i1))  # L·x: r on L at 0, x's move last
+        for x, a, right, r in shapes:
+            lam, kap = movers.get((x, right), ({}, None))
+            lead, rhs = coded[r]
+            if a not in lam or not lam.keys() >= set(lead):
+                continue
+            right_words, left_words, normal = transportable(r)
+            if not (right_words if right else left_words):
+                continue
+            chi, delta = weight(lead, lam, kap, right)
+            if any(weight(w, lam, kap, right) != (chi, delta) for w, _ in rhs):
+                continue
+            nf = {(s + (x,) if right else (x,) + s): chi * c for s, c in normal.items()}
+            if delta:
+                nf.update((s, delta * c) for s, c in normal.items())
+            return nf
+        return None
+
+    def chase(word, i1, pos2, i2):
+        how, nf1 = "transport", transported(word, i1, pos2, i2)
+        nf2 = nf1
         if nf1 is None:
-            nf1 = normal_form(_apply_at(word, pos1, r1), R)
-            nf2 = normal_form(_apply_at(word, pos2, r2), R)
+            how = "chased"
+            nf1 = reduce(_apply_at(word, 0, coded[i1]), R)
+            nf2 = reduce(_apply_at(word, pos2, coded[i2]), R)
+        left = NCPoly({decode(w): c for w, c in nf1.items()})
+        right = left if nf2 is nf1 else NCPoly({decode(w): c for w, c in nf2.items()})
+        l1, l2 = R.rules[i1].lead, R.rules[i2].lead
         found.append(
             Ambiguity(
-                word,
-                f"{word_str(r1.lead)} at {pos1}",
-                f"{word_str(r2.lead)} at {pos2}",
-                nf1,
-                nf2,
+                l1 + l2[len(l1) - pos2 :],
+                f"{word_str(l1)} at 0",
+                f"{word_str(l2)} at {pos2}",
+                left,
+                right,
                 nf1 == nf2,
+                how,
             )
         )
 
     by_first = {}
-    for index, rule in enumerate(R.rules):
-        by_first.setdefault(rule.lead[0], []).append(index)
-    for i1, r1 in enumerate(R.rules):
-        l1 = r1.lead
+    for index, (lead, _) in enumerate(coded):
+        by_first.setdefault(lead[0], []).append(index)
+    for i1, (l1, _) in enumerate(coded):
         # a lead that overlaps l1 or sits inside it starts with a letter of l1
         partners = sorted({index for letter in set(l1) for index in by_first.get(letter, ())})
         for index in partners:
-            r2 = R.rules[index]
-            l2 = r2.lead
+            l2 = coded[index][0]
             for k in range(1, min(len(l1), len(l2))):
                 if l1[len(l1) - k :] == l2[:k]:
                     word = l1 + l2[k:]
                     if len(word) <= degree_bound:
-                        chase(word, 0, r1, len(l1) - k, r2)
+                        chase(word, i1, len(l1) - k, index)
             if len(l1) <= degree_bound and (len(l2) < len(l1) or (l2 == l1 and index > i1)):
                 for pos in range(len(l1) - len(l2) + 1):
                     if l1[pos : pos + len(l2)] == l2:
-                        chase(l1, 0, r1, pos, r2)
+                        chase(l1, i1, pos, index)
     return ConfluenceReport(R.mode, degree_bound, tuple(found))
 
 

@@ -379,6 +379,12 @@ class QScalar:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        other = QScalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other):
         other = QScalar._coerce(other)
         if other is NotImplemented:
@@ -406,6 +412,12 @@ class QScalar:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = QScalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def inverse(self) -> "QScalar":
         num, den = self.num, self.den

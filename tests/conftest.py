@@ -69,8 +69,8 @@ def reference_redexes(R):
 
     The returned function lists (position, rule) for every lead occurrence
     in a word, ordered by position, then by rule construction order.
-    `RewriteSystem.redexes` must return this list's entries at its first
-    position at or after its start.
+    `RewriteSystem.redexes` must return this list's first entry at or after
+    its start.
     """
     by_first = {}
     for rule in R.rules:
@@ -105,8 +105,8 @@ def reference_normal_form(p, R, strategy, step_limit=200_000, popped=None):
         if popped is not None:
             popped.append(word)
         found = redexes(word)
-        # R.redexes stops at the leftmost position that holds a redex
-        assert [hit for hit in found if hit[0] == found[0][0]] == R.redexes(word)
+        # R.redexes gives the leftmost position and the first rule there
+        assert found[:1] == R.redexes(word)
         if not found:
             s = coeff + done[word] if word in done else coeff
             if s:

@@ -1,6 +1,9 @@
 """Straightening engine: rule shapes, normal forms, confluence, PBW counts."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -8,6 +11,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+import borelweyl
 from borelweyl import biproduct
 from borelweyl.biproduct import (
     Ambiguity,
@@ -228,9 +232,9 @@ def test_redexes_at_one_position_keep_construction_order():
     pairing = rule_for(R, ("F1", "E1"))
     word = ("F1", "E1", "E1")
     first = RewriteSystem(R.mode, R.matrix, R.d, (extra,) + R.rules)
-    assert first.redexes(word) == [(0, extra), (0, pairing)]
+    assert first.redexes(word) == [(0, extra)]
     last = RewriteSystem(R.mode, R.matrix, R.d, R.rules + (extra,))
-    assert last.redexes(word) == [(0, pairing), (0, extra)]
+    assert last.redexes(word) == [(0, pairing)]
 
 
 def _with_extra_rule(R):
@@ -255,7 +259,7 @@ def test_redexes_stop_at_the_leftmost_position_from_start(data):
     every = reference_redexes(R)(word)
     for start in range(len(word) + 2):
         later = [hit for hit in every if hit[0] >= start]
-        assert R.redexes(word, start) == [hit for hit in later if hit[0] == later[0][0]]
+        assert R.redexes(word, start) == later[:1]
 
 
 def _outcome(reduce, *args):
@@ -291,15 +295,15 @@ def test_reduction_order_matches_the_max_scan(monkeypatch, name, mode):
 @pytest.mark.parametrize("name, mode", [("G2", "classical"), ("A3", "quantum"), ("D4", "quantum")])
 def test_normal_form_scans_each_popped_live_word_once(monkeypatch, name, mode):
     # the reference pops exactly the live words, in order; normal_form must
-    # ask R.redexes once for each of them, and for nothing else
+    # run its compiled redex scan once for each of them, and for nothing else
     R = system(name, mode)
     rng = random.Random(f"popped/{name}/{mode}")
     for _ in range(10):
         p = random_poly(R, rng, 8) - random_poly(R, rng, 8)
         popped, asked = [], []
         expected = reference_normal_form(p, R, "leftmost", popped=popped)
-        scan = R.redexes
-        monkeypatch.setattr(R, "redexes", lambda word, start=0: asked.append(word) or scan(word, start))
+        scan = R._leftmost
+        monkeypatch.setattr(R, "_leftmost", lambda w, start=0: asked.append(R._decode(w)) or scan(w, start))
         assert normal_form(p, R) == expected
         monkeypatch.undo()
         assert asked == popped
@@ -473,13 +477,14 @@ def _twin(R):
 
 
 def _detour(R):
-    # F3·F2·E1 has pure pairs, but F2·F3·E1, one step into its left side,
-    # now reduces at 0 by a rule that doubles, off the commuting path
+    # F3 passes F2·E1 and E1 passes F3·F2, but F2·F3·E1, one step into the
+    # left side of F3·F2·E1, now reduces at 0 by a rule that doubles, so
+    # neither move is the leftmost redex there
     return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F2", "F3", "E1"), R.poly(("E1", "F2", "F3"), 2), "detour"),))
 
 
 def _stopper(R):
-    # the word both commuting paths end in is no longer irreducible
+    # E1·F2·F3, the word both sides of F3·F2·E1 end in, is no longer irreducible
     return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("E1", "F2", "F3"), R.poly(("E1", "F2")), "stopper"),))
 
 
@@ -494,11 +499,108 @@ def test_every_ambiguity_field_matches_chasing_every_overlap(name, mode, bound):
     assert list(check_local_confluence(R, bound).ambiguities) == chased_ambiguities(R, bound)
 
 
+def _cartan1(R):
+    return "H1" if R.mode == "classical" else "K1"
+
+
+def _with(R, *rules, ahead=False):
+    """R with more rules, after its own or ahead of them."""
+    return RewriteSystem(R.mode, R.matrix, R.d, rules + R.rules if ahead else R.rules + rules)
+
+
+def _second_weight_rule(R):
+    # H1 (or K1) no longer passes E2 by the only rule on H1·E2
+    return _with(R, Rule((_cartan1(R), "E2"), R.poly(("E2", _cartan1(R))), "twin"))
+
+
+def _stray_lead(R):
+    # a lead E1·H1 (or E1·K1) holds the mover without being one of its moves
+    return _with(R, Rule(("E1", _cartan1(R)), R.poly(("E1",)), "stray"))
+
+
+def _skewed_serre(R):
+    # E1·E1·E1 has another weight than E2·E2·E1, so H1 and K1 move past it otherwise
+    serre = rule_for(R, ("E2", "E2", "E1"))
+    return swap_rule(R, serre.lead, Rule(serre.lead, serre.rhs + R.poly(("E1", "E1", "E1")), "serre"))
+
+
+def _leaving_rule(R):
+    # E1·E1 -> H2 (or K2) takes the E's out of the alphabet H1 (or K1) passes
+    return _with(R, Rule(("E1", "E1"), R.poly((_cartan1(R)[0] + "2",)), "leave"))
+
+
+def _reducible_prefix(R):
+    # E2·E2 -> 0 makes the Serre lead E2·E2·E1 reducible without its last letter
+    return _with(R, Rule(("E2", "E2"), NCPoly(), "stopper"))
+
+
+def _second_serre_rule(R):
+    # a rule on E2·E2·E1 ahead of the Serre rule, so that one is not the first at 0
+    return _with(R, Rule(("E2", "E2", "E1"), R.poly(("E1", "E2", "E2")), "twin"), ahead=True)
+
+
+def _reducible_right_word(R):
+    # E2·E3·E1 -> E2·E1·E3, whose prefix E2·E1 the sort rule reduces while
+    # E2·E1·E3 itself reduces first by a rule that doubles
+    R = _with(R, Rule(("E2", "E1", "E3"), R.poly(("E1", "E3", "E2"), 2), "double"), ahead=True)
+    return _with(R, Rule(("E2", "E3", "E1"), R.poly(("E2", "E1", "E3")), "extra"))
+
+
+def _reducible_left_word(R):
+    # F1·F3, the right side of the sort rule on F3·F1, now reduces to a word
+    # of another weight, before H1 (or K1) can move left through it
+    return _with(R, Rule(("F1", "F3"), R.poly(("F1", "F1")), "extra"))
+
+
+@pytest.mark.parametrize(
+    "extend, name, letters, left, hows",
+    [
+        (_second_weight_rule, "A2", "X E2 E2 E1", "X*E2 at 0", ["chased", "chased"]),
+        (_stray_lead, "A2", "X E2 E2 E1", "X*E2 at 0", ["chased"]),
+        (_skewed_serre, "A2", "X E2 E2 E1", "X*E2 at 0", ["chased"]),
+        (_leaving_rule, "A2", "X E2 E1 E1", "X*E2 at 0", ["chased"]),
+        (_reducible_prefix, "A2", "X E2 E2 E1", "X*E2 at 0", ["chased"]),
+        (_second_serre_rule, "A2", "X E2 E2 E1", "X*E2 at 0", ["transport", "chased"]),
+        (_reducible_right_word, "A1^3", "X E2 E3 E1", "X*E2 at 0", ["chased"]),
+        (_reducible_left_word, "A1^3", "F3 F1 X", "F3*F1 at 0", ["chased"]),
+    ],
+    ids=[
+        "second-weight-rule",
+        "stray-lead",
+        "skewed-serre",
+        "leaving-rule",
+        "reducible-prefix",
+        "second-serre-rule",
+        "reducible-right-word",
+        "reducible-left-word",
+    ],
+)
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_transport_falls_back_to_the_chase(extend, name, letters, left, hows, mode):
+    # each system breaks one condition of the transport certificate for an
+    # overlap H1·L or L·H1 (K1 in quantum mode) that the base system
+    # certifies, where it has it; the overlap must be chased, and every
+    # field must match the chase
+    base = system(name, mode)
+    R = extend(base)
+    word = tuple(letters.replace("X", _cartan1(R)).split())
+    left = left.replace("X", _cartan1(R))
+
+    def found(report):
+        return [a.how for a in report.ambiguities if a.word == word and a.left == left]
+
+    report = check_local_confluence(R, 4)
+    assert list(report.ambiguities) == chased_ambiguities(R, 4)
+    assert found(report) == hows
+    assert found(check_local_confluence(base, 4)) in ([], ["transport"])
+
+
 @pytest.mark.parametrize("extend", [_twin, _detour, _stopper], ids=["twin", "detour", "stopper"])
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_extended_systems_match_chasing_every_overlap(extend, mode):
-    # a certificate off the commuting path, or a pair of rules on one lead
-    # left out, would show here as a field the chase does not give
+    # a certificate taken where a move is not the leftmost redex, or a pair
+    # of rules on one lead left out, would show here as a field the chase
+    # does not give
     R = extend(system("A1^3", mode))
     assert list(check_local_confluence(R, 4).ambiguities) == chased_ambiguities(R, 4)
 
@@ -512,31 +614,74 @@ def test_two_rules_on_one_lead_are_compared():
     assert bad.nf_left - bad.nf_right == R.poly(("H1",), -1)
 
 
-def _pure_leads(R):
-    """Leads x·y whose only rule rewrites them to λ·y·x alone."""
+def _passing_leads(R):
+    """Leads x·a whose only rule rewrites them to λ·a·x + κ·a (x passes a
+    rightward), and leads a·x whose only rule gives λ·x·a + κ·a (leftward)."""
     rules = {}
     for rule in R.rules:
         rules.setdefault(rule.lead, []).append(rule)
-    return {
-        lead
+    swaps = {
+        lead: set(rule.rhs.terms)
         for lead, (rule, *others) in rules.items()
-        if not others and len(lead) == 2 and list(rule.rhs.terms) == [lead[::-1]]
+        if not others and len(lead) == 2 and lead[::-1] in rule.rhs.terms
     }
+    rightward = {lead for lead, words in swaps.items() if words <= {lead[::-1], lead[1:]}}
+    leftward = {lead for lead, words in swaps.items() if words <= {lead[::-1], lead[:1]}}
+    return rightward, leftward
 
 
 def test_a4_quantum_chases_only_what_it_cannot_certify(monkeypatch):
+    # transport: a letter passing a whole lead, x·L or L·x, met by the rule
+    # on L, three pairwise commuting letters among them; the rest is chased
     R = system("A4", "quantum")
-    pure = _pure_leads(R)
+    rightward, leftward = _passing_leads(R)
+    leads = {r.lead for r in R.rules}
+
+    def how(a):
+        """(how, the lead transported or None)"""
+        w = a.word
+        head, tail = w[:-1], w[1:]
+        if a.right == f"{word_str(tail)} at 1" and tail in leads and {(w[0], x) for x in tail} <= rightward:
+            return "transport", tail
+        if a.left == f"{word_str(head)} at 0" and head in leads and {(x, w[-1]) for x in head} <= leftward:
+            return "transport", head
+        return "chased", None
+
     ambiguities = chased_ambiguities(R, 6)
-    certified = sum(
-        len(a.word) == 3 and {a.word[:2], a.word[1:], a.word[::2]} <= pure for a in ambiguities
-    )
-    assert (len(ambiguities), certified) == (722, 380)
+    expected = [how(a) for a in ambiguities]
+    hows = [h for h, _ in expected]
+    assert [hows.count(h) for h in ("transport", "chased")] == [626, 96]
     calls = []
-    chase = biproduct.normal_form
-    monkeypatch.setattr(biproduct, "normal_form", lambda p, R: calls.append(p) or chase(p, R))
-    check_local_confluence(R, 6)
-    assert len(calls) == 2 * (722 - certified)
+    reduce = biproduct._reduce
+    monkeypatch.setattr(biproduct, "_reduce", lambda terms, R: calls.append(terms) or reduce(terms, R))
+    assert [a.how for a in check_local_confluence(R, 6).ambiguities] == hows
+    # two chases per chased overlap, and one N(rhs r) per rule transported
+    assert len(calls) == 2 * 96 + len({lead for _, lead in expected if lead})
+
+
+def test_certificates_decide_alike_under_python_O():
+    # the certificates decide with if, never assert: -O must print the same
+    # summary and settle every ambiguity the same way
+    script = (
+        "import sys\n"
+        "from borelweyl.biproduct import build_rules, check_local_confluence\n"
+        "from borelweyl.cartan import quasi_inverse, validate_gcm\n"
+        f"A4 = {ROWS['A4']}\n"
+        "print(sys.flags.optimize)\n"
+        "for mode, bound in (('quantum', 6), ('classical', 4)):\n"
+        "    report = check_local_confluence(build_rules(quasi_inverse(validate_gcm(A4)), mode), bound)\n"
+        "    print(*report.summary_lines(), sep='\\n')\n"
+        "    print(*(a.how for a in report.ambiguities))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(borelweyl.__file__)))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, check=True)
+        .stdout.splitlines()
+        for flags in ([], ["-O"])
+    )
+    assert (plain[0], optimized[0]) == ("0", "1")
+    assert plain[1:] == optimized[1:]
+    assert set(plain[-1].split()) == {"chased", "transport"}
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

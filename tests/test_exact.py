@@ -527,6 +527,23 @@ def test_equal_scalars_hash_alike(x, f):
     assert len({QQ_ONE, 1}) == 1 and len({QScalar((1,), (2,)), Fraction(1, 2)}) == 1
 
 
+@given(_rationals, qscalars)
+@example(f=1, x=QQ_ONE)
+@example(f=1, x=q_power(1))
+@example(f=Fraction(-3, 2), x=QScalar((0, 2), (1,)))
+@settings(max_examples=80, deadline=None)
+def test_a_rational_on_the_left_acts_as_its_qscalar(f, x):
+    # int and Fraction defer to QScalar's reflected operators for + - * /
+    y = QScalar.from_int(f)
+    results = [f + x, f - x, f * x] + ([f / x] if x else [])
+    expected = [y + x, y - x, y * x] + ([y / x] if x else [])
+    assert results == expected
+    assert all(isinstance(r, QScalar) for r in results)
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            f / x
+
+
 # -- the job memo --------------------------------------------------------------
 
 

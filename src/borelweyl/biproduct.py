@@ -27,6 +27,25 @@ an input word by the system's one, so classical input stays on ``int`` or
 ``Fraction`` as given and quantum input becomes `QScalar`.  A polynomial
 holds whatever scalars it is given; nothing here ever touches floating
 point.
+
+A quantum system straightens in the rescaled generators Ē_i = β_i·E_i,
+β_i = q^{d_i} − q^{−d_i}, the usual ℤ[q, q⁻¹]-form of U_q.  The one rule
+of `build_rules` with a coefficient outside ℤ[q, q⁻¹] is the pairing
+[E_i, F_i] = (K_i − K_i⁻¹)/β_i, which reads [Ē_i, F_i] = K_i − K_i⁻¹, and
+every other rule is homogeneous in each E_i; so every compiled coefficient
+is a Laurent polynomial, and a long straightening multiplies no
+denominator into its coefficients.  With e(w) the number of E_i letters of
+w for each i, a word w is β^{−e(w)} times the same word in the Ē_i, so
+the rule lead → Σ c_w·w compiles to lead → Σ c_w·β^{e(lead) − e(w)}·w,
+and `RewriteSystem.rules` keeps the rules as written.  The change of basis
+is diagonal in the words, so it is exact: each lead still matches exactly
+where it did, every reduction takes the same steps and cancels the same
+words, and only each word's coefficient is multiplied by a fixed nonzero
+power of β.  The division back happens once per output word, and only a
+word whose E-content differs from its source's needs it; only a rule that
+changes E-content makes such a word, and in `build_rules` systems those
+are the n pairings F_i·E_i.  `normal_form` divides back relative to its
+lifted input, and `check_local_confluence` relative to each overlap word.
 """
 
 from __future__ import annotations
@@ -35,9 +54,10 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import sub
 
 from .cartan import CartanAux
-from .exact import QQ_ONE, q_power
+from .exact import QQ_ONE, QScalar, q_power
 from .exact.laurent import _accumulate
 from .morphisms import _serre_windows
 
@@ -189,25 +209,51 @@ class RewriteSystem:
         self._code = {letter: -place for letter, place in self._place.items()}
         self.order = "graded, F > " + ("H" if mode == "classical" else "K") + " > E, index tiebreak"
         self.rules = tuple(rules)
+        # quantum rules compile in the rescaled basis Ē_i = β_i·E_i (see the module
+        # docstring): lead → Σ c_w·w reads Ē-lead → Σ c_w·β^{e(lead) − e(w)}·Ē-w
+        self._beta = None
+        if mode == "quantum":
+            if d is None:
+                raise ValueError("quantum mode needs the symmetrizer d")
+            # β_i = q^{d_i} − q^{−d_i} = (q^{2d_i} − 1)/q^{d_i}, built as one fraction
+            self._beta = tuple(QScalar((-1,) + (0,) * (2 * k - 1) + (1,), (0,) * k + (1,)) for k in d)
+        rescale = self._beta is not None
+        self._e_codes = tuple(self._code[f"E{i + 1}"] for i in range(n))
+        self._beta_powers = {}  # exponent vector k -> β^k
+        self._contents = {}  # coded word -> `_e_content`
         by_lead = {}
         coded = []
+        changing = []
         for index, rule in enumerate(self.rules):
             if not rule.lead:
                 raise ValueError("empty lead word")
             for letter in rule.lead:
                 if letter not in self._place:
                     raise ValueError(f"rule lead uses unknown letter {letter!r}")
-            lead_key = self.order_key(rule.lead)
-            for w in rule.rhs.terms:
-                if self.order_key(w) >= lead_key:
-                    raise ValueError(f"rule {rule} does not decrease the term order")
             lead = self._encode(rule.lead)
+            rhs = tuple((self._encode(w), c) for w, c in rule.rhs.terms.items())
+            for w, _ in rhs:
+                # codes reverse the letter order, so w ≥ lead in the term order reads so
+                if len(w) > len(lead) or (len(w) == len(lead) and w <= lead):
+                    raise ValueError(f"rule {rule} does not decrease the term order")
             by_lead.setdefault(lead, []).append(index)
-            coded.append((lead, tuple((self._encode(w), c) for w, c in rule.rhs.terms.items())))
+            # only a word with other letters than the lead's can change E-content
+            letters = sorted(lead) if rescale else None
+            if rescale and any(sorted(w) != letters for w, _ in rhs):
+                content = self._e_content(lead)
+                shifts = [_minus(content, self._e_content(w)) for w, _ in rhs]
+                if any(map(any, shifts)):
+                    changing.append(index)
+                    rhs = tuple(
+                        (w, c * self._beta_power(k) if any(k) else c) for (w, c), k in zip(rhs, shifts)
+                    )
+            coded.append((lead, rhs))
         # coded lead -> its rules' indices, in construction order
         self._by_lead = by_lead
-        # rule index -> (coded lead, ((coded word, coefficient), ...))
+        # rule index -> (coded lead, ((coded word, coefficient), ...)), rescaled in quantum mode
         self._coded_rules = tuple(coded)
+        # the rules that change a word's E-content, and so its scale
+        self._changing = tuple(changing)
         self._first_rule = {lead: indices[0] for lead, indices in by_lead.items()}
         self._lead_lengths = sorted({len(lead) for lead in by_lead})
 
@@ -240,6 +286,35 @@ class RewriteSystem:
                 return pos, best
         return None
 
+    def _e_content(self, coded) -> tuple:
+        """e(w): the number of E_i letters in a coded word, for each i."""
+        content = self._contents.get(coded)
+        if content is None:
+            content = self._contents[coded] = tuple(map(coded.count, self._e_codes))
+        return content
+
+    def _beta_power(self, k) -> "QScalar":
+        """β^k = Π β_i^{k_i} for an integer vector k, built once per system."""
+        power = self._beta_powers.get(k)
+        if power is None:
+            power = self.one
+            for beta, e in zip(self._beta, k):
+                for _ in range(abs(e)):
+                    power = power * (beta if e > 0 else beta.inverse())
+            self._beta_powers[k] = power
+        return power
+
+    def _unscale(self, terms, ref) -> dict:
+        """Rescaled {coded word: coefficient} of a polynomial whose words
+        started at E-content ``ref``, back in the basis of the E_i: a word w
+        takes β^{e(w) − ref}, which is 1 unless an E-changing rule made it."""
+        content, power = self._e_content, self._beta_power
+        out = {}
+        for w, c in terms.items():
+            e = content(w)
+            out[w] = c if e == ref else c * power(_minus(e, ref))
+        return out
+
     def redexes(self, word, start=0):
         """The leftmost redex at or after start, as [(position, rule)].
 
@@ -254,6 +329,10 @@ class RewriteSystem:
     def poly(self, letters, coeff=1) -> NCPoly:
         """coeff·letters, with coeff scaled into the system's scalars."""
         return NCPoly({tuple(letters): coeff * self.one})
+
+
+def _minus(a, b) -> tuple:
+    return tuple(map(sub, a, b))
 
 
 # -- rule construction --------------------------------------------------------
@@ -354,9 +433,23 @@ def normal_form(p: NCPoly, R: RewriteSystem) -> NCPoly:
     an error that carries the tail of the reduction trace.
 
     The words are straightened as letter codes (`RewriteSystem._encode`) and
-    decoded once at the end.
+    decoded once at the end.  A quantum system straightens in the rescaled
+    basis (see the module docstring): each word w of the input is lifted to
+    the largest E-content ``ref`` present, as c_w·β^{ref − e(w)}, and each
+    word of the result whose E-content is not ``ref`` is divided back by
+    β^{ref − e(w)}.  The steps are the ones the rules as written take.
     """
-    coded = _reduce({R._encode(w): c for w, c in p.terms.items()}, R)
+    terms = {R._encode(w): c for w, c in p.terms.items()}
+    if not (R._changing and terms):
+        coded = _reduce(terms, R)
+    else:
+        # lift every word to the largest E-content present, straighten, divide back
+        contents = {w: R._e_content(w) for w in terms}
+        ref = tuple(map(max, zip(*contents.values())))
+        for w, e in contents.items():
+            if e != ref:
+                terms[w] = terms[w] * R._beta_power(_minus(ref, e))
+        coded = R._unscale(_reduce(terms, R), ref)
     return NCPoly({R._decode(w): c for w, c in coded.items()})
 
 
@@ -370,6 +463,10 @@ def _reduce(terms: dict, R: RewriteSystem) -> dict:
     so it lies inside ``head`` and would have been a redex of the rewritten
     word left of ``pos``; there was none.  So each hint is a fact about the
     word itself, whichever arrival gave it, and `hints` keeps the largest.
+
+    The coefficients are those of ``R._coded_rules``, so a quantum system
+    reduces in the rescaled basis on Laurent coefficients, and the caller
+    divides the result back.
     """
     scan, coded = R._leftmost, R._coded_rules
     back = R._lead_lengths[-1] - 1 if R._lead_lengths else 0
@@ -534,6 +631,8 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     ways and chased to normal form.  Unresolved ambiguities land in the
     report rather than raising: they are the finding.  Words, rules and
     normal forms are handled as letter codes and decoded for the report.
+    A quantum chase runs in the rescaled basis of the module docstring, and
+    each side's normal form is divided back relative to the overlap word.
 
     Overlaps that a letter moves through are certified instead of chased;
     ``how`` on each ambiguity says which way it went.  The certificate
@@ -567,7 +666,12 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     linear.  So the side that moves x first gives χ(L)·N(L)·x + δ(L)·N(L),
     with N(L) = N(rhs r) as r is the first rule on L, and the side that
     applies r gives Σ c_w·(χ(w)·N(w)·x + δ(w)·N(w)), the same sum.  N(rhs r)
-    is straightened once per rule within one check.  A letter that commutes
+    is straightened once per rule within one check, and a quantum check
+    divides it back relative to L once.  The movers are read off the
+    rescaled rules, which leaves every λ_a as it is and multiplies every
+    κ_a of x by the one factor β^{e(x)}: the test on (χ, δ) decides as it
+    would on the rules as written, and δ·β^{−e(x)} is the shift of the
+    rules as written.  A letter that commutes
     with others up to a scalar is a mover with κ = 0, so three pairwise
     commuting letters x_c·x_b·x_a are settled this way too: the commutation
     case of the diamond lemma, as in Cartier–Foata.
@@ -578,19 +682,24 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     found = []
     movers = _movers(R)
     rule_facts = {}  # rule index -> `transportable`
+    changing = set(R._changing)
 
     def transportable(r):
-        """(r passes a right mover, r passes a left mover, N(rhs r)), as far
+        """(r passes a right mover, r passes a left mover, N(rhs r) unscaled), as far
         as r itself decides: its lead is its first redex and irreducible
         without its last letter, and its right side's words are irreducible
         without their last letter (right) or whole (left)."""
         if r not in rule_facts:
             lead, rhs = coded[r]
             ok = scan(lead) == (0, r) and scan(lead[:-1]) is None
+            normal = reduce(dict(rhs), R) if ok else None
+            # N(rhs r) keeps the lead's E-content unless r or a rewrite of rhs r changes it
+            if ok and R._changing and (r in changing or not normal.keys() <= dict(rhs).keys()):
+                normal = R._unscale(normal, R._e_content(lead))
             rule_facts[r] = (
                 ok and all(scan(w[:-1]) is None for w, _ in rhs),
                 ok and all(scan(w) is None for w, _ in rhs),
-                reduce(dict(rhs), R) if ok else None,
+                normal,
             )
         return rule_facts[r]
 
@@ -605,7 +714,8 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
         return chi, delta
 
     def transported(word, i1, pos2, i2):
-        """The normal form of both sides of a mover overlap x·L or L·x, or None."""
+        """The normal form of both sides of a mover overlap x·L or L·x, or None,
+        in the basis of the E_i."""
         l1, l2 = coded[i1][0], coded[i2][0]
         shapes = []
         if len(l1) == 2 and pos2 == 1 and word[1:] == l2:
@@ -623,6 +733,11 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
             chi, delta = weight(lead, lam, kap, right)
             if any(weight(w, lam, kap, right) != (chi, delta) for w, _ in rhs):
                 continue
+            if delta and R._changing:
+                # δ is read off the rescaled rules, and its words lack x
+                k = tuple(-e for e in R._e_content((x,)))
+                if any(k):
+                    delta = delta * R._beta_power(k)
             nf = {(s + (x,) if right else (x,) + s): chi * c for s, c in normal.items()}
             if delta:
                 nf.update((s, delta * c) for s, c in normal.items())
@@ -636,8 +751,15 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
             how = "chased"
             nf1 = reduce(_apply_at(word, 0, coded[i1]), R)
             nf2 = reduce(_apply_at(word, pos2, coded[i2]), R)
+            if nf1 == nf2:
+                nf2 = nf1  # one normal form, unscaled and decoded once
+            if R._changing:
+                ref = R._e_content(word)
+                same, nf1 = nf2 is nf1, R._unscale(nf1, ref)
+                nf2 = nf1 if same else R._unscale(nf2, ref)
+        resolved = nf2 is nf1
         left = NCPoly({decode(w): c for w, c in nf1.items()})
-        right = left if nf2 is nf1 else NCPoly({decode(w): c for w, c in nf2.items()})
+        right = left if resolved else NCPoly({decode(w): c for w, c in nf2.items()})
         l1, l2 = R.rules[i1].lead, R.rules[i2].lead
         found.append(
             Ambiguity(
@@ -646,7 +768,7 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
                 f"{word_str(l2)} at {pos2}",
                 left,
                 right,
-                nf1 == nf2,
+                resolved,
                 how,
             )
         )

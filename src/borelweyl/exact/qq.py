@@ -43,8 +43,10 @@ A job repeats the same few products: q-powers, balanced brackets and
 q-binomials, met again at every rewrite and every relation.  So within
 ``job_memo()`` each sum and product is looked up by its operands' canonical
 tuples (a, b, c, d) before Henrici's rule runs, and computed and stored only
-on a miss.  One verify-quantum pass asks for 7,824 non-trivial products and
-2,480 sums, of which each job's distinct ones number 1,037 and 309 in all.
+on a miss.  One pass of the benchmark's verify-quantum ladder asks for 7,003
+products past the shortcuts below and 2,480 sums, and runs the kernels on
+695 and 290 of them (counted by wrapping `QScalar.__mul__`, `__add__`,
+`_mul` and `_add` around one in-process pass through `cli.run`).
 A canonical QScalar is immutable and fixed by its tuples, so a stored result
 is the one the kernel would build.  The products by one and by zero return
 before the lookup.  The memo is scoped to one job: the command line opens it
@@ -276,7 +278,7 @@ def _pstr(a: ZPoly) -> str:
 _MEMO: ContextVar = ContextVar("qq_memo", default=None)
 
 # A sum or product is memoised only when its operands hold at most this many
-# coefficients in all.  The operands of each of the 7,824 non-unit products of
+# coefficients in all.  The operands of each of the 7,003 non-unit products of
 # a verify-quantum pass hold at most 22.  A long quantum rewrite grows
 # coefficients that never repeat: memoising every one of them raised the peak
 # RSS of a 20-letter G2 rewrite from 42.2 to 109.7 MB, against 41.3 MB under

@@ -12,12 +12,16 @@ It also holds the oracles that several test modules share:
 acceptance tests compare `normal_form` with; `evaluate_laurent` and
 `evaluate_q`, which specialize an exact value at rational points;
 `evaluate_word`, the image of one polynomial under an assignment; and
-`flipped_upper_assignment`, a quantum assignment with the wrong orientation.
+`flipped_upper_assignment`, a quantum assignment with the wrong orientation;
+and `module_at`, which loads a benchmark or docs script by path.
 """
 
+import importlib.util
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from borelweyl.biproduct import NCPoly, RewriteLimitError, word_str
 from borelweyl.morphisms import _eval_terms, _oriented_image, _prepare_images, fix_orientation
@@ -163,3 +167,21 @@ def flipped_upper_assignment(qdatum):
     assignment, _ = fix_orientation(qdatum, "upper")
     flipped = {f"E{i + 1}": _oriented_image(qdatum, i, -1) for i in range(qdatum.context.n)}
     return replace(assignment, images={**assignment.images, **flipped}, conventions=())
+
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def module_at(path):
+    """The module of a file under the repository root, loaded once by path
+    under a name of its own, such as ``perfbench_ladders``."""
+    path = ROOT / path
+    name = f"{path.parent.name}_{path.stem}"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module

@@ -9,7 +9,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import borelweyl
 from borelweyl import biproduct
@@ -29,8 +29,9 @@ from borelweyl.biproduct import (
 )
 from borelweyl.cartan import CartanError, catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.exact import QQ_ONE, QScalar, q_binom, q_power
+from borelweyl.exact import qq
 from borelweyl.exact.qq import _padd, _pmul
-from conftest import reference_normal_form, reference_redexes
+from conftest import module_at, reference_normal_form, reference_redexes
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
 ROWS = {
@@ -38,6 +39,9 @@ ROWS = {
     "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
     "A6": [[2 if i == j else -int(abs(i - j) == 1) for j in range(6)] for i in range(6)],
     "A1^3": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "A2~": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
 }
 
 
@@ -368,6 +372,104 @@ def test_quantum_normal_forms_match_full_gcd_arithmetic(monkeypatch, name, word)
     assert got == _quantum_normal_form(name, word)
 
 
+# -- the rescaled basis --------------------------------------------------------
+
+
+def _with_dropper(R):
+    # F1·F2·E1 -> F1·F2/(q^2 - 1) + q·E1·F1·F2: a rule outside build_rules
+    # that drops an E letter with a coefficient outside Z[q, 1/q]
+    drop = NCPoly({("F1", "F2"): QScalar((1,), (-1, 0, 1)), ("E1", "F1", "F2"): q_power(1)})
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F1", "F2", "E1"), drop, "drop"),))
+
+
+_ORACLE_SYSTEMS = {name: system(name, "quantum") for name in ("A1", "A2", "B2", "G2", "A3", "A2~")}
+_ORACLE_SYSTEMS["A2 with a dropper"] = _with_dropper(_ORACLE_SYSTEMS["A2"])
+# ints, q-powers, 1/(q^2 - 1) and (2 + q)/(1 + q^3)
+_ORACLE_SCALARS = [
+    1, -2, 3, q_power(1), -q_power(-2), q_power(3), QScalar((1,), (-1, 0, 1)), QScalar((2, 1), (1, 0, 0, 1))
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rescaled_normal_forms_match_the_rules_as_written(data):
+    # normal_form straightens on E_i rescaled by q^{d_i} - q^{-d_i} and
+    # divides back; the reference straightens on R.rules, never rescaled,
+    # so any slip in the lift, the compiled rules or the division shows
+    name = data.draw(st.sampled_from(sorted(_ORACLE_SYSTEMS)))
+    R = _ORACLE_SYSTEMS[name]
+    words = st.lists(st.sampled_from(R.alphabet), max_size=7).map(tuple)
+    p = NCPoly(data.draw(st.dictionaries(words, st.sampled_from(_ORACLE_SCALARS), min_size=1, max_size=4)))
+    limit = data.draw(st.sampled_from([2, 15, 200_000]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(biproduct, "_STEP_LIMIT", limit)
+        assert _outcome(normal_form, p, R) == _outcome(reference_normal_form, p, R, "leftmost", limit), name
+
+
+def test_the_dropper_divides_back_outside_build_rules():
+    R = _ORACLE_SYSTEMS["A2 with a dropper"]
+    p = R.poly(("F1", "F2", "E1"))
+    expected = reference_normal_form(p, R, "leftmost")
+    assert normal_form(p, R) == expected
+    # the dropped word keeps the non-Laurent coefficient it was written with
+    assert expected.terms[("F1", "F2")] == QScalar((1,), (-1, 0, 1))
+
+
+_LAURENT_SYSTEMS = CATALOG + ["B3", "C3", "D4", "A2~"]
+
+
+@pytest.mark.parametrize("name", _LAURENT_SYSTEMS)
+def test_every_compiled_quantum_coefficient_is_laurent(name):
+    # in the rescaled basis no rule of build_rules keeps a denominator
+    # other than a power of q, though the pairings as written do
+    R = system(name, "quantum")
+    compiled = [c for _, rhs in R._coded_rules for _, c in rhs]
+    assert compiled and all(_is_q_power(c.den) for c in compiled)
+    assert not all(_is_q_power(c.den) for rule in R.rules for c in rule.rhs.terms.values())
+
+
+@pytest.mark.parametrize("name", _LAURENT_SYSTEMS)
+def test_classical_rules_compile_to_their_own_scalars(name):
+    R = system(name, "classical")
+    for rule, (lead, rhs) in zip(R.rules, R._coded_rules):
+        assert R._decode(lead) == rule.lead
+        compiled = [(R._decode(w), c, type(c)) for w, c in rhs]
+        assert compiled == [(w, c, type(c)) for w, c in rule.rhs.terms.items()]
+
+
+@pytest.mark.parametrize("ladder_seed", [1, 2])
+def test_rewrite_ladder_words_straighten_without_a_heuristic_gcd(monkeypatch, ladder_seed):
+    # the quantum words of the rewrite-words benchmark ladder: every
+    # coefficient inside the straightening is a Laurent polynomial, so no
+    # two non-trivial polynomials ever meet in a gcd there
+    ladders = module_at("perfbench/ladders.py")
+    calls, inside = [], []
+    heuristic, reduce = qq._pgcd_heuristic, biproduct._reduce
+
+    def counted(a, b):
+        if inside:
+            calls.append((a, b))
+        return heuristic(a, b)
+
+    def marked(terms, R):
+        inside.append(True)
+        try:
+            return reduce(terms, R)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qq, "_pgcd_heuristic", counted)
+    monkeypatch.setattr(biproduct, "_reduce", marked)
+    words = 0
+    for job in ladders.plan("rewrite-words", ladder_seed):
+        if job.mode == "quantum":
+            R = build_rules(quasi_inverse(validate_gcm(ladders.matrix_rows(job.matrix))), "quantum")
+            assert normal_form(R.poly(tuple(job.word.split())), R)
+            words += 1
+    assert words == 24
+    assert calls == []
+
+
 # -- PBW counts ----------------------------------------------------------------
 
 
@@ -595,7 +697,26 @@ def test_transport_falls_back_to_the_chase(extend, name, letters, left, hows, mo
     assert found(check_local_confluence(base, 4)) in ([], ["transport"])
 
 
-@pytest.mark.parametrize("extend", [_twin, _detour, _stopper], ids=["twin", "detour", "stopper"])
+def _shifted_moves(R):
+    # H2·E1 -> E1·H2 + H2/3 and H3·E1 -> E1·H3 + 2·H3 (the K's with
+    # 1/(q^2 - 1) and q in quantum mode): E1 passes H2 and H3 leftward with
+    # shifts that drop E1, and neither passes E1 rightward any more, so
+    # transport settles H3·H2·E1 by E1's move, with δ ≠ 0; in quantum mode
+    # δ is read off the rescaled rules and must be divided back
+    shifts = (Fraction(1, 3), 2) if R.mode == "classical" else (QScalar((1,), (-1, 0, 1)), q_power(1))
+    for x, shift in zip(_cartan_letters(R), shifts):
+        rule = rule_for(R, (x, "E1"))
+        R = swap_rule(R, rule.lead, Rule(rule.lead, rule.rhs + NCPoly({(x,): shift}), "weight"))
+    return R
+
+
+def _cartan_letters(R):
+    return ("H2", "H3") if R.mode == "classical" else ("K2", "K3")
+
+
+@pytest.mark.parametrize(
+    "extend", [_twin, _detour, _stopper, _shifted_moves], ids=["twin", "detour", "stopper", "shifted-moves"]
+)
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_extended_systems_match_chasing_every_overlap(extend, mode):
     # a certificate taken where a move is not the leftmost redex, or a pair
@@ -603,6 +724,30 @@ def test_extended_systems_match_chasing_every_overlap(extend, mode):
     # does not give
     R = extend(system("A1^3", mode))
     assert list(check_local_confluence(R, 4).ambiguities) == chased_ambiguities(R, 4)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_a_shifted_move_is_transported_with_its_shift(mode):
+    R = _shifted_moves(system("A1^3", mode))
+    x2, x3 = _cartan_letters(R)
+    (a,) = [a for a in check_local_confluence(R, 4).ambiguities if a.word == (x3, x2, "E1")]
+    assert (a.how, a.left) == ("transport", f"{x3}*{x2} at 0")
+    shifts = Fraction(7, 3) if mode == "classical" else QScalar((1,), (-1, 0, 1)) + q_power(1)
+    assert a.nf_left == NCPoly({("E1", x2, x3): R.one, (x2, x3): shifts})
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_a_right_side_that_straightens_through_a_pairing_is_transported(mode):
+    # E1·F1·F1·E1 -> E1·F1·E1, whose right side straightens through the
+    # pairing F1·E1 although the rule keeps E-content; F2 passes every
+    # letter of its lead, so transport settles F2·E1·F1·F1·E1 from
+    # N(E1·F1·E1), which a quantum check must divide back in part
+    base = system("A1^3", mode)
+    R = _with(base, Rule(("E1", "F1", "F1", "E1"), base.poly(("E1", "F1", "E1")), "extra"))
+    report = check_local_confluence(R, 5)
+    assert list(report.ambiguities) == chased_ambiguities(R, 5)
+    (a,) = [a for a in report.ambiguities if a.word == ("F2", "E1", "F1", "F1", "E1")]
+    assert a.how == "transport"
 
 
 def test_two_rules_on_one_lead_are_compared():

@@ -19,6 +19,10 @@ sample, passes too), and the Weyl embedding has its verdict.  The biproduct
 has one verdict in both modes: it passes on every draw of size at most 2 and
 fails on some 3×3 draw.
 
+`docs/census.py` counts the same runs by class of matrix (finite, affine,
+indefinite, non-symmetrizable) into `docs/census.md`, and a test checks
+that the committed table is what the script writes.
+
 Every check that decides a verdict is a raise or an `if`, never an assert, so
 one `python -O` subprocess over two census matrices prints the same
 structured report as a normal run once the timings are dropped.
@@ -38,6 +42,7 @@ import pytest
 
 import borelweyl
 from borelweyl.cli import main
+from conftest import ROOT, module_at
 
 SEED = 20211
 
@@ -131,6 +136,14 @@ def test_every_section_verdict_meets_its_predicate():
     assert sum(all(x % 2 == 0 for x in _off_diagonal(rows)) for rows, _, _ in verdicts) == 4
     assert sum(not any(_off_diagonal(rows)) for rows, _, _ in verdicts) == 3
     assert any(len(rows) == 3 and not passed["biproduct", "classical"] for rows, _, passed in verdicts)
+
+
+def test_the_committed_census_table_is_current():
+    # docs/census.md is what docs/census.py writes, counted from this
+    # module's cached runs rather than from runs of its own
+    census_table = module_at("docs/census.py").table
+    written = census_table(CENSUS, lambda text: run_cli(*VERIFY, "--matrix", text))
+    assert written == (ROOT / "docs" / "census.md").read_text()
 
 
 def _stripped(stdout):

@@ -7,29 +7,15 @@ each job through ``cli.run`` and ``cli.emit_report`` and checking it with
 the benchmark.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 import borelweyl.cli as cli
+from conftest import module_at
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    """A perfbench module loaded by path, under a name of its own."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-ladders = _load("ladders")
-reference = _load("reference")
+ladders = module_at("perfbench/ladders.py")
+reference = module_at("perfbench/reference.py")
 
 
 @pytest.mark.parametrize("ladder_seed", [ladders.DEFAULT_LADDER_SEED, ladders.HELDOUT_LADDER_SEED])

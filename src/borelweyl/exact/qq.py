@@ -40,12 +40,12 @@ as built and is not normalised again; negation, inversion and a Fraction
 take no gcd either.
 
 A job repeats the same few products: q-powers, balanced brackets and
-q-binomials, met again at every rewrite and every relation.  So within
+q-binomials, met again at every rewrite and every datum check.  So within
 ``job_memo()`` each sum and product is looked up by its operands' canonical
 tuples (a, b, c, d) before Henrici's rule runs, and computed and stored only
-on a miss.  One pass of the benchmark's verify-quantum ladder asks for 7,003
-products past the shortcuts below and 2,480 sums, and runs the kernels on
-695 and 290 of them (counted by wrapping `QScalar.__mul__`, `__add__`,
+on a miss.  One pass of the benchmark's verify-quantum ladder asks for 6,807
+products past the shortcuts below and 1,116 sums, and runs the kernels on
+662 and 239 of them (counted by wrapping `QScalar.__mul__`, `__add__`,
 `_mul` and `_add` around one in-process pass through `cli.run`).
 A canonical QScalar is immutable and fixed by its tuples, so a stored result
 is the one the kernel would build.  The products by one and by zero return
@@ -278,7 +278,7 @@ def _pstr(a: ZPoly) -> str:
 _MEMO: ContextVar = ContextVar("qq_memo", default=None)
 
 # A sum or product is memoised only when its operands hold at most this many
-# coefficients in all.  The operands of each of the 7,003 non-unit products of
+# coefficients in all.  The operands of each of the 6,807 non-unit products of
 # a verify-quantum pass hold at most 22.  A long quantum rewrite grows
 # coefficients that never repeat: memoising every one of them raised the peak
 # RSS of a 20-letter G2 rewrite from 42.2 to 109.7 MB, against 41.3 MB under
@@ -326,6 +326,16 @@ class QScalar:
 
     def __setattr__(self, *a):
         raise AttributeError("QScalar is immutable")
+
+    @staticmethod
+    def laurent(terms: dict) -> "QScalar":
+        """Σ c·q^e from integer Laurent coefficients {e: c}, with no gcd: over
+        q^k, −k the lowest exponent below 0, the numerator has a nonzero constant term."""
+        exps = [e for e, c in terms.items() if c]
+        if not exps:
+            return QQ_ZERO
+        low = min(min(exps), 0)
+        return QScalar._reduced(tuple(terms.get(e, 0) for e in range(low, max(exps) + 1)), (0,) * -low + (1,))
 
     @staticmethod
     def from_int(k) -> "QScalar":
@@ -502,7 +512,7 @@ def q_binom(m: int, k: int, d: int = 1) -> QScalar:
     [m, k] = q^{dk}·[m−1, k] + q^{−d(m−k)}·[m−1, k−1].
 
     The rows hold integer Laurent coefficients {exponent: int}; one QScalar
-    is built at the end, so no step divides or takes a gcd.
+    is built at the end (`QScalar.laurent`), so no step divides or takes a gcd.
     """
     if k < 0 or k > m:
         return QQ_ZERO
@@ -513,8 +523,4 @@ def q_binom(m: int, k: int, d: int = 1) -> QScalar:
             for e, c in row[j - 1].items():
                 new[e - d * (i - j)] = new.get(e - d * (i - j), 0) + c
             row[j] = new
-    low = min(row[k])  # [m, k] is symmetric under q ↦ q⁻¹, so low = −d·k(m−k) ≤ 0
-    num = [0] * (1 - 2 * low)
-    for e, c in row[k].items():
-        num[e - low] = c
-    return QScalar(num, (0,) * -low + (1,))
+    return QScalar.laurent(row[k])

@@ -4,20 +4,16 @@ The algebras in play (Borel halves of a Kac-Moody algebra, Weyl algebras,
 their quantum versions) are stored as plain relation lists over a free
 algebra: each relation is a finite sum of scalar * word.  A generator
 assignment sends every generator to a skew-model element, and `verify`
-pushes each relation through the assignment and records the residual.  It
-evaluates each relation by Horner on the last letter: the words that end
-in the same generator share one right product by its image, their prefixes
-summed first.  Over ℚ the whole chain runs on packed integer polynomials:
+pushes each relation through the assignment and records the residual.
+Over ℚ it runs on packed integer polynomials, by Horner on the last letter:
 once per run each image is split into an integer image over one
-denominator, and each coefficient becomes a map from integer keys, one
-exponent vector each, to integers.  One key width serves the run: the
-longest word times the largest per-variable degree of any image, in bits.
-The σ^m of each generator coefficient is shifted and packed once per run.
-Each relation divides once, by the lcm of its words' denominators.  A
-relation is satisfied exactly when its packed sum is empty, and only a
-nonzero residual is unpacked into `MLaurent`s; there is no tolerance
-anywhere.  Over ℚ(q) the chain runs on the `SkewElem` images: every
-quantum image has denominator 1, so there is nothing to clear.
+denominator, each coefficient becomes a map from integer keys, one
+exponent vector each, to integers, and the words that end in the same
+generator share one right product by its image.  Over ℚ(q) every image is
+one monomial c·K^a·t^m, so every word is a q-power times one monomial and a
+relation sums integer Laurent polynomials in q, one per monomial.  Either
+way a relation is satisfied exactly when its sum is empty, and only a
+nonzero residual becomes `MLaurent`s; there is no tolerance anywhere.
 
 Classical and quantum, upper and lower presentations share their pieces:
 `_serre_windows` writes out every Serre window (the rewriting rules of
@@ -42,12 +38,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations
-from math import comb, lcm
-from operator import add, lshift
+from math import comb, lcm, prod
+from operator import add, lshift, mul
 
 from .cartan import CartanAux, _inverse
 from .datum import ClassicalDatum, QuantumDatum, _directions
-from .exact import MLaurent, QQ_ONE, q_binom, q_power
+from .exact import MLaurent, QQ_ONE, QScalar, q_binom, q_power
 from .exact.laurent import _accumulate
 from .skew import ModelContext, SkewElem
 
@@ -388,13 +384,14 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
         images[f"K{i + 1}"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i))
         images[f"K{i + 1}^-1"] = SkewElem.from_coeff(ctx, ctx.coeff_var(i, -1))
     weight = pres.by_family("weight")
+    ring = _MonomialImages(ctx, images)
     signs, detail = [], []
     for j in range(n):
         sym = f"{letter}{j + 1}"
         mine = [r for r in weight if any(sym in word for _, word in r.terms)]
         outcomes = {}
         for s in (1, -1):
-            ring = _SkewImages(ctx, {**images, sym: _oriented_image(qdatum, j, s)})
+            ring.assign(sym, _oriented_image(qdatum, j, s))
             outcomes[s] = [res for r in mine if (res := _eval_terms(ring, r.terms))]
         good = [s for s, bad in outcomes.items() if not bad]
         if len(good) == 1:
@@ -440,11 +437,13 @@ class _PackedImages:
     """The classical images of one run, packed: the ring `_eval_terms` runs on over ℚ.
 
     D_s times image s is an integer image S_s, D_s the lcm of the image's
-    coefficient denominators.  An element of the chain maps a torus
-    exponent m to {key: int}, a coefficient c·h^e packed as the key
-    Σ e_j·2^{w·j}.  A σ-shift keeps each per-variable degree, so no exponent
-    of a product of images outgrows the w bits of `_key_width`, and adding
-    two keys adds their exponent vectors with no carry.
+    coefficient denominators, so Σ c_w·image(w) = (1/L)·Σ k_w·S_w with L the
+    lcm of the D_w·den(c_w) and k_w = c_w·L/D_w an integer.  An element of
+    the chain maps a torus exponent m to {key: int}, a coefficient c·h^e
+    packed as the key Σ e_j·2^{w·j}.  A σ-shift keeps each per-variable
+    degree, so no exponent of a product of images outgrows the w bits of
+    `_key_width`, and adding two keys adds their exponent vectors with no
+    carry.  σ^m of a generator coefficient is shifted and packed on first use.
     """
 
     def __init__(self, ctx: ModelContext, images: dict, polys):
@@ -462,7 +461,7 @@ class _PackedImages:
         self.ctx, self.images = ctx, images
         self.shifts = range(0, w * ctx.n, w)
         self.mask = (1 << w) - 1
-        self.one = {(0,) * ctx.n: {0: 1}}
+        self.origin = (0,) * ctx.n
         self._shifted = {}  # (symbol, m) -> [(m', σ^m of the packed coefficient at t^{m'})]
 
     def shifted(self, sym, m) -> list:
@@ -478,9 +477,6 @@ class _PackedImages:
             ]
         return got
 
-    def image(self, sym) -> dict:
-        return {mp: dict(g) for mp, g in self.shifted(sym, (0,) * self.ctx.n)}
-
     def times(self, acc: dict, sym) -> dict:
         """acc·S_sym by the twist rule (f·t^m)(g·t^{m'}) = f·σ^m(g)·t^{m+m'}."""
         out = {}
@@ -494,35 +490,37 @@ class _PackedImages:
                         row[k] = get(k, 0) + ca * cb
         return out
 
-    @staticmethod
-    def scale(acc: dict, c) -> dict:
-        return {m: {k: x * c for k, x in f.items()} for m, f in acc.items()}
-
-    @staticmethod
-    def add(parts) -> dict:
-        """The sum, without the coefficients that cancelled and the rows they empty."""
-        out = {}
+    def _horner(self, terms) -> dict:
+        """Σ k_w·S_w by Horner on the last letter, Σ k_{ux}·S_{ux} = (Σ k_{ux}·S_u)·S_x,
+        so σ only ever shifts a generator's coefficient; a lone word is
+        multiplied out and scaled once.  Cancelled coefficients are dropped."""
+        parts, groups = [], {}
+        for k, word in terms:
+            if word:
+                groups.setdefault(word[-1], []).append((k, word[:-1]))
+            else:
+                parts.append({self.origin: {0: k}})
+        for last, group in groups.items():
+            if len(group) == 1:
+                (k, prefix), = group
+                word = prefix + (last,)
+                cur = {mp: dict(g) for mp, g in self.shifted(word[0], self.origin)}
+                for sym in word[1:]:
+                    cur = self.times(cur, sym)
+                parts.append({m: {key: x * k for key, x in f.items()} for m, f in cur.items()})
+            else:
+                parts.append(self.times(self._horner(group), last))
+        rows = {}
         for part in parts:
             for m, f in part.items():
-                row = out.get(m)
-                if row is None:
-                    out[m] = dict(f)
-                    continue
-                get = row.get
-                for k, c in f.items():
-                    row[k] = get(k, 0) + c
-        return {m: row for m, f in out.items() if (row := {k: c for k, c in f.items() if c})}
+                rows.setdefault(m, []).append(f)
+        return {m: row for m, fs in rows.items() if (row := {k: c for k, c in _accumulate(fs).items() if c})}
 
     def evaluate(self, terms) -> SkewElem:
         """(1/L)·Σ k_w·S_w, unpacked only when the packed sum is nonzero."""
-        word_dens = []
-        for c, word in terms:
-            den = c.denominator
-            for sym in word:
-                den *= self.dens[sym]
-            word_dens.append(den)
+        word_dens = [c.denominator * prod(map(self.dens.__getitem__, word)) for c, word in terms]
         L = lcm(*word_dens)
-        total = _horner(self, [(c.numerator * (L // den), word) for (c, word), den in zip(terms, word_dens)])
+        total = self._horner([(c.numerator * (L // den), word) for (c, word), den in zip(terms, word_dens)])
         if not total:  # the relation holds exactly when its packed sum is empty
             return SkewElem.zero(self.ctx)
         n, shifts, mask = self.ctx.n, self.shifts, self.mask
@@ -532,80 +530,81 @@ class _PackedImages:
         })
 
 
-class _SkewImages:
-    """The quantum images as they are, the ring `_eval_terms` runs on over ℚ(q)."""
+def _laurent(c):
+    """c as integer Laurent coefficients {exponent: int}; None unless c is a
+    Laurent polynomial in q over ℤ."""
+    c = c if isinstance(c, QScalar) else QScalar.from_int(c)
+    k = len(c.den) - 1
+    if c.den[k] != 1 or any(c.den[:k]):
+        return None
+    return {i - k: x for i, x in enumerate(c.num) if x}
+
+
+class _MonomialImages:
+    """The quantum images of one run as monomials: the ring `_eval_terms` runs on over ℚ(q).
+
+    Every quantum image is one monomial c·K^a·t^m.  σ^m scales K^a by
+    q^{⟨m, u(a)⟩}, with u(a)_i = ⟨steps[i], a⟩, so
+    (c·K^a·t^m)·(c′·K^{a′}·t^{m′}) = c·c′·q^{⟨m, u(a′)⟩}·K^{a+a′}·t^{m+m′},
+    and a word's image is (∏c)·q^e·K^A·t^M: A and M sum the letters'
+    exponents, and each letter adds ⟨M, u(a)⟩ to e, M the t-exponent of the
+    letters before it.  `images` maps a symbol to (c, a, m, u(a)), c in
+    `_laurent` form, or None for 1.
+    """
 
     def __init__(self, ctx: ModelContext, images: dict):
-        self.ctx, self.images = ctx, images
-        self.one = SkewElem.one(ctx)
+        self.ctx = ctx
+        self.origin = (0,) * ctx.n
+        self.images = {}
+        for sym, img in images.items():
+            self.assign(sym, img)
 
-    def image(self, sym) -> SkewElem:
-        return self.images[sym]
-
-    def times(self, acc: SkewElem, sym) -> SkewElem:
-        return acc * self.images[sym]
-
-    @staticmethod
-    def scale(acc: SkewElem, c) -> SkewElem:
-        return acc.scale(c)
-
-    def add(self, parts) -> SkewElem:
-        return SkewElem(self.ctx, _accumulate(p.terms for p in parts))
+    def assign(self, sym, img: SkewElem):
+        """Send sym to img, which must be one monomial c·K^a·t^m with c a Laurent polynomial over ℤ."""
+        if len(img.terms) != 1 or len(next(iter(img.terms.values())).terms) != 1:
+            raise ArithmeticError(f"the image of {sym} is not one monomial c·K^a·t^m")
+        ((m, f),) = img.terms.items()
+        ((a, c),) = f.terms.items()
+        scalar = _laurent(c)
+        if scalar is None:
+            raise ArithmeticError(f"the image of {sym} has the scalar {c!r}, not a Laurent polynomial in q over ℤ")
+        u = tuple(sum(map(mul, step, a)) for step in self.ctx.steps)
+        self.images[sym] = (None if scalar == {0: 1} else scalar, a, m, u)
 
     def evaluate(self, terms) -> SkewElem:
-        return _horner(self, terms)
+        """Σ c_w·image(w), the words' scalars summed per (M, A) in integers;
+        only a nonzero sum becomes a `QScalar`."""
+        images, origin, groups = self.images, self.origin, {}
+        for coeff, word in terms:
+            scalar = _laurent(coeff)
+            if scalar is None:
+                raise ArithmeticError(f"the coefficient {coeff!r} of {word} is not a Laurent polynomial in q over ℤ")
+            M, A, e = origin, origin, 0
+            for sym in word:
+                c, a, m, u = images[sym]
+                e += sum(map(mul, M, u))
+                A, M = tuple(map(add, A, a)), tuple(map(add, M, m))
+                if c is not None:
+                    scalar = _accumulate({i + j: x * y for j, y in c.items()} for i, x in scalar.items())
+            row = groups.setdefault((M, A), {})
+            for i, x in scalar.items():
+                row[i + e] = row.get(i + e, 0) + x
+        residual = {}
+        for (M, A), row in groups.items():
+            if any(row.values()):
+                residual.setdefault(M, {})[A] = QScalar.laurent(row)
+        return SkewElem(self.ctx, {M: MLaurent(self.ctx.n, f) for M, f in residual.items()})
 
 
 def _prepare_images(ctx: ModelContext, images: dict, polys):
     """The images of one run, ready for `_eval_terms` on the polynomials `polys`."""
-    return _PackedImages(ctx, images, polys) if ctx.kind == "classical" else _SkewImages(ctx, images)
-
-
-def _horner(ring, terms):
-    """Σ c_w·image(w) in the ring, by Horner on the last letter."""
-    parts, groups = [], {}
-    for coeff, word in terms:
-        if word:
-            groups.setdefault(word[-1], []).append((coeff, word[:-1]))
-        else:
-            parts.append(ring.scale(ring.one, coeff))
-    for last, group in groups.items():
-        if len(group) == 1:
-            (coeff, prefix), = group
-            word = prefix + (last,)
-            cur = ring.image(word[0])
-            for sym in word[1:]:
-                cur = ring.times(cur, sym)
-            parts.append(ring.scale(cur, coeff))
-        else:
-            parts.append(ring.times(_horner(ring, group), last))
-    return ring.add(parts)
+    return _PackedImages(ctx, images, polys) if ctx.kind == "classical" else _MonomialImages(ctx, images)
 
 
 def _eval_terms(ring, terms) -> SkewElem:
-    """Σ c_w·image(w) over the images of `_prepare_images`, by Horner on the last letter.
-
-    The words that end in x share one right product:
-    Σ c_{ux}·image(ux) = (Σ c_{ux}·image(u))·image(x), the prefixes summed
-    first, recursively.  Every product right-multiplies by one generator
-    image, so σ only ever shifts a generator's coefficient.  A lone word is
-    multiplied out and scaled once at the end, which keeps its coefficient
-    (a q-binomial, say) out of the products.
-
-    Over ℚ the chain runs packed (`_PackedImages`).  The denominators are
-    cleared first, with image(s) = S_s/D_s: Σ c_w·image(w) = (1/L)·Σ k_w·S_w,
-    L the lcm of the D_w·den(c_w) and k_w = c_w·L/D_w an integer.  So every
-    product adds integer keys and multiplies integers, and the one division
-    by L comes at the end.  One key width w serves the run: 2^w − 1 is at
-    least the longest word times the largest per-variable degree of any
-    image, and classical exponents are non-negative, so no bias is needed.
-    σ^m of a generator coefficient is shifted and packed once per run, on
-    first use, and cached per (generator, m).  A relation holds exactly
-    when its packed sum is empty, so only a nonzero residual is unpacked
-    into `MLaurent`s.  Over ℚ(q) the chain runs on the `SkewElem` images
-    (`_SkewImages`): every quantum image has denominator 1, so L = 1 and
-    there is nothing to clear.
-    """
+    """Σ c_w·image(w) over the images of `_prepare_images`: packed, by Horner on
+    the last letter, over ℚ (`_PackedImages`), and monomial by monomial over
+    ℚ(q) (`_MonomialImages`)."""
     for _, word in terms:
         for sym in word:
             if sym not in ring.images:
@@ -812,12 +811,6 @@ def _classify_classical(ctx, datum, f):
     return "unrecognized", "unrecognized"
 
 
-def _classify_quantum(f):
-    if f.is_monomial():
-        return "torus-unit", "torus unit"
-    return "unrecognized", "unrecognized"
-
-
 def birational_witness(report: VerificationReport) -> OreWitness:
     """Factor every inverted denominator into the multiplicative set generated
     by shifted b's, the h generators, and torus units; flag anything else."""
@@ -827,6 +820,6 @@ def birational_witness(report: VerificationReport) -> OreWitness:
         if ctx.kind == "classical":
             kind, detail = _classify_classical(ctx, report.assignment.datum, coeff)
         else:
-            kind, detail = _classify_quantum(coeff)
+            kind, detail = ("torus-unit", "torus unit") if coeff.is_monomial() else ("unrecognized", "unrecognized")
         entries.append(WitnessEntry(coeff.to_str(ctx.names), tuple(m), kind, detail))
     return OreWitness(tuple(entries), all(e.kind != "unrecognized" for e in entries))

@@ -17,7 +17,7 @@ from borelweyl.biproduct import build_rules, normal_form, parse_word
 from borelweyl.cartan import catalog_matrix, quasi_inverse, validate_gcm
 from borelweyl.cli import _corrupted, _witness_block
 from borelweyl.datum import ClassicalDatum, QuantumDatum, build_quantum_datum, check_bound_quantum, solve_beta
-from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
+from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, QScalar, q_power
 from borelweyl.skew import ModelContext, quantum_context
 from borelweyl.morphisms import (
     GeneratorAssignment,
@@ -156,7 +156,8 @@ def test_evaluate_word_empty_and_single():
 
 def word_by_word(asg, p):
     """Each word multiplied out from the identity, scaled and summed: the
-    evaluation that Horner on the last letter replaced, kept as an oracle."""
+    evaluation that the packed Horner chain (over ℚ) and the monomial ring
+    (over ℚ(q)) replaced, kept as an oracle."""
     ctx = asg.context
     total = SkewElem.zero(ctx)
     for coeff, word in p:
@@ -410,6 +411,101 @@ def test_classical_relations_stay_packed_until_a_nonzero_residual(monkeypatch, s
     assert len(set(at_recovery["shifts"])) == len(at_recovery["shifts"])
     assert at_recovery["init"] == residual_terms
     assert (residual_terms > 0) == (side != "weyl")
+
+
+# -- the monomial quantum chain --------------------------------------------------
+
+AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+
+
+def quantum_assignments(name):
+    """The quantum upper, lower and Weyl assignments of a catalog or ladder
+    matrix, or of Ã2, and the upper one with every E_i flipped."""
+    rows = {"A2~": AFFINE_A2, **LADDER}.get(name)
+    qd = build_quantum_datum(quasi_inverse(catalog_matrix(name) if rows is None else validate_gcm(rows)))
+    borels = [fix_orientation(qd, side)[0] for side in ("upper", "lower")]
+    return borels + [quantum_weyl_assignment(qd), flipped_upper_assignment(qd)]
+
+
+@pytest.mark.parametrize("name", CATALOG + ["B3", "D4", "A2~"])
+def test_monomial_evaluation_matches_skew_products(name):
+    # every relation, evaluated as q-weighted monomials, against each word
+    # multiplied out on the SkewElem images, scaled and summed
+    nonzero = 0
+    for asg in quantum_assignments(name):
+        relations = asg.presentation.relations
+        ring = morphisms._prepare_images(asg.context, asg.images, [rel.terms for rel in relations])
+        for rel in relations:
+            got, want = morphisms._eval_terms(ring, rel.terms), word_by_word(asg, rel.terms)
+            assert got == want, rel.name
+            assert got.to_str(asg.context.names) == want.to_str(asg.context.names), rel.name
+            nonzero += bool(got)
+    assert nonzero  # the flipped weight relations at least leave residuals
+
+
+@pytest.mark.parametrize("side", ["upper", "lower", "weyl"])
+def test_quantum_relations_make_no_skew_product_and_no_gcd(monkeypatch, side):
+    # while verify evaluates the relations of the quantum A3 (up to the
+    # recovery phase), no SkewElem product and no polynomial gcd runs, and a
+    # QScalar is built only for a coefficient of a nonzero residual
+    qd = quantum_datum("A3")
+    asg = quantum_weyl_assignment(qd) if side == "weyl" else fix_orientation(qd, side)[0]
+    counts = {"skew": 0, "gcd": 0, "qscalar": 0}
+    at_recovery = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def snapshot(assignment, inverted):
+        at_recovery.update(counts)
+        return asg.recover(assignment, inverted)
+
+    traced = replace(asg, recover=snapshot)
+    monkeypatch.setattr(SkewElem, "__mul__", counting("skew", SkewElem.__mul__))
+    monkeypatch.setattr(borelweyl.exact.qq, "_pgcd", counting("gcd", borelweyl.exact.qq._pgcd))
+    monkeypatch.setattr(QScalar, "__init__", counting("qscalar", QScalar.__init__))
+    monkeypatch.setattr(QScalar, "_reduced", staticmethod(counting("qscalar", QScalar._reduced)))
+    report = verify(traced)
+    residual_terms = sum(
+        len(f.terms) for e in report.entries if e.family != "recovery" for f in e.residual.terms.values()
+    )
+    assert (at_recovery["skew"], at_recovery["gcd"]) == (0, 0)
+    assert at_recovery["qscalar"] == residual_terms
+    assert (residual_terms > 0) == (side != "weyl")  # the adjacent Serre relations fail
+    assert counts["skew"] > 0  # the recovery still multiplies SkewElems
+
+
+def test_a_quantum_image_must_be_one_monomial_with_a_laurent_scalar():
+    asg = horner_assignment("quantum")
+    ctx = asg.context
+    K1, K2 = ctx.coeff_var(0), ctx.coeff_var(1)
+    one_over = QScalar((1,), (-1, 0, 1))  # 1/(q^2 - 1)
+    for bad, message in (
+        (asg.images["E1"] + SkewElem.torus(ctx, (0, 0)), "the image of E1 is not one monomial"),
+        (SkewElem.monomial(ctx, K1 + K2, (1, 0)), "the image of E1 is not one monomial"),
+        (SkewElem.monomial(ctx, K1 * one_over, (1, 0)), r"the image of E1 has the scalar 1/\(q\^2 - 1\), not a Laurent"),
+    ):
+        with pytest.raises(ArithmeticError, match=message):
+            morphisms._prepare_images(ctx, dict(asg.images, E1=bad), [])
+    ring = morphisms._prepare_images(ctx, asg.images, [])
+    with pytest.raises(ArithmeticError, match=r"the coefficient 1/\(q\^2 - 1\) of \('E1',\) is not a Laurent"):
+        morphisms._eval_terms(ring, ((one_over, ("E1",)),))
+
+
+def test_a_laurent_image_scalar_multiplies_through_the_word():
+    # every image the package builds has scalar 1; a Laurent scalar such as
+    # 2q^-1 + q^3, on an image or on a coefficient, must still multiply out
+    asg = horner_assignment("quantum")
+    ctx = asg.context
+    c = q_power(-1) * 2 + q_power(3)
+    images = dict(asg.images, E1=asg.images["E1"].scale(c))
+    ring = morphisms._prepare_images(ctx, images, [])
+    p = ((QQ_ONE, ("E1", "E1")), (c, ("K1", "E1", "E2", "E1")), (-c, ("E1", "K1^-1")), (q_power(2), ()))
+    assert morphisms._eval_terms(ring, p) == word_by_word(replace(asg, images=images), p)
 
 
 # -- classical Borel maps ------------------------------------------------------

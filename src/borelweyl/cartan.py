@@ -13,10 +13,14 @@ of C, which simultaneously yields a saturated integer kernel basis whose
 vectors complete {m_i} to ℤⁿ.  That column reduction works over ℤ; every
 elimination over ℚ in the package is `_eliminate`, one Gauss–Jordan routine
 with a first-maximal-absolute-value pivot rule, so results are reproducible.
+It runs fraction-free, on rows of ints over one positive denominator each,
+and compares candidate pivots by their exact rational values, so its reduced
+rows, pivots and determinant are those of Gauss–Jordan over `Fraction`s.
 Here it gives rank, inverses, the pairing rows and the unimodularity
 determinant; `datum` solves the b-conditions and the witness's shift
-equations with it.  Every check raises CartanError, so they all run under
-python -O as well.
+equations with it.  The pairing identities q_iᵀ·C·m_j = δ_ij are checked in
+integers, each q_i scaled by its common denominator.  Every check raises
+CartanError, so they all run under python -O as well.
 """
 
 from __future__ import annotations
@@ -133,6 +137,9 @@ def symmetrize(C: CartanMatrix) -> tuple:
     return d
 
 
+_ZERO = Fraction(0)
+
+
 def _eliminate(rows):
     """Gauss–Jordan elimination over ℚ: the one exact elimination in the package.
 
@@ -142,34 +149,76 @@ def _eliminate(rows):
     the reduced rows, the pivots as (original row index, column), and the
     determinant of the square block of the first len(rows) columns (0 when
     that block is singular or there are fewer columns than rows).
+
+    Fraction-free: row t is a list of ints over one positive int
+    denominator, so a row operation takes one gcd, not one per entry.
+    Candidate pivots are compared by their rational values, |a|/s > |a′|/s′
+    as |a|·s′ > |a′|·s.  The pivot row is kept over its own pivot entry,
+    which divides it by its pivot, and every other row becomes row_t·p −
+    f·row_k over s_t·p, which is row_t − (f/s_t)·(row_k/p).  So each row
+    stands for the same rational row as in Gauss–Jordan over `Fraction`s,
+    step for step: the pivots, the reduced rows and the determinant (kept as
+    an int numerator and denominator) are the same.  `Fraction`s are built
+    only on return.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m, dens = [], []  # row t stands for m[t] / dens[t]
+    for row in rows:
+        # a list, not a generator: f(*generator) resizes its argument tuple, and
+        # each call leaves one such tuple on the free list until a full gc
+        den = lcm(*[x.denominator for x in row])
+        m.append([x.numerator * (den // x.denominator) for x in row])
+        dens.append(den)
     order = list(range(len(m)))
     pivots = []
-    det = Fraction(1)
+    det_num = det_den = 1
     for col in range(len(m[0]) if m else 0):
         k = len(pivots)
         if k == len(m):
             break
-        piv = max(range(k, len(m)), key=lambda t: abs(m[t][col]))
-        if not m[piv][col]:
+        piv, best, best_den = k, abs(m[k][col]), dens[k]
+        for t in range(k + 1, len(m)):
+            a = abs(m[t][col])
+            if a * best_den > best * dens[t]:
+                piv, best, best_den = t, a, dens[t]
+        if not best:
             continue
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
+            dens[k], dens[piv] = dens[piv], dens[k]
             order[k], order[piv] = order[piv], order[k]
-            det = -det
-        pivot = m[k][col]
-        det *= pivot
+            det_num = -det_num
+        p = m[k][col]
+        det_num *= p
+        det_den *= dens[k]
+        # the pivot row over its pivot entry is the row divided by its pivot;
         # an unused row is zero left of col, so only columns from col on change
-        m[k][col:] = [x / pivot for x in m[k][col:]]
+        head = m[k][col:]
+        if p < 0:
+            head = [-x for x in head]
+            p = -p
+        g = gcd(*head)
+        if g > 1:
+            head = [x // g for x in head]
+            p //= g
+        m[k][col:] = head
+        dens[k] = p
         for t, row in enumerate(m):
-            if t != k and row[col]:
-                f = row[col]
-                row[col:] = [a - f * b for a, b in zip(row[col:], m[k][col:])]
+            f = row[col]
+            if t != k and f:
+                # row_k is zero left of col, so there row_t is only rescaled
+                new = [a * p for a in row[:col]] + [a * p - f * b for a, b in zip(row[col:], head)]
+                s = dens[t] * p
+                g = gcd(s, *new)
+                if g > 1:
+                    new = [x // g for x in new]
+                    s //= g
+                m[t] = new
+                dens[t] = s
         pivots.append((order[k], col))
     if [c for _, c in pivots] != list(range(len(m))):
-        det = Fraction(0)
-    return m, pivots, det
+        det_num = 0
+    reduced = [[Fraction(x, den) if x else _ZERO for x in row] for row, den in zip(m, dens)]
+    return reduced, pivots, Fraction(det_num, det_den)
 
 
 def _eliminate_with_identity(M):
@@ -287,10 +336,13 @@ def quasi_inverse(C: CartanMatrix) -> CartanAux:
 
 def _check_aux(aux: CartanAux):
     C, n = aux.matrix, aux.matrix.n
-    cms = [[sum(C[u, v] * m[v] for v in range(n)) for u in range(n)] for _, m in aux.dual_pairs]
+    cms = [[sum(a * b for a, b in zip(row, m)) for row in C.entries] for _, m in aux.dual_pairs]
     for i, (q, _) in enumerate(aux.dual_pairs):
+        # q_i·(C·m_j) = δ_ij, tested in integers over q_i's common denominator
+        den = lcm(*[x.denominator for x in q])
+        q = [x.numerator * (den // x.denominator) for x in q]
         for j, cm in enumerate(cms):
-            if sum(q[u] * cm[u] for u in range(n)) != (1 if i == j else 0):
+            if sum(a * b for a, b in zip(q, cm)) != (den if i == j else 0):
                 raise CartanError("dual pairing identity failed")
     for w in aux.left_kernel:
         if any(sum(w[i] * C[i, j] for i in range(n)) for j in range(n)):

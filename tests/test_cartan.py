@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import borelweyl
+from borelweyl import cartan
 from borelweyl.cartan import (
     CATALOG,
     CartanError,
@@ -311,6 +312,104 @@ def test_singular_pivot_column_is_skipped_and_det_is_zero():
     assert reduced == [[0, 1, 0], [0, 0, 1]]
 
 
+# Gauss–Jordan over `Fraction`s, as `_eliminate` computed it before it moved
+# to integer rows over one denominator: the same pivot rule and results.
+def _oracle_fraction_eliminate(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    order = list(range(len(m)))
+    pivots = []
+    det = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        if k == len(m):
+            break
+        piv = max(range(k, len(m)), key=lambda t: abs(m[t][col]))
+        if not m[piv][col]:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            order[k], order[piv] = order[piv], order[k]
+            det = -det
+        pivot = m[k][col]
+        det *= pivot
+        m[k][col:] = [x / pivot for x in m[k][col:]]
+        for t, row in enumerate(m):
+            if t != k and row[col]:
+                f = row[col]
+                row[col:] = [a - f * b for a, b in zip(row[col:], m[k][col:])]
+        pivots.append((order[k], col))
+    if [c for _, c in pivots] != list(range(len(m))):
+        det = Fraction(0)
+    return m, pivots, det
+
+
+F = Fraction
+rational_entries = st.one_of(
+    small_int,
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
+)
+rational_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(rational_entries, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@given(rational_matrices)
+@example([[F(1, 2), F(1, 3)], [F(-1, 2), 1]])  # a tie over denominators 6 and 2: row 0 wins
+@example([[F(2, 3), F(1, 5)], [F(3, 4), 1]])  # 3/4 beats 10/15 with the smaller numerator
+@example([[0, F(1, 2), 1], [0, F(1, 3), F(2, 5)]])  # an all-zero column
+@example([[F(1, 2), 1, 3], [0, 0, 0], [1, F(-2, 3), 0]])  # a zero row
+@settings(max_examples=200, deadline=None)
+def test_rational_rows_match_the_fraction_oracle(rows):
+    reduced, pivots, det = _eliminate(rows)
+    assert (reduced, pivots, det) == _oracle_fraction_eliminate(rows)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert type(det) is Fraction
+
+
+def test_the_pivot_tie_and_the_larger_value_are_decided_exactly():
+    assert _eliminate([[F(1, 2), F(1, 3)], [F(-1, 2), 1]])[1][0] == (0, 0)
+    assert _eliminate([[F(2, 3), F(1, 5)], [F(3, 4), 1]])[1][0] == (1, 0)
+
+
+_FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__abs__", "__neg__", "__bool__", "__lt__", "__gt__",
+)
+
+
+def test_the_elimination_does_no_fraction_arithmetic(monkeypatch):
+    inside, seen = [False], []
+    for name in _FRACTION_OPERATORS:
+        def counted(*args, _op=getattr(Fraction, name), _name=name):
+            seen.append((_name, inside[0]))
+            return _op(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    eliminate, calls = cartan._eliminate, []
+
+    def flagged(rows):
+        calls.append(len(rows))
+        inside[0] = True
+        try:
+            return eliminate(rows)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(cartan, "_eliminate", flagged)
+    assert Fraction(1, 2) * 3 == Fraction(3, 2) and seen == [("__mul__", False)]
+    quasi_inverse(validate_gcm(_finite_a(9)))
+    quasi_inverse(validate_gcm(_affine_a(8)))
+    cartan._eliminate([[F(1, 2), F(-2, 3), 1], [F(3, 4), 2, F(1, 5)], [0, F(5, 7), F(-1, 3)]])
+    # A9: [C | I] and the unimodularity check; Ã8 adds the pairing rows and
+    # their inverse; then the rational rows
+    assert len(calls) == 7
+    assert [name for name, flag in seen if flag] == []
+
+
 @given(int_matrices)
 @example([[0, 0], [0, 0]])
 @example([[1, 2, 3], [2, 4, 6]])  # rank 1 of 3 columns
@@ -349,6 +448,10 @@ def test_affine_g2_quasi_inverse_follows_the_pivot_rule():
     assert aux.g == (2, 1, 2)
 
 
+def _finite_a(n):
+    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
+
+
 def _affine_a(n):
     k = n + 1
     return [[2 if i == j else (-1 if (i - j) % k in (1, k - 1) else 0) for j in range(k)] for i in range(k)]
@@ -381,12 +484,34 @@ def test_a_tampered_m_vector_is_rejected():
         _check_aux(_tampered_aux())
 
 
+def _tampered_q_aux():
+    aux = quasi_inverse(catalog_matrix("A2"))
+    (q0, m0), rest = aux.dual_pairs[0], aux.dual_pairs[1:]
+    q0 = (q0[0] + Fraction(1, 7),) + q0[1:]
+    return dataclasses.replace(aux, dual_pairs=((q0, m0),) + rest)
+
+
+def test_a_tampered_rational_q_is_rejected():
+    with pytest.raises(CartanError, match="dual pairing identity failed"):
+        _check_aux(_tampered_q_aux())
+    aux = quasi_inverse(validate_gcm(_affine_a(2)))
+    assert aux.corank == 1
+    (q0, m0), rest = aux.dual_pairs[0], aux.dual_pairs[1:]
+    doubled = dataclasses.replace(aux, dual_pairs=((tuple(2 * x for x in q0), m0),) + rest)
+    with pytest.raises(CartanError, match="dual pairing identity failed"):
+        _check_aux(doubled)
+
+
 def test_cartan_checks_still_run_under_python_O():
     script = (
         "import sys, test_cartan as t\n"
         "print(sys.flags.optimize)\n"
         "try:\n"
         "    t._check_aux(t._tampered_aux())\n"
+        "except t.CartanError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    t._check_aux(t._tampered_q_aux())\n"
         "except t.CartanError as exc:\n"
         "    print(exc)\n"
     )
@@ -396,4 +521,4 @@ def test_cartan_checks_still_run_under_python_O():
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.splitlines() == ["1", "dual pairing identity failed"]
+    assert done.stdout.splitlines() == ["1"] + ["dual pairing identity failed"] * 2

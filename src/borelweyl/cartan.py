@@ -124,9 +124,9 @@ def symmetrize(C: CartanMatrix) -> tuple:
                     raise CartanError(
                         f"not symmetrizable: inconsistent ratio cycle through ({i + 1},{j + 1})"
                     )
-        scale = lcm(*(w.denominator for w in (weight[k] for k in component)))
+        scale = lcm(*[weight[k].denominator for k in component])
         ints = [weight[k] * scale for k in component]
-        shrink = gcd(*(int(v) for v in ints))
+        shrink = gcd(*[int(v) for v in ints])
         for k, v in zip(component, ints):
             weight[k] = Fraction(int(v) // shrink)
     d = tuple(int(w) for w in weight)
@@ -297,7 +297,7 @@ def _solve_pairing(cms):
 def lattice_scaling(Q) -> tuple:
     """g_j = lcm of the denominators in column j of a rational matrix."""
     n = len(Q)
-    return tuple(lcm(*(Q[i][j].denominator for i in range(n))) for j in range(n))
+    return tuple(lcm(*[Q[i][j].denominator for i in range(n)]) for j in range(n))
 
 
 def quasi_inverse(C: CartanMatrix) -> CartanAux:

@@ -43,9 +43,9 @@ A job repeats the same few products: q-powers, balanced brackets and
 q-binomials, met again at every rewrite and every datum check.  So within
 ``job_memo()`` each sum and product is looked up by its operands' canonical
 tuples (a, b, c, d) before Henrici's rule runs, and computed and stored only
-on a miss.  One pass of the benchmark's verify-quantum ladder asks for 6,807
-products past the shortcuts below and 1,116 sums, and runs the kernels on
-662 and 239 of them (counted by wrapping `QScalar.__mul__`, `__add__`,
+on a miss.  One pass of the benchmark's verify-quantum ladder asks for 6,283
+products past the shortcuts below and 742 sums, and runs the kernels on
+582 and 168 of them (counted by wrapping `QScalar.__mul__`, `__add__`,
 `_mul` and `_add` around one in-process pass through `cli.run`).
 A canonical QScalar is immutable and fixed by its tuples, so a stored result
 is the one the kernel would build.  The products by one and by zero return
@@ -438,18 +438,6 @@ class QScalar:
         if num[-1] < 0:
             num, den = _pneg(num), _pneg(den)
         return QScalar._reduced(den, num)
-
-    def is_monomial(self) -> bool:
-        """True when the value is c·q^k with c rational (single term over single term)."""
-        return (
-            sum(1 for c in self.num if c) <= 1 and sum(1 for c in self.den if c) == 1
-        )
-
-    def monomial_exponent(self) -> int:
-        """The k with self = q^k; raises for anything that is not a plain q-power."""
-        if not (self.is_monomial() and self.num[-1:] == (1,) and self.den[-1] == 1):
-            raise ValueError(f"{self!r} is not a power of q")
-        return len(self.num) - len(self.den)
 
     def __repr__(self):
         if self.den == (1,):

@@ -11,7 +11,8 @@ denominator, each coefficient becomes a map from integer keys, one
 exponent vector each, to integers, and the words that end in the same
 generator share one right product by its image.  Over ℚ(q) every image is
 one monomial c·K^a·t^m, so every word is a q-power times one monomial and a
-relation sums integer Laurent polynomials in q, one per monomial.  Either
+relation sums integer Laurent polynomials in q, one per monomial, by the
+quantum model's one product rule (`skew._MonomialImages`).  Either
 way a relation is satisfied exactly when its sum is empty, and only a
 nonzero residual becomes `MLaurent`s; there is no tolerance anywhere.
 
@@ -39,13 +40,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations
 from math import comb, lcm, prod
-from operator import add, lshift, mul
+from operator import add, lshift
 
 from .cartan import CartanAux, _inverse
 from .datum import ClassicalDatum, QuantumDatum, _directions
-from .exact import MLaurent, QQ_ONE, QScalar, q_binom, q_power
+from .exact import MLaurent, QQ_ONE, q_binom, q_power
 from .exact.laurent import _accumulate
-from .skew import ModelContext, SkewElem
+from .skew import ModelContext, SkewElem, _MonomialImages
 
 __all__ = [
     "RecoveryError",
@@ -268,10 +269,6 @@ class GeneratorAssignment:
         missing = [g for g in self.presentation.generators if g not in self.images]
         if missing:
             raise ValueError(f"unassigned generators: {missing}")
-        one = SkewElem.one(self.context)
-        for g, ginv in self.presentation.inverse_pairs:
-            if self.images[g] * self.images[ginv] != one or self.images[ginv] * self.images[g] != one:
-                raise ValueError(f"images of {g} and {ginv} are not mutually inverse")
 
 
 def reflect(f: MLaurent) -> MLaurent:
@@ -528,72 +525,6 @@ class _PackedImages:
             m: MLaurent(n, {tuple([k >> s & mask for s in shifts]): c if L == 1 else Fraction(c, L) for k, c in f.items()})
             for m, f in total.items()
         })
-
-
-def _laurent(c):
-    """c as integer Laurent coefficients {exponent: int}; None unless c is a
-    Laurent polynomial in q over ℤ."""
-    c = c if isinstance(c, QScalar) else QScalar.from_int(c)
-    k = len(c.den) - 1
-    if c.den[k] != 1 or any(c.den[:k]):
-        return None
-    return {i - k: x for i, x in enumerate(c.num) if x}
-
-
-class _MonomialImages:
-    """The quantum images of one run as monomials: the ring `_eval_terms` runs on over ℚ(q).
-
-    Every quantum image is one monomial c·K^a·t^m.  σ^m scales K^a by
-    q^{⟨m, u(a)⟩}, with u(a)_i = ⟨steps[i], a⟩, so
-    (c·K^a·t^m)·(c′·K^{a′}·t^{m′}) = c·c′·q^{⟨m, u(a′)⟩}·K^{a+a′}·t^{m+m′},
-    and a word's image is (∏c)·q^e·K^A·t^M: A and M sum the letters'
-    exponents, and each letter adds ⟨M, u(a)⟩ to e, M the t-exponent of the
-    letters before it.  `images` maps a symbol to (c, a, m, u(a)), c in
-    `_laurent` form, or None for 1.
-    """
-
-    def __init__(self, ctx: ModelContext, images: dict):
-        self.ctx = ctx
-        self.origin = (0,) * ctx.n
-        self.images = {}
-        for sym, img in images.items():
-            self.assign(sym, img)
-
-    def assign(self, sym, img: SkewElem):
-        """Send sym to img, which must be one monomial c·K^a·t^m with c a Laurent polynomial over ℤ."""
-        if len(img.terms) != 1 or len(next(iter(img.terms.values())).terms) != 1:
-            raise ArithmeticError(f"the image of {sym} is not one monomial c·K^a·t^m")
-        ((m, f),) = img.terms.items()
-        ((a, c),) = f.terms.items()
-        scalar = _laurent(c)
-        if scalar is None:
-            raise ArithmeticError(f"the image of {sym} has the scalar {c!r}, not a Laurent polynomial in q over ℤ")
-        u = tuple(sum(map(mul, step, a)) for step in self.ctx.steps)
-        self.images[sym] = (None if scalar == {0: 1} else scalar, a, m, u)
-
-    def evaluate(self, terms) -> SkewElem:
-        """Σ c_w·image(w), the words' scalars summed per (M, A) in integers;
-        only a nonzero sum becomes a `QScalar`."""
-        images, origin, groups = self.images, self.origin, {}
-        for coeff, word in terms:
-            scalar = _laurent(coeff)
-            if scalar is None:
-                raise ArithmeticError(f"the coefficient {coeff!r} of {word} is not a Laurent polynomial in q over ℤ")
-            M, A, e = origin, origin, 0
-            for sym in word:
-                c, a, m, u = images[sym]
-                e += sum(map(mul, M, u))
-                A, M = tuple(map(add, A, a)), tuple(map(add, M, m))
-                if c is not None:
-                    scalar = _accumulate({i + j: x * y for j, y in c.items()} for i, x in scalar.items())
-            row = groups.setdefault((M, A), {})
-            for i, x in scalar.items():
-                row[i + e] = row.get(i + e, 0) + x
-        residual = {}
-        for (M, A), row in groups.items():
-            if any(row.values()):
-                residual.setdefault(M, {})[A] = QScalar.laurent(row)
-        return SkewElem(self.ctx, {M: MLaurent(self.ctx.n, f) for M, f in residual.items()})
 
 
 def _prepare_images(ctx: ModelContext, images: dict, polys):

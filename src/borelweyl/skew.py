@@ -18,7 +18,12 @@ Two context flavours cover both model families:
   actually needs.
 * quantum — coefficients are Laurent polynomials in K₁..Kₙ over QScalar;
   σ_i scales K_j by q^{-d_i·a_ij}.  Arithmetic stays in Laurent form; only
-  unit monomials are invertible here, which is all the maps require.
+  unit monomials are invertible here, which is all the maps require.  Every
+  quantum element the package builds is one q-commuting monomial
+  c·K^a·t^m of a quantum torus, so the quantum model multiplies by one rule,
+  q^{⟨m, u(a)⟩} (`_MonomialImages`): `morphisms.verify` and the quantum datum
+  checks evaluate their sums of words on it, and only the recovery phase
+  multiplies `SkewElem`s.
 
 Contexts and elements are immutable after construction; a context only
 memoises the vector by which each σ^m acts.
@@ -27,9 +32,10 @@ memoises the vector by which each σ^m acts.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 from .cartan import CartanAux
-from .exact import MLaurent, PolyFrac, QQ_ONE, QScalar, q_power
+from .exact import MLaurent, PolyFrac, QQ_ONE, QScalar
 from .exact.endo import scale, shift
 from .exact.laurent import _accumulate
 
@@ -39,8 +45,6 @@ __all__ = [
     "classical_context",
     "quantum_context",
     "directional_diff",
-    "q_divided_diff",
-    "conjugate",
 ]
 
 
@@ -248,16 +252,74 @@ def directional_diff(ctx: ModelContext, m, f):
     return ctx.apply_vec(m, f) - f
 
 
-def q_divided_diff(ctx: ModelContext, i: int, m: int, f):
-    """Window product ∏_{ℓ=0}^{m-1}(σ_i − q^{2ℓ·d_i}) applied to f."""
-    if ctx.kind != "quantum":
-        raise ValueError("q_divided_diff needs a quantum context")
-    out = f
-    for ell in range(m):
-        out = ctx.apply(i, out) - out * q_power(2 * ell * ctx.aux.d[i])
-    return out
+# -- quantum monomials -----------------------------------------------------------
 
 
-def conjugate(u: SkewElem, v: SkewElem) -> SkewElem:
-    """Ad(u)(v) = u·v·u⁻¹ for a unit monomial u."""
-    return u * v * u.invert()
+def _weight(ctx: ModelContext, a) -> tuple:
+    """u(a) with u(a)_i = ⟨steps[i], a⟩: σ^m scales K^a by q^{⟨m, u(a)⟩}."""
+    return tuple(sum(map(mul, step, a)) for step in ctx.steps)
+
+
+def _laurent(c):
+    """c as integer Laurent coefficients {exponent: int}; None unless c is a
+    Laurent polynomial in q over ℤ."""
+    c = c if isinstance(c, QScalar) else QScalar.from_int(c)
+    k = len(c.den) - 1
+    if c.den[k] != 1 or any(c.den[:k]):
+        return None
+    return {i - k: x for i, x in enumerate(c.num) if x}
+
+
+class _MonomialImages:
+    """Quantum images as monomials: the one product rule of the quantum model.
+
+    Every quantum element the package builds is one monomial c·K^a·t^m.
+    σ^m scales K^a by q^{⟨m, u(a)⟩} (`_weight`), so
+    (c·K^a·t^m)·(c′·K^{a′}·t^{m′}) = c·c′·q^{⟨m, u(a′)⟩}·K^{a+a′}·t^{m+m′},
+    and a word's image is (∏c)·q^e·K^A·t^M: A and M sum the letters'
+    exponents, and each letter adds ⟨M, u(a)⟩ to e, M the t-exponent of the
+    letters before it.  `images` maps a symbol to (c, a, m, u(a)), c in
+    `_laurent` form, or None for 1.
+    """
+
+    def __init__(self, ctx: ModelContext, images: dict):
+        self.ctx = ctx
+        self.origin = (0,) * ctx.n
+        self.images = {}
+        for sym, img in images.items():
+            self.assign(sym, img)
+
+    def assign(self, sym, img: SkewElem):
+        """Send sym to img, which must be one monomial c·K^a·t^m with c a Laurent polynomial over ℤ."""
+        if len(img.terms) != 1 or len(next(iter(img.terms.values())).terms) != 1:
+            raise ArithmeticError(f"the image of {sym} is not one monomial c·K^a·t^m")
+        ((m, f),) = img.terms.items()
+        ((a, c),) = f.terms.items()
+        scalar = _laurent(c)
+        if scalar is None:
+            raise ArithmeticError(f"the image of {sym} has the scalar {c!r}, not a Laurent polynomial in q over ℤ")
+        self.images[sym] = (None if scalar == {0: 1} else scalar, a, m, _weight(self.ctx, a))
+
+    def evaluate(self, terms) -> SkewElem:
+        """Σ c_w·image(w), the words' scalars summed per (M, A) in integers;
+        only a nonzero sum becomes a `QScalar`."""
+        images, origin, groups = self.images, self.origin, {}
+        for coeff, word in terms:
+            scalar = _laurent(coeff)
+            if scalar is None:
+                raise ArithmeticError(f"the coefficient {coeff!r} of {word} is not a Laurent polynomial in q over ℤ")
+            M, A, e = origin, origin, 0
+            for sym in word:
+                c, a, m, u = images[sym]
+                e += sum(map(mul, M, u))
+                A, M = tuple(map(add, A, a)), tuple(map(add, M, m))
+                if c is not None:
+                    scalar = _accumulate({i + j: x * y for j, y in c.items()} for i, x in scalar.items())
+            row = groups.setdefault((M, A), {})
+            for i, x in scalar.items():
+                row[i + e] = row.get(i + e, 0) + x
+        residual = {}
+        for (M, A), row in groups.items():
+            if any(row.values()):
+                residual.setdefault(M, {})[A] = QScalar.laurent(row)
+        return SkewElem(self.ctx, {M: MLaurent(self.ctx.n, f) for M, f in residual.items()})

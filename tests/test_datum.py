@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,9 +24,10 @@ from borelweyl.datum import (
     check_bound_quantum,
     solve_beta,
 )
+import borelweyl
 from borelweyl.exact import MLaurent, QQ_ONE, q_power
 from borelweyl.exact.endo import shift
-from borelweyl.skew import classical_context, q_divided_diff, quantum_context
+from borelweyl.skew import SkewElem, classical_context, quantum_context
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
 
@@ -354,10 +359,13 @@ def test_affine_central_omega_is_fixed_by_everything():
 
 
 def test_plain_window_residual_a2():
+    # the row prints the t^0 coefficient, as σ1 on b2 = K2^-1 gives it
     qd = build_quantum_datum(quasi_inverse(catalog_matrix("A2")))
-    got = q_divided_diff(qd.context, 0, 2, qd.b[1])
+    rows = {r.label: r for r in check_bound_quantum(qd)}
+    got = rows["plain window: prod(sigma1 - q^2l·d1, l<2)(b2) = 0"]
     coeff = (q_power(-1) - 1) * (q_power(-1) - q_power(2))
-    assert got == MLaurent.var(2, 1, -1, one=QQ_ONE) * coeff
+    assert not got.passed and not got.expected
+    assert got.residual == (MLaurent.var(2, 1, -1, one=QQ_ONE) * coeff).to_str(qd.context.names)
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -430,3 +438,132 @@ def test_lattice_scaling_matches_quasi_inverse_column_reading():
     C = catalog_matrix("A3")
     aux = quasi_inverse(C)
     assert aux.g == lattice_scaling(aux.Q) == (4, 2, 4)
+
+
+# -- the quantum rows against the SkewElem conjugation they replaced ------------
+
+
+def _oracle_check_bound_quantum(qdatum):
+    """The rows of `check_bound_quantum` as `SkewElem` products: the sigma
+    windows applied factor by factor to b_j, and Ad(u)(v) = u·v·u⁻¹."""
+    ctx, C, d = qdatum.context, qdatum.aux.matrix, qdatum.aux.d
+    n = C.n
+    out = []
+
+    def report(label, residual, to_str, expected=True):
+        out.append((label, not residual, expected, to_str(residual)))
+
+    def laurent_str(f):
+        return f.to_str(ctx.names)
+
+    def skew_str(e):
+        return e.to_str(coeff_names=ctx.names)
+
+    def unit(i):
+        return tuple(1 if k == i else 0 for k in range(n))
+
+    def conjugate(u, v):
+        return u * v * u.invert()
+
+    for i in range(n):
+        for j in range(n):
+            residual = ctx.apply(i, qdatum.b[j]) - qdatum.b[j] * q_power(d[i] * C[i, j])
+            report(f"scaling: sigma{i+1}(b{j+1}) = q^{d[i] * C[i, j]}·b{j+1}", residual, laurent_str)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            window = 1 - C[i, j]
+            residual = qdatum.b[j]
+            for ell in range(window):
+                residual = ctx.apply(i, residual) - residual * q_power(2 * ell * d[i])
+            report(f"plain window: prod(sigma{i+1} - q^2l·d{i+1}, l<{window})(b{j+1}) = 0",
+                   residual, laurent_str, C[i, j] == 0)
+    e_img = [SkewElem.monomial(ctx, qdatum.b[i], unit(i)) for i in range(n)]
+    ad_units = [SkewElem.monomial(ctx, qdatum.b[i] * qdatum.b[i], unit(i)) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for tag, expo in (
+                ("printed", lambda l: 2 * l * d[i]),
+                ("weight-adapted", lambda l: d[i] * (C[i, j] + 2 * l)),
+            ):
+                cur = e_img[j]
+                for l in range(1 - C[i, j]):
+                    cur = conjugate(ad_units[i], cur) - cur * q_power(expo(l))
+                report(f"localized window ({tag}): Ad-product on E{j+1} along {i+1}", cur, skew_str,
+                       tag == "weight-adapted" or C[i, j] % 2 == 0)
+    for i in range(n):
+        for j in range(n):
+            target = SkewElem.from_coeff(ctx, MLaurent.var(n, i, 1, one=QQ_ONE))
+            residual = conjugate(ad_units[j], target) - target * q_power(-d[i] * C[i, j])
+            report(f"localized scaling: Ad(K{j+1}^-1·E{j+1})(K{i+1}) = q^{-d[i] * C[i, j]}·K{i+1}",
+                   residual, skew_str)
+    return out
+
+
+QUANTUM_ORACLE = {
+    **{name: name for name in CATALOG},
+    **{name: LADDER[name] for name in ("B3", "C3", "D4", "A4", "A2~")},
+    "A3~": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+    "2 -3; -1 2": [[2, -3], [-1, 2]],
+}
+
+
+def _quantum_oracle_matrix(name):
+    rows = QUANTUM_ORACLE[name]
+    return catalog_matrix(rows) if isinstance(rows, str) else validate_gcm(rows)
+
+
+@pytest.mark.parametrize("name", QUANTUM_ORACLE)
+def test_quantum_rows_match_the_skew_product_oracle(name):
+    qd = build_quantum_datum(quasi_inverse(_quantum_oracle_matrix(name)))
+    got = [(r.label, r.passed, r.expected, r.residual) for r in check_bound_quantum(qd)]
+    assert got == _oracle_check_bound_quantum(qd)
+    assert any(not passed for _, passed, _, _ in got) == any(x < 0 for row in qd.aux.matrix.entries for x in row)
+
+
+@pytest.mark.parametrize("name", QUANTUM_ORACLE)
+def test_the_quantum_datum_multiplies_no_skew_elements(name, monkeypatch):
+    # every quantum datum row is a sum of monomials on the one product rule of
+    # `skew._MonomialImages`, and the omega table is an integer pairing
+    calls = []
+    product = SkewElem.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(SkewElem, "__mul__", counting)
+    aux = quasi_inverse(_quantum_oracle_matrix(name))
+    reports = check_bound_quantum(build_quantum_datum(aux))
+    assert reports and calls == []
+    one = SkewElem.one(quantum_context(aux))
+    assert one * one == one and len(calls) == 1  # the wrapper is live
+
+
+def test_quantum_rows_are_the_same_under_python_O():
+    # every quantum verdict is an `if` on an exact sum, not an assert, so -O
+    # prints the same rows, residuals and predicted verdicts for B2 and G2
+    script = (
+        "import sys\n"
+        "from borelweyl.cartan import catalog_matrix, quasi_inverse\n"
+        "from borelweyl.datum import build_quantum_datum, check_bound_quantum\n"
+        "print(sys.flags.optimize)\n"
+        "for name in ('B2', 'G2'):\n"
+        "    qd = build_quantum_datum(quasi_inverse(catalog_matrix(name)))\n"
+        "    print(name, qd.g, qd.scaling_exponents)\n"
+        "    for r in check_bound_quantum(qd):\n"
+        "        print(r, r.expected)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(borelweyl.__file__).resolve().parents[1]))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, check=True)
+        .stdout.splitlines()
+        for flags in ([], ["-O"])
+    )
+    assert (plain[0], optimized[0]) == ("0", "1")
+    assert plain[1:] == optimized[1:]
+    assert sum(line.startswith("[FAIL]") for line in plain) == 7  # B2: 3, G2: 4, each predicted
+    assert all(line.endswith(" False") for line in plain if line.startswith("[FAIL]"))

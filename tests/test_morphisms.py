@@ -479,6 +479,21 @@ def test_quantum_relations_make_no_skew_product_and_no_gcd(monkeypatch, side):
     assert counts["skew"] > 0  # the recovery still multiplies SkewElems
 
 
+def test_a_tampered_inverse_image_fails_exactly_its_unit_relations():
+    # an assignment is built without checking its inverse pairs: the unit
+    # relations K_i*K_i^-1 = 1 and K_i^-1*K_i = 1 are the check, and verify
+    # reports them.  K2^-1 -> q·K2^-1 still q-commutes with every letter, so
+    # every other row keeps its verdict and residual
+    asg, _ = fix_orientation(quantum_datum("B2"), "upper")
+    tampered = replace(asg, images=dict(asg.images, **{"K2^-1": asg.images["K2^-1"].scale(q_power(1))}))
+    before, after = verify(asg), verify(tampered)
+    changed = [(e.name, e.passed, e.residual_str) for e, o in zip(after.entries, before.entries)
+               if (e.name, e.passed, e.residual_str) != (o.name, o.passed, o.residual_str)]
+    assert changed == [("K2*K2^-1 = 1", False, "((q - 1))"), ("K2^-1*K2 = 1", False, "((q - 1))")]
+    assert [e.name for e in before.entries] == [e.name for e in after.entries]
+    assert before.denominators == after.denominators
+
+
 def test_a_quantum_image_must_be_one_monomial_with_a_laurent_scalar():
     asg = horner_assignment("quantum")
     ctx = asg.context
@@ -975,8 +990,9 @@ def test_an_aborted_recovery_still_lists_what_it_inverted():
 
 
 def test_verify_lists_only_the_inversions_of_its_own_recovery(monkeypatch):
-    # check_bound_quantum inverts through `conjugate` on the same context;
-    # neither that nor an earlier verify shows up in a report's denominators
+    # check_bound_quantum inverts each u_i = K_i^-1·E_i once, through
+    # `SkewElem.invert` on the same context; neither that nor an earlier
+    # verify shows up in a report's denominators
     qd = build_quantum_datum(quasi_inverse(catalog_matrix("B2")))
     asg, _ = fix_orientation(qd, "upper")
     inverted = []

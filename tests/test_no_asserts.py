@@ -35,6 +35,10 @@ statement.  So a result from one job cannot leak into the next or into a
 benchmark's repeated passes.  State scoped to one job passes: the Q(q) memo
 sits in a `ContextVar` that `cli.run` sets for the job and resets after it,
 and a `cached_property` lives on a per-job object.
+No call star-unpacks a generator expression, as in `lcm(*(x for x in row))`:
+CPython builds that argument tuple by resizing, and each such call parks the
+resized tuple on the tuple free list until a full collection, which every
+benchmark pass reads as resident memory.  `lcm(*[x for x in row])` does not.
 Every module of the package is covered, so a new module cannot slip past any
 guard.
 """
@@ -290,3 +294,27 @@ def test_module_exports_only_names_it_defines(module):
     imported = importlib.import_module(dotted)
     missing = [name for name in getattr(imported, "__all__", ()) if not hasattr(imported, name)]
     assert missing == [], f"{dotted}.__all__ names what it does not define: {missing}"
+
+
+def _unpacked_generators(tree):
+    """Lines of every call that star-unpacks a generator expression."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and any(isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp) for arg in node.args)
+    ]
+
+
+def test_the_unpacked_generator_guard_sees_every_call():
+    source = (
+        "lcm(*(x for x in row))\nf(1, *(x for x in row))\nobj.g(*(x for x in row), 2)\n"
+        "lcm(*[x for x in row])\nh(*row)\nmax(x for x in row)\n"
+    )
+    assert _unpacked_generators(ast.parse(source)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_unpacks_no_generator_into_a_call(module):
+    lines = _unpacked_generators(_parse(module))
+    assert lines == [], f"calls in {module} star-unpack a generator expression at lines {lines}"

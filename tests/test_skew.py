@@ -12,16 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 import borelweyl
 from borelweyl.cartan import CATALOG, catalog_matrix, quasi_inverse
 from borelweyl.cli import JobSpec, _corrupted, run
-from borelweyl.datum import solve_beta
+from borelweyl.datum import build_quantum_datum, check_bound_quantum, solve_beta
 from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
 from borelweyl.morphisms import classical_borel_assignment, verify, weyl_assignment
 from borelweyl.skew import (
     ModelContext,
     SkewElem,
     classical_context,
-    conjugate,
     directional_diff,
-    q_divided_diff,
     quantum_context,
 )
 
@@ -122,15 +120,24 @@ def test_twisted_diff_examples():
     assert _twisted_diff(sl2, 0, _b_sl2(sl2)) == sl2.coeff_var(0)
 
 
-def test_q_divided_diff_examples():
-    ctx = quantum_context(quasi_inverse(A2))
-    f = ctx.coeff_var(1, -1)  # K₂⁻¹
-    assert q_divided_diff(ctx, 0, 0, f) == f
-    assert q_divided_diff(ctx, 0, 1, f) == f * (q_power(-1) - QQ_ONE)
-    expected = f * ((q_power(-1) - QQ_ONE) * (q_power(-1) - q_power(2)))
-    assert q_divided_diff(ctx, 0, 2, f) == expected
-    with pytest.raises(ValueError, match="quantum"):
-        q_divided_diff(classical_context(quasi_inverse(A2)), 0, 1, None)
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_plain_window_rows_are_q_divided_differences(name):
+    # σ_i scales b_j = K_j⁻¹ by q^{d_i·a_ij}, so the window ∏_{ℓ<w}(σ_i − q^{2ℓ·d_i})
+    # leaves b_j times ∏_ℓ (q^{d_i·a_ij} − q^{2ℓ·d_i}): zero exactly when a_ij = 0
+    aux = quasi_inverse(catalog_matrix(name))
+    C, d = aux.matrix, aux.d
+    qd = build_quantum_datum(aux)
+    rows = {r.label: r for r in check_bound_quantum(qd)}
+    for i in range(C.n):
+        for j in range(C.n):
+            if i != j:
+                window = 1 - C[i, j]
+                coeff = QQ_ONE
+                for ell in range(window):
+                    coeff = coeff * (q_power(d[i] * C[i, j]) - q_power(2 * ell * d[i]))
+                row = rows[f"plain window: prod(sigma{i+1} - q^2l·d{i+1}, l<{window})(b{j+1}) = 0"]
+                assert row.residual == (qd.b[j] * coeff).to_str(qd.context.names), (name, i, j)
+                assert row.passed == (C[i, j] == 0)
 
 
 def test_commutator_examples():
@@ -144,14 +151,14 @@ def test_commutator_examples():
 def test_conjugate_by_torus_is_sigma():
     ctx = classical_context(quasi_inverse(A2))
     f = SkewElem.from_coeff(ctx, ctx.coeff_var(1))
-    out = conjugate(SkewElem.torus(ctx, (1, 0)), f)
-    assert out == SkewElem.from_coeff(ctx, ctx.apply(0, ctx.coeff_var(1)))
+    t = SkewElem.torus(ctx, (1, 0))
+    assert t * f * t.invert() == SkewElem.from_coeff(ctx, ctx.apply(0, ctx.coeff_var(1)))
 
 
 def test_conjugate_self():
     ctx = _sl2_quantum()
     u = SkewElem.monomial(ctx, ctx.coeff_var(0, -2), (1,))
-    assert conjugate(u, u) == u
+    assert u * u * u.invert() == u
 
 
 @pytest.mark.parametrize("s,exp", [(1, -2), (-1, 2)])
@@ -160,7 +167,7 @@ def test_conjugate_orientation_probe(s, exp):
     ctx = _sl2_quantum()
     u = SkewElem.monomial(ctx, ctx.coeff_var(0, -2), (s,))
     K = SkewElem.from_coeff(ctx, ctx.coeff_var(0))
-    assert conjugate(u, K) == K * q_power(exp)
+    assert u * K * u.invert() == K * q_power(exp)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

@@ -163,19 +163,16 @@ class Rule:
 
     lead: tuple
     rhs: NCPoly
-    tag: str
 
     def __str__(self):
         return f"{word_str(self.lead)} -> {self.rhs.to_str()}"
 
 
 class RewriteLimitError(RuntimeError):
-    """A reduction ran past the step limit; carries the trailing trace."""
+    """A reduction ran past the step limit; the message ends with the trailing trace."""
 
     def __init__(self, steps: int, trace):
-        self.steps = steps
-        self.trace = tuple(trace)
-        tail = "\n  ".join(self.trace)
+        tail = "\n  ".join(trace)
         super().__init__(f"no normal form after {steps} steps; last reductions:\n  {tail}")
 
 
@@ -256,9 +253,6 @@ class RewriteSystem:
         self._changing = tuple(changing)
         self._first_rule = {lead: indices[0] for lead, indices in by_lead.items()}
         self._lead_lengths = sorted({len(lead) for lead in by_lead})
-
-    def order_key(self, word):
-        return (len(word), tuple(self._place[letter] for letter in word))
 
     def _encode(self, word) -> tuple:
         code = self._code
@@ -350,7 +344,7 @@ def _serre_rule(window, first_leads: bool) -> Rule:
     if lead_c not in (1, -1):
         raise ValueError(f"a Serre window must end in ±1, not {lead_c}")
     rhs = {w: -(c * lead_c) for c, w in window if w != lead}
-    return Rule(lead, NCPoly(rhs), "serre")
+    return Rule(lead, NCPoly(rhs))
 
 
 def _bracket(mode, d, i) -> dict:
@@ -384,32 +378,32 @@ def build_rules(aux: CartanAux, mode: str = "classical") -> RewriteSystem:
     rules = []
     if mode == "quantum":
         for ki, kinv in cartan:
-            rules.append(Rule((ki, kinv), NCPoly({(): one}), "unit"))
-            rules.append(Rule((kinv, ki), NCPoly({(): one}), "unit"))
+            rules.append(Rule((ki, kinv), NCPoly({(): one})))
+            rules.append(Rule((kinv, ki), NCPoly({(): one})))
     for j in range(n):
         for i in range(n):
             rhs = {(E[i], F[j]): one}
             if i == j:
                 rhs.update((w, -c) for w, c in _bracket(mode, d, i).items())
-            rules.append(Rule((F[j], E[i]), NCPoly(rhs), "pairing"))
+            rules.append(Rule((F[j], E[i]), NCPoly(rhs)))
     for i in range(n):
         for j in range(n):
             # classically h moves past E_j by a shift a_ij, in quantum mode K^±1 by q^{±d_i a_ij}
             for k, s in zip(cartan[i], (1, -1)):
                 scale, shift = (one, C[i, j]) if mode == "classical" else (q_power(s * d[i] * C[i, j]), 0)
-                rules.append(Rule((k, E[j]), NCPoly({(E[j], k): scale, (E[j],): shift}), "weight"))
-                rules.append(Rule((F[j], k), NCPoly({(k, F[j]): scale, (F[j],): shift}), "weight"))
+                rules.append(Rule((k, E[j]), NCPoly({(E[j], k): scale, (E[j],): shift})))
+                rules.append(Rule((F[j], k), NCPoly({(k, F[j]): scale, (F[j],): shift})))
     for i in range(n):
         for j in range(i):
             for hi in cartan[i]:
                 for lo in cartan[j]:
-                    rules.append(Rule((hi, lo), NCPoly({(lo, hi): one}), "sort"))
+                    rules.append(Rule((hi, lo), NCPoly({(lo, hi): one})))
     # disconnected E's (and F's) commute outright; connected ones reduce by Serre
     for i in range(n):
         for j in range(i):
             if C[i, j] == 0:
                 for X in (E, F):
-                    rules.append(Rule((X[i], X[j]), NCPoly({(X[j], X[i]): one}), "sort"))
+                    rules.append(Rule((X[i], X[j]), NCPoly({(X[j], X[i]): one})))
     for i in range(n):
         for j in range(n):
             if i != j and C[i, j] < 0:
@@ -581,19 +575,20 @@ def _movers(R: RewriteSystem) -> dict:
     A right mover x passes a letter a when the only rule on x·a is
     x·a → λ_a·a·x + κ_a·a, a left mover when the only rule on a·x is
     a·x → λ_a·x·a + κ_a·a; its alphabet A_x is every letter it passes, the
-    keys of λ, and κ keeps only the nonzero shifts.  A mover is kept when
-    no other lead over A_x ∪ {x} holds x and every rule over A_x rewrites
-    to words over A_x.  Only the few rules whose right side brings in a
+    keys of λ, and κ keeps only the nonzero shifts.  λ and κ are read off
+    the rules as written, not off the rescaled ones that `_reduce` runs on.
+    A mover is kept when no other lead over A_x ∪ {x} holds x and every
+    rule over A_x rewrites to words over A_x.  Only the few rules whose right side brings in a
     letter their lead lacks (the pairings F_i·E_i) can leave A_x, so the
     cost is a pass over the leads and one over the rules, plus those few
     rules once per mover.
     """
-    by_lead, coded = R._by_lead, R._coded_rules
+    by_lead, coded, encode = R._by_lead, R._coded_rules, R._encode
     movers = {}
     for lead, hits in by_lead.items():
         if len(lead) != 2 or len(hits) != 1 or lead[0] == lead[1]:
             continue
-        rhs = dict(coded[hits[0]][1])
+        rhs = {encode(w): c for w, c in R.rules[hits[0]].rhs.terms.items()}
         scale = rhs.pop(lead[::-1], 0)
         # x·a -> λ·a·x + κ·a moves x right past a; a·x -> λ·x·a + κ·a moves x left
         for x, a, right in ((lead[0], lead[1], True), (lead[1], lead[0], False)):
@@ -667,14 +662,11 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     with N(L) = N(rhs r) as r is the first rule on L, and the side that
     applies r gives Σ c_w·(χ(w)·N(w)·x + δ(w)·N(w)), the same sum.  N(rhs r)
     is straightened once per rule within one check, and a quantum check
-    divides it back relative to L once.  The movers are read off the
-    rescaled rules, which leaves every λ_a as it is and multiplies every
-    κ_a of x by the one factor β^{e(x)}: the test on (χ, δ) decides as it
-    would on the rules as written, and δ·β^{−e(x)} is the shift of the
-    rules as written.  A letter that commutes
-    with others up to a scalar is a mover with κ = 0, so three pairwise
-    commuting letters x_c·x_b·x_a are settled this way too: the commutation
-    case of the diamond lemma, as in Cartier–Foata.
+    divides it back relative to L once; λ and κ are those of the rules as
+    written.  A letter that commutes with others up to a scalar is a mover
+    with κ = 0, so three pairwise commuting letters x_c·x_b·x_a are settled
+    this way too: the commutation case of the diamond lemma, as in
+    Cartier–Foata.
     """
     if degree_bound < 2:
         raise ValueError("degree bound below any two rule leads")
@@ -682,7 +674,6 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     found = []
     movers = _movers(R)
     rule_facts = {}  # rule index -> `transportable`
-    changing = set(R._changing)
 
     def transportable(r):
         """(r passes a right mover, r passes a left mover, N(rhs r) unscaled), as far
@@ -693,8 +684,7 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
             lead, rhs = coded[r]
             ok = scan(lead) == (0, r) and scan(lead[:-1]) is None
             normal = reduce(dict(rhs), R) if ok else None
-            # N(rhs r) keeps the lead's E-content unless r or a rewrite of rhs r changes it
-            if ok and R._changing and (r in changing or not normal.keys() <= dict(rhs).keys()):
+            if ok and R._changing:
                 normal = R._unscale(normal, R._e_content(lead))
             rule_facts[r] = (
                 ok and all(scan(w[:-1]) is None for w, _ in rhs),
@@ -733,11 +723,6 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
             chi, delta = weight(lead, lam, kap, right)
             if any(weight(w, lam, kap, right) != (chi, delta) for w, _ in rhs):
                 continue
-            if delta and R._changing:
-                # δ is read off the rescaled rules, and its words lack x
-                k = tuple(-e for e in R._e_content((x,)))
-                if any(k):
-                    delta = delta * R._beta_power(k)
             nf = {(s + (x,) if right else (x,) + s): chi * c for s, c in normal.items()}
             if delta:
                 nf.update((s, delta * c) for s, c in normal.items())

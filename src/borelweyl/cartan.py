@@ -43,11 +43,7 @@ __all__ = [
 
 
 class CartanError(ValueError):
-    """A matrix failed a Cartan axiom; carries the axiom name and position."""
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    """A matrix failed a Cartan axiom; the message names the axiom and the entry."""
 
 
 @dataclass(frozen=True)
@@ -80,22 +76,17 @@ def validate_gcm(rows) -> CartanMatrix:
         raise CartanError("matrix is not square")
     for i in range(n):
         if rows[i][i] != 2:
-            raise CartanError(
-                f"diagonal entry != 2 at ({i + 1},{i + 1}): {rows[i][i]}", (i, i)
-            )
+            raise CartanError(f"diagonal entry != 2 at ({i + 1},{i + 1}): {rows[i][i]}")
         for j in range(n):
             if i == j:
                 continue
             if rows[i][j] > 0:
-                raise CartanError(
-                    f"positive off-diagonal entry at ({i + 1},{j + 1}): {rows[i][j]}", (i, j)
-                )
+                raise CartanError(f"positive off-diagonal entry at ({i + 1},{j + 1}): {rows[i][j]}")
             if rows[i][j] == 0 and rows[j][i] != 0:
                 # report on the zero side of the broken pair
                 raise CartanError(
                     f"zero-symmetry violated at ({i + 1},{j + 1}): "
-                    f"a[{i + 1}][{j + 1}]=0 but a[{j + 1}][{i + 1}]={rows[j][i]}",
-                    (i, j),
+                    f"a[{i + 1}][{j + 1}]=0 but a[{j + 1}][{i + 1}]={rows[j][i]}"
                 )
     return CartanMatrix(n, tuple(rows))
 

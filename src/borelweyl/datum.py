@@ -29,15 +29,7 @@ from .cartan import quasi_inverse  # noqa: F401
 from .exact import MLaurent, QQ_ONE, QScalar
 from .exact.endo import shift
 from .exact.laurent import _accumulate
-from .skew import (
-    ModelContext,
-    SkewElem,
-    _MonomialImages,
-    _weight,
-    classical_context,
-    directional_diff,
-    quantum_context,
-)
+from .skew import ModelContext, SkewElem, _MonomialImages, _weight
 
 
 class DatumError(ValueError):
@@ -127,8 +119,7 @@ class QuantumDatum:
     omega: tuple  # torus-weight monomials, paired entries then central ones
     omega_exponents: tuple  # K-exponent vector of each omega
     g: tuple  # scaling integers, one per paired direction
-    directions: tuple  # torus direction vectors: paired m_j, then the complement
-    scaling_exponents: tuple  # ints e[i][j]: sigma^{directions[j]}(omega_i) = q^e·omega_i
+    scaling_exponents: tuple  # ints e[i][j]: sigma^{m_j}(omega_i) = q^e·omega_i, m_j from `_directions`
 
 
 def _linear_form(n, coeffs) -> MLaurent:
@@ -138,19 +129,6 @@ def _linear_form(n, coeffs) -> MLaurent:
 def _directions(aux: CartanAux) -> list:
     """Torus directions: the paired m_j, then the complement."""
     return [m for _, m in aux.dual_pairs] + list(aux.torus_complement)
-
-
-def _alphas(aux: CartanAux, n: int) -> tuple:
-    """Dual coordinates as h-polynomials: alpha_i paired with the torus
-    direction m_i, followed by the central gamma rows for singular matrices.
-
-    Along each direction the difference operator sees the identity pairing,
-    sigma^{m_j}(alpha_i) = alpha_i + delta_ij, and the gamma rows are fixed by
-    every sigma.  For an invertible matrix that is Q·C = I, which
-    `cartan._check_aux` checks; for a singular one it is the pairing rows of
-    `check_bound_classical`, on which `solve_beta` raises.
-    """
-    return tuple(_linear_form(n, row) for row in aux.Q)
 
 
 def _conditions(C, h) -> list:
@@ -205,9 +183,17 @@ def solve_beta(aux: CartanAux) -> ClassicalDatum:
     column, and dropping those columns leaves the same pivots and solution.
     For singular C the alphas pair with the m-directions, not with the
     sigmas, and the full basis stays.
+
+    The dual coordinates are the rows of aux.Q as h-polynomials: alpha_i,
+    paired with the torus direction m_i, then the central gamma rows for a
+    singular matrix.  Along each direction the difference operator sees the
+    identity pairing, sigma^{m_j}(alpha_i) = alpha_i + delta_ij, and every
+    sigma fixes the gamma rows.  For an invertible matrix that is Q·C = I,
+    which `cartan._check_aux` checks; for a singular one it is the pairing
+    rows of `check_bound_classical`, on which this function raises.
     """
     C, n = aux.matrix, aux.matrix.n
-    ctx = classical_context(aux)
+    ctx = ModelContext("classical", aux)
     # sigma_i translates the alpha/gamma coordinates by Q·C e_i
     moves = [[sum(q * s for q, s in zip(row, step)) for row in aux.Q] for step in ctx.steps]
 
@@ -215,7 +201,7 @@ def solve_beta(aux: CartanAux) -> ClassicalDatum:
         return shift(f, moves[i])
 
     h_in_alpha = [_linear_form(n, row) for row in _inverse(aux.Q)]
-    alphas = _alphas(aux, n)
+    alphas = tuple(_linear_form(n, row) for row in aux.Q)
     rows = _conditions(C, h_in_alpha)
     betas, bs, images = [], [], {}  # images: the words on each basis monomial, shared by all b_j
     for j in range(n):
@@ -266,7 +252,7 @@ def check_bound_classical(datum: ClassicalDatum) -> list:
         for jm, m in enumerate(_directions(datum.aux)):
             for i, a in enumerate(datum.alpha):
                 want = 1 if (i == jm and i < datum.aux.rank) else 0
-                residual = directional_diff(ctx, m, a) - ctx.coeff_scalar(want)
+                residual = ctx.apply_vec(m, a) - a - ctx.coeff_scalar(want)
                 kind = "alpha" if i < datum.aux.rank else "gamma"
                 idx = i + 1 if i < datum.aux.rank else i - datum.aux.rank + 1
                 report(f"pairing along {m}: D({kind}{idx}) = {want}", residual)
@@ -311,7 +297,7 @@ def _shift_columns(ctx: ModelContext, b: MLaurent):
 
 def build_quantum_datum(aux: CartanAux) -> QuantumDatum:
     """b_i = K_i^{-1} and the omega weights, in the model that scales by q^{d_i·a_ij}, d = aux.d."""
-    ctx = quantum_context(aux)
+    ctx = ModelContext("quantum", aux)
     n = ctx.n
     b = tuple(MLaurent.var(n, i, -1, one=QQ_ONE) for i in range(n))
     return QuantumDatum(ctx, aux, b, *_omega(aux, ctx))
@@ -327,7 +313,7 @@ def _omega(aux: CartanAux, ctx: ModelContext):
     annihilates.  The full scaling table is recomputed as the exponents
     ⟨m_j, u(w_i)⟩ of `skew._weight`, by which the model's sigma^{m_j} scales
     omega_i, and must come out diagonal.  Returns the QuantumDatum
-    fields after b: omegas, exponents, g, directions and the table.
+    fields after b: omegas, exponents, g and the table.
     """
     C, d = aux.matrix, aux.d
     n, r = C.n, aux.rank
@@ -370,7 +356,7 @@ def _omega(aux: CartanAux, ctx: ModelContext):
                     f"omega scaling table mismatch at ({i+1},{j+1}): "
                     f"got q^{table[i][j]}, wanted q^{want}"
                 )
-    return omegas, tuple(exponents), tuple(gs), tuple(dirs), tuple(table)
+    return omegas, tuple(exponents), tuple(gs), tuple(table)
 
 
 def _window(exponents) -> list:

@@ -35,7 +35,7 @@ Recovery checks raise RecoveryError, not assert, so they also run under
 python -O.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations
@@ -86,15 +86,10 @@ class Relation:
 class Presentation:
     name: str
     generators: tuple
-    inverse_pairs: tuple  # ((g, g_inverse), ...)
     relations: tuple
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         declared = set(self.generators)
-        for g, ginv in self.inverse_pairs:
-            if g not in declared or ginv not in declared:
-                raise ValueError(f"inverse pair ({g},{ginv}) uses undeclared symbols")
         for rel in self.relations:
             for _, word in rel.terms:
                 for sym in word:
@@ -105,9 +100,9 @@ class Presentation:
         return tuple(r for r in self.relations if r.family == family)
 
 
-def _unit_relations(inverse_pairs, one):
+def _unit_relations(pairs, one):
     rels = []
-    for g, ginv in inverse_pairs:
+    for g, ginv in pairs:
         rels.append(Relation(f"{g}*{ginv} = 1", "unit", ((one, (g, ginv)), (-one, ()))))
         rels.append(Relation(f"{ginv}*{g} = 1", "unit", ((one, (ginv, g)), (-one, ()))))
     return rels
@@ -178,12 +173,10 @@ def _borel(C, letter: str, weight_sign: int) -> Presentation:
             )
     rels += _serre_relations(C, X, "ad", None)
     side = "upper" if letter == "E" else "lower"
-    return Presentation(
-        f"{side} Borel, rank {n}", tuple(H + X), (), tuple(rels), {"matrix": C}
-    )
+    return Presentation(f"{side} Borel, rank {n}", tuple(H + X), tuple(rels))
 
 
-def _weyl(m, n, central, one, pairing, stem, params) -> Presentation:
+def _weyl(m, n, central, one, pairing, stem) -> Presentation:
     """Commuting x's and commuting y's, pairing(i, j, x_i, y_j) for every pair,
     and `central` generators z_c commuting with everything."""
     xs = [f"x{i + 1}" for i in range(m)]
@@ -197,7 +190,7 @@ def _weyl(m, n, central, one, pairing, stem, params) -> Presentation:
         for other in xs + ys + zs[c + 1 :]:
             rels.append(Relation(f"[{zs[c]},{other}] = 0", "central", _commutator_terms(zs[c], other, one)))
     name = f"{stem}({m},{n})" + (f" + {central} central" if central else "")
-    return Presentation(name, tuple(xs + ys + zs), (), tuple(rels), params)
+    return Presentation(name, tuple(xs + ys + zs), tuple(rels))
 
 
 def weyl(m: int, n: int, central: int = 0) -> Presentation:
@@ -211,7 +204,7 @@ def weyl(m: int, n: int, central: int = 0) -> Presentation:
         delta = 1 if i == j else 0
         return Relation(f"[{x},{y}] = {delta}", "pairing", _commutator_terms(x, y, one) + ((-delta, ()),))
 
-    return _weyl(m, n, central, one, pairing, "Weyl", {"m": m, "n": n, "central": central})
+    return _weyl(m, n, central, one, pairing, "Weyl")
 
 
 def quantum_weyl(m: int, n: int, g, central: int = 0) -> Presentation:
@@ -226,7 +219,7 @@ def quantum_weyl(m: int, n: int, g, central: int = 0) -> Presentation:
     def pairing(i, j, x, y):
         return _q_commutation(y, x, g[i] if i == j else 0, "pairing")
 
-    return _weyl(m, n, central, QQ_ONE, pairing, "qWeyl", {"m": m, "n": n, "g": g, "central": central})
+    return _weyl(m, n, central, QQ_ONE, pairing, "qWeyl")
 
 
 def _quantum_borel(aux: CartanAux, letter: str, weight_sign: int) -> Presentation:
@@ -244,13 +237,7 @@ def _quantum_borel(aux: CartanAux, letter: str, weight_sign: int) -> Presentatio
             rels.append(_q_commutation(X[j], Kinv[i], -e, "weight"))
     rels += _serre_relations(C, X, "ad_q", d)
     side = "upper" if letter == "E" else "lower"
-    return Presentation(
-        f"quantum {side} Borel, rank {n}",
-        tuple(torus + X),
-        pairs,
-        tuple(rels),
-        {"matrix": C, "d": d},
-    )
+    return Presentation(f"quantum {side} Borel, rank {n}", tuple(torus + X), tuple(rels))
 
 
 # -- assignments ---------------------------------------------------------------
@@ -389,7 +376,7 @@ def fix_orientation(qdatum: QuantumDatum, side: str = "upper"):
         outcomes = {}
         for s in (1, -1):
             ring.assign(sym, _oriented_image(qdatum, j, s))
-            outcomes[s] = [res for r in mine if (res := _eval_terms(ring, r.terms))]
+            outcomes[s] = [res for r in mine if (res := ring.evaluate(r.terms))]
         good = [s for s, bad in outcomes.items() if not bad]
         if len(good) == 1:
             signs.append(good[0])
@@ -431,7 +418,7 @@ def _key_width(longest: int, degree: int) -> int:
 
 
 class _PackedImages:
-    """The classical images of one run, packed: the ring `_eval_terms` runs on over ℚ.
+    """The classical images of one run, packed: the ring `verify` evaluates on over ℚ.
 
     D_s times image s is an integer image S_s, D_s the lcm of the image's
     coefficient denominators, so Σ c_w·image(w) = (1/L)·Σ k_w·S_w with L the
@@ -528,19 +515,10 @@ class _PackedImages:
 
 
 def _prepare_images(ctx: ModelContext, images: dict, polys):
-    """The images of one run, ready for `_eval_terms` on the polynomials `polys`."""
+    """The images of one run, whose `evaluate` gives Σ c_w·image(w) for the
+    polynomials `polys`: packed, by Horner on the last letter, over ℚ
+    (`_PackedImages`), and monomial by monomial over ℚ(q) (`_MonomialImages`)."""
     return _PackedImages(ctx, images, polys) if ctx.kind == "classical" else _MonomialImages(ctx, images)
-
-
-def _eval_terms(ring, terms) -> SkewElem:
-    """Σ c_w·image(w) over the images of `_prepare_images`: packed, by Horner on
-    the last letter, over ℚ (`_PackedImages`), and monomial by monomial over
-    ℚ(q) (`_MonomialImages`)."""
-    for _, word in terms:
-        for sym in word:
-            if sym not in ring.images:
-                raise ValueError(f"generator {sym!r} has no image")
-    return ring.evaluate(terms)
 
 
 @dataclass(frozen=True)
@@ -590,7 +568,7 @@ def verify(assignment: GeneratorAssignment) -> VerificationReport:
     ring = _prepare_images(ctx, assignment.images, [rel.terms for rel in relations])
     entries = []
     for rel in relations:
-        img = _eval_terms(ring, rel.terms)
+        img = ring.evaluate(rel.terms)
         entries.append(RelationResult(rel.name, rel.family, img, not img, img.to_str(ctx.names)))
     inverted = []
     try:

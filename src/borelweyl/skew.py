@@ -39,13 +39,7 @@ from .exact import MLaurent, PolyFrac, QQ_ONE, QScalar
 from .exact.endo import scale, shift
 from .exact.laurent import _accumulate
 
-__all__ = [
-    "ModelContext",
-    "SkewElem",
-    "classical_context",
-    "quantum_context",
-    "directional_diff",
-]
+__all__ = ["ModelContext", "SkewElem"]
 
 
 class ModelContext:
@@ -122,14 +116,6 @@ class ModelContext:
         return self._act(vector, f) if any(vector) else f
 
 
-def classical_context(aux: CartanAux) -> ModelContext:
-    return ModelContext("classical", aux)
-
-
-def quantum_context(aux: CartanAux) -> ModelContext:
-    return ModelContext("quantum", aux)
-
-
 class SkewElem:
     __slots__ = ("ctx", "terms")
 
@@ -153,10 +139,6 @@ class SkewElem:
     @staticmethod
     def zero(ctx) -> "SkewElem":
         return SkewElem(ctx, {})
-
-    @staticmethod
-    def one(ctx) -> "SkewElem":
-        return SkewElem(ctx, {(0,) * ctx.n: ctx.coeff_one()})
 
     @staticmethod
     def from_coeff(ctx, f) -> "SkewElem":
@@ -242,14 +224,6 @@ class SkewElem:
 
     def __repr__(self):
         return self.to_str()
-
-
-# -- derived operators ---------------------------------------------------------
-
-
-def directional_diff(ctx: ModelContext, m, f):
-    """σ^m(f) − f, the difference operator along a torus direction vector."""
-    return ctx.apply_vec(m, f) - f
 
 
 # -- quantum monomials -----------------------------------------------------------

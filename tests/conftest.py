@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from borelweyl.biproduct import NCPoly, RewriteLimitError, word_str
-from borelweyl.morphisms import _eval_terms, _oriented_image, _prepare_images, fix_orientation
+from borelweyl.morphisms import _oriented_image, _prepare_images, fix_orientation
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_")
 
@@ -103,8 +103,10 @@ def reference_normal_form(p, R, strategy, step_limit=200_000, popped=None):
     redexes = reference_redexes(R)
     pick = {"leftmost": lambda rs: rs[0], "rightmost": lambda rs: rs[-1]}.get(strategy, strategy)
     work, done, steps, trace = dict(p.terms), {}, 0, []
+    # the term order: graded, then letter by letter by place in the alphabet
+    place = {letter: k for k, letter in enumerate(R.alphabet)}
     while work:
-        word = max(work, key=R.order_key)
+        word = max(work, key=lambda w: (len(w), [place[letter] for letter in w]))
         coeff = work.pop(word)
         if popped is not None:
             popped.append(word)
@@ -158,7 +160,7 @@ def evaluate_word(assignment, p):
     """The image of a noncommutative polynomial ((coeff, word), ...) under the
     assignment, by the evaluation `verify` runs on each relation."""
     p = tuple(p)
-    return _eval_terms(_prepare_images(assignment.context, assignment.images, [p]), p)
+    return _prepare_images(assignment.context, assignment.images, [p]).evaluate(p)
 
 
 def flipped_upper_assignment(qdatum):

@@ -286,7 +286,7 @@ def test_criterion_6_flipped_orientation_fails_the_weight_relations():
 
 
 def _with_pairing_rhs(R, terms):
-    bad = Rule(("F1", "E1"), NCPoly(terms), "pairing")
+    bad = Rule(("F1", "E1"), NCPoly(terms))
     rules = tuple(bad if rule.lead == ("F1", "E1") else rule for rule in R.rules)
     return RewriteSystem(R.mode, R.matrix, R.d, rules)
 

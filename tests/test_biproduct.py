@@ -134,7 +134,7 @@ def test_disconnected_letters_get_sort_rules():
 
 def test_rules_must_decrease_the_term_order():
     C = catalog_matrix("A1")
-    backwards = Rule(("E1", "F1"), NCPoly({("F1", "E1"): 1}), "pairing")
+    backwards = Rule(("E1", "F1"), NCPoly({("F1", "E1"): 1}))
     with pytest.raises(ValueError, match="does not decrease"):
         RewriteSystem("classical", C, None, (backwards,))
 
@@ -152,7 +152,11 @@ def test_quantum_mode_requires_a_symmetrizable_matrix():
 
 def test_order_is_graded_with_f_above_h_above_e():
     R = build_rules(quasi_inverse(catalog_matrix("A2")))
-    key = R.order_key
+    place = {letter: k for k, letter in enumerate(R.alphabet)}
+
+    def key(word):  # graded, then letter by letter by place in the alphabet
+        return len(word), [place[letter] for letter in word]
+
     assert key(("F1", "E1")) > key(("E1", "F1"))
     assert key(("H1", "E2")) > key(("E2", "H1"))
     assert key(("F1", "H2")) > key(("H2", "F1"))
@@ -205,8 +209,7 @@ def test_step_limit_error_carries_a_trace(monkeypatch):
     monkeypatch.setattr(biproduct, "_STEP_LIMIT", 0)
     with pytest.raises(RewriteLimitError) as err:
         normal_form(R.poly(("F1", "E1")), R)
-    assert err.value.steps == 1
-    assert any("F1*E1" in line for line in err.value.trace)
+    assert str(err.value) == "no normal form after 1 steps; last reductions:\n  F1*E1 at 0 via F1*E1"
     # past twelve steps only the last twelve reductions are kept
     monkeypatch.setattr(biproduct, "_STEP_LIMIT", 20)
     with pytest.raises(RewriteLimitError) as err:
@@ -225,14 +228,12 @@ def test_step_limit_error_carries_a_trace(monkeypatch):
         "E1*E1*F1*F1*H1 at 3 via F1*H1",
         "E1*E1*F1*H1*F1 at 2 via F1*H1",
     )
-    assert err.value.steps == 21
-    assert err.value.trace == tail
     assert str(err.value) == "no normal form after 21 steps; last reductions:\n  " + "\n  ".join(tail)
 
 
 def test_redexes_at_one_position_keep_construction_order():
     R = build_rules(quasi_inverse(catalog_matrix("A1")))
-    extra = Rule(("F1", "E1", "E1"), R.poly(("E1", "E1", "F1")), "extra")
+    extra = Rule(("F1", "E1", "E1"), R.poly(("E1", "E1", "F1")))
     pairing = rule_for(R, ("F1", "E1"))
     word = ("F1", "E1", "E1")
     first = RewriteSystem(R.mode, R.matrix, R.d, (extra,) + R.rules)
@@ -243,7 +244,7 @@ def test_redexes_at_one_position_keep_construction_order():
 
 def _with_extra_rule(R):
     # a second lead at the pairing's position, so one position can hold two rules
-    extra = Rule(("F1", "E1", "E1"), R.poly(("E1", "E1", "F1")), "extra")
+    extra = Rule(("F1", "E1", "E1"), R.poly(("E1", "E1", "F1")))
     return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (extra,))
 
 
@@ -270,7 +271,7 @@ def _outcome(reduce, *args):
     try:
         return reduce(*args)
     except RewriteLimitError as err:
-        return err.steps, str(err)
+        return str(err)  # it names the step count and the trace
 
 
 @pytest.mark.parametrize(
@@ -379,7 +380,7 @@ def _with_dropper(R):
     # F1·F2·E1 -> F1·F2/(q^2 - 1) + q·E1·F1·F2: a rule outside build_rules
     # that drops an E letter with a coefficient outside Z[q, 1/q]
     drop = NCPoly({("F1", "F2"): QScalar((1,), (-1, 0, 1)), ("E1", "F1", "F2"): q_power(1)})
-    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F1", "F2", "E1"), drop, "drop"),))
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F1", "F2", "E1"), drop),))
 
 
 _ORACLE_SYSTEMS = {name: system(name, "quantum") for name in ("A1", "A2", "B2", "G2", "A3", "A2~")}
@@ -575,19 +576,19 @@ def chased_ambiguities(R, bound):
 
 def _twin(R):
     # a second rule on F1·E1 that forgets the bracket
-    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F1", "E1"), R.poly(("E1", "F1")), "twin"),))
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F1", "E1"), R.poly(("E1", "F1"))),))
 
 
 def _detour(R):
     # F3 passes F2·E1 and E1 passes F3·F2, but F2·F3·E1, one step into the
     # left side of F3·F2·E1, now reduces at 0 by a rule that doubles, so
     # neither move is the leftmost redex there
-    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F2", "F3", "E1"), R.poly(("E1", "F2", "F3"), 2), "detour"),))
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("F2", "F3", "E1"), R.poly(("E1", "F2", "F3"), 2)),))
 
 
 def _stopper(R):
     # E1·F2·F3, the word both sides of F3·F2·E1 end in, is no longer irreducible
-    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("E1", "F2", "F3"), R.poly(("E1", "F2")), "stopper"),))
+    return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(("E1", "F2", "F3"), R.poly(("E1", "F2"))),))
 
 
 @pytest.mark.parametrize(
@@ -612,46 +613,46 @@ def _with(R, *rules, ahead=False):
 
 def _second_weight_rule(R):
     # H1 (or K1) no longer passes E2 by the only rule on H1·E2
-    return _with(R, Rule((_cartan1(R), "E2"), R.poly(("E2", _cartan1(R))), "twin"))
+    return _with(R, Rule((_cartan1(R), "E2"), R.poly(("E2", _cartan1(R)))))
 
 
 def _stray_lead(R):
     # a lead E1·H1 (or E1·K1) holds the mover without being one of its moves
-    return _with(R, Rule(("E1", _cartan1(R)), R.poly(("E1",)), "stray"))
+    return _with(R, Rule(("E1", _cartan1(R)), R.poly(("E1",))))
 
 
 def _skewed_serre(R):
     # E1·E1·E1 has another weight than E2·E2·E1, so H1 and K1 move past it otherwise
     serre = rule_for(R, ("E2", "E2", "E1"))
-    return swap_rule(R, serre.lead, Rule(serre.lead, serre.rhs + R.poly(("E1", "E1", "E1")), "serre"))
+    return swap_rule(R, serre.lead, Rule(serre.lead, serre.rhs + R.poly(("E1", "E1", "E1"))))
 
 
 def _leaving_rule(R):
     # E1·E1 -> H2 (or K2) takes the E's out of the alphabet H1 (or K1) passes
-    return _with(R, Rule(("E1", "E1"), R.poly((_cartan1(R)[0] + "2",)), "leave"))
+    return _with(R, Rule(("E1", "E1"), R.poly((_cartan1(R)[0] + "2",))))
 
 
 def _reducible_prefix(R):
     # E2·E2 -> 0 makes the Serre lead E2·E2·E1 reducible without its last letter
-    return _with(R, Rule(("E2", "E2"), NCPoly(), "stopper"))
+    return _with(R, Rule(("E2", "E2"), NCPoly()))
 
 
 def _second_serre_rule(R):
     # a rule on E2·E2·E1 ahead of the Serre rule, so that one is not the first at 0
-    return _with(R, Rule(("E2", "E2", "E1"), R.poly(("E1", "E2", "E2")), "twin"), ahead=True)
+    return _with(R, Rule(("E2", "E2", "E1"), R.poly(("E1", "E2", "E2"))), ahead=True)
 
 
 def _reducible_right_word(R):
     # E2·E3·E1 -> E2·E1·E3, whose prefix E2·E1 the sort rule reduces while
     # E2·E1·E3 itself reduces first by a rule that doubles
-    R = _with(R, Rule(("E2", "E1", "E3"), R.poly(("E1", "E3", "E2"), 2), "double"), ahead=True)
-    return _with(R, Rule(("E2", "E3", "E1"), R.poly(("E2", "E1", "E3")), "extra"))
+    R = _with(R, Rule(("E2", "E1", "E3"), R.poly(("E1", "E3", "E2"), 2)), ahead=True)
+    return _with(R, Rule(("E2", "E3", "E1"), R.poly(("E2", "E1", "E3"))))
 
 
 def _reducible_left_word(R):
     # F1·F3, the right side of the sort rule on F3·F1, now reduces to a word
     # of another weight, before H1 (or K1) can move left through it
-    return _with(R, Rule(("F1", "F3"), R.poly(("F1", "F1")), "extra"))
+    return _with(R, Rule(("F1", "F3"), R.poly(("F1", "F1"))))
 
 
 @pytest.mark.parametrize(
@@ -701,12 +702,12 @@ def _shifted_moves(R):
     # H2·E1 -> E1·H2 + H2/3 and H3·E1 -> E1·H3 + 2·H3 (the K's with
     # 1/(q^2 - 1) and q in quantum mode): E1 passes H2 and H3 leftward with
     # shifts that drop E1, and neither passes E1 rightward any more, so
-    # transport settles H3·H2·E1 by E1's move, with δ ≠ 0; in quantum mode
-    # δ is read off the rescaled rules and must be divided back
+    # transport settles H3·H2·E1 by E1's move, with δ ≠ 0 read off the
+    # rules as written, in quantum mode too
     shifts = (Fraction(1, 3), 2) if R.mode == "classical" else (QScalar((1,), (-1, 0, 1)), q_power(1))
     for x, shift in zip(_cartan_letters(R), shifts):
         rule = rule_for(R, (x, "E1"))
-        R = swap_rule(R, rule.lead, Rule(rule.lead, rule.rhs + NCPoly({(x,): shift}), "weight"))
+        R = swap_rule(R, rule.lead, Rule(rule.lead, rule.rhs + NCPoly({(x,): shift})))
     return R
 
 
@@ -743,7 +744,7 @@ def test_a_right_side_that_straightens_through_a_pairing_is_transported(mode):
     # letter of its lead, so transport settles F2·E1·F1·F1·E1 from
     # N(E1·F1·E1), which a quantum check must divide back in part
     base = system("A1^3", mode)
-    R = _with(base, Rule(("E1", "F1", "F1", "E1"), base.poly(("E1", "F1", "E1")), "extra"))
+    R = _with(base, Rule(("E1", "F1", "F1", "E1"), base.poly(("E1", "F1", "E1"))))
     report = check_local_confluence(R, 5)
     assert list(report.ambiguities) == chased_ambiguities(R, 5)
     (a,) = [a for a in report.ambiguities if a.word == ("F2", "E1", "F1", "F1", "E1")]
@@ -852,7 +853,7 @@ def test_a_lead_inside_another_lead_is_chased():
     pair = "F1*E1*E1  (F1*E1*E1 at 0 vs F1*E1 at 0)"
 
     def with_rhs(rhs):
-        return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(word, rhs, "extra"),))
+        return RewriteSystem(R.mode, R.matrix, R.d, R.rules + (Rule(word, rhs),))
 
     wrong = check_local_confluence(with_rhs(R.poly(("E1", "E1", "F1"))), 4)
     assert [str(a) for a in wrong.unresolved()] == [f"[FAIL] {pair}"]
@@ -914,7 +915,7 @@ def test_summary_lines_match_rendering_every_ambiguity(name):
 
 
 def corrupt_pairing(R, rhs_terms):
-    bad = Rule(("F1", "E1"), NCPoly(rhs_terms), "pairing")
+    bad = Rule(("F1", "E1"), NCPoly(rhs_terms))
     return swap_rule(R, ("F1", "E1"), bad)
 
 

@@ -16,6 +16,7 @@ from borelweyl.datum import (
     DatumError,
     _apply_word,
     _conditions,
+    _directions,
     _linear_form,
     _linear_rows,
     _omega,
@@ -27,7 +28,7 @@ from borelweyl.datum import (
 import borelweyl
 from borelweyl.exact import MLaurent, QQ_ONE, q_power
 from borelweyl.exact.endo import shift
-from borelweyl.skew import SkewElem, classical_context, quantum_context
+from borelweyl.skew import ModelContext, SkewElem
 
 CATALOG = ["A1", "A2", "A1xA1", "A3", "B2", "G2", "A1affine"]
 
@@ -188,7 +189,7 @@ def old_solve_beta(C):
         betas.append(beta_j)
         h = MLaurent.var(n, j)
         bs.append((h * h - h * 2) * Fraction(1, 4) + beta_j.substitute(alphas))
-    datum = ClassicalDatum(classical_context(aux), aux, alphas, tuple(betas), tuple(bs))
+    datum = ClassicalDatum(ModelContext("classical", aux), aux, alphas, tuple(betas), tuple(bs))
     if not all(r.passed for r in check_bound_classical(datum)):
         raise DatumError("no admissible beta for this matrix")
     return datum
@@ -250,7 +251,8 @@ def full_basis_betas(aux):
     """Each beta_j solved over every alpha but its own, free coefficients at 0:
     the solve before the basis kept to the Dynkin neighbours of j."""
     C, n = aux.matrix, aux.matrix.n
-    moves = [[sum(q * s for q, s in zip(row, step)) for row in aux.Q] for step in classical_context(aux).steps]
+    steps = ModelContext("classical", aux).steps
+    moves = [[sum(q * s for q, s in zip(row, step)) for row in aux.Q] for step in steps]
     h = [_linear_form(n, row) for row in _inverse(aux.Q)]
 
     def apply(f, word):
@@ -355,7 +357,7 @@ def test_affine_central_omega_is_fixed_by_everything():
     central = qd.omega[1]
     for i in range(2):
         assert ctx.apply(i, central) == central
-    assert qd.directions == ((1, 0), (1, 1))
+    assert tuple(_directions(qd.aux)) == ((1, 0), (1, 1))
 
 
 def test_plain_window_residual_a2():
@@ -429,9 +431,41 @@ def test_build_omega_rejects_nothing_on_catalog():
     for name in CATALOG:
         C = catalog_matrix(name)
         aux = quasi_inverse(C)
-        omegas, exps, g, dirs, table = _omega(aux, quantum_context(aux))
+        omegas, exps, g, table = _omega(aux, ModelContext("quantum", aux))
         assert len(omegas) == C.n
         assert len(g) == aux.rank
+
+
+def test_omega_rejects_a_tampered_scaling_table_also_under_python_O():
+    # `borelweyl verify` prints every scaling-table line as [pass] because this
+    # raise, not an assert, refuses any other table: doubling every sigma step
+    # doubles each diagonal exponent
+    script = (
+        "import sys\n"
+        "from borelweyl.cartan import catalog_matrix, quasi_inverse\n"
+        "from borelweyl.datum import DatumError, _omega\n"
+        "from borelweyl.skew import ModelContext\n"
+        "print(sys.flags.optimize)\n"
+        "for name in ('B2', 'G2'):\n"
+        "    aux = quasi_inverse(catalog_matrix(name))\n"
+        "    ctx = ModelContext('quantum', aux)\n"
+        "    ctx.steps = tuple(tuple(2 * x for x in step) for step in ctx.steps)\n"
+        "    try:\n"
+        "        _omega(aux, ctx)\n"
+        "    except DatumError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(borelweyl.__file__).resolve().parents[1]))
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, check=True)
+        .stdout.splitlines()
+        for flags in ([], ["-O"])
+    )
+    raised = [
+        "omega scaling table mismatch at (1,1): got q^4, wanted q^2",
+        "omega scaling table mismatch at (1,1): got q^6, wanted q^3",
+    ]
+    assert (plain, optimized) == (["0"] + raised, ["1"] + raised)
 
 
 def test_lattice_scaling_matches_quasi_inverse_column_reading():
@@ -539,7 +573,7 @@ def test_the_quantum_datum_multiplies_no_skew_elements(name, monkeypatch):
     aux = quasi_inverse(_quantum_oracle_matrix(name))
     reports = check_bound_quantum(build_quantum_datum(aux))
     assert reports and calls == []
-    one = SkewElem.one(quantum_context(aux))
+    one = SkewElem.torus(ModelContext("quantum", aux), (0,) * aux.matrix.n)
     assert one * one == one and len(calls) == 1  # the wrapper is live
 
 

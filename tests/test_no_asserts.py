@@ -28,6 +28,14 @@ behind.  Every name a module lists in `__all__` is read somewhere in the
 package outside its own definition, so public API that no command reaches is
 deleted rather than kept; the only exemptions are the entry points kept for
 programs outside the package, each with its reason in `ENTRY_POINTS`.
+Every public method, property and dataclass field of a class, and every
+public attribute its constructor sets on self, is read as an attribute
+somewhere in the package outside its own definition and outside its class's
+`__init__` and `__post_init__`: a member that nothing reads, or that only
+its own constructor checks, is deleted rather than kept.  Dunders are
+exempt, and so is each member in `MEMBER_EXEMPTIONS`, with its reason.
+Reads are matched by name, so a member that shares its name with one that
+is read passes.
 No module holds state that could outlive a job: no `functools.cache` or
 `lru_cache` decorator, no module-level assignment of an empty `{}`, `[]`,
 `set()`, `dict()` or `list()` that calls would fill, and no `global`
@@ -201,6 +209,97 @@ def test_module_exports_only_names_the_package_reads(module):
 
 def test_every_exempt_entry_point_is_exported():
     stale = [(module, name) for module, name in ENTRY_POINTS if name not in _exported(_parse(module))]
+    assert stale == []
+
+
+# public class members that nothing in the package reads, kept for readers outside it
+MEMBER_EXEMPTIONS = {
+    ("biproduct.py", "RewriteSystem.redexes"): "the perfbench tracer wraps it by name to count rewrite steps",
+    ("biproduct.py", "Ambiguity.how"): "ROADMAP items 5 and 16 count the transport certificates by it",
+    ("morphisms.py", "VerificationReport.recovered"):
+        "the recovery oracle in tests/test_template_oracles.py compares it",
+}
+_CONSTRUCTORS = ("__init__", "__post_init__")
+
+
+def _attribute_reads(tree) -> Counter:
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _members(cls):
+    """(definition, name) of every public function, annotated field and
+    constructor-set attribute of a class."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef) and item.name in _CONSTRUCTORS:
+            for node in ast.walk(item):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"
+                ):
+                    yield node, node.attr
+        elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield item, item.name
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item, item.target.id
+
+
+def _unread_members(tree, read: Counter) -> list:
+    """The label Class.member of every public member of a class in tree that
+    `read`, the package's attribute reads, holds no more often than the
+    member's own definition and its class's constructors read it."""
+    unread = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        constructors = sum(
+            (_attribute_reads(item) for item in cls.body
+             if isinstance(item, ast.FunctionDef) and item.name in _CONSTRUCTORS),
+            Counter(),
+        )
+        for node, name in _members(cls):
+            label = f"{cls.name}.{name}"
+            if name.startswith("_") or label in unread:
+                continue
+            if read[name] == constructors[name] + _attribute_reads(node)[name]:
+                unread.append(label)
+    return unread
+
+
+def test_the_class_member_guard_sees_every_kind_of_member():
+    source = (
+        "@dataclass\nclass A:\n    kept: int\n    dead: int\n    checked: int\n"
+        "    def __post_init__(self):\n        if self.checked: raise ValueError\n"
+        "    def used(self): return self.kept + self.helper()\n"
+        "    def helper(self): return 1\n"
+        "    @property\n    def unused(self): return self.unused\n"
+        "    def _private(self): pass\n"
+        "class B:\n    def __init__(self, x):\n        self.seen = x\n        self.unseen = self.seen\n"
+        "def f(a, b): return a.used(), b.seen\n"
+    )
+    tree = ast.parse(source)
+    assert _unread_members(tree, _attribute_reads(tree)) == ["A.dead", "A.checked", "A.unused", "B.unseen"]
+
+
+@cache
+def _package_attribute_reads() -> Counter:
+    return sum((_attribute_reads(_parse(module)) for module in MODULES), Counter())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_class_member_the_package_never_reads(module):
+    unread = [
+        label for label in _unread_members(_parse(module), _package_attribute_reads())
+        if (module, label) not in MEMBER_EXEMPTIONS
+    ]
+    assert unread == [], f"{module} has class members read only by their own definition or constructor: {unread}"
+
+
+def test_every_exempt_member_is_still_unread():
+    stale = [
+        (module, label) for module, label in MEMBER_EXEMPTIONS
+        if label not in _unread_members(_parse(module), _package_attribute_reads())
+    ]
     assert stale == []
 
 

@@ -15,13 +15,7 @@ from borelweyl.cli import JobSpec, _corrupted, run
 from borelweyl.datum import build_quantum_datum, check_bound_quantum, solve_beta
 from borelweyl.exact import MLaurent, PolyFrac, QQ_ONE, q_power
 from borelweyl.morphisms import classical_borel_assignment, verify, weyl_assignment
-from borelweyl.skew import (
-    ModelContext,
-    SkewElem,
-    classical_context,
-    directional_diff,
-    quantum_context,
-)
+from borelweyl.skew import ModelContext, SkewElem
 
 
 SL2 = catalog_matrix("A1")
@@ -29,11 +23,11 @@ A2 = catalog_matrix("A2")
 
 
 def _sl2_classical():
-    return classical_context(quasi_inverse(SL2))
+    return ModelContext("classical", quasi_inverse(SL2))
 
 
 def _sl2_quantum():
-    return quantum_context(quasi_inverse(SL2))
+    return ModelContext("quantum", quasi_inverse(SL2))
 
 
 def _b_sl2(ctx):
@@ -68,7 +62,7 @@ def test_invert_classical_shifted():
     # (h·t)⁻¹ = (h−2)⁻¹·t⁻¹
     shifted = PolyFrac(ctx.coeff_one(), h - ctx.coeff_scalar(2))
     assert inv == SkewElem.monomial(ctx, shifted, (-1,))
-    one = SkewElem.one(ctx)
+    one = SkewElem.torus(ctx, (0,))
     assert ht * inv == one and inv * ht == one
 
 
@@ -76,7 +70,7 @@ def test_invert_torus_unit():
     ctx = _sl2_classical()
     t = SkewElem.torus(ctx, (1,))
     assert t.invert() == SkewElem.torus(ctx, (-1,))
-    assert t * t.invert() == SkewElem.one(ctx)
+    assert t * t.invert() == SkewElem.torus(ctx, (0,))
 
 
 def test_invert_quantum_image():
@@ -85,14 +79,15 @@ def test_invert_quantum_image():
     inv = e_img.invert()
     # (K⁻¹t⁻¹)⁻¹ = σ(K)·t = q⁻²·K·t
     assert inv == SkewElem.monomial(ctx, ctx.coeff_var(0) * q_power(-2), (1,))
-    assert e_img * inv == SkewElem.one(ctx) and inv * e_img == SkewElem.one(ctx)
+    one = SkewElem.torus(ctx, (0,))
+    assert e_img * inv == one and inv * e_img == one
 
 
 def test_invert_rejects_sums_and_nonmonomials():
     ctx = _sl2_classical()
     t = SkewElem.torus(ctx, (1,))
     with pytest.raises(ValueError, match="unit monomials"):
-        (t + SkewElem.one(ctx)).invert()
+        (t + SkewElem.torus(ctx, (0,))).invert()
     qctx = _sl2_quantum()
     f = qctx.coeff_var(0) + qctx.coeff_one()
     with pytest.raises(ValueError, match="unit monomials"):
@@ -105,11 +100,11 @@ def test_invert_rejects_sums_and_nonmonomials():
 
 def _twisted_diff(ctx, i, f):
     """D_i(f) = σ_i(f) − f: the difference along the unit direction e_i."""
-    return directional_diff(ctx, tuple(int(k == i) for k in range(ctx.n)), f)
+    return ctx.apply_vec(tuple(int(k == i) for k in range(ctx.n)), f) - f
 
 
 def test_twisted_diff_examples():
-    ctx = classical_context(quasi_inverse(A2))
+    ctx = ModelContext("classical", quasi_inverse(A2))
     # D_i(h_j) = a_{ji}
     for i in range(2):
         for j in range(2):
@@ -149,7 +144,7 @@ def test_commutator_examples():
 
 
 def test_conjugate_by_torus_is_sigma():
-    ctx = classical_context(quasi_inverse(A2))
+    ctx = ModelContext("classical", quasi_inverse(A2))
     f = SkewElem.from_coeff(ctx, ctx.coeff_var(1))
     t = SkewElem.torus(ctx, (1, 0))
     assert t * f * t.invert() == SkewElem.from_coeff(ctx, ctx.apply(0, ctx.coeff_var(1)))
@@ -175,7 +170,7 @@ def test_context_construction_catalog(name):
     # σ_i is read off the matrix: h_j ↦ h_j + a_ji, or K_j ↦ q^{-d_i·a_ij}·K_j
     aux = quasi_inverse(catalog_matrix(name))
     C, d = aux.matrix, aux.d
-    classical, quantum = classical_context(aux), quantum_context(aux)
+    classical, quantum = ModelContext("classical", aux), ModelContext("quantum", aux)
     for i in range(C.n):
         for j in range(C.n):
             assert classical.apply(i, classical.coeff_var(j)) == classical.coeff_var(j) + C[j, i]
@@ -184,8 +179,8 @@ def test_context_construction_catalog(name):
 
 # -- randomized structure checks -----------------------------------------------
 
-CTX_C = classical_context(quasi_inverse(A2))
-CTX_Q = quantum_context(quasi_inverse(A2))
+CTX_C = ModelContext("classical", quasi_inverse(A2))
+CTX_Q = ModelContext("quantum", quasi_inverse(A2))
 
 exps = st.tuples(st.integers(min_value=-1, max_value=1), st.integers(min_value=-1, max_value=1))
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -232,8 +227,8 @@ def test_invert_two_sided_classical(fp, m):
         return
     a = SkewElem.monomial(CTX_C, fp, m)
     inv = a.invert()
-    assert a * inv == SkewElem.one(CTX_C)
-    assert inv * a == SkewElem.one(CTX_C)
+    one = SkewElem.torus(CTX_C, (0, 0))
+    assert a * inv == one and inv * a == one
 
 
 # -- canonical form: a polynomial is an MLaurent, a PolyFrac is a real fraction ---
@@ -314,11 +309,11 @@ def test_sigma_powers_compose_additively(name, kind, a, b):
 
 
 def test_identity_power_returns_the_same_fraction():
-    ctx = classical_context(quasi_inverse(A2))
+    ctx = ModelContext("classical", quasi_inverse(A2))
     pf = PolyFrac(ctx.coeff_scalar(3), ctx.coeff_var(1) + ctx.coeff_scalar(1))
     assert ctx.apply_vec((0, 0), pf) is pf
     # affine A1 has a kernel: σ^(1,1) shifts nothing, so the value is kept as is
-    affine = classical_context(quasi_inverse(catalog_matrix("A1affine")))
+    affine = ModelContext("classical", quasi_inverse(catalog_matrix("A1affine")))
     g = PolyFrac(affine.coeff_scalar(3), affine.coeff_var(1) + affine.coeff_scalar(1))
     assert affine.apply_vec((1, 1), g) is g
     assert affine.apply_vec((1, 0), g) != g
@@ -331,12 +326,12 @@ def test_noncommuting_automorphisms_are_rejected_under_python_O():
     script = (
         "import sys, test_skew as t\n"
         "from borelweyl.cartan import CATALOG, catalog_matrix, quasi_inverse\n"
-        "from borelweyl.skew import classical_context, quantum_context\n"
+        "from borelweyl.skew import ModelContext\n"
         "print(sys.flags.optimize)\n"
         "bad = []\n"
         "for name in sorted(CATALOG):\n"
         "    aux = quasi_inverse(catalog_matrix(name))\n"
-        "    for ctx in (classical_context(aux), quantum_context(aux)):\n"
+        "    for ctx in (ModelContext('classical', aux), ModelContext('quantum', aux)):\n"
         "        f = t._sample_coeff(ctx)\n"
         "        for i in range(ctx.n):\n"
         "            for j in range(i):\n"
@@ -372,8 +367,8 @@ def test_malformed_contexts_and_elements_raise_value_errors():
 
 def test_a_context_names_its_coefficients_once():
     aux = quasi_inverse(A2)
-    assert classical_context(aux).names == ("h1", "h2")
-    assert quantum_context(aux).names == ("K1", "K2")
+    assert ModelContext("classical", aux).names == ("h1", "h2")
+    assert ModelContext("quantum", aux).names == ("K1", "K2")
 
 
 def test_model_contexts_hold_no_mutable_state_after_full_verify_runs(monkeypatch):

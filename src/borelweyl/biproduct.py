@@ -13,8 +13,12 @@ machine-checkable shadow of the PBW claim.
 The engine runs on letter codes.  A `RewriteSystem` compiles its alphabet
 once into codes, minus each letter's place in the term order, so that a
 coded word is its own heap key after its length, and it pre-encodes every
-lead and right side.  `normal_form` encodes its input and decodes its
-result; `RewriteSystem.redexes` is the string-word view of the same scan.
+lead and right side.  It also indexes the leads by their first two coded
+letters (a one-letter lead under its 1-tuple and under every pair it
+begins), each list in construction order, so the redex scan does one
+lookup per position and compares only the leads found there.
+`normal_form` encodes its input and decodes its result;
+`RewriteSystem.redexes` is the string-word view of the same scan.
 The confluence check settles an overlap in closed form rather than by
 chasing both sides when a letter moves past every letter of a rule (the
 Cartan letters past the Borel rules, and letters that commute with a
@@ -220,7 +224,7 @@ class RewriteSystem:
         self._contents = {}  # coded word -> `_e_content`
         by_lead = {}
         coded = []
-        changing = []
+        changing = False
         for index, rule in enumerate(self.rules):
             if not rule.lead:
                 raise ValueError("empty lead word")
@@ -240,7 +244,7 @@ class RewriteSystem:
                 content = self._e_content(lead)
                 shifts = [_minus(content, self._e_content(w)) for w, _ in rhs]
                 if any(map(any, shifts)):
-                    changing.append(index)
+                    changing = True
                     rhs = tuple(
                         (w, c * self._beta_power(k) if any(k) else c) for (w, c), k in zip(rhs, shifts)
                     )
@@ -249,10 +253,22 @@ class RewriteSystem:
         self._by_lead = by_lead
         # rule index -> (coded lead, ((coded word, coefficient), ...)), rescaled in quantum mode
         self._coded_rules = tuple(coded)
-        # the rules that change a word's E-content, and so its scale
-        self._changing = tuple(changing)
-        self._first_rule = {lead: indices[0] for lead, indices in by_lead.items()}
-        self._lead_lengths = sorted({len(lead) for lead in by_lead})
+        # whether some rule changes a word's E-content, and so its scale
+        self._changing = changing
+        # first two coded letters (one at a word's end) -> (lead, first rule)
+        # in construction order; the lookup alone matches a lead of at most two
+        # letters, so it is stored as None and ends its list
+        codes = tuple(self._code.values())
+        heads = {}
+        for lead, indices in by_lead.items():  # in order of first rule
+            keys = [lead[:2]] if len(lead) > 1 else [lead] + [lead + (c,) for c in codes]
+            for key in keys:
+                found = heads.setdefault(key, [])
+                if not found or found[-1][0] is not None:
+                    found.append((lead if len(lead) > 2 else None, indices[0]))
+        self._heads = {key: tuple(found) for key, found in heads.items()}
+        # a redex that starts more than this before a rewrite cannot reach it
+        self._back = max(map(len, by_lead), default=1) - 1
 
     def _encode(self, word) -> tuple:
         code = self._code
@@ -265,19 +281,17 @@ class RewriteSystem:
     def _leftmost(self, coded, start=0):
         """(position, rule index) of the leftmost redex of a coded word at or
         after start, with the first rule there in construction order; None
-        when no lead starts at or after ``start``."""
-        first, lengths, n = self._first_rule, self._lead_lengths, len(coded)
-        for pos in range(start, n):
-            best = None
-            for end in lengths:
-                end += pos
-                if end > n:
-                    break
-                index = first.get(coded[pos:end])
-                if index is not None and (best is None or index < best):
-                    best = index
-            if best is not None:
-                return pos, best
+        when no lead starts at or after ``start``.  Each position costs one
+        lookup of its first two letters; the leads found there come in
+        construction order, so the first that matches is the answer.
+        """
+        heads = self._heads
+        for pos in range(start, len(coded)):
+            found = heads.get(coded[pos : pos + 2])
+            if found is not None:
+                for lead, index in found:
+                    if lead is None or coded[pos : pos + len(lead)] == lead:
+                        return pos, index
         return None
 
     def _e_content(self, coded) -> tuple:
@@ -463,7 +477,7 @@ def _reduce(terms: dict, R: RewriteSystem) -> dict:
     divides the result back.
     """
     scan, coded = R._leftmost, R._coded_rules
-    back = R._lead_lengths[-1] - 1 if R._lead_lengths else 0
+    back = R._back
     work = dict(terms)
     hints = {}  # word -> a position before which it holds no redex
     heap = [(-len(word), word) for word in work]

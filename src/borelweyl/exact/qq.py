@@ -22,12 +22,15 @@ checks its remainder and raises InexactDivisionError otherwise, also under
 ``python -O``.
 
 Negative powers of q are ordinary fractions here: q⁻¹ == QScalar((1,), (0, 1)).
-So a Laurent polynomial in q has a denominator q^k.  Such a denominator
-needs no special path: after the common power of q comes off, q^k is the
-single term 1, so the gcd's q-order and single-term steps return the power
-of q it shares with the other argument, and no heuristic gcd runs.
+So a Laurent polynomial in q has a denominator q^k, and a sum or product of
+two of them takes no gcd: a/q^j + c/q^k = (a·q^{m−j} + c·q^{m−k})/q^m with
+m = max(j, k), and (a/q^j)·(c/q^k) = a·c/q^{j+k}.  q is the only prime
+factor of q^m and its content is 1, so stripping min(ord_q num, m) from
+both gives the canonical pair that the general rule below would return.
+The quantum straightening engine works in ℤ[q, q⁻¹] (see `biproduct`), so
+nearly all of its sums and products take these closed forms.
 
-Every sum and product follows Henrici's rule (Knuth, TAOCP vol. 2,
+Every other sum and product follows Henrici's rule (Knuth, TAOCP vol. 2,
 §4.5.1): both operands are canonical, so only gcds of the small operands
 are taken, never one of the grown result.  For a/b + c/d with b = d it is
 gcd(a + c, b).  Otherwise let g = gcd(b, d): for g = 1 the sum
@@ -42,7 +45,7 @@ take no gcd either.
 A job repeats the same few products: q-powers, balanced brackets and
 q-binomials, met again at every rewrite and every datum check.  So within
 ``job_memo()`` each sum and product is looked up by its operands' canonical
-tuples (a, b, c, d) before Henrici's rule runs, and computed and stored only
+tuples (a, b, c, d) before the kernel runs, and computed and stored only
 on a miss.  One pass of the benchmark's verify-quantum ladder asks for 6,283
 products past the shortcuts below and 742 sums, and runs the kernels on
 582 and 168 of them (counted by wrapping `QScalar.__mul__`, `__add__`,
@@ -451,8 +454,28 @@ class QScalar:
         return f"{ns}/{ds}"
 
 
+def _is_q_power(b: ZPoly) -> bool:
+    """Is the canonical denominator b a power q^k, k ≥ 0?"""
+    return b[-1] == 1 and b.count(0) == len(b) - 1
+
+
+def _over_q_power(t: ZPoly, m: int) -> "QScalar":
+    """t/q^m for a nonzero t: q is the only prime factor of q^m, so only
+    min(ord_q t, m) comes off, and the pair is canonical as built."""
+    if m:
+        s = min(_qorder(t), m)
+        t, m = t[s:], m - s
+    return QScalar._reduced(t, (0,) * m + (1,))
+
+
 def _add(a: ZPoly, b: ZPoly, c: ZPoly, d: ZPoly) -> "QScalar":
-    """a/b + c/d for canonical operands, by Henrici's rule."""
+    """a/b + c/d for canonical operands: in closed form over powers of q,
+    else by Henrici's rule."""
+    if _is_q_power(b) and _is_q_power(d):  # (a·q^{m−j} + c·q^{m−k})/q^m
+        j, k = len(b) - 1, len(d) - 1
+        m = max(j, k)
+        t = _padd((0,) * (m - j) + a, (0,) * (m - k) + c)
+        return _over_q_power(t, m) if t else QQ_ZERO
     if b == d:
         t = _padd(a, c)
         if not t:
@@ -474,7 +497,10 @@ def _add(a: ZPoly, b: ZPoly, c: ZPoly, d: ZPoly) -> "QScalar":
 
 
 def _mul(a: ZPoly, b: ZPoly, c: ZPoly, d: ZPoly) -> "QScalar":
-    """(a/b)·(c/d) for canonical operands with a and c nonzero, by crosswise cancellation."""
+    """(a/b)·(c/d) for canonical operands with a and c nonzero: over powers
+    of q, a·c/q^{j+k}; else by crosswise cancellation."""
+    if _is_q_power(b) and _is_q_power(d):
+        return _over_q_power(_pmul(a, c), len(b) + len(d) - 2)
     g = _pgcd(a, d)
     if g != (1,):
         a, d = _pdiv_exact(a, g), _pdiv_exact(d, g)

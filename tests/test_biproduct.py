@@ -267,6 +267,73 @@ def test_redexes_stop_at_the_leftmost_position_from_start(data):
         assert R.redexes(word, start) == later[:1]
 
 
+def _length_loop_leftmost(R, coded, start=0):
+    """The redex scan without the first-two-letters index: at each position,
+    one lookup per lead length, keeping the lowest rule index found."""
+    first = {}
+    for index, (lead, _) in enumerate(R._coded_rules):
+        first.setdefault(lead, index)
+    lengths, n = sorted({len(lead) for lead in first}), len(coded)
+    for pos in range(start, n):
+        best = None
+        for end in lengths:
+            end += pos
+            if end > n:
+                break
+            index = first.get(coded[pos:end])
+            if index is not None and (best is None or index < best):
+                best = index
+        if best is not None:
+            return pos, best
+    return None
+
+
+def _shared_heads_system():
+    # a one-letter lead, and leads that share their first two letters at
+    # lengths 2 and 3, in an order that no lead length decides
+    R = system("A2")
+    rules = (
+        Rule(("F2", "F1", "H1"), R.poly(("H1", "F2"))),
+        Rule(("F2", "F1"), R.poly(("E1",))),
+        Rule(("F2", "F1", "E2"), R.poly(())),
+        Rule(("F1",), R.poly(("E1",), 2)),
+        Rule(("F1", "F2", "E1"), R.poly(("E2",))),
+        Rule(("F1",), R.poly(("E2",))),
+        Rule(("H2", "F1", "F1", "E1"), R.poly(("H2",))),
+    )
+    return RewriteSystem(R.mode, R.matrix, R.d, rules)
+
+
+_SCAN_SYSTEMS = [system(name, mode) for name in ("B2", "G2", "A3", "A4") for mode in ("classical", "quantum")]
+_SCAN_SYSTEMS.append(_shared_heads_system())
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_redex_scan_matches_the_length_loop(data):
+    R = data.draw(st.sampled_from(_SCAN_SYSTEMS))
+    word = tuple(data.draw(st.lists(st.sampled_from(R.alphabet), max_size=14)))
+    start = data.draw(st.integers(0, len(word) + 1))
+    coded = R._encode(word)
+    assert R._leftmost(coded, start) == _length_loop_leftmost(R, coded, start)
+
+
+def test_the_redex_scan_takes_the_first_rule_among_shared_heads():
+    R = _shared_heads_system()
+    cases = {
+        ("F2", "F1", "H1"): (0, 0),  # the 3-letter lead comes before the 2-letter one
+        ("F2", "F1", "E2"): (0, 1),  # the 2-letter lead comes before the 3-letter one
+        ("H1", "F2", "F1"): (1, 1),
+        ("F1", "F2", "E1"): (0, 3),  # the one-letter lead comes first
+        ("E1", "F1"): (1, 3),  # the one-letter lead as the last letter
+        ("H2", "F1", "F1", "E1"): (0, 6),
+        ("H2", "E1", "E2"): None,
+    }
+    for word, expected in cases.items():
+        coded = R._encode(word)
+        assert R._leftmost(coded) == _length_loop_leftmost(R, coded) == expected
+
+
 def _outcome(reduce, *args):
     try:
         return reduce(*args)
@@ -371,6 +438,33 @@ def test_quantum_normal_forms_match_full_gcd_arithmetic(monkeypatch, name, word)
                      ("__mul__", _full_gcd_mul), ("__rmul__", _full_gcd_mul)):
         monkeypatch.setattr(QScalar, attr, op)
     assert got == _quantum_normal_form(name, word)
+
+
+def test_the_rescaled_straightening_takes_no_gcd(monkeypatch):
+    # every coefficient inside _reduce is a Laurent polynomial, so its sums and
+    # products take the closed forms of exact.qq; only dividing back by β may
+    # take gcds, and that happens outside _reduce
+    R = build_rules(quasi_inverse(catalog_matrix("G2")), mode="quantum")
+    inside, calls = [False], []
+    reduce, pgcd = biproduct._reduce, qq._pgcd
+
+    def flagged(terms, R):
+        inside[0] = True
+        try:
+            return reduce(terms, R)
+        finally:
+            inside[0] = False
+
+    def counted(a, b):
+        calls.append(inside[0])
+        return pgcd(a, b)
+
+    monkeypatch.setattr(biproduct, "_reduce", flagged)
+    monkeypatch.setattr(qq, "_pgcd", counted)
+    nf = normal_form(R.poly(("F2", "F2", "E1", "E2", "E2", "F1", "E1", "F1", "E2", "F2")), R)
+    assert any(not _is_q_power(c.den) for c in nf.terms.values())  # divided back by β
+    assert calls.count(False) > 0  # the counter sees the gcds of dividing back
+    assert calls.count(True) == 0
 
 
 # -- the rescaled basis --------------------------------------------------------

@@ -27,7 +27,7 @@ from borelweyl.exact import (
 from borelweyl.exact.endo import scale, shift
 from borelweyl.exact import qq
 from borelweyl.exact.laurent import _accumulate
-from borelweyl.exact.qq import InexactDivisionError, _pdiv_exact, _pgcd, _pgcd_euclid, _pmul
+from borelweyl.exact.qq import InexactDivisionError, _padd, _pdiv_exact, _pgcd, _pgcd_euclid, _pmul
 from conftest import evaluate_laurent, evaluate_q
 
 try:
@@ -435,9 +435,52 @@ def test_laurent_negation_and_inverse_make_no_gcd(monkeypatch):
     y = QScalar((0, 2, 5), _q_to(1))  # 2 + 5q
     for make in (lambda: -x, lambda: x.inverse()):
         assert _pgcd_calls(monkeypatch, make)[1] == 0
+    # sums, differences and products of Laurent polynomials take closed forms
+    z = QScalar.laurent({-1: 4, 2: 1})  # 4q^-1 + q^2
+    w = QScalar.laurent({-2: -1, 1: 1})  # −q^-2 + q: x + w = q − 3 loses the q-power
+    q2 = q_power(2)
+    cases = [
+        (lambda: x + z, QScalar((1, 4, -3, 0, 1), _q_to(2))),  # q^2 and q on either side
+        (lambda: z + x, QScalar((1, 4, -3, 0, 1), _q_to(2))),
+        (lambda: x - z, QScalar((1, -4, -3, 0, -1), _q_to(2))),
+        (lambda: x + y, QScalar((1, 0, -1, 5), _q_to(2))),  # q^2 against q^0
+        (lambda: x + w, QScalar((-3, 1))),
+        (lambda: x - x, QQ_ZERO),
+        (lambda: x * z, QScalar((4, 0, -12, 1, 0, -3), _q_to(3))),
+        (lambda: y * x, QScalar((2, 5, -6, -15), _q_to(2))),
+        (lambda: x * q2, QScalar((1, 0, -3))),  # the q-power cancels
+    ]
+    for make, expected in cases:
+        got, calls = _pgcd_calls(monkeypatch, make)
+        assert calls == 0 and (got.num, got.den) == (expected.num, expected.den)
     # the counter does see a real fraction
     fraction = QScalar((1, 1), (-1, 0, 1))
     assert _pgcd_calls(monkeypatch, lambda: fraction * y)[1] >= 1
+
+
+# Σ c·q^e with a common integer factor and sign, so contents and total cancellation occur
+_laurents = st.builds(
+    lambda factor, cs, low: QScalar.laurent({low + i: factor * c for i, c in enumerate(cs)}),
+    st.sampled_from([1, -1, 2, -6]),
+    st.lists(st.integers(-4, 4), max_size=5),
+    st.integers(-4, 3),
+)
+
+
+@given(_laurents, _laurents)
+@example(QScalar.laurent({-2: 3, 0: -1}), QScalar.laurent({-2: -3, 0: 1}))  # cancels to 0
+@example(QScalar.laurent({-2: 2, 0: 4}), QScalar.laurent({-2: -2, 1: 6}))  # cancels the q-power
+@example(QScalar.laurent({-1: -2}), QScalar.laurent({-3: 6, 2: 2}))  # integer content on both sides
+@settings(max_examples=150, deadline=None)
+def test_laurent_sums_and_products_match_the_normalising_constructor(x, y):
+    a, b, c, d = x.num, x.den, y.num, y.den
+    s = qq._add(a, b, c, d)
+    expected = QScalar(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
+    assert (s.num, s.den) == (expected.num, expected.den)
+    if a and c:
+        p = qq._mul(a, b, c, d)
+        expected = QScalar(_pmul(a, c), _pmul(b, d))
+        assert (p.num, p.den) == (expected.num, expected.den)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,9 @@ lookup per position and compares only the leads found there.
 The confluence check settles an overlap in closed form rather than by
 chasing both sides when a letter moves past every letter of a rule (the
 Cartan letters past the Borel rules, and letters that commute with a
-rule's letters); see `check_local_confluence`.
+rule's letters); see `check_local_confluence`.  It decides that once per
+(letter, side, rule), and a resolved ambiguity builds its word, labels and
+normal forms only when something reads them.
 
 The system, not the polynomial, chooses the scalars.  `build_rules` writes
 every classical rule with integer coefficients and every quantum rule with
@@ -49,14 +51,15 @@ power of β.  The division back happens once per output word, and only a
 word whose E-content differs from its source's needs it; only a rule that
 changes E-content makes such a word, and in `build_rules` systems those
 are the n pairings F_i·E_i.  `normal_form` divides back relative to its
-lifted input, and `check_local_confluence` relative to each overlap word.
+lifted input, and an `Ambiguity` relative to its overlap word, when its
+normal forms are first read.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import sub
 
@@ -525,7 +528,6 @@ def _reduce(terms: dict, R: RewriteSystem) -> dict:
 # -- local confluence ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Ambiguity:
     """One overlap word with its two one-step reducts chased to normal form.
 
@@ -535,15 +537,78 @@ class Ambiguity:
     they were found: "chased" by `normal_form`, or taken from the
     "transport" certificate of `check_local_confluence`.  It takes no part
     in equality, since both ways give the same fields.
+
+    `check_local_confluence` decides ``resolved`` and ``how`` at once and
+    defers the other five fields (`Ambiguity._deferred`): the word, the two
+    labels and the two normal forms are built the first time one of them
+    is read, so an ambiguity nothing reads costs no polynomial.
     """
 
-    word: tuple
-    left: str
-    right: str
-    nf_left: NCPoly
-    nf_right: NCPoly
-    resolved: bool
-    how: str = field(default="chased", compare=False)
+    __slots__ = ("resolved", "how", "_fields", "_maker")
+
+    def __init__(self, word, left, right, nf_left, nf_right, resolved, how="chased"):
+        put = object.__setattr__
+        put(self, "_fields", (word, left, right, nf_left, nf_right))
+        put(self, "_maker", None)
+        put(self, "resolved", resolved)
+        put(self, "how", how)
+
+    @classmethod
+    def _deferred(cls, resolved, how, maker):
+        """An ambiguity whose word, labels and normal forms are make(*args),
+        built on first read, for maker = (make, *args): one tuple, as a check
+        makes tens of thousands of these."""
+        a, put = object.__new__(cls), object.__setattr__
+        put(a, "_fields", None)
+        put(a, "_maker", maker)
+        put(a, "resolved", resolved)
+        put(a, "how", how)
+        return a
+
+    def __setattr__(self, *a):
+        raise AttributeError("Ambiguity is immutable")
+
+    def _forms(self) -> tuple:
+        """(word, left, right, nf_left, nf_right), built once."""
+        forms = self._fields
+        if forms is None:
+            make, *args = self._maker
+            forms = make(*args)
+            object.__setattr__(self, "_fields", forms)
+            object.__setattr__(self, "_maker", None)
+        return forms
+
+    @property
+    def word(self) -> tuple:
+        return self._forms()[0]
+
+    @property
+    def left(self) -> str:
+        return self._forms()[1]
+
+    @property
+    def right(self) -> str:
+        return self._forms()[2]
+
+    @property
+    def nf_left(self) -> NCPoly:
+        return self._forms()[3]
+
+    @property
+    def nf_right(self) -> NCPoly:
+        return self._forms()[4]
+
+    def __eq__(self, other):
+        if not isinstance(other, Ambiguity):
+            return NotImplemented
+        return (self._forms(), self.resolved) == (other._forms(), other.resolved)
+
+    def __repr__(self):
+        word, left, right, nf_left, nf_right = self._forms()
+        return (
+            f"Ambiguity(word={word!r}, left={left!r}, right={right!r}, nf_left={nf_left!r}, "
+            f"nf_right={nf_right!r}, resolved={self.resolved!r}, how={self.how!r})"
+        )
 
     def __str__(self):
         mark = "ok  " if self.resolved else "FAIL"
@@ -636,12 +701,19 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
 
     Covers proper overlaps (a suffix of one lead is a prefix of the other),
     containments (one lead inside the other) and each pair of distinct rules
-    on one lead, counted once at position 0.  Each ambiguity is reduced both
-    ways and chased to normal form.  Unresolved ambiguities land in the
-    report rather than raising: they are the finding.  Words, rules and
-    normal forms are handled as letter codes and decoded for the report.
-    A quantum chase runs in the rescaled basis of the module docstring, and
-    each side's normal form is divided back relative to the overlap word.
+    on one lead, counted once at position 0; the leads that can meet a lead
+    are looked up by their first letters (a proper prefix of the partner's
+    lead) and by the lead's own windows (a partner inside it), and each
+    rule's meetings are sorted into rule pair order.  Each ambiguity is
+    reduced both ways and chased to normal form.  Unresolved ambiguities
+    land in the report rather than raising: they are the finding.  Words,
+    rules and normal forms are handled as letter codes.  A quantum chase
+    runs in the rescaled basis of the module docstring and compares the two
+    sides there.  Each ambiguity gets ``resolved`` and ``how`` at once and
+    keeps its coded normal forms; it divides them back relative to the
+    overlap word and decodes them, with its word and labels, when one of
+    those fields is first read (`Ambiguity._deferred`).  The report reads
+    them only for an unresolved ambiguity.
 
     Overlaps that a letter moves through are certified instead of chased;
     ``how`` on each ambiguity says which way it went.  The certificate
@@ -674,42 +746,61 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     N(x·t) = x·N(t); and N, which takes one fixed redex in each word, is
     linear.  So the side that moves x first gives χ(L)·N(L)·x + δ(L)·N(L),
     with N(L) = N(rhs r) as r is the first rule on L, and the side that
-    applies r gives Σ c_w·(χ(w)·N(w)·x + δ(w)·N(w)), the same sum.  N(rhs r)
-    is straightened once per rule within one check, and a quantum check
-    divides it back relative to L once; λ and κ are those of the rules as
-    written.  A letter that commutes with others up to a scalar is a mover
-    with κ = 0, so three pairwise commuting letters x_c·x_b·x_a are settled
-    this way too: the commutation case of the diamond lemma, as in
-    Cartier–Foata.
+    applies r gives Σ c_w·(χ(w)·N(w)·x + δ(w)·N(w)), the same sum.  λ and κ
+    are those of the rules as written.  A letter that commutes with others
+    up to a scalar is a mover with κ = 0, so three pairwise commuting
+    letters x_c·x_b·x_a are settled this way too: the commutation case of
+    the diamond lemma, as in Cartier–Foata.
+
+    *Cost.*  A mover (x, side) meets a rule r in one overlap at most (x·L
+    needs the one rule on x·L[0], L·x the one on L[-1]·x), so the
+    certificate is decided once per (mover, side, rule), from facts about r
+    found once per check: whether its lead and right side are irreducible
+    where the proof needs it, its lead's letters, and the letters of its
+    right side's words where they differ from the lead's.  When κ is empty
+    or every λ is 1, (χ, δ) depends on a word's letters alone, so it is
+    found once per (mover, side, letters), and a rule whose right side
+    keeps the lead's letters needs no weight at all; every mover of a
+    `build_rules` system is of this kind.  Otherwise every word of r's
+    right side is weighed.  N(rhs r) is straightened once per rule within
+    one check, and a transported ambiguity weighs L, divides N(rhs r) back
+    relative to L and builds its normal form only when it is read.
     """
     if degree_bound < 2:
         raise ValueError("degree bound below any two rule leads")
     reduce, scan, decode, coded = _reduce, R._leftmost, R._decode, R._coded_rules
+    one, changing = R.one, R._changing
     found = []
-    movers = _movers(R)
-    rule_facts = {}  # rule index -> `transportable`
+    # (x, right) -> (λ, κ, A_x, whether (χ, δ) depends on a word's letters alone)
+    movers = {
+        key: (lam, kap, frozenset(lam), not kap or all(c == one for c in lam.values()))
+        for key, (lam, kap) in _movers(R).items()
+    }
+    rule_facts = [None] * len(coded)  # rule index -> `facts`
+    normals = {}  # rule index -> N(rhs r), rescaled, for a rule some mover passes
+    weights = {}  # (x, right, sorted letters) -> (χ, δ), for a mover that weighs letters alone
 
-    def transportable(r):
-        """(r passes a right mover, r passes a left mover, N(rhs r) unscaled), as far
-        as r itself decides: its lead is its first redex and irreducible
-        without its last letter, and its right side's words are irreducible
-        without their last letter (right) or whole (left)."""
-        if r not in rule_facts:
-            lead, rhs = coded[r]
-            ok = scan(lead) == (0, r) and scan(lead[:-1]) is None
-            normal = reduce(dict(rhs), R) if ok else None
-            if ok and R._changing:
-                normal = R._unscale(normal, R._e_content(lead))
-            rule_facts[r] = (
-                ok and all(scan(w[:-1]) is None for w, _ in rhs),
-                ok and all(scan(w) is None for w, _ in rhs),
-                normal,
-            )
+    def facts(r):
+        """(r passes a right mover, r passes a left mover, its lead's letters,
+        its lead's sorted letters, the other sorted letters of its right
+        side's words), as far as r itself decides: its lead is its first
+        redex and irreducible without its last letter, and its right side's
+        words are irreducible without their last letter (right) or whole (left)."""
+        lead, rhs = coded[r]
+        ok = scan(lead) == (0, r) and scan(lead[:-1]) is None
+        letters = tuple(sorted(lead))
+        rule_facts[r] = (
+            ok and all(scan(w[:-1]) is None for w, _ in rhs),
+            ok and all(scan(w) is None for w, _ in rhs),
+            frozenset(lead),
+            letters,
+            {tuple(sorted(w)) for w, _ in rhs} - {letters},
+        )
         return rule_facts[r]
 
     def weight(word, lam, kap, right):
         """(χ, δ) of a word over a mover's alphabet."""
-        chi, delta = R.one, 0
+        chi, delta = one, 0
         for a in word if right else reversed(word):
             shift = kap.get(a)
             if shift:
@@ -717,78 +808,115 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
             chi = chi * lam[a]
         return chi, delta
 
-    def transported(word, i1, pos2, i2):
-        """The normal form of both sides of a mover overlap x·L or L·x, or None,
-        in the basis of the E_i."""
-        l1, l2 = coded[i1][0], coded[i2][0]
-        shapes = []
-        if len(l1) == 2 and pos2 == 1 and word[1:] == l2:
-            shapes.append((l1[0], l1[1], True, i2))  # x·L: x's move at 0, r on L at 1
-        if len(l2) == 2 and word[:-1] == l1:
-            shapes.append((l2[1], l2[0], False, i1))  # L·x: r on L at 0, x's move last
-        for x, a, right, r in shapes:
-            lam, kap = movers.get((x, right), ({}, None))
+    def weighed(x, right, letters):
+        """(χ, δ) of every word with these sorted letters, for a mover that
+        weighs letters alone."""
+        if (x, right, letters) not in weights:
+            lam, kap, _, _ = movers[x, right]
+            weights[x, right, letters] = weight(letters, lam, kap, right)
+        return weights[x, right, letters]
+
+    def passes(x, right, r):
+        """Whether the mover (x, right) passes rule r; its N(rhs r) is then at hand."""
+        if (x, right) not in movers:
+            return False
+        lam, kap, alphabet, by_letters = movers[x, right]
+        passes_right, passes_left, letters, content, others = rule_facts[r] or facts(r)
+        if not ((passes_right if right else passes_left) and letters <= alphabet):
+            return False
+        if by_letters:
+            # words with the lead's letters have its weight, so only other letters are weighed
+            if others and any(weighed(x, right, c) != weighed(x, right, content) for c in others):
+                return False
+        else:
             lead, rhs = coded[r]
-            if a not in lam or not lam.keys() >= set(lead):
-                continue
-            right_words, left_words, normal = transportable(r)
-            if not (right_words if right else left_words):
-                continue
-            chi, delta = weight(lead, lam, kap, right)
-            if any(weight(w, lam, kap, right) != (chi, delta) for w, _ in rhs):
-                continue
-            nf = {(s + (x,) if right else (x,) + s): chi * c for s, c in normal.items()}
-            if delta:
-                nf.update((s, delta * c) for s, c in normal.items())
-            return nf
+            chi_delta = weight(lead, lam, kap, right)
+            if any(weight(w, lam, kap, right) != chi_delta for w, _ in rhs):
+                return False
+        if r not in normals:
+            normals[r] = reduce(dict(coded[r][1]), R)
+        return True
+
+    def certified(word, i1, pos2, i2):
+        """(x, right, r) when transport settles the overlap as the mover
+        overlap x·L or L·x, with L the lead of rule r; else None.  No
+        (x, right, r) comes twice, so the verdict needs no memo."""
+        l1, l2 = coded[i1][0], coded[i2][0]
+        if len(l1) == 2 and pos2 == 1 and word[1:] == l2 and passes(l1[0], True, i2):
+            return l1[0], True, i2  # x·L: x's move at 0, r on L at 1
+        if len(l2) == 2 and word[:-1] == l1 and passes(l2[1], False, i1):
+            return l2[1], False, i1  # L·x: r on L at 0, x's move last
         return None
 
-    def chase(word, i1, pos2, i2):
-        how, nf1 = "transport", transported(word, i1, pos2, i2)
-        nf2 = nf1
-        if nf1 is None:
-            how = "chased"
-            nf1 = reduce(_apply_at(word, 0, coded[i1]), R)
-            nf2 = reduce(_apply_at(word, pos2, coded[i2]), R)
-            if nf1 == nf2:
-                nf2 = nf1  # one normal form, unscaled and decoded once
-            if R._changing:
-                ref = R._e_content(word)
-                same, nf1 = nf2 is nf1, R._unscale(nf1, ref)
-                nf2 = nf1 if same else R._unscale(nf2, ref)
-        resolved = nf2 is nf1
+    def fields(word, i1, pos2, i2, nf1, nf2):
+        """An ambiguity's word, labels and normal forms, decoded from coded
+        normal forms in the basis of the E_i; nf2 is nf1 when they agree."""
         left = NCPoly({decode(w): c for w, c in nf1.items()})
-        right = left if resolved else NCPoly({decode(w): c for w, c in nf2.items()})
-        l1, l2 = R.rules[i1].lead, R.rules[i2].lead
-        found.append(
-            Ambiguity(
-                l1 + l2[len(l1) - pos2 :],
-                f"{word_str(l1)} at 0",
-                f"{word_str(l2)} at {pos2}",
-                left,
-                right,
-                resolved,
-                how,
-            )
-        )
+        right = left if nf2 is nf1 else NCPoly({decode(w): c for w, c in nf2.items()})
+        labels = f"{word_str(R.rules[i1].lead)} at 0", f"{word_str(R.rules[i2].lead)} at {pos2}"
+        return (decode(word), *labels, left, right)
 
-    by_first = {}
+    def chased_fields(word, i1, pos2, i2, nf1, nf2):
+        """`fields` of a chased overlap, its sides divided back relative to the word."""
+        if changing:
+            ref = R._e_content(word)
+            same, nf1 = nf2 is nf1, R._unscale(nf1, ref)
+            nf2 = nf1 if same else R._unscale(nf2, ref)
+        return fields(word, i1, pos2, i2, nf1, nf2)
+
+    def transported_fields(word, i1, pos2, i2, x, right, r):
+        """`fields` of a transported overlap: χ(L)·N(rhs r)·x + δ(L)·N(rhs r),
+        or χ(L)·x·N(rhs r) + δ(L)·N(rhs r) for a left mover, with N(rhs r)
+        divided back relative to L."""
+        lam, kap, _, _ = movers[x, right]
+        lead = coded[r][0]
+        chi, delta = weight(lead, lam, kap, right)
+        normal = R._unscale(normals[r], R._e_content(lead)) if changing else normals[r]
+        nf = {(s + (x,) if right else (x,) + s): chi * c for s, c in normal.items()}
+        if delta:
+            nf.update((s, delta * c) for s, c in normal.items())
+        return fields(word, i1, pos2, i2, nf, nf)
+
+    def chase(word, i1, pos2, i2):
+        move = certified(word, i1, pos2, i2)
+        if move is not None:
+            found.append(Ambiguity._deferred(True, "transport", (transported_fields, word, i1, pos2, i2, *move)))
+            return
+        nf1 = reduce(_apply_at(word, 0, coded[i1]), R)
+        nf2 = reduce(_apply_at(word, pos2, coded[i2]), R)
+        if nf1 == nf2:
+            nf2 = nf1  # one normal form, divided back and decoded once
+        found.append(Ambiguity._deferred(nf2 is nf1, "chased", (chased_fields, word, i1, pos2, i2, nf1, nf2)))
+
+    by_prefix = {}  # proper prefix of a lead -> the indices of the rules on such leads, in order
     for index, (lead, _) in enumerate(coded):
-        by_first.setdefault(lead[0], []).append(index)
+        for k in range(1, len(lead)):
+            by_prefix.setdefault(lead[:k], []).append(index)
+    by_lead = R._by_lead
     for i1, (l1, _) in enumerate(coded):
-        # a lead that overlaps l1 or sits inside it starts with a letter of l1
-        partners = sorted({index for letter in set(l1) for index in by_first.get(letter, ())})
-        for index in partners:
-            l2 = coded[index][0]
-            for k in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - k :] == l2[:k]:
-                    word = l1 + l2[k:]
-                    if len(word) <= degree_bound:
-                        chase(word, i1, len(l1) - k, index)
-            if len(l1) <= degree_bound and (len(l2) < len(l1) or (l2 == l1 and index > i1)):
-                for pos in range(len(l1) - len(l2) + 1):
-                    if l1[pos : pos + len(l2)] == l2:
-                        chase(l1, i1, pos, index)
+        n1 = len(l1)
+        # (partner, 0, k): l1's last k letters begin the partner's lead;
+        # (partner, 1, pos): the partner's lead sits inside l1 at pos
+        meets = [
+            (index, 0, k)
+            for k in range(1, n1)
+            for index in by_prefix.get(l1[n1 - k :], ())
+            if n1 + len(coded[index][0]) - k <= degree_bound
+        ]
+        if n1 <= degree_bound:
+            meets += [
+                (index, 1, pos)
+                for pos in range(n1)
+                for end in range(pos + 1, n1 + 1)
+                for index in by_lead.get(l1[pos:end], ())
+                if end - pos < n1 or index > i1
+            ]
+        meets.sort()
+        for index, inside, at in meets:
+            if inside:
+                chase(l1, i1, at, index)
+            else:
+                chase(l1 + coded[index][0][at:], i1, n1 - at, index)
     return ConfluenceReport(R.mode, degree_bound, tuple(found))
 
 

@@ -687,11 +687,14 @@ def _stopper(R):
 
 @pytest.mark.parametrize(
     "name, bound",
-    [(name, bound) for name in CATALOG + ["A4", "D4"] for bound in (4, 6)] + [("A6", 4)],
+    [(name, bound) for name in CATALOG + ["A4", "D4"] for bound in (4, 6)]
+    + [("A6", 4)]
+    + [(name, 6) for name in ("B3", "C3", "A2~")],
 )
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_every_ambiguity_field_matches_chasing_every_overlap(name, mode, bound):
-    # certified ambiguities must hold the very normal forms the chase returns
+    # certified ambiguities must hold the very normal forms the chase returns;
+    # equality reads every field, so this builds every deferred normal form
     R = system(name, mode)
     assert list(check_local_confluence(R, bound).ambiguities) == chased_ambiguities(R, bound)
 
@@ -831,6 +834,33 @@ def test_a_shifted_move_is_transported_with_its_shift(mode):
     assert a.nf_left == NCPoly({("E1", x2, x3): R.one, (x2, x3): shifts})
 
 
+def _order_dependent_shifts(R):
+    # K1·E1 -> q^2·E1·K1 + K1 and K2·E1 -> q^-1·E1·K2 + q·K2: E1 passes
+    # K1 and K2 leftward with λ ≠ 1 and κ ≠ 0 at once, so (χ, δ) depends on
+    # the order of a word's letters, and K2·K1 and K1·K2 weigh differently
+    for x, shift in (("K1", R.one), ("K2", q_power(1))):
+        rule = rule_for(R, (x, "E1"))
+        R = swap_rule(R, rule.lead, Rule(rule.lead, rule.rhs + NCPoly({(x,): shift})))
+    return R
+
+
+def test_a_weight_that_depends_on_letter_order_is_not_keyed_by_letters():
+    # the overlap K2·K1·E1 meets E1's move past K2·K1 with the sort rule
+    # K2·K1 -> K1·K2, which keeps the lead's letters; the weights differ, so
+    # it must be chased, and every field must match the chase
+    base = system("A2", "quantum")
+    R = _order_dependent_shifts(base)
+    word = ("K2", "K1", "E1")
+
+    def hows(report):
+        return [a.how for a in report.ambiguities if a.word == word]
+
+    report = check_local_confluence(R, 4)
+    assert list(report.ambiguities) == chased_ambiguities(R, 4)
+    assert hows(report) == ["chased"]
+    assert hows(check_local_confluence(base, 4)) == ["transport"]
+
+
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 def test_a_right_side_that_straightens_through_a_pairing_is_transported(mode):
     # E1·F1·F1·E1 -> E1·F1·E1, whose right side straightens through the
@@ -899,10 +929,38 @@ def test_a4_quantum_chases_only_what_it_cannot_certify(monkeypatch):
     assert len(calls) == 2 * 96 + len({lead for _, lead in expected if lead})
 
 
+def test_a_resolved_ambiguity_builds_its_normal_forms_only_when_read(monkeypatch):
+    # the check builds no polynomial and divides nothing back beyond what
+    # the unresolved ambiguities need; read later, every form is the chase's
+    R = system("A4", "quantum")
+    made = {"NCPoly": 0, "_unscale": 0}
+    init, unscale = NCPoly.__init__, RewriteSystem._unscale
+
+    def counted_init(self, terms=None):
+        made["NCPoly"] += 1
+        init(self, terms)
+
+    def counted_unscale(self, terms, ref):
+        made["_unscale"] += 1
+        return unscale(self, terms, ref)
+
+    monkeypatch.setattr(NCPoly, "__init__", counted_init)
+    monkeypatch.setattr(RewriteSystem, "_unscale", counted_unscale)
+    report = check_local_confluence(R, 6)
+    unresolved = len(report.unresolved())
+    assert unresolved > 0
+    assert made["NCPoly"] <= 2 * unresolved and made["_unscale"] <= 2 * unresolved
+    monkeypatch.undo()
+    chased = chased_ambiguities(R, 6)
+    assert [(a.nf_left, a.nf_right) for a in report.ambiguities] == [(a.nf_left, a.nf_right) for a in chased]
+
+
 def test_certificates_decide_alike_under_python_O():
     # the certificates decide with if, never assert: -O must print the same
-    # summary and settle every ambiguity the same way
+    # summary, build the same deferred normal forms (a digest of every
+    # ambiguity's two sides) and settle every ambiguity the same way
     script = (
+        "import hashlib\n"
         "import sys\n"
         "from borelweyl.biproduct import build_rules, check_local_confluence\n"
         "from borelweyl.cartan import quasi_inverse, validate_gcm\n"
@@ -911,6 +969,8 @@ def test_certificates_decide_alike_under_python_O():
         "for mode, bound in (('quantum', 6), ('classical', 4)):\n"
         "    report = check_local_confluence(build_rules(quasi_inverse(validate_gcm(A4)), mode), bound)\n"
         "    print(*report.summary_lines(), sep='\\n')\n"
+        "    forms = ' '.join(f'{a.nf_left.to_str()} | {a.nf_right.to_str()}' for a in report.ambiguities)\n"
+        "    print(hashlib.sha256(forms.encode()).hexdigest())\n"
         "    print(*(a.how for a in report.ambiguities))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(borelweyl.__file__)))

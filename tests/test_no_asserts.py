@@ -215,7 +215,6 @@ def test_every_exempt_entry_point_is_exported():
 # public class members that nothing in the package reads, kept for readers outside it
 MEMBER_EXEMPTIONS = {
     ("biproduct.py", "RewriteSystem.redexes"): "the perfbench tracer wraps it by name to count rewrite steps",
-    ("biproduct.py", "Ambiguity.how"): "ROADMAP items 5 and 16 count the transport certificates by it",
     ("morphisms.py", "VerificationReport.recovered"):
         "the recovery oracle in tests/test_template_oracles.py compares it",
 }

@@ -206,11 +206,10 @@ class RewriteSystem:
         self.alphabet = tuple(
             [f"E{i + 1}" for i in range(n)] + cartan + [f"F{i + 1}" for i in range(n)]
         )
-        # the alphabet is in term order, so a letter's place in it is its rank
-        self._place = {letter: place for place, letter in enumerate(self.alphabet)}
-        # a letter's code is minus its place, so coded words sort largest first
-        # and a coded word is its own heap key after its length
-        self._code = {letter: -place for letter, place in self._place.items()}
+        # the alphabet is in term order, so a letter's place in it is its rank;
+        # its code is minus its place, so coded words sort largest first and a
+        # coded word is its own heap key after its length
+        self._code = {letter: -place for place, letter in enumerate(self.alphabet)}
         self.order = "graded, F > " + ("H" if mode == "classical" else "K") + " > E, index tiebreak"
         self.rules = tuple(rules)
         # quantum rules compile in the rescaled basis Ē_i = β_i·E_i (see the module
@@ -232,7 +231,7 @@ class RewriteSystem:
             if not rule.lead:
                 raise ValueError("empty lead word")
             for letter in rule.lead:
-                if letter not in self._place:
+                if letter not in self._code:
                     raise ValueError(f"rule lead uses unknown letter {letter!r}")
             lead = self._encode(rule.lead)
             rhs = tuple((self._encode(w), c) for w, c in rule.rhs.terms.items())
@@ -757,28 +756,30 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
     certificate is decided once per (mover, side, rule), from facts about r
     found once per check: whether its lead and right side are irreducible
     where the proof needs it, its lead's letters, and the letters of its
-    right side's words where they differ from the lead's.  When κ is empty
-    or every λ is 1, (χ, δ) depends on a word's letters alone, so it is
-    found once per (mover, side, letters), and a rule whose right side
-    keeps the lead's letters needs no weight at all; every mover of a
-    `build_rules` system is of this kind.  Otherwise every word of r's
-    right side is weighed.  N(rhs r) is straightened once per rule within
-    one check, and a transported ambiguity weighs L, divides N(rhs r) back
-    relative to L and builds its normal form only when it is read.
+    right side's words where they differ from the lead's.  Only a mover
+    whose κ is empty or whose every λ is 1 certifies: its (χ, δ) depends on
+    a word's letters alone, so it is found once per (mover, side, letters),
+    and a rule whose right side keeps the lead's letters needs no weight at
+    all.  Every mover of a `build_rules` system is of this kind; the
+    overlaps of any other are chased, which gives the same fields.
+    N(rhs r) is straightened once per rule within one check, and a
+    transported ambiguity weighs L, divides N(rhs r) back relative to L and
+    builds its normal form only when it is read.
     """
     if degree_bound < 2:
         raise ValueError("degree bound below any two rule leads")
     reduce, scan, decode, coded = _reduce, R._leftmost, R._decode, R._coded_rules
     one, changing = R.one, R._changing
     found = []
-    # (x, right) -> (λ, κ, A_x, whether (χ, δ) depends on a word's letters alone)
+    # (x, right) -> (λ, κ, A_x), for a mover whose (χ, δ) depends on a word's letters alone
     movers = {
-        key: (lam, kap, frozenset(lam), not kap or all(c == one for c in lam.values()))
+        key: (lam, kap, frozenset(lam))
         for key, (lam, kap) in _movers(R).items()
+        if not kap or all(c == one for c in lam.values())
     }
     rule_facts = [None] * len(coded)  # rule index -> `facts`
     normals = {}  # rule index -> N(rhs r), rescaled, for a rule some mover passes
-    weights = {}  # (x, right, sorted letters) -> (χ, δ), for a mover that weighs letters alone
+    weights = {}  # (x, right, sorted letters) -> (χ, δ)
 
     def facts(r):
         """(r passes a right mover, r passes a left mover, its lead's letters,
@@ -798,41 +799,31 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
         )
         return rule_facts[r]
 
-    def weight(word, lam, kap, right):
-        """(χ, δ) of a word over a mover's alphabet."""
-        chi, delta = one, 0
-        for a in word if right else reversed(word):
-            shift = kap.get(a)
-            if shift:
-                delta = delta + shift * chi
-            chi = chi * lam[a]
-        return chi, delta
-
     def weighed(x, right, letters):
-        """(χ, δ) of every word with these sorted letters, for a mover that
-        weighs letters alone."""
+        """(χ, δ) of every word with these sorted letters: with κ empty χ is
+        a product and δ is 0, and with every λ one χ is one and δ a sum, so
+        the letters' order does not matter."""
         if (x, right, letters) not in weights:
-            lam, kap, _, _ = movers[x, right]
-            weights[x, right, letters] = weight(letters, lam, kap, right)
+            lam, kap, _ = movers[x, right]
+            chi, delta = one, 0
+            for a in letters:
+                shift = kap.get(a)
+                if shift:
+                    delta = delta + shift * chi
+                chi = chi * lam[a]
+            weights[x, right, letters] = chi, delta
         return weights[x, right, letters]
 
     def passes(x, right, r):
         """Whether the mover (x, right) passes rule r; its N(rhs r) is then at hand."""
         if (x, right) not in movers:
             return False
-        lam, kap, alphabet, by_letters = movers[x, right]
         passes_right, passes_left, letters, content, others = rule_facts[r] or facts(r)
-        if not ((passes_right if right else passes_left) and letters <= alphabet):
+        if not ((passes_right if right else passes_left) and letters <= movers[x, right][2]):
             return False
-        if by_letters:
-            # words with the lead's letters have its weight, so only other letters are weighed
-            if others and any(weighed(x, right, c) != weighed(x, right, content) for c in others):
-                return False
-        else:
-            lead, rhs = coded[r]
-            chi_delta = weight(lead, lam, kap, right)
-            if any(weight(w, lam, kap, right) != chi_delta for w, _ in rhs):
-                return False
+        # words with the lead's letters have its weight, so only other letters are weighed
+        if others and any(weighed(x, right, c) != weighed(x, right, content) for c in others):
+            return False
         if r not in normals:
             normals[r] = reduce(dict(coded[r][1]), R)
         return True
@@ -868,10 +859,8 @@ def check_local_confluence(R: RewriteSystem, degree_bound: int) -> ConfluenceRep
         """`fields` of a transported overlap: χ(L)·N(rhs r)·x + δ(L)·N(rhs r),
         or χ(L)·x·N(rhs r) + δ(L)·N(rhs r) for a left mover, with N(rhs r)
         divided back relative to L."""
-        lam, kap, _, _ = movers[x, right]
-        lead = coded[r][0]
-        chi, delta = weight(lead, lam, kap, right)
-        normal = R._unscale(normals[r], R._e_content(lead)) if changing else normals[r]
+        chi, delta = weighed(x, right, rule_facts[r][3])
+        normal = R._unscale(normals[r], R._e_content(coded[r][0])) if changing else normals[r]
         nf = {(s + (x,) if right else (x,) + s): chi * c for s, c in normal.items()}
         if delta:
             nf.update((s, delta * c) for s, c in normal.items())
@@ -966,7 +955,7 @@ def parse_word(text: str, R: RewriteSystem):
     tokens = [t for t in re.split(r"[\s*]+", text.strip()) if t]
     word = []
     for tok in tokens:
-        if tok not in R._place:
+        if tok not in R._code:
             raise ValueError(
                 f"unknown generator {tok!r}; expected one of {', '.join(R.alphabet)}"
             )

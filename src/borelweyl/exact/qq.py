@@ -26,29 +26,30 @@ So a Laurent polynomial in q has a denominator q^k, and a sum or product of
 two of them takes no gcd: a/q^j + c/q^k = (a·q^{m−j} + c·q^{m−k})/q^m with
 m = max(j, k), and (a/q^j)·(c/q^k) = a·c/q^{j+k}.  q is the only prime
 factor of q^m and its content is 1, so stripping min(ord_q num, m) from
-both gives the canonical pair that the general rule below would return.
+both gives the canonical pair that the normalising constructor would return.
 The quantum straightening engine works in ℤ[q, q⁻¹] (see `biproduct`), so
 nearly all of its sums and products take these closed forms.
 
-Every other sum and product follows Henrici's rule (Knuth, TAOCP vol. 2,
-§4.5.1): both operands are canonical, so only gcds of the small operands
-are taken, never one of the grown result.  For a/b + c/d with b = d it is
-gcd(a + c, b).  Otherwise let g = gcd(b, d): for g = 1 the sum
-(a·d + c·b)/(b·d) is already reduced, and for g ≠ 1 the numerator
-t = a·(d/g) + c·(b/g) shares only g₂ = gcd(t, g) with the denominator,
-giving (t/g₂) / ((b/g)·(d/g₂)).  A product cancels crosswise,
-(a/g₁)(c/g₂) / ((b/g₂)(d/g₁)) with g₁ = gcd(a, d) and g₂ = gcd(c, b).
-Every gcd has a positive leading coefficient, so the result is canonical
-as built and is not normalised again; negation, inversion and a Fraction
-take no gcd either.
+Every other sum and product builds the unreduced pair, (a·d + c·b, b·d) or
+(a·c, b·d), and hands it to the normalising constructor, which takes one
+gcd of the pair.  Henrici's rule (Knuth, TAOCP vol. 2, §4.5.1), which
+takes gcds of the small operands instead, lost its workload when
+straightening moved to the closed forms.  Over every job of the benchmark's
+verify-quantum, rewrite-words and verify-classical ladders (ladder seeds 1
+and 2), the census draws, the catalog in quantum mode at degree 6 and a few
+quantum rewrites, no sum met a denominator other than a power of q; the
+general products, one in ten product kernel runs, all scale by powers of
+β_i = q^{d_i} − q^{−d_i} (`biproduct`), and their one gcd in the
+constructor left the benchmark's pass times within noise.  Negation,
+inversion and a Fraction take no gcd.
 
 A job repeats the same few products: q-powers, balanced brackets and
 q-binomials, met again at every rewrite and every datum check.  So within
 ``job_memo()`` each sum and product is looked up by its operands' canonical
 tuples (a, b, c, d) before the kernel runs, and computed and stored only
-on a miss.  One pass of the benchmark's verify-quantum ladder asks for 6,283
+on a miss.  One pass of the benchmark's verify-quantum ladder asks for 2,590
 products past the shortcuts below and 742 sums, and runs the kernels on
-582 and 168 of them (counted by wrapping `QScalar.__mul__`, `__add__`,
+322 and 168 of them (counted by wrapping `QScalar.__mul__`, `__add__`,
 `_mul` and `_add` around one in-process pass through `cli.run`).
 A canonical QScalar is immutable and fixed by its tuples, so a stored result
 is the one the kernel would build.  The products by one and by zero return
@@ -167,7 +168,7 @@ _UNITS = ((1,), (-1,))
 
 
 def _pgcd(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Gcd in Z[q], content included, normalized to positive leading coeff.
+    """Gcd of nonzero a and b in Z[q], content included, positive leading coeff.
 
     A unit ±1 divides everything and shares nothing, so it gives 1 at once.
     Otherwise the common power of q and the integer content come off first;
@@ -176,9 +177,6 @@ def _pgcd(a: ZPoly, b: ZPoly) -> ZPoly:
     """
     if a in _UNITS or b in _UNITS:
         return (1,)
-    if not a or not b:
-        g = a or b
-        return _pneg(g) if g and g[-1] < 0 else g
     ka, kb = _qorder(a), _qorder(b)
     a, b = a[ka:], b[kb:]
     ca, cb = _pcontent(a), _pcontent(b)
@@ -281,11 +279,11 @@ def _pstr(a: ZPoly) -> str:
 _MEMO: ContextVar = ContextVar("qq_memo", default=None)
 
 # A sum or product is memoised only when its operands hold at most this many
-# coefficients in all.  The operands of each of the 6,807 non-unit products of
-# a verify-quantum pass hold at most 22.  A long quantum rewrite grows
-# coefficients that never repeat: memoising every one of them raised the peak
-# RSS of a 20-letter G2 rewrite from 42.2 to 109.7 MB, against 41.3 MB under
-# this bound.
+# coefficients in all.  The operands of each of the 2,590 products of a
+# verify-quantum pass that pass the shortcuts hold at most 22.  A long quantum
+# rewrite grows coefficients that never repeat: memoising every one of them
+# raised the peak RSS of a 20-letter G2 rewrite from 42.2 to 109.7 MB, against
+# 41.3 MB under this bound.
 _MEMO_MAX_COEFFS = 24
 
 
@@ -470,44 +468,21 @@ def _over_q_power(t: ZPoly, m: int) -> "QScalar":
 
 def _add(a: ZPoly, b: ZPoly, c: ZPoly, d: ZPoly) -> "QScalar":
     """a/b + c/d for canonical operands: in closed form over powers of q,
-    else by Henrici's rule."""
+    else (a·d + c·b)/(b·d) through the normalising constructor."""
     if _is_q_power(b) and _is_q_power(d):  # (a·q^{m−j} + c·q^{m−k})/q^m
         j, k = len(b) - 1, len(d) - 1
         m = max(j, k)
         t = _padd((0,) * (m - j) + a, (0,) * (m - k) + c)
         return _over_q_power(t, m) if t else QQ_ZERO
-    if b == d:
-        t = _padd(a, c)
-        if not t:
-            return QQ_ZERO
-        g = _pgcd(t, b)
-        if g == (1,):
-            return QScalar._reduced(t, b)
-        return QScalar._reduced(_pdiv_exact(t, g), _pdiv_exact(b, g))
-    g = _pgcd(b, d)
-    if g == (1,):
-        # a prime that divides b divides neither d nor a, so not a·d + c·b
-        return QScalar._reduced(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
-    b = _pdiv_exact(b, g)
-    t = _padd(_pmul(a, _pdiv_exact(d, g)), _pmul(c, b))  # nonzero: a/b = −c/d needs b = d
-    g = _pgcd(t, g)
-    if g != (1,):
-        t, d = _pdiv_exact(t, g), _pdiv_exact(d, g)
-    return QScalar._reduced(t, _pmul(b, d))
+    return QScalar(_padd(_pmul(a, d), _pmul(c, b)), _pmul(b, d))
 
 
 def _mul(a: ZPoly, b: ZPoly, c: ZPoly, d: ZPoly) -> "QScalar":
     """(a/b)·(c/d) for canonical operands with a and c nonzero: over powers
-    of q, a·c/q^{j+k}; else by crosswise cancellation."""
+    of q, a·c/q^{j+k}; else a·c/(b·d) through the normalising constructor."""
     if _is_q_power(b) and _is_q_power(d):
         return _over_q_power(_pmul(a, c), len(b) + len(d) - 2)
-    g = _pgcd(a, d)
-    if g != (1,):
-        a, d = _pdiv_exact(a, g), _pdiv_exact(d, g)
-    g = _pgcd(c, b)
-    if g != (1,):
-        c, b = _pdiv_exact(c, g), _pdiv_exact(b, g)
-    return QScalar._reduced(_pmul(a, c), _pmul(b, d))
+    return QScalar(_pmul(a, c), _pmul(b, d))
 
 
 QQ_ZERO = QScalar(())
